@@ -1,10 +1,10 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: ci fmt vet build test race test-fleet-race test-alert-race test-jobs-race test-trace-race test-rp-race test-gpu-race bench-obs bench-host bench-json bench-json-ci bench-rp bench-rp-scaling bench-rp-json bench-gpu bench-gpu-json obs-gate
+.PHONY: ci fmt vet build test race test-fleet-race test-alert-race test-jobs-race test-trace-race test-rp-race test-gpu-race bench-obs bench-host bench-json bench-json-ci bench-rp bench-rp-scaling bench-rp-json bench-gpu bench-gpu-json obs-gate test-advbench
 
 # The full local CI gate: what a PR must pass.
-ci: fmt vet build race test-fleet-race test-alert-race test-jobs-race test-trace-race test-rp-race test-gpu-race bench-obs bench-host bench-json-ci bench-rp bench-rp-scaling bench-gpu obs-gate
+ci: fmt vet build race test-fleet-race test-alert-race test-jobs-race test-trace-race test-rp-race test-gpu-race bench-obs bench-host bench-json-ci bench-rp bench-rp-scaling bench-gpu obs-gate test-advbench
 
 # Formatting gate: fail (and list the offenders) if any file needs gofmt.
 fmt:
@@ -19,6 +19,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The end-to-end benchmark is a module of its own, outside ./...: run its
+# seam-fidelity tests (bitwise potentials and ==-equal Metrics with the
+# benchmark's Algorithm wrapper and Recorder attached) in the offline
+# environment advbench/run.sh uses.
+test-advbench:
+	cd advbench && GOFLAGS= GOWORK=off GOPROXY=off $(GO) test -count=1 ./...
 
 race:
 	$(GO) test -race ./...

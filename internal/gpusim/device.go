@@ -118,9 +118,11 @@ type ReplayStats struct {
 	// MRUHits counts cache lookups answered by the last-line or MRU-way
 	// fast path instead of an associative scan.
 	MRUHits uint64
-	// SortFallbacks counts warp memory instructions whose lane addresses
-	// arrived out of line order, forcing the coalescer to actually sort
-	// (stride-1 and broadcast patterns take the presorted fast path).
+	// SortFallbacks counts the sorts the coalescer performed: one per warp
+	// memory instruction whose lane addresses arrived out of line order
+	// (stride-1 and broadcast patterns take the presorted fast path), and
+	// one per Load3x3 footprint group whose bases arrived out of line
+	// order, which orders all nine of the group's instructions.
 	SortFallbacks uint64
 	// LineShortCircuits counts warp memory instructions whose active
 	// lanes all touched one cache line, skipping coalescing entirely.
@@ -172,6 +174,12 @@ type smState struct {
 	// re-deriving unit bounds per memory instruction
 	loadSl  [][]uintptr
 	storeSl [][]uintptr
+	// fpSl mirrors members during a replayGroup whose unit recorded
+	// footprints: each member's not yet passed Load3x3 entries. runs
+	// holds one footprint group's lane bases, sorted and grouped by L1
+	// line (<= WarpSize entries).
+	fpSl [][]footprint
+	runs []lineRun
 	// resident holds the current window's warps (<= ResidentWarps)
 	resident [][]*Lane
 
@@ -179,7 +187,15 @@ type smState struct {
 	warpInsts     uint64
 	sortFallbacks uint64
 	lineHits      uint64
+
+	// panicked is the value a kernel body panicked with on this SM during
+	// the current Run (nil if none); Run re-raises it after the join.
+	panicked any
 }
+
+// lineRun summarizes the bases of one footprint group that lie in L1 line
+// line: their lowest and highest byte offset into it.
+type lineRun struct{ line, lo, hi uintptr }
 
 // New creates a device with the given configuration.
 func New(cfg Config) *Device {
@@ -207,6 +223,8 @@ func New(cfg Config) *Device {
 			group:    make([]*Lane, 0, cfg.WarpSize),
 			loadSl:   make([][]uintptr, 0, cfg.WarpSize),
 			storeSl:  make([][]uintptr, 0, cfg.WarpSize),
+			fpSl:     make([][]footprint, 0, cfg.WarpSize),
+			runs:     make([]lineRun, 0, cfg.WarpSize),
 			resident: make([][]*Lane, 0, cfg.ResidentWarps),
 		}
 		for j := range sm.lanes {
@@ -234,6 +252,13 @@ func (d *Device) ResetCaches() {
 // distributed round-robin over SMs (approximating the hardware block
 // scheduler); each SM replays its blocks warp by warp through its private
 // L1 and L2 partition.
+//
+// A panic in a kernel body does not kill the process from an SM
+// goroutine: every SM finishes or stops, and Run then re-panics on the
+// caller's goroutine with the panic value of the lowest SM id that
+// panicked, so callers can recover it. The launch's metrics are lost and
+// the caches keep whatever part of it was replayed; a recovered device
+// should be treated as unusable.
 func (d *Device) Run(l Launch) Metrics {
 	if l.Blocks < 1 || l.ThreadsPerBlock < 1 {
 		panic(fmt.Sprintf("gpusim: empty launch %q (%d blocks x %d threads)", l.Name, l.Blocks, l.ThreadsPerBlock))
@@ -254,6 +279,14 @@ func (d *Device) Run(l Launch) Metrics {
 	}
 	d.wg.Wait()
 	d.launch = Launch{}
+	for _, sm := range d.sms {
+		if r := sm.panicked; r != nil {
+			for _, sm := range d.sms {
+				sm.panicked = nil
+			}
+			panic(r)
+		}
+	}
 
 	total := Metrics{Kernels: 1, warpSize: d.cfg.WarpSize}
 	perSMPeak := d.cfg.PeakGflops * 1e9 / float64(d.cfg.NumSMs)
@@ -313,9 +346,10 @@ func (d *Device) Run(l Launch) Metrics {
 // published by Run before the spawn). Run must stay allocation-free in
 // steady state, so this takes no launch argument.
 func (d *Device) runSM(smID int) {
-	defer d.wg.Done()
-	l := d.launch
 	sm := d.sms[smID]
+	defer d.wg.Done()
+	defer func() { sm.panicked = recover() }()
+	l := d.launch
 	for block := smID; block < l.Blocks; block += d.cfg.NumSMs {
 		if d.engine == EngineOracle {
 			d.runBlockOracle(sm, l, block)
@@ -445,12 +479,16 @@ func (d *Device) replayWarpStep(sm *smState, lanes []*Lane, t int) {
 // nothing. The gather loops then convert lane addresses straight to cache
 // lines (a shift when the line size is a power of two, which it is for
 // every shipped config), detecting the single-line and presorted
-// coalescing shapes on the fly so walkLines never re-scans.
+// coalescing shapes on the fly so walkLines never re-scans. Units in
+// which some member recorded Load3x3 footprints replay their loads through
+// replayFootprintLoads instead.
 func (d *Device) replayGroup(sm *smState, members []*Lane, t int) {
 	m := &sm.m
 	var maxInsts, maxFlops, maxLoads, maxStores uint64
+	var fps uint32 // nonzero iff some member recorded a footprint in unit t
 	for _, lane := range members {
 		u := &lane.units[t]
+		fps |= u.fpEnd - u.fpStart
 		loads := uint64(u.loadEnd - u.loadStart)
 		stores := uint64(u.stEnd - u.stStart)
 		insts := uint64(u.flops) + loads + stores
@@ -481,10 +519,14 @@ func (d *Device) replayGroup(sm *smState, members []*Lane, t int) {
 			u := &lane.units[t]
 			loadSl = append(loadSl, lane.loads[u.loadStart:u.loadEnd])
 		}
-		for i := 0; i < int(maxLoads); i++ {
-			n, same, sorted := d.gatherLines(sm, loadSl, i)
-			m.LoadReqBytes += 8 * uint64(n)
-			d.walkLines(sm, sm.lines[:n], same, sorted, true)
+		if fps != 0 {
+			d.replayFootprintLoads(sm, members, loadSl, t, int(maxLoads))
+		} else {
+			for i := 0; i < int(maxLoads); i++ {
+				n, same, sorted := d.gatherLines(sm, loadSl, i)
+				m.LoadReqBytes += 8 * uint64(n)
+				d.walkLines(sm, sm.lines[:n], same, sorted, true)
+			}
 		}
 	}
 	if maxStores > 0 {
@@ -499,6 +541,130 @@ func (d *Device) replayGroup(sm *smState, members []*Lane, t int) {
 			d.walkLines(sm, sm.lines[:n], same, sorted, false)
 		}
 	}
+}
+
+// replayFootprintLoads replays the loads of unit t when some member
+// recorded footprints in it: each load index is first offered to
+// replayFootprint, which issues a whole footprint group at once, and
+// otherwise replays alone exactly as replayGroup does.
+func (d *Device) replayFootprintLoads(sm *smState, members []*Lane, loadSl [][]uintptr, t, maxLoads int) {
+	fpSl := sm.fpSl[:0]
+	for _, lane := range members {
+		u := &lane.units[t]
+		fpSl = append(fpSl, lane.fps[u.fpStart:u.fpEnd])
+	}
+	for i := 0; i < maxLoads; i++ {
+		if d.replayFootprint(sm, loadSl, fpSl, i) {
+			i += 8
+			continue
+		}
+		n, same, sorted := d.gatherLines(sm, loadSl, i)
+		sm.m.LoadReqBytes += 8 * uint64(n)
+		d.walkLines(sm, sm.lines[:n], same, sorted, true)
+	}
+}
+
+// replayFootprint issues loads i..i+8 of the member windows as one
+// footprint group, if they form one: every member with more than i loads
+// must start a Load3x3 at index i (so the same lanes are active for all
+// nine loads), and all those footprints must share (col, row). It reports
+// whether it did; if not, the caller replays load i alone. fpSl holds each
+// member's footprints not yet passed and is advanced in place.
+//
+// The group reads one base a0 per lane instead of nine addresses. For a
+// fixed offset o, (a0+o)/L1LineBytes never decreases as a0 grows, so
+// ordering the bases once orders the lines of all nine instructions. The
+// bases are insertion-sorted into runs that share an L1 line q; writing a
+// base as q*L + m with m < L, (a0+o)/L = q + (m+o)/L takes at most two
+// values over a run, at its lowest and highest m. Each instruction's
+// sorted unique lines are merged from the runs and walked by walkLines
+// exactly as the per-instruction path would. A group whose addresses
+// would wrap around the address space is declined, since the identity
+// needs a0+o not to overflow.
+func (d *Device) replayFootprint(sm *smState, loadSl [][]uintptr, fpSl [][]footprint, i int) bool {
+	lineBytes := uintptr(d.cfg.L1LineBytes)
+	runs := sm.runs[:0]
+	var col, row, top uintptr
+	active := 0
+	sorted := true
+	for k, sl := range loadSl {
+		if i >= len(sl) {
+			continue
+		}
+		fs := fpSl[k]
+		for len(fs) > 0 && int(fs[0].start) < i {
+			fs = fs[1:]
+		}
+		fpSl[k] = fs
+		if len(fs) == 0 || int(fs[0].start) != i {
+			return false
+		}
+		f := &fs[0]
+		if active == 0 {
+			col, row = f.col, f.row
+		} else if f.col != col || f.row != row {
+			return false
+		}
+		active++
+		if f.a0 > top {
+			top = f.a0
+		}
+		q := d.lineOf(f.a0)
+		m := f.a0 - q*lineBytes
+		j := len(runs)
+		for j > 0 && runs[j-1].line > q {
+			j--
+		}
+		if j > 0 && runs[j-1].line == q {
+			rn := &runs[j-1]
+			rn.lo, rn.hi = min(rn.lo, m), max(rn.hi, m)
+			continue
+		}
+		if j < len(runs) {
+			sorted = false
+		}
+		runs = append(runs, lineRun{})
+		copy(runs[j+1:], runs[j:])
+		runs[j] = lineRun{line: q, lo: m, hi: m}
+	}
+	var offs [9]uintptr
+	for r := uintptr(0); r < 3; r++ {
+		for c := uintptr(0); c < 3; c++ {
+			o := r*row + c*col
+			if top+o < top {
+				return false
+			}
+			offs[3*r+c] = o
+		}
+	}
+	if !sorted {
+		sm.sortFallbacks++
+	}
+	m := &sm.m
+	for _, o := range offs {
+		uniq := sm.lines[:0]
+		for _, rn := range runs {
+			lo := rn.line + d.lineOf(rn.lo+o)
+			hi := rn.line + d.lineOf(rn.hi+o)
+			if len(uniq) == 0 || uniq[len(uniq)-1] != lo {
+				uniq = append(uniq, lo)
+			}
+			if hi != lo {
+				uniq = append(uniq, hi)
+			}
+		}
+		m.LoadReqBytes += 8 * uint64(active)
+		d.walkLines(sm, uniq, len(uniq) == 1, true, true)
+	}
+	return true
+}
+
+// lineOf converts an address to its L1 line.
+func (d *Device) lineOf(a uintptr) uintptr {
+	if d.lineShift >= 0 {
+		return a >> uint(d.lineShift)
+	}
+	return a / uintptr(d.cfg.L1LineBytes)
 }
 
 // gatherLines collects the i-th address of every window into the line

@@ -194,12 +194,13 @@ func TestCacheAccessMatchesScan(t *testing.T) {
 
 // TestRunZeroSteadyStateAllocs pins the streaming engine's central
 // contract: after warmup, Device.Run performs zero heap allocations per
-// launch (mirroring the jobs-server event-path pin). The launch mixes
-// divergence, partial warps and scattered memory so every replay path is
-// exercised.
+// launch (mirroring the jobs-server event-path pin). The launches mix
+// divergence, partial warps, scattered memory and 3x3 footprints (grouped,
+// declined by a misaligned lane, and out of line order) so every replay
+// path is exercised.
 func TestRunZeroSteadyStateAllocs(t *testing.T) {
 	d := New(KeplerK40())
-	l := Launch{
+	launches := []Launch{{
 		Name: "alloc-pin", Blocks: 6, ThreadsPerBlock: 100,
 		Kernel: func(lane *Lane, b, th int) {
 			for u := 0; u <= th%7; u++ {
@@ -211,12 +212,29 @@ func TestRunZeroSteadyStateAllocs(t *testing.T) {
 			lane.Begin(9)
 			lane.Store(uintptr(th * 8))
 		},
-	}
+	}, {
+		Name: "alloc-pin-footprints", Blocks: 6, ThreadsPerBlock: 100,
+		Kernel: func(lane *Lane, b, th int) {
+			for u := 0; u <= th%3; u++ {
+				lane.Begin(u % 2)
+				lane.Flops(4)
+				if th%33 == 1 {
+					lane.Load(uintptr(b * 64))
+				}
+				lane.Load3x3(uintptr(b*8192+th*8+u*64), 8, 1024)
+				lane.Load3x3(uintptr((97-th)*2048), 8, 1024)
+			}
+		},
+	}}
 	for i := 0; i < 3; i++ { // size the lane arenas and goroutine pool
-		d.Run(l)
+		for _, l := range launches {
+			d.Run(l)
+		}
 	}
-	if avg := testing.AllocsPerRun(20, func() { d.Run(l) }); avg != 0 {
-		t.Fatalf("Device.Run allocates %.1f objects/launch in steady state, want 0", avg)
+	for _, l := range launches {
+		if avg := testing.AllocsPerRun(20, func() { d.Run(l) }); avg != 0 {
+			t.Fatalf("%s: Device.Run allocates %.1f objects/launch in steady state, want 0", l.Name, avg)
+		}
 	}
 }
 

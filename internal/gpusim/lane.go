@@ -19,6 +19,10 @@ type Lane struct {
 	units  []unit
 	loads  []uintptr
 	stores []uintptr
+	// fps indexes the loads recorded by Load3x3, one entry per footprint.
+	// The expanded addresses stay in loads, so everything that reads them
+	// (the oracle, the per-instruction replay) is unaffected.
+	fps []footprint
 }
 
 type unit struct {
@@ -28,6 +32,15 @@ type unit struct {
 	loadEnd   uint32
 	stStart   uint32
 	stEnd     uint32
+	fpStart   uint32
+	fpEnd     uint32
+}
+
+// footprint is one Load3x3: its nine loads start at index start of their
+// unit's load window and read a0 + r*row + c*col for r, c in 0..2.
+type footprint struct {
+	start        uint32
+	a0, col, row uintptr
 }
 
 // Begin opens a new work unit of the given kind, closing the previous one.
@@ -36,31 +49,26 @@ type unit struct {
 // Lanes are arena-reused across warps, so after the first trace sized the
 // units slice, reopening a slot writes in place instead of appending.
 func (l *Lane) Begin(kind int) {
+	l.closeUnit()
 	n := len(l.units)
-	if n > 0 {
-		l.units[n-1].loadEnd = uint32(len(l.loads))
-		l.units[n-1].stEnd = uint32(len(l.stores))
-	}
 	if n < cap(l.units) {
 		l.units = l.units[:n+1]
-		l.units[n] = unit{
-			kind:      uint16(kind),
-			loadStart: uint32(len(l.loads)),
-			stStart:   uint32(len(l.stores)),
-		}
-		return
+	} else {
+		l.units = append(l.units, unit{})
 	}
-	l.units = append(l.units, unit{
+	l.units[n] = unit{
 		kind:      uint16(kind),
 		loadStart: uint32(len(l.loads)),
 		stStart:   uint32(len(l.stores)),
-	})
+		fpStart:   uint32(len(l.fps)),
+	}
 }
 
 func (l *Lane) closeUnit() {
 	if n := len(l.units); n > 0 {
 		l.units[n-1].loadEnd = uint32(len(l.loads))
 		l.units[n-1].stEnd = uint32(len(l.stores))
+		l.units[n-1].fpEnd = uint32(len(l.fps))
 	}
 }
 
@@ -83,6 +91,23 @@ func (l *Lane) Flops(n int) {
 func (l *Lane) Load(addr uintptr) {
 	l.ensure()
 	l.loads = append(l.loads, addr)
+}
+
+// Load3x3 records the nine 8-byte reads of a 3x3 stencil footprint:
+// exactly the addresses, in exactly the order, of the nine calls
+// Load(a0 + r*row + c*col) with r the outer and c the inner loop over
+// 0..2. The streaming replay can then issue the footprint's nine warp
+// memory instructions together (see replayFootprint); every other reader
+// of the trace sees nine ordinary loads.
+func (l *Lane) Load3x3(a0, col, row uintptr) {
+	l.ensure()
+	start := uint32(len(l.loads)) - l.units[len(l.units)-1].loadStart
+	r1, r2 := a0+row, a0+2*row
+	l.loads = append(l.loads,
+		a0, a0+col, a0+2*col,
+		r1, r1+col, r1+2*col,
+		r2, r2+col, r2+2*col)
+	l.fps = append(l.fps, footprint{start: start, a0: a0, col: col, row: row})
 }
 
 // Store records an 8-byte global-memory write at the simulated address
@@ -115,4 +140,5 @@ func (l *Lane) reset(threadID, blockID int) {
 	l.units = l.units[:0]
 	l.loads = l.loads[:0]
 	l.stores = l.stores[:0]
+	l.fps = l.fps[:0]
 }

@@ -54,6 +54,8 @@ func (b GPUBridge) RecordReplay(name string, s gpusim.ReplayStats) {
 	kl := Label{"kernel", name}
 	b.Reg.Counter("gpu_replay_warp_insts_total", kl).Add(s.WarpInsts)
 	b.Reg.Counter("gpu_replay_mru_hits_total", kl).Add(s.MRUHits)
+	// Sorts performed: one per out-of-order warp memory instruction, or
+	// one per out-of-order footprint group of nine instructions.
 	b.Reg.Counter("gpu_replay_sort_fallbacks_total", kl).Add(s.SortFallbacks)
 	b.Reg.Counter("gpu_replay_line_shortcircuits_total", kl).Add(s.LineShortCircuits)
 }

@@ -475,40 +475,18 @@ func (e *Evaluator) inner(s *subEval, r, t0, t1 float64) float64 {
 		}
 		s.cacheT0, s.cacheT1, s.cacheValid = t0, t1, true
 	}
+	// The stencil loop is unrolled and the three temporal planes are
+	// gathered in one call so the x-side weights stay in registers
+	// (sampleRow3Fast). A lane records each in-range plane sample as one
+	// Load3x3 footprint after the arithmetic: the same nine addresses, in
+	// the same order, that the closure path loads one by one.
 	var sum float64
+	x, y := e.x, e.y
+	weights := e.weights
 	lane := e.lane
-	if lane == nil {
-		// Host fast path: the same arithmetic in the same order with the
-		// per-read lane branches hoisted out, the 3x3 stencil loop
-		// unrolled, and the three temporal planes gathered in one call so
-		// the x-side weights stay in registers (sampleRow3Fast).
-		x, y := e.x, e.y
-		weights := e.weights
-		for i := 0; i < n; i++ {
-			sx := x + r*cosTab[i]
-			sy := y + r*sinTab[i]
-			var v float64
-			if s.sharedX {
-				fx := (sx - s.p0.x0) / s.p0.dx
-				ix := int(math.Round(fx))
-				if ix >= 1 && ix <= s.p0.nx-2 {
-					dx := fx - float64(ix)
-					v = sampleRow3Fast(s, ix,
-						0.5*(0.5-dx)*(0.5-dx), 0.75-dx*dx, 0.5*(0.5+dx)*(0.5+dx),
-						sy, wm, w0, wp)
-				}
-			} else {
-				v = wm*samplePlaneFast(&s.pm, sx, sy) +
-					w0*samplePlaneFast(&s.p0, sx, sy) +
-					wp*samplePlaneFast(&s.pp, sx, sy)
-			}
-			sum += weights[i] * v
-		}
-		return (t1 - t0) * sum
-	}
 	for i := 0; i < n; i++ {
-		sx := e.x + r*cosTab[i]
-		sy := e.y + r*sinTab[i]
+		sx := x + r*cosTab[i]
+		sy := y + r*sinTab[i]
 		var v float64
 		if s.sharedX {
 			// One x-side index/weight computation serves all three
@@ -519,20 +497,52 @@ func (e *Evaluator) inner(s *subEval, r, t0, t1 float64) float64 {
 			ix := int(math.Round(fx))
 			if ix >= 1 && ix <= s.p0.nx-2 {
 				dx := fx - float64(ix)
-				wx := [3]float64{0.5 * (0.5 - dx) * (0.5 - dx), 0.75 - dx*dx, 0.5 * (0.5 + dx) * (0.5 + dx)}
-				v = wm*e.sampleRow(&s.pm, ix, &wx, sy) +
-					w0*e.sampleRow(&s.p0, ix, &wx, sy) +
-					wp*e.sampleRow(&s.pp, ix, &wx, sy)
+				v = sampleRow3Fast(s, ix,
+					0.5*(0.5-dx)*(0.5-dx), 0.75-dx*dx, 0.5*(0.5+dx)*(0.5+dx),
+					sy, wm, w0, wp)
+				if lane != nil {
+					rowFootprint(lane, &s.pm, ix, sy)
+					rowFootprint(lane, &s.p0, ix, sy)
+					rowFootprint(lane, &s.pp, ix, sy)
+				}
 			}
 		} else {
-			v = wm*e.samplePlane(&s.pm, sx, sy) +
-				w0*e.samplePlane(&s.p0, sx, sy) +
-				wp*e.samplePlane(&s.pp, sx, sy)
+			v = wm*samplePlaneFast(&s.pm, sx, sy) +
+				w0*samplePlaneFast(&s.p0, sx, sy) +
+				wp*samplePlaneFast(&s.pp, sx, sy)
+			if lane != nil {
+				planeFootprint(lane, &s.pm, sx, sy)
+				planeFootprint(lane, &s.p0, sx, sy)
+				planeFootprint(lane, &s.pp, sx, sy)
+			}
 		}
-		lane.Flops(14) // trig, weights and temporal blend
-		sum += e.weights[i] * v
+		if lane != nil {
+			lane.Flops(14) // trig, weights and temporal blend
+		}
+		sum += weights[i] * v
 	}
 	return (t1 - t0) * sum
+}
+
+// rowFootprint records on lane what rowFast reads and computes when its
+// sample row is in range: the 3x3 stencil as one Load3x3, and 30 stencil
+// flops. The row arithmetic is rowFast's, so a plane records exactly when
+// it contributes.
+func rowFootprint(lane *gpusim.Lane, pl *plane, ix int, sy float64) {
+	iy := int(math.Round((sy - pl.y0) / pl.dy))
+	if iy < 1 || iy > pl.ny-2 {
+		return
+	}
+	row := (iy-1)*pl.nx + ix - 1
+	lane.Load3x3(pl.base+uintptr(row)*pl.addrStride, pl.addrStride, uintptr(pl.nx)*pl.addrStride)
+	lane.Flops(30) // stencil weights and accumulation
+}
+
+// planeFootprint is rowFootprint behind samplePlaneFast's column test.
+func planeFootprint(lane *gpusim.Lane, pl *plane, sx, sy float64) {
+	if ix := int(math.Round((sx - pl.x0) / pl.dx)); ix >= 1 && ix <= pl.nx-2 {
+		rowFootprint(lane, pl, ix, sy)
+	}
 }
 
 // sampleRow3Fast blends the three temporal planes' row samples in one
@@ -545,7 +555,8 @@ func sampleRow3Fast(s *subEval, ix int, wx0, wx1, wx2, sy, wm, w0, wp float64) f
 		wp*rowFast(&s.pp, ix, wx0, wx1, wx2, sy)
 }
 
-// rowFast is the scalar-argument core of sampleRowFast.
+// rowFast is one plane's 3x3 stencil sample at column ix, with the x-side
+// weights precomputed by the caller; rows out of range sample 0.
 func rowFast(pl *plane, ix int, wx0, wx1, wx2, sy float64) float64 {
 	fy := (sy - pl.y0) / pl.dy
 	iy := int(math.Round(fy))
@@ -573,8 +584,9 @@ func rowFast(pl *plane, ix int, wx0, wx1, wx2, sy float64) float64 {
 	return v
 }
 
-// samplePlaneFast is samplePlane without lane accounting, unrolled the
-// same way.
+// samplePlaneFast is the closure path's sampleGrid on a hoisted plane:
+// identical arithmetic with no Grid/History indirection per sample and the
+// stencil unrolled the same way as rowFast.
 func samplePlaneFast(pl *plane, sx, sy float64) float64 {
 	fx := (sx - pl.x0) / pl.dx
 	ix := int(math.Round(fx))
@@ -583,67 +595,6 @@ func samplePlaneFast(pl *plane, sx, sy float64) float64 {
 	}
 	dx := fx - float64(ix)
 	return rowFast(pl, ix, 0.5*(0.5-dx)*(0.5-dx), 0.75-dx*dx, 0.5*(0.5+dx)*(0.5+dx), sy)
-}
-
-// sampleRow is samplePlane with the x-side stencil geometry precomputed by
-// the caller (shared across the three temporal planes).
-func (e *Evaluator) sampleRow(pl *plane, ix int, wx *[3]float64, sy float64) float64 {
-	fy := (sy - pl.y0) / pl.dy
-	iy := int(math.Round(fy))
-	if iy < 1 || iy > pl.ny-2 {
-		return 0
-	}
-	dy := fy - float64(iy)
-	wy := [3]float64{0.5 * (0.5 - dy) * (0.5 - dy), 0.75 - dy*dy, 0.5 * (0.5 + dy) * (0.5 + dy)}
-	var v float64
-	lane := e.lane
-	for oy := 0; oy < 3; oy++ {
-		row := (iy+oy-1)*pl.nx + ix - 1
-		w := wy[oy]
-		for ox := 0; ox < 3; ox++ {
-			v += w * wx[ox] * pl.data[row+ox]
-			if lane != nil {
-				lane.Load(pl.base + uintptr(row+ox)*pl.addrStride)
-			}
-		}
-	}
-	if lane != nil {
-		lane.Flops(30) // stencil weights and accumulation
-	}
-	return v
-}
-
-// samplePlane is sampleGrid on a hoisted plane: identical arithmetic and
-// identical per-load simulated addresses, with no Grid/History indirection
-// per sample.
-func (e *Evaluator) samplePlane(pl *plane, sx, sy float64) float64 {
-	fx := (sx - pl.x0) / pl.dx
-	fy := (sy - pl.y0) / pl.dy
-	ix := int(math.Round(fx))
-	iy := int(math.Round(fy))
-	if ix < 1 || iy < 1 || ix > pl.nx-2 || iy > pl.ny-2 {
-		return 0
-	}
-	dx := fx - float64(ix)
-	dy := fy - float64(iy)
-	wx := [3]float64{0.5 * (0.5 - dx) * (0.5 - dx), 0.75 - dx*dx, 0.5 * (0.5 + dx) * (0.5 + dx)}
-	wy := [3]float64{0.5 * (0.5 - dy) * (0.5 - dy), 0.75 - dy*dy, 0.5 * (0.5 + dy) * (0.5 + dy)}
-	var v float64
-	lane := e.lane
-	for oy := 0; oy < 3; oy++ {
-		row := (iy+oy-1)*pl.nx + ix - 1
-		w := wy[oy]
-		for ox := 0; ox < 3; ox++ {
-			v += w * wx[ox] * pl.data[row+ox]
-			if lane != nil {
-				lane.Load(pl.base + uintptr(row+ox)*pl.addrStride)
-			}
-		}
-	}
-	if lane != nil {
-		lane.Flops(30) // stencil weights and accumulation
-	}
-	return v
 }
 
 // boundR is Problem.R for the bound point, from the cached geometry.

@@ -74,47 +74,137 @@ func TestEvaluatorMatchesClosureSolvePoint(t *testing.T) {
 	}
 }
 
+// buildShiftedHistory is buildHistory with every grid's x origin moved by
+// a third of a cell per step, so consecutive grids do not share an x axis
+// and the evaluator takes its per-plane stencil branch.
+func buildShiftedHistory(steps, nx int, params Params) *grid.History {
+	h, _ := buildHistory(steps, nx, params)
+	out := grid.NewHistory(params.Kappa + 4)
+	for s := 0; s < steps; s++ {
+		g := h.At(s)
+		if g == nil {
+			continue
+		}
+		g.X0 += float64(s) * g.DX / 3
+		out.Push(g)
+	}
+	return out
+}
+
 // TestEvaluatorLaneMetricsMatchClosure drives the closure integrand and
 // the bound evaluator through identical radius probes on two fresh
 // simulated devices and requires identical values AND identical simulated
 // load/flop accounting (the kernels' cost model must not shift when the
-// evaluator is swapped in).
+// evaluator is swapped in). Each probe point is one lane of a warp, so the
+// evaluator's Load3x3 footprints go through the grouped replay while the
+// closure records single loads. Both stencil branches are covered: a
+// history whose grids share the x axis, and one whose grids shift in x.
+// Probe points near the grid edge put samples where one temporal plane
+// rejects what another accepts; the Boole rule sends samples toward every
+// edge, the default trapezoid rule only toward -x.
 func TestEvaluatorLaneMetricsMatchClosure(t *testing.T) {
-	params := testParams()
-	h, _ := buildHistory(8, 48, params)
-	p := NewProblem(h, params)
-	g := h.At(7)
-	cx := g.X0 + float64(g.NX-1)*g.DX/2
-	cy := g.Y0 + float64(g.NY-1)*g.DY/2
-	radii := []float64{0.05, 0.3, 0.45, 0.9, 1.1, 1.7, 2.2, 2.9, 3.6}
-
-	run := func(mk func(lane *gpusim.Lane) quadrature.Func) (gpusim.Metrics, []float64) {
-		dev := gpusim.New(gpusim.KeplerK40())
-		vals := make([]float64, len(radii))
-		m := dev.Run(gpusim.Launch{
-			Name: "probe", Blocks: 1, ThreadsPerBlock: 1, ColdCaches: true,
-			Kernel: func(lane *gpusim.Lane, b, th int) {
-				lane.Begin(0)
-				f := mk(lane)
-				for i, r := range radii {
-					vals[i] = f(r * p.SubWidth())
-				}
-			},
-		})
-		return m, vals
+	fixed, _ := buildHistory(8, 48, testParams())
+	histories := []struct {
+		name    string
+		h       *grid.History
+		sharedX bool
+	}{
+		{"fixed-x", fixed, true},
+		{"shifted-x", buildShiftedHistory(8, 48, testParams()), false},
 	}
+	radii := []float64{0.05, 0.3, 0.45, 0.9, 1.1, 1.7, 2.2, 2.9, 3.6}
+	for _, hc := range histories {
+		for _, inner := range []quadrature.NewtonCotesOrder{quadrature.Trapezoid, quadrature.Boole} {
+			t.Run(fmt.Sprintf("%s/inner=%d", hc.name, inner), func(t *testing.T) {
+				params := testParams()
+				params.Inner = inner
+				p := NewProblem(hc.h, params)
+				e := NewEvaluator(p)
+				for j := range e.sub {
+					if s := &e.sub[j]; s.ok && s.sharedX != hc.sharedX {
+						t.Fatalf("subregion %d: sharedX = %v, want %v", j, s.sharedX, hc.sharedX)
+					}
+				}
+				g := hc.h.At(7)
+				x0, y0, x1, y1 := g.Bounds()
+				cx, cy := 0.5*(x0+x1), 0.5*(y0+y1)
+				edge := 0.7 * g.DX
+				points := [][2]float64{
+					{cx, cy},
+					{x0 + edge, cy}, {x1 - edge, cy}, {cx, y0 + edge}, {cx, y1 - edge},
+					{x0 + edge, y0 + edge}, {x1 - edge, y1 - edge},
+					{x0 + 2*edge, y1 - 3*edge}, {x1 - 3*edge, y0 + 2*edge},
+				}
 
-	mc, vc := run(func(l *gpusim.Lane) quadrature.Func { return p.Integrand(cx, cy, l) })
-	e := NewEvaluator(p)
-	me, ve := run(func(l *gpusim.Lane) quadrature.Func { e.Bind(cx, cy, l); return e.Func() })
-	for i := range vc {
-		if vc[i] != ve[i] {
-			t.Fatalf("integrand at r=%g: closure %v != evaluator %v", radii[i], vc[i], ve[i])
+				run := func(mk func(lane *gpusim.Lane, x, y float64) quadrature.Func) (gpusim.Metrics, []float64) {
+					dev := gpusim.New(gpusim.KeplerK40())
+					vals := make([]float64, len(points)*len(radii))
+					m := dev.Run(gpusim.Launch{
+						Name: "probe", Blocks: 1, ThreadsPerBlock: len(points), ColdCaches: true,
+						Kernel: func(lane *gpusim.Lane, b, th int) {
+							lane.Begin(0)
+							f := mk(lane, points[th][0], points[th][1])
+							for i, r := range radii {
+								vals[th*len(radii)+i] = f(r * p.SubWidth())
+							}
+						},
+					})
+					return m, vals
+				}
+
+				mc, vc := run(func(l *gpusim.Lane, x, y float64) quadrature.Func { return p.Integrand(x, y, l) })
+				me, ve := run(func(l *gpusim.Lane, x, y float64) quadrature.Func { e.Bind(x, y, l); return e.Func() })
+				for i := range vc {
+					if vc[i] != ve[i] {
+						pt := points[i/len(radii)]
+						t.Fatalf("integrand at (%g,%g) r=%g: closure %v != evaluator %v",
+							pt[0], pt[1], radii[i%len(radii)], vc[i], ve[i])
+					}
+				}
+				if mc != me {
+					t.Fatalf("simulated metrics diverge:\nclosure:   %+v\nevaluator: %+v", mc, me)
+				}
+				if n := splitSamples(e, points, radii, p.SubWidth()); n == 0 {
+					t.Fatal("no probe sample is accepted by some temporal planes and rejected by others")
+				}
+			})
 		}
 	}
-	if mc != me {
-		t.Fatalf("simulated metrics diverge:\nclosure:   %+v\nevaluator: %+v", mc, me)
+}
+
+// splitSamples counts the angular samples of the probes that some of
+// their three temporal planes accept and others reject, judged by whether
+// planeFootprint records the plane's stencil.
+func splitSamples(e *Evaluator, points [][2]float64, radii []float64, subW float64) int {
+	var lane gpusim.Lane
+	accepts := func(pl *plane, sx, sy float64) bool {
+		before := lane.LaneFlops()
+		planeFootprint(&lane, pl, sx, sy)
+		return lane.LaneFlops() > before
 	}
+	n := 0
+	for _, pt := range points {
+		e.Bind(pt[0], pt[1], nil)
+		for _, rr := range radii {
+			r := rr * subW
+			j := e.p.subregionOf(r)
+			s := &e.sub[j]
+			t0, t1, ok := e.window(j, r)
+			if !ok || !s.ok {
+				continue
+			}
+			h := (t1 - t0) / float64(len(e.weights)-1)
+			for i := range e.weights {
+				sx := pt[0] + r*math.Cos(t0+float64(i)*h)
+				sy := pt[1] + r*math.Sin(t0+float64(i)*h)
+				am, a0, ap := accepts(&s.pm, sx, sy), accepts(&s.p0, sx, sy), accepts(&s.pp, sx, sy)
+				if am != a0 || a0 != ap {
+					n++
+				}
+			}
+		}
+	}
+	return n
 }
 
 // TestGridSolverDeterministicAcrossWorkers requires bitwise-identical
