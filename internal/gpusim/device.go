@@ -36,8 +36,8 @@ const (
 	EngineStreaming Engine = iota
 	// EngineOracle is the pre-streaming replay, kept callable as the
 	// equivalence oracle: the A/B suite proves both engines produce
-	// ==-equal Metrics for every kernel shape, and cmd/benchgpu measures
-	// the streaming engine's speedup against it.
+	// ==-equal Metrics for every kernel shape, and BenchmarkReplayFloor
+	// holds the streaming engine's speedup against it.
 	EngineOracle
 )
 
@@ -75,7 +75,7 @@ func (d *Device) Label() string { return d.label }
 
 // SetEngine selects the replay implementation. Devices default to
 // EngineStreaming; EngineOracle exists for equivalence tests and the
-// benchgpu baseline. Switching on a warm device resynchronizes the
+// replay floor's baseline. Switching on a warm device resynchronizes the
 // streaming lookup's recency order from the LRU stamps, which the oracle
 // lookup advances without maintaining order — the engines then agree on
 // every future eviction.

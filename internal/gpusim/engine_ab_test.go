@@ -197,7 +197,7 @@ func TestCacheAccessMatchesScan(t *testing.T) {
 // launch (mirroring the jobs-server event-path pin). The launches mix
 // divergence, partial warps, scattered memory and 3x3 footprints (grouped,
 // declined by a misaligned lane, and out of line order) so every replay
-// path is exercised.
+// path is exercised, plus the replay floor's four workload shapes.
 func TestRunZeroSteadyStateAllocs(t *testing.T) {
 	d := New(KeplerK40())
 	launches := []Launch{{
@@ -226,6 +226,7 @@ func TestRunZeroSteadyStateAllocs(t *testing.T) {
 			}
 		},
 	}}
+	launches = append(launches, floorLaunches()...)
 	for i := 0; i < 3; i++ { // size the lane arenas and goroutine pool
 		for _, l := range launches {
 			d.Run(l)

@@ -11,7 +11,7 @@ import "sort"
 // A/B suite (TestEngineABMatrix and the kernel-level equivalence tests)
 // proves both engines produce ==-equal Metrics for every kernel,
 // divergence shape, warp size and resident-window configuration, and
-// cmd/benchgpu measures the streaming engine's speedup against it.
+// BenchmarkReplayFloor holds the streaming engine's speedup against it.
 
 // runBlockOracle traces and replays one thread block on an SM. Warps are
 // processed in windows of ResidentWarps whose unit execution interleaves

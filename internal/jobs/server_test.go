@@ -291,15 +291,27 @@ func TestCloseCancelsQueuedJobs(t *testing.T) {
 	s := New(Config{Workers: 1})
 	long := smallSpec("long")
 	long.Steps = 50
-	if _, err := s.Submit(long); err != nil {
+	blocker, err := s.Submit(long)
+	if err != nil {
 		t.Fatal(err)
 	}
+	// With the only worker busy on the blocker, the second job stays
+	// queued until Close drains it.
+	waitRunning(t, blocker)
 	queued, err := s.Submit(smallSpec("queued"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cancel the blocker so Close does not wait half a minute.
-	s.Cancel(s.List()[0].ID)
+	// Cancel the blocker only once the drain has settled the queued job,
+	// so Close does not wait half a minute and the worker can never pop
+	// the queued job first.
+	go func() {
+		select {
+		case <-queued.Done():
+		case <-time.After(30 * time.Second):
+		}
+		s.Cancel(blocker.ID)
+	}()
 	s.Close()
 	if st := queued.State(); st != StateCancelled {
 		t.Fatalf("queued job after Close = %s, want CANCELLED", st)

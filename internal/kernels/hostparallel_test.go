@@ -129,37 +129,37 @@ func TestPredictiveNilPredDefaults(t *testing.T) {
 // buffers, so per-step allocation counts stay a tiny constant instead of
 // the seed's O(points) per phase.
 func TestPredictiveSteadyStateHostAllocs(t *testing.T) {
-	old := CountHostAllocs
-	CountHostAllocs = true
-	defer func() { CountHostAllocs = old }()
-
 	p, target := fixture(8, 24)
 	pr := NewPredictive(gpusim.New(gpusim.KeplerK40()))
 	for s := 0; s < 3; s++ { // warm the model and every scratch buffer
 		pr.Step(p, target.Clone(), 0)
 	}
-	res := pr.Step(p, target.Clone(), 0)
-	n := uint64(len(res.Points))
+	g := target.Clone()
+	points := pr.Step(p, g, 0).Points
+	workers := pr.hostWorkers()
+	patterns, parts, _ := pr.predictPhase(p, g, points, workers)
+	phases := []struct {
+		name string
+		run  func()
+	}{
+		{"predict", func() { pr.predictPhase(p, g, points, workers) }},
+		{"cluster", func() { pr.cluster(p, g, points, patterns, parts, workers) }},
+		{"train", func() { pr.trainPhase(points, g, workers) }},
+	}
 	// The bound is a small constant budget (worker closures, WaitGroups,
 	// map internals), far under one allocation per point.
 	const budget = 64
-	if res.Host.PredictAllocs > budget {
-		t.Errorf("steady-state predict phase: %d allocs for %d points", res.Host.PredictAllocs, n)
-	}
-	if res.Host.ClusteringAllocs > budget {
-		t.Errorf("steady-state cluster phase: %d allocs for %d points", res.Host.ClusteringAllocs, n)
-	}
-	if res.Host.TrainAllocs > budget {
-		t.Errorf("steady-state train phase: %d allocs for %d points", res.Host.TrainAllocs, n)
+	for _, ph := range phases {
+		if allocs := testing.AllocsPerRun(5, ph.run); allocs > budget {
+			t.Errorf("steady-state %s phase: %.0f allocs for %d points", ph.name, allocs, len(points))
+		}
 	}
 }
 
 // BenchmarkPredictiveHostPhases tracks the three host phases separately
-// (ns/step and allocs/step) per worker count; `make bench-host` runs it.
+// (ns/step; -benchmem adds allocations per step) per worker count; `make
+// bench-host` runs it.
 func BenchmarkPredictiveHostPhases(b *testing.B) {
-	old := CountHostAllocs
-	CountHostAllocs = true
-	defer func() { CountHostAllocs = old }()
 	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			p, target := fixture(8, 32)
@@ -169,20 +169,17 @@ func BenchmarkPredictiveHostPhases(b *testing.B) {
 				pr.Step(p, target.Clone(), 0)
 			}
 			var predict, cluster, train float64
-			var allocs uint64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res := pr.Step(p, target.Clone(), 0)
 				predict += res.Host.Predict
 				cluster += res.Host.Clustering
 				train += res.Host.Train
-				allocs += res.Host.PredictAllocs + res.Host.ClusteringAllocs + res.Host.TrainAllocs
 			}
 			inv := 1e9 / float64(b.N)
 			b.ReportMetric(predict*inv, "predict-ns/step")
 			b.ReportMetric(cluster*inv, "cluster-ns/step")
 			b.ReportMetric(train*inv, "train-ns/step")
-			b.ReportMetric(float64(allocs)/float64(b.N), "host-allocs/step")
 		})
 	}
 }

@@ -23,7 +23,6 @@ package kernels
 
 import (
 	"math"
-	"runtime"
 	"sort"
 
 	"beamdyn/internal/access"
@@ -86,30 +85,6 @@ type HostTimes struct {
 	Predict float64
 	// Train is the ONLINE-LEARNING time.
 	Train float64
-	// PredictAllocs, ClusteringAllocs and TrainAllocs count the heap
-	// allocations performed during the corresponding phase. They are
-	// populated only while CountHostAllocs is set (the accounting reads
-	// runtime.MemStats, which is far too expensive for production steps)
-	// and are zero otherwise.
-	PredictAllocs, ClusteringAllocs, TrainAllocs uint64
-}
-
-// CountHostAllocs enables per-phase heap-allocation accounting in the
-// kernels' host stages (the *Allocs fields of HostTimes). It is meant for
-// the bench harness (cmd/benchhost, BenchmarkPredictiveHostPhases); the
-// ReadMemStats it triggers stops the world, so leave it off elsewhere.
-// Toggle only while no kernel step is in flight.
-var CountHostAllocs bool
-
-// hostAllocCount samples the cumulative heap-allocation counter, or 0 when
-// accounting is disabled (so deltas of two samples are also 0).
-func hostAllocCount() uint64 {
-	if !CountHostAllocs {
-		return 0
-	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.Mallocs
 }
 
 // HostParallel is implemented by kernels whose host-side stages run on the

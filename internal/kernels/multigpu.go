@@ -153,9 +153,6 @@ func (m *MultiGPU) Step(p *retard.Problem, target *grid.Grid, comp int) *StepRes
 		agg.Host.Clustering += res.Host.Clustering
 		agg.Host.Predict += res.Host.Predict
 		agg.Host.Train += res.Host.Train
-		agg.Host.ClusteringAllocs += res.Host.ClusteringAllocs
-		agg.Host.PredictAllocs += res.Host.PredictAllocs
-		agg.Host.TrainAllocs += res.Host.TrainAllocs
 		agg.FallbackEntries += res.FallbackEntries
 		agg.Launches += res.Launches
 		agg.Fixed.Add(res.Fixed)

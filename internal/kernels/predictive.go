@@ -281,20 +281,16 @@ func (pr *Predictive) Step(p *retard.Problem, target *grid.Grid, comp int) *Step
 	// produces the first training set).
 	sp := pr.obs.Span("predictive/predict", target.Step)
 	t0 := time.Now()
-	a0 := hostAllocCount()
 	patterns, parts, trained := pr.predictPhase(p, target, points, workers)
 	res.Host.Predict = time.Since(t0).Seconds()
-	res.Host.PredictAllocs = hostAllocCount() - a0
 	sp.End(obs.I("points", len(points)), obs.Attr{Key: "trained", Value: trained},
 		obs.HostWorkers(workers))
 
 	// Line 6: RP-CLUSTERING — group points by predicted access pattern.
 	sp = pr.obs.Span("predictive/cluster", target.Step)
 	t0 = time.Now()
-	a0 = hostAllocCount()
 	blocks, merged, bases := pr.cluster(p, target, points, patterns, parts, workers)
 	res.Host.Clustering = time.Since(t0).Seconds()
-	res.Host.ClusteringAllocs = hostAllocCount() - a0
 	sp.End(obs.I("blocks", len(blocks)), obs.HostWorkers(workers))
 
 	// Lines 8-17: evaluate every point over its cluster's merged partition
@@ -336,10 +332,8 @@ func (pr *Predictive) Step(p *retard.Problem, target *grid.Grid, comp int) *Step
 	// Line 25: ONLINE-LEARNING — refit g on the observed patterns.
 	sp = pr.obs.Span("predictive/train", target.Step)
 	t0 = time.Now()
-	a0 = hostAllocCount()
 	pr.trainPhase(points, target, workers)
 	res.Host.Train = time.Since(t0).Seconds()
-	res.Host.TrainAllocs = hostAllocCount() - a0
 	sp.End(obs.HostWorkers(workers))
 
 	// Predictor-quality sample: how far the forecast was from the patterns

@@ -241,112 +241,3 @@ func TestDiffFindsRegressions(t *testing.T) {
 		}
 	}
 }
-
-// gateBaseline mimics BENCH_host.json: predictive has host phases, the
-// GPU-only kernels have zero host cost (and must therefore never gate).
-func gateBaseline() Baseline {
-	return Baseline{
-		Benchmark: "host-phases",
-		Grid:      128,
-		Kernels: map[string][]PhaseBudget{
-			"predictive": {
-				{Workers: 1, PredictNs: 16e6, ClusterNs: 0.8e6, TrainNs: 4e6},
-				{Workers: 4, PredictNs: 5e6, ClusterNs: 0.5e6, TrainNs: 2e6},
-			},
-			"twophase": {{Workers: 1}},
-		},
-	}
-}
-
-func gateTrace(predictSec, clusterSec, trainSec float64) []SpanStats {
-	var events []obs.Event
-	for i := 0; i < 5; i++ {
-		events = append(events, span("predictive/predict", i, predictSec))
-		events = append(events, span("predictive/cluster", i, clusterSec))
-		events = append(events, span("predictive/train", i, trainSec))
-		events = append(events, span("twophase/uniform", i, 0.001))
-	}
-	return Aggregate(events, nil)
-}
-
-func TestGatePassesWithinBudget(t *testing.T) {
-	results, err := Gate(gateBaseline(), gateTrace(0.010, 0.0005, 0.003), 0.10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !GateOK(results) {
-		t.Fatalf("in-budget trace failed gate:\n%s", GateTable(results))
-	}
-	// All three predictive phases checked; zero-budget kernels skipped.
-	if len(results) != 3 {
-		t.Fatalf("results = %d, want 3:\n%s", len(results), GateTable(results))
-	}
-	for _, r := range results {
-		if r.Kernel != "predictive" {
-			t.Fatalf("zero-budget kernel gated: %+v", r)
-		}
-	}
-}
-
-func TestGateFailsOnSyntheticRegression(t *testing.T) {
-	// The predict phase blows 4x past the serial baseline: the hot path
-	// regressed, the gate must say so.
-	results, err := Gate(gateBaseline(), gateTrace(0.064, 0.0005, 0.003), 0.10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if GateOK(results) {
-		t.Fatalf("regressed trace passed gate:\n%s", GateTable(results))
-	}
-	var failed []string
-	for _, r := range results {
-		if !r.OK {
-			failed = append(failed, r.Phase)
-		}
-	}
-	if len(failed) != 1 || failed[0] != "predict" {
-		t.Fatalf("failed phases = %v, want [predict]", failed)
-	}
-	if !strings.Contains(GateTable(results), "REGRESSED") {
-		t.Fatalf("gate table lacks verdict:\n%s", GateTable(results))
-	}
-}
-
-func TestGateBudgetIsMostPermissiveWorkerEntry(t *testing.T) {
-	// 12ms predict: over the 4-worker entry (5ms) but under serial
-	// (16ms) — must pass, the gate is insensitive to worker count.
-	results, err := Gate(gateBaseline(), gateTrace(0.012, 0.0005, 0.003), 0.10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !GateOK(results) {
-		t.Fatalf("within-serial-budget trace failed:\n%s", GateTable(results))
-	}
-}
-
-func TestGateErrorsWhenNothingMatches(t *testing.T) {
-	stats := Aggregate([]obs.Event{span("advance/push", 1, 0.001)}, nil)
-	if _, err := Gate(gateBaseline(), stats, 0.10); err == nil {
-		t.Fatal("empty gate passed silently")
-	}
-}
-
-func TestCommittedBaselineParses(t *testing.T) {
-	base, err := ReadBaseline("../../../BENCH_host.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries, ok := base.Kernels["predictive"]
-	if !ok || len(entries) == 0 {
-		t.Fatal("committed BENCH_host.json lacks predictive entries")
-	}
-	var hasBudget bool
-	for _, e := range entries {
-		if e.PredictNs > 0 {
-			hasBudget = true
-		}
-	}
-	if !hasBudget {
-		t.Fatal("committed baseline has no nonzero predict budget — the CI gate would be vacuous")
-	}
-}

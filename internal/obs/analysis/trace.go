@@ -1,10 +1,10 @@
 // Package analysis is the offline half of the observability stack: it
 // reads the JSONL span traces the obs.Tracer emits and turns them into
 // per-kernel/per-phase aggregates (with histogram-quantile latency
-// estimates), step timelines, fleet per-device accounting, predictor
-// fallback-spike detection, cross-run diffs, and the perf regression
-// gate that make ci enforces against BENCH_host.json. cmd/obstool is the
-// CLI over this package.
+// estimates), step timelines, causal span trees, fleet per-device
+// accounting, predictor fallback-spike detection, rp solver cache
+// statistics, cross-run diffs and post-mortem bundle triage. cmd/obstool
+// is the CLI over this package.
 package analysis
 
 import (

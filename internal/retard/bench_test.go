@@ -1,6 +1,14 @@
 package retard
 
-import "testing"
+import (
+	"math"
+	"runtime"
+	"runtime/debug"
+	"testing"
+	"time"
+
+	"beamdyn/internal/grid"
+)
 
 // BenchmarkSolvePoint measures one sequential rp-integral evaluation at
 // the bunch centre (the hottest point of the grid).
@@ -75,4 +83,128 @@ func BenchmarkSolveGrid(b *testing.B) {
 		target := cloneGeometry(src, 16, 16)
 		p.SolveGrid(target, 0)
 	}
+}
+
+// floorPoints scatters ~64 probe points across the target, bunch centre
+// included, so the per-point costs average full-circle and narrow-cone
+// geometry the way a real solve does.
+func floorPoints(target *grid.Grid) [][2]float64 {
+	stride := target.NX / 8
+	if stride < 1 {
+		stride = 1
+	}
+	var pts [][2]float64
+	for iy := stride / 2; iy < target.NY; iy += stride {
+		for ix := stride / 2; ix < target.NX; ix += stride {
+			x, y := target.Point(ix, iy)
+			pts = append(pts, [2]float64{x, y})
+		}
+	}
+	return pts
+}
+
+// interleavedMinNs times each candidate over pts after one warm-up pass
+// each, alternating candidates within every rep so transient machine load
+// hits them all alike, with GC off, and returns each candidate's fastest
+// pass in ns per point.
+func interleavedMinNs(pts [][2]float64, reps int, fns ...func(x, y float64)) []float64 {
+	for _, fn := range fns {
+		for _, pt := range pts {
+			fn(pt[0], pt[1])
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	best := make([]float64, len(fns))
+	for i := range best {
+		best[i] = math.Inf(1)
+	}
+	for r := 0; r < reps; r++ {
+		for i, fn := range fns {
+			t0 := time.Now()
+			for _, pt := range pts {
+				fn(pt[0], pt[1])
+			}
+			best[i] = math.Min(best[i], float64(time.Since(t0)))
+		}
+	}
+	for i := range best {
+		best[i] /= float64(len(pts))
+	}
+	return best
+}
+
+// BenchmarkEvaluatorFloor holds the host rp solver to its floors on the
+// continuum scenario at 48x48. Each iteration is one whole floor
+// measurement; `make bench-floors` runs it with -benchtime 1x.
+//
+//   - seed: over the 64 floorPoints, the seed closure path must take at
+//     least 5x the panel evaluator's time per point (min of 8 interleaved
+//     reps). The seed computed the radial weight with math.Pow; nudging
+//     WeightExp one ulp off 1/3 routes it there instead of the Cbrt fast
+//     path, with physically indistinguishable values.
+//   - scaling: a full-grid GridSolver solve at 4 workers must be at least
+//     1.6x faster than at 1 (min of 8 reps, GOMAXPROCS raised to the
+//     worker count). Skipped on machines with fewer than 4 CPUs, where
+//     parallel speedup is not measurable.
+func BenchmarkEvaluatorFloor(b *testing.B) {
+	const nx, reps = 48, 8
+	params := testParams()
+	h, _ := buildHistory(8, nx, params)
+	p := NewProblem(h, params)
+	last := h.At(7)
+	target := grid.New(nx, nx, 1, last.X0, last.Y0, last.DX, last.DY)
+
+	b.Run("seed", func(b *testing.B) {
+		const minSpeedup = 5
+		seedParams := params
+		seedParams.WeightExp = math.Nextafter(1.0/3, 1)
+		hSeed, _ := buildHistory(8, nx, seedParams)
+		seed := NewProblem(hSeed, seedParams)
+		e := NewEvaluator(p)
+		pts := floorPoints(target)
+		for i := 0; i < b.N; i++ {
+			ns := interleavedMinNs(pts, reps,
+				func(x, y float64) { seed.SolvePointClosure(x, y) },
+				func(x, y float64) { p.SolvePointClosure(x, y) },
+				func(x, y float64) {
+					e.ResetScratch()
+					e.SolvePoint(x, y)
+				},
+			)
+			speedup := ns[0] / ns[2]
+			b.ReportMetric(ns[2], "evaluator_ns/point")
+			b.ReportMetric(ns[1]/ns[2], "x_vs_closure")
+			b.ReportMetric(speedup, "x_vs_seed")
+			if speedup < minSpeedup {
+				b.Errorf("evaluator %.2fx vs seed, want >= %d", speedup, minSpeedup)
+			}
+		}
+	})
+
+	b.Run("scaling", func(b *testing.B) {
+		const workers, minScaling = 4, 1.6
+		if n := runtime.NumCPU(); n < workers {
+			b.Skipf("%d-worker scaling needs %d CPUs, have %d", workers, workers, n)
+		}
+		solveNs := func(w int) float64 {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
+			s := GridSolver{Workers: w}
+			tgt := target.Clone()
+			s.Solve(p, tgt, 0) // warm the per-worker evaluators
+			best := math.Inf(1)
+			for r := 0; r < reps; r++ {
+				t0 := time.Now()
+				s.Solve(p, tgt, 0)
+				best = math.Min(best, float64(time.Since(t0)))
+			}
+			return best
+		}
+		for i := 0; i < b.N; i++ {
+			speedup := solveNs(1) / solveNs(workers)
+			b.ReportMetric(speedup, "x_vs_1_worker")
+			if speedup < minScaling {
+				b.Errorf("GridSolver %.2fx at %d workers vs 1, want >= %.1f", speedup, workers, minScaling)
+			}
+		}
+	})
 }

@@ -56,8 +56,10 @@ type subEval struct {
 }
 
 // Evaluator is the reusable, allocation-free panel evaluation core of the
-// rp-integral: the arithmetic and simulated-lane accounting of the
-// closure-based Integrand/SolvePointClosure path, restructured so that
+// rp-integral: the arithmetic and simulated-lane accounting of the seed's
+// closure path (Integrand under recursive AdaptiveSimpson, which the
+// package tests keep as SolvePointClosure: the equivalence reference and
+// the baseline of BenchmarkEvaluatorFloor), restructured so that
 // everything a point or a subregion can share is computed once and cached
 // — theta-window geometry per (point, subregion) instead of per radius,
 // history planes and component offsets hoisted out of the stencil, the

@@ -52,6 +52,32 @@ func samePointResult(t *testing.T, tag string, got, want PointResult) {
 	}
 }
 
+// SolvePointClosure is the seed's closure-based evaluation path: Integrand
+// over recursive AdaptiveSimpson, with fresh slices per point. It is the
+// equivalence reference for the panel evaluator — Evaluator.SolvePoint
+// must reproduce it bit for bit — and the baseline of
+// BenchmarkEvaluatorFloor.
+func (p *Problem) SolvePointClosure(x, y float64) PointResult {
+	f := p.Integrand(x, y, nil)
+	r := p.R(x, y)
+	n := p.NumSub()
+	res := PointResult{Partition: []float64{0}}
+	for j := 0; j < n; j++ {
+		a := float64(j) * p.subW
+		if a >= r {
+			break
+		}
+		b := math.Min(a+p.subW, r)
+		sub := quadrature.AdaptiveSimpson(f, a, b, p.Tol, p.MaxDepth)
+		res.I += sub.I
+		res.Err += sub.Err
+		res.Evals += sub.Evals
+		res.Partition = append(res.Partition, sub.Partition[1:]...)
+	}
+	res.Pattern = p.ObservedPattern(x, y, res.Partition)
+	return res
+}
+
 // TestEvaluatorMatchesClosureSolvePoint is the core equivalence guarantee:
 // the allocation-free panel evaluator must reproduce the closure-based
 // reference bitwise — same integral, same error estimate, same evaluation

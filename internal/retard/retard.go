@@ -411,32 +411,6 @@ func (p *Problem) SolvePoint(x, y float64) PointResult {
 	return NewEvaluator(p).SolvePoint(x, y)
 }
 
-// SolvePointClosure is the original closure-based evaluation path:
-// Integrand over recursive AdaptiveSimpson, with fresh slices per point.
-// It is retained as the equivalence reference for the panel evaluator —
-// Evaluator.SolvePoint must reproduce it bit for bit — and as the baseline
-// of the cmd/benchrp speedup measurement.
-func (p *Problem) SolvePointClosure(x, y float64) PointResult {
-	f := p.Integrand(x, y, nil)
-	r := p.R(x, y)
-	n := p.NumSub()
-	res := PointResult{Partition: []float64{0}}
-	for j := 0; j < n; j++ {
-		a := float64(j) * p.subW
-		if a >= r {
-			break
-		}
-		b := math.Min(a+p.subW, r)
-		sub := quadrature.AdaptiveSimpson(f, a, b, p.Tol, p.MaxDepth)
-		res.I += sub.I
-		res.Err += sub.Err
-		res.Evals += sub.Evals
-		res.Partition = append(res.Partition, sub.Partition[1:]...)
-	}
-	res.Pattern = p.ObservedPattern(x, y, res.Partition)
-	return res
-}
-
 // SolveGrid evaluates the rp-integral at every point of target in parallel
 // on the host and stores the result in component comp. It returns the
 // per-point results in row-major order. Callers that step repeatedly

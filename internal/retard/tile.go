@@ -21,9 +21,9 @@ type planeRef struct {
 // shared by every tile and point the evaluator solves — and repoints the
 // evaluator's hoisted planes at the copies. Values are copied verbatim, so
 // every sample reads the identical float64 the in-place plane holds and
-// results stay bitwise identical to SolvePointClosure; what changes is
-// layout: the 3-plane temporal stencil walks one contiguous arena instead
-// of hopping between history-ring allocations.
+// results stay bitwise identical to the seed's closure path; what changes
+// is layout: the 3-plane temporal stencil walks one contiguous arena
+// instead of hopping between history-ring allocations.
 type TileEvaluator struct {
 	E *Evaluator
 
