@@ -83,11 +83,15 @@ bench-obs:
 	$(GO) test -run '^$$' -bench 'BenchmarkObs' -benchtime 5x ./internal/kernels
 	$(GO) test -run '^$$' -bench 'BenchmarkObs' -benchtime 5x ./internal/core
 
-# Host-phase microbenchmark: predict/cluster/train ns per step and
-# allocations per step, per worker count (see internal/hostpar).
+# Host-phase microbenchmarks, per worker count (see internal/hostpar):
+# predict/cluster/train ns per step, and the force stage plus push at the
+# particles-1m shape (32x32, 10^6 particles; rows above the CPU count are
+# skipped), each with allocations per step.
 bench-host:
 	$(GO) test -run '^$$' -bench 'BenchmarkPredictiveHostPhases' -benchtime 3x \
 		-benchmem ./internal/kernels
+	$(GO) test -run '^$$' -bench 'BenchmarkParticleStages' -benchtime 10x \
+		-benchmem ./internal/core
 
 # Streaming replay engine race gate: the device fans SMs out as
 # goroutines with per-SM scratch, and the engine A/B matrices in gpusim,

@@ -81,7 +81,7 @@ func main() {
 		load    = flag.String("load", "", "resume from a checkpoint file")
 		save    = flag.String("save", "", "write a checkpoint file at the end")
 
-		hostWorkers = flag.Int("host-workers", 0, "host-side worker count for the kernels' predict/cluster/train phases (0 = GOMAXPROCS; results are identical for any value)")
+		hostWorkers = flag.Int("host-workers", 0, "host-side worker count for the kernels' predict/cluster/train phases, the reference solver and the particle force gather and push (0 = GOMAXPROCS; results are identical for any value)")
 
 		devices   = flag.Int("devices", 1, "number of simulated devices")
 		fleetMode = flag.Bool("fleet", false, "schedule row-bands dynamically across the devices via the fleet manager")

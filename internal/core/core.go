@@ -22,6 +22,7 @@ import (
 	"beamdyn/internal/analytic"
 	"beamdyn/internal/diagnostics"
 	"beamdyn/internal/grid"
+	"beamdyn/internal/hostpar"
 	"beamdyn/internal/kernels"
 	"beamdyn/internal/obs"
 	"beamdyn/internal/obs/alert"
@@ -72,9 +73,11 @@ type Config struct {
 	// converting to accelerations (default 1; validation compares shapes,
 	// not absolute units).
 	ForceScale float64
-	// HostWorkers bounds the worker count of the kernels' host-side
-	// learning phases (predict, cluster, train); <= 0 means GOMAXPROCS.
-	// Results are bitwise identical for any value (see internal/hostpar).
+	// HostWorkers bounds the worker count of every host-side parallel
+	// stage: the kernels' learning phases (predict, cluster, train), the
+	// host reference solver, and the particle force gather and push;
+	// <= 0 means GOMAXPROCS. Results are bitwise identical for any value
+	// (see internal/hostpar).
 	HostWorkers int
 }
 
@@ -118,10 +121,15 @@ type Simulation struct {
 	// Last holds the kernel step result of the latest potentials
 	// computation (nil for the host reference).
 	Last *kernels.StepResult
-	// Forces holds the per-particle self-forces of the latest step.
+	// Forces holds the per-particle self-forces of the latest step. The
+	// slice is overwritten in place by every Advance (it is reallocated
+	// only when the ensemble size changes), so copy it to keep a step's
+	// forces.
 	Forces []particles.Force
 	// ForceGrid holds the latest force field (components 0: Fx, 1: Fy),
-	// nil until potentials have been computed.
+	// nil until potentials have been computed. Like Forces it is
+	// overwritten in place each step, re-pointed to the step's grid
+	// geometry and reallocated only when the grid size changes.
 	ForceGrid *grid.Grid
 	// Obs is the telemetry layer: per-stage spans of the four-step loop,
 	// metric series, and predictor-quality samples. nil (the default)
@@ -293,23 +301,18 @@ func (s *Simulation) Advance() int {
 
 		// 3) Compute self-forces by interpolating the potential gradient.
 		sp = ao.Span("advance/forces", step)
-		s.Forces = s.computeForces(pot)
+		s.computeForces(pot)
 		sp.End()
 	} else {
-		s.Forces = make([]particles.Force, s.Ensemble.Len())
+		s.Forces = hostpar.Resize(s.Forces, s.Ensemble.Len())
+		clear(s.Forces)
 	}
 
 	// 4) Push particles.
 	sp = ao.Span("advance/push", step)
-	if s.Cfg.Rigid {
-		// Rigid-bunch validation mode: the distribution translates at the
-		// design velocity without responding to the self-forces.
-		s.Ensemble.Drift(s.Cfg.Dt)
-		if s.Cfg.Continuum {
-			s.cy += s.Cfg.Beam.Beta() * phys.C * s.Cfg.Dt
-		}
-	} else {
-		s.Ensemble.Push(s.Forces, s.Cfg.Dt)
+	s.push()
+	if s.Cfg.Continuum {
+		s.cy += s.Cfg.Beam.Beta() * phys.C * s.Cfg.Dt
 	}
 	sp.End(obs.I("particles", s.Ensemble.Len()))
 	s.Step++
@@ -377,10 +380,19 @@ func relDrift(v, base float64) float64 {
 	return d / math.Abs(base)
 }
 
-// computeForces evaluates -grad(potential) on the grid and gathers it at
-// the particle positions.
-func (s *Simulation) computeForces(pot *grid.Grid) []particles.Force {
-	fg := grid.New(pot.NX, pot.NY, 2, pot.X0, pot.Y0, pot.DX, pot.DY)
+// computeForces evaluates -grad(potential) on ForceGrid and gathers both
+// components at every particle into Forces. The gather runs over static
+// particle ranges on the hostpar pool; each particle's arithmetic is that
+// of two grid.Interp calls and each worker writes only its own indices,
+// so the forces are bitwise identical for every worker count. ForceGrid
+// and Forces are reused across steps.
+func (s *Simulation) computeForces(pot *grid.Grid) {
+	fg := s.ForceGrid
+	if fg == nil || fg.NX != pot.NX || fg.NY != pot.NY {
+		fg = grid.New(pot.NX, pot.NY, 2, pot.X0, pot.Y0, pot.DX, pot.DY)
+		s.ForceGrid = fg
+	}
+	fg.X0, fg.Y0, fg.DX, fg.DY = pot.X0, pot.Y0, pot.DX, pot.DY
 	for iy := 0; iy < pot.NY; iy++ {
 		for ix := 0; ix < pot.NX; ix++ {
 			gx, gy := grid.Gradient(pot, ix, iy, 0)
@@ -388,16 +400,33 @@ func (s *Simulation) computeForces(pot *grid.Grid) []particles.Force {
 			fg.Set(ix, iy, 1, -gy*s.Cfg.ForceScale)
 		}
 	}
-	s.ForceGrid = fg
-	out := make([]particles.Force, s.Ensemble.Len())
-	for i := range s.Ensemble.P {
-		p := &s.Ensemble.P[i]
-		out[i] = particles.Force{
-			AX: grid.Interp(fg, p.X, p.Y, 0, s.Cfg.Scheme),
-			AY: grid.Interp(fg, p.X, p.Y, 1, s.Cfg.Scheme),
+	ps := s.Ensemble.P
+	s.Forces = hostpar.Resize(s.Forces, len(ps))
+	forces, scheme := s.Forces, s.Cfg.Scheme
+	hostpar.For(len(ps), s.Cfg.HostWorkers, func(_, lo, hi int) {
+		var f [2]float64
+		for i := lo; i < hi; i++ {
+			grid.InterpVec(fg, ps[i].X, ps[i].Y, scheme, f[:])
+			forces[i] = particles.Force{AX: f[0], AY: f[1]}
 		}
-	}
-	return out
+	})
+}
+
+// push advances the ensemble by one time step over static particle
+// ranges on the hostpar pool, running the ensemble's own Drift (rigid
+// bunch: the distribution translates at the design velocity without
+// responding to the self-forces) or leap-frog Push on each range.
+func (s *Simulation) push() {
+	ps, forces := s.Ensemble.P, s.Forces
+	dt, rigid := s.Cfg.Dt, s.Cfg.Rigid
+	hostpar.For(len(ps), s.Cfg.HostWorkers, func(_, lo, hi int) {
+		part := particles.Ensemble{P: ps[lo:hi]}
+		if rigid {
+			part.Drift(dt)
+		} else {
+			part.Push(forces[lo:hi], dt)
+		}
+	})
 }
 
 // ForceAt interpolates the latest force field at (x, y); it returns zeros

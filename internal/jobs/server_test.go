@@ -156,11 +156,16 @@ func TestChaosResumeBitwiseIdentical(t *testing.T) {
 	}
 	baseRes := bj.Result()
 
-	// Chaos: device 1 dies during step 8 (mid-run: target step is 10).
+	// Chaos: device 1 dies during its first band of step 7 (mid-run:
+	// target step is 10). Under load device 0 can steal every band of
+	// step 7 before device 1's worker runs; that window then expires
+	// unfired and the second event kills device 1 at the start of step 8
+	// instead. Either way the job loses a device exactly once, under
+	// every goroutine interleaving.
 	observer := obs.New()
 	s := New(Config{Workers: 2, Obs: observer})
 	defer s.Close()
-	j, err := s.Submit(fleetSpec("chaos", "fail:dev=1,step=8,after=1"))
+	j, err := s.Submit(fleetSpec("chaos", "fail:dev=1,step=7,after=1;fail:dev=1,step=8"))
 	if err != nil {
 		t.Fatal(err)
 	}

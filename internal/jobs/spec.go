@@ -127,8 +127,9 @@ type Spec struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// Dynamic lets the bunch respond to its self-forces (default: rigid).
 	Dynamic bool `json:"dynamic,omitempty"`
-	// HostWorkers bounds the kernels' host-phase worker pool (0 =
-	// GOMAXPROCS; results are identical for any value).
+	// HostWorkers bounds the host worker pool of the kernels' learning
+	// phases, the host reference solver and the particle force gather
+	// and push (0 = GOMAXPROCS; results are identical for any value).
 	HostWorkers int `json:"host_workers,omitempty"`
 
 	Fleet *FleetSpec `json:"fleet,omitempty"`

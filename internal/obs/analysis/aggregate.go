@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -75,9 +76,13 @@ func Aggregate(events []obs.Event, bounds []float64) []SpanStats {
 
 // histogramOf builds a HistogramSnapshot over bounds from raw values,
 // using the registry's bucketing convention (count at index i is
-// observations <= bounds[i], plus an overflow bucket).
+// observations <= bounds[i], plus an overflow bucket) and recording their
+// range.
 func histogramOf(name string, vals []float64, bounds []float64) obs.HistogramSnapshot {
 	h := obs.HistogramSnapshot{Name: name, Count: uint64(len(vals))}
+	if len(vals) > 0 {
+		h.Min, h.Max = slices.Min(vals), slices.Max(vals)
+	}
 	counts := make([]uint64, len(bounds)+1)
 	for _, v := range vals {
 		i := sort.SearchFloat64s(bounds, v)

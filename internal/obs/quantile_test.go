@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -22,33 +23,44 @@ func snap(t *testing.T, bounds []float64, vals ...float64) HistogramSnapshot {
 	return s.Histograms[0]
 }
 
-func TestQuantileExactOnUniformBucketFill(t *testing.T) {
-	// One observation per unit bucket: the empirical distribution is
-	// uniform on [0, 10], where linear interpolation is exact.
-	bounds := LinearBuckets(1, 1, 10) // 1..10
-	var vals []float64
-	for i := 0; i < 10; i++ {
-		vals = append(vals, float64(i)+0.5)
-	}
-	h := snap(t, bounds, vals...)
-	for _, tc := range []struct{ q, want float64 }{
-		{0, 0}, {0.1, 1}, {0.25, 2.5}, {0.5, 5}, {0.75, 7.5}, {0.9, 9}, {1, 10},
-	} {
-		if got := h.Quantile(tc.q); math.Abs(got-tc.want) > 1e-12 {
+// quantileCase is one quantile of a snapshot: interp is the within-bucket
+// interpolation, want what Quantile returns after clamping it into the
+// observed range.
+type quantileCase struct{ q, interp, want float64 }
+
+func checkQuantiles(t *testing.T, h HistogramSnapshot, cases ...quantileCase) {
+	t.Helper()
+	for _, tc := range cases {
+		if got := h.bucketQuantile(tc.q); got != tc.interp {
+			t.Errorf("bucket interpolation at q=%g = %g, want %g", tc.q, got, tc.interp)
+		}
+		if got := h.Quantile(tc.q); got != tc.want {
 			t.Errorf("Quantile(%g) = %g, want %g", tc.q, got, tc.want)
 		}
 	}
 }
 
-func TestQuantileSingleBucketInterpolates(t *testing.T) {
-	// All mass in one [0, 10] bucket: Quantile(q) = 10q regardless of
-	// where inside the bucket the observations actually sat.
-	h := snap(t, []float64{10}, 1, 2, 3, 4)
-	for _, q := range []float64{0.25, 0.5, 0.75} {
-		if got, want := h.Quantile(q), 10*q; math.Abs(got-want) > 1e-12 {
-			t.Errorf("Quantile(%g) = %g, want %g", q, got, want)
-		}
+func TestQuantileExactOnUniformBucketFill(t *testing.T) {
+	// One observation per unit bucket: the empirical distribution is
+	// uniform on [0, 10], where linear interpolation is exact. Quantile
+	// clamps the two ends into the observed [0.5, 9.5].
+	bounds := LinearBuckets(1, 1, 10) // 1..10
+	var vals []float64
+	for i := 0; i < 10; i++ {
+		vals = append(vals, float64(i)+0.5)
 	}
+	checkQuantiles(t, snap(t, bounds, vals...),
+		quantileCase{0, 0, 0.5}, quantileCase{0.1, 1, 1}, quantileCase{0.25, 2.5, 2.5},
+		quantileCase{0.5, 5, 5}, quantileCase{0.75, 7.5, 7.5}, quantileCase{0.9, 9, 9},
+		quantileCase{1, 10, 9.5})
+}
+
+func TestQuantileSingleBucketInterpolates(t *testing.T) {
+	// All mass in one [0, 10] bucket: the interpolation is 10q regardless
+	// of where inside the bucket the observations actually sat; Quantile
+	// clamps it into the observed [1, 4].
+	checkQuantiles(t, snap(t, []float64{10}, 1, 2, 3, 4),
+		quantileCase{0.25, 2.5, 2.5}, quantileCase{0.5, 5, 4}, quantileCase{0.75, 7.5, 4})
 }
 
 func TestQuantileWithinBucketWidthOfExact(t *testing.T) {
@@ -80,11 +92,42 @@ func TestQuantileWithinBucketWidthOfExact(t *testing.T) {
 }
 
 func TestQuantileOverflowClipsToLargestBound(t *testing.T) {
-	h := snap(t, []float64{1, 2}, 5, 6, 7)
-	for _, q := range []float64{0.5, 1} {
-		if got := h.Quantile(q); got != 2 {
-			t.Errorf("Quantile(%g) = %g, want largest finite bound 2", q, got)
+	// The overflow bucket clips to the largest finite bound, 2, which lies
+	// below every observation; Quantile clamps it up to the minimum.
+	checkQuantiles(t, snap(t, []float64{1, 2}, 5, 6, 7),
+		quantileCase{0.5, 2, 5}, quantileCase{1, 2, 5})
+}
+
+func TestQuantileNeverExceedsObservedMax(t *testing.T) {
+	// Every step takes 90.9 ms, inside the (40.96 ms, 163.84 ms] stage
+	// bucket: interpolation alone puts p99 near the bucket's upper edge.
+	const step = 0.0909
+	r := NewRegistry()
+	h := r.Histogram("stage_seconds", StageSecondsBuckets)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				h.Observe(step)
+			}
+		}()
+	}
+	wg.Wait()
+	hs := r.Snapshot().Histograms[0]
+	if hs.Count != 100 || hs.Min != step || hs.Max != step {
+		t.Fatalf("count %d, min %g, max %g; want 100 observations of %g", hs.Count, hs.Min, hs.Max, step)
+	}
+	for _, q := range []float64{0.5, 0.95, 0.99} {
+		if got := hs.Quantile(q); got > step {
+			t.Errorf("Quantile(%g) = %g s, above the observed max %g s", q, got, step)
 		}
+	}
+	// An empty series reports a zero range, which JSON can encode.
+	r.Histogram("empty", StageSecondsBuckets)
+	if e := r.Snapshot().Histograms[0]; e.Name != "empty" || e.Min != 0 || e.Max != 0 {
+		t.Errorf("empty histogram %q range [%g, %g], want [0, 0]", e.Name, e.Min, e.Max)
 	}
 }
 
@@ -96,19 +139,13 @@ func TestQuantileEdgeCases(t *testing.T) {
 	if got := snap(t, nil, 1, 2).Quantile(0.5); !math.IsNaN(got) {
 		t.Errorf("unbounded histogram Quantile = %g, want NaN", got)
 	}
-	// Out-of-range q clamps.
-	h := snap(t, []float64{1, 2}, 0.5, 1.5)
-	if got := h.Quantile(-1); got != 0 {
-		t.Errorf("Quantile(-1) = %g, want 0", got)
-	}
-	if got := h.Quantile(2); got != 2 {
-		t.Errorf("Quantile(2) = %g, want 2", got)
-	}
+	// Out-of-range q clamps, and the estimate then clamps into the
+	// observed [0.5, 1.5].
+	checkQuantiles(t, snap(t, []float64{1, 2}, 0.5, 1.5),
+		quantileCase{-1, 0, 0.5}, quantileCase{2, 2, 1.5})
 	// Negative-bound first bucket returns the bound unsplit (no zero
-	// lower edge to interpolate from).
-	if got := snap(t, []float64{-1, 1}, -2).Quantile(0.5); got != -1 {
-		t.Errorf("negative first bucket Quantile = %g, want -1", got)
-	}
+	// lower edge to interpolate from), clamped to the observation -2.
+	checkQuantiles(t, snap(t, []float64{-1, 1}, -2), quantileCase{0.5, -1, -2})
 }
 
 func TestTableShowsQuantiles(t *testing.T) {

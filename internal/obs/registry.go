@@ -186,12 +186,15 @@ func (g *Gauge) Value() float64 {
 }
 
 // Histogram is a fixed-bucket histogram with atomic bucket counts; bucket
-// i counts observations <= bounds[i], with one extra overflow bucket.
+// i counts observations <= bounds[i], with one extra overflow bucket. It
+// also tracks the sum, minimum and maximum of the observations.
 type Histogram struct {
 	bounds  []float64
 	buckets []atomic.Uint64
 	count   atomic.Uint64
 	sumBits atomic.Uint64
+	minBits atomic.Uint64
+	maxBits atomic.Uint64
 	name    string
 	labels  map[string]string
 
@@ -212,12 +215,15 @@ const exemplarMaxAge = 1024
 func newHistogram(name string, bounds []float64, labels []Label) *Histogram {
 	bs := make([]float64, len(bounds))
 	copy(bs, bounds)
-	return &Histogram{
+	h := &Histogram{
 		bounds:  bs,
 		buckets: make([]atomic.Uint64, len(bs)+1),
 		name:    name,
 		labels:  labelMap(labels),
 	}
+	h.minBits.Store(math.Float64bits(math.Inf(1)))
+	h.maxBits.Store(math.Float64bits(math.Inf(-1)))
+	return h
 }
 
 // Observe records one value.
@@ -227,11 +233,21 @@ func (h *Histogram) Observe(v float64) {
 	}
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.buckets[i].Add(1)
+	// The range moves before the count, so a snapshot that counts this
+	// observation also finds it inside [min, max].
+	updateFloat(&h.minBits, func(m float64) (float64, bool) { return v, v < m })
+	updateFloat(&h.maxBits, func(m float64) (float64, bool) { return v, v > m })
 	h.count.Add(1)
+	updateFloat(&h.sumBits, func(s float64) (float64, bool) { return s + v, true })
+}
+
+// updateFloat applies f to the float64 stored in bits with a
+// compare-and-swap loop; f reports false to leave the value unchanged.
+func updateFloat(bits *atomic.Uint64, f func(old float64) (float64, bool)) {
 	for {
-		old := h.sumBits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, nw) {
+		old := bits.Load()
+		nw, ok := f(math.Float64frombits(old))
+		if !ok || bits.CompareAndSwap(old, math.Float64bits(nw)) {
 			return
 		}
 	}
@@ -281,6 +297,15 @@ func (h *Histogram) Sum() float64 {
 		return 0
 	}
 	return math.Float64frombits(h.sumBits.Load())
+}
+
+// minMax returns the smallest and largest observed values (0, 0 when
+// nothing has been observed).
+func (h *Histogram) minMax() (lo, hi float64) {
+	if h.Count() == 0 {
+		return 0, 0
+	}
+	return math.Float64frombits(h.minBits.Load()), math.Float64frombits(h.maxBits.Load())
 }
 
 // LinearBuckets returns n bounds start, start+width, ...
@@ -341,12 +366,15 @@ type ExemplarSnapshot struct {
 	Span  string  `json:"span,omitempty"`
 }
 
-// HistogramSnapshot is one histogram series' state.
+// HistogramSnapshot is one histogram series' state. Min and Max are the
+// smallest and largest observed values (both 0 when Count is 0).
 type HistogramSnapshot struct {
 	Name     string            `json:"name"`
 	Labels   map[string]string `json:"labels,omitempty"`
 	Count    uint64            `json:"count"`
 	Sum      float64           `json:"sum"`
+	Min      float64           `json:"min"`
+	Max      float64           `json:"max"`
 	Buckets  []BucketSnapshot  `json:"buckets"`
 	Exemplar *ExemplarSnapshot `json:"exemplar,omitempty"`
 }
@@ -366,9 +394,16 @@ func (h HistogramSnapshot) Mean() float64 {
 // uses. The first bucket's lower edge is taken as 0 (the bound is
 // returned unsplit when it is <= 0), and a rank landing in the +Inf
 // overflow bucket clips to the largest finite bound, since the overflow
-// bucket has no upper edge to interpolate toward. Returns NaN for an
-// empty histogram or one with no finite bounds.
+// bucket has no upper edge to interpolate toward. The estimate is then
+// clamped into [Min, Max], so it never leaves the observed range. Returns
+// NaN for an empty histogram or one with no finite bounds.
 func (h HistogramSnapshot) Quantile(q float64) float64 {
+	return math.Min(math.Max(h.bucketQuantile(q), h.Min), h.Max)
+}
+
+// bucketQuantile is Quantile's within-bucket interpolation, before the
+// clamp into the observed range.
+func (h HistogramSnapshot) bucketQuantile(q float64) float64 {
 	if h.Count == 0 {
 		return math.NaN()
 	}
@@ -432,6 +467,7 @@ func (r *Registry) Snapshot() Snapshot {
 	for _, key := range sortedKeys(r.hists) {
 		h := r.hists[key]
 		hs := HistogramSnapshot{Name: h.name, Labels: h.labels, Count: h.Count(), Sum: h.Sum()}
+		hs.Min, hs.Max = h.minMax()
 		if v, trace, span, ok := h.Exemplar(); ok {
 			hs.Exemplar = &ExemplarSnapshot{Value: v, Trace: trace, Span: span}
 		}
