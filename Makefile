@@ -1,10 +1,10 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: ci fmt vet build test race test-fleet-race test-alert-race test-jobs-race test-trace-race test-rp-race test-gpu-race bench-obs bench-host bench-floors test-advbench
+.PHONY: ci fmt vet build test race test-fleet-race test-alert-race test-jobs-race test-trace-race test-rp-race test-gpu-race bench-obs bench-host bench-floors test-advbench fuzz
 
 # The full local CI gate: what a PR must pass.
-ci: fmt vet build race test-fleet-race test-alert-race test-jobs-race test-trace-race test-rp-race test-gpu-race bench-obs bench-host bench-floors test-advbench
+ci: fmt vet build race test-fleet-race test-alert-race test-jobs-race test-trace-race test-rp-race test-gpu-race bench-obs bench-host bench-floors test-advbench fuzz
 
 # Formatting gate: fail (and list the offenders) if any file needs gofmt.
 fmt:
@@ -118,3 +118,14 @@ test-rp-race:
 # and the race build, which run no benchmarks.
 bench-floors:
 	$(GO) test -run '^$$' -bench Floor -benchtime 1x ./internal/gpusim ./internal/retard
+
+# Parser fuzzing: run each native fuzz target for a few seconds from its
+# seed corpus (the scenario catalog, the -alerts/-inject scripts above, and
+# non-finite numbers). No input may panic, and an accepted input's
+# canonical form (re-marshalled spec, Rule.Name, Event.String) must parse
+# back to an equal value. A failing input is saved under the package's
+# testdata/fuzz and replays in every go test run from then on.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 5s ./internal/jobs
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime 5s ./internal/obs/alert
+	$(GO) test -run '^$$' -fuzz '^FuzzParseEvents$$' -fuzztime 5s ./internal/fleet

@@ -259,5 +259,5 @@ func (p Pattern) AdaptivePartition(prev []float64, subWidth, r float64) []float6
 
 // dedup removes zero-width panels that floating-point clamping can create.
 func dedup(p []float64) []float64 {
-	return quadrature.MergeLists(p, nil, 1e-15)
+	return quadrature.AppendMergeLists(make([]float64, 0, len(p)), p, nil, 1e-15)
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -80,8 +81,9 @@ func (e Event) String() string {
 //	field  := "dev=" int | "step=" int | "after=" int
 //	        | "factor=" float | "until=" int
 //
-// dev and step are required for every event; factor is required for slow;
-// after is only valid for fail; until only for slow. Example:
+// dev and step are required for every event; factor (finite, > 0) is
+// required for slow; after is only valid for fail; until only for slow.
+// Example:
 //
 //	fail:dev=1,step=9,after=2;slow:dev=2,step=8,factor=3,until=12
 func ParseEvents(s string) ([]Event, error) {
@@ -164,8 +166,8 @@ func parseEvent(s string) (Event, error) {
 	if ev.After < 0 {
 		return Event{}, fmt.Errorf("fleet: event %q: negative after=", s)
 	}
-	if ev.Kind == EventSlow && ev.Factor <= 0 {
-		return Event{}, fmt.Errorf("fleet: event %q: slow needs factor= > 0", s)
+	if ev.Kind == EventSlow && (!(ev.Factor > 0) || math.IsInf(ev.Factor, 1)) {
+		return Event{}, fmt.Errorf("fleet: event %q: slow needs a finite factor= > 0", s)
 	}
 	if ev.Until != 0 && ev.Until <= ev.Step {
 		return Event{}, fmt.Errorf("fleet: event %q: until= must be after step=", s)

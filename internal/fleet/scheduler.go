@@ -205,6 +205,7 @@ func (f *Fleet) Step(p *retard.Problem, target *grid.Grid, comp int) *kernels.St
 		queues:  queues,
 		pending: len(tasks),
 		alive:   make([]bool, n),
+		took:    make([]bool, n),
 		scope:   sp.Scope(),
 		rng:     rng.New(f.cfg.Seed ^ (uint64(target.Step)+1)*0x9e3779b97f4a7c15),
 	}
@@ -310,6 +311,7 @@ type fleetRun struct {
 	queues  [][]*bandTask
 	pending int
 	alive   []bool
+	took    []bool        // the device has taken a band from its own queue this step
 	scope   *obs.Observer // fleet/step span scope; band spans parent here
 	rng     *rng.Source
 	stolen  int
@@ -358,9 +360,16 @@ func (f *Fleet) worker(r *fleetRun, d int, p *retard.Problem, target *grid.Grid,
 }
 
 // next returns the worker's next band: its own queue head, else a steal
-// from a seeded-random victim with queued work (dead devices' abandoned
-// queues included), else it waits for in-flight bands to finish or fail.
-// A nil return means the step is over for this worker.
+// from a seeded-random victim with stealable work, else it waits for
+// in-flight bands to finish or fail. A nil return means the step is over
+// for this worker.
+//
+// A live device's queue head is not stealable until that device has
+// taken a band this step, so every live device with placed work runs at
+// least one band per step, whatever the goroutine interleaving: a
+// scripted after=N failure then fires on every run instead of only when
+// the owner's worker wins the race for its own queue. Dead devices'
+// abandoned queues are stealable whole.
 func (r *fleetRun) next(d int) *bandTask {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -370,11 +379,12 @@ func (r *fleetRun) next(d int) *bandTask {
 		}
 		if q := r.queues[d]; len(q) > 0 {
 			r.queues[d] = q[1:]
+			r.took[d] = true
 			return q[0]
 		}
 		var victims []int
-		for v := range r.queues {
-			if v != d && len(r.queues[v]) > 0 {
+		for v, q := range r.queues {
+			if v != d && (len(q) > 1 || len(q) == 1 && (r.took[v] || !r.alive[v])) {
 				victims = append(victims, v)
 			}
 		}

@@ -300,29 +300,33 @@ func (s *Server) runJob(w int, j *Job) {
 	outcome, msg := s.runAttempt(w, j, attempt, ro)
 	runSpan.End(obs.S("outcome", outcome), obs.I("worker", w))
 
+	// Every arm counts before it transitions: a terminal transition closes
+	// Job.Done(), and a waiter woken by it must already see the count.
 	switch outcome {
 	case "requeue":
 		j.mu.Lock()
 		j.avoid = w
 		j.waitSpan = j.scope.Span("jobs/queue-wait", 0)
 		j.mu.Unlock()
-		j.transition(s.now(), StateQueued, w, msg)
 		s.counter("jobs_resumes_total").Inc()
+		j.transition(s.now(), StateQueued, w, msg)
 		s.event(j, "jobs/resume", 0, obs.S("reason", msg))
 		if err := s.q.pushResume(j); err != nil {
-			j.transition(s.now(), StateFailed, w, "control plane closed during resume")
 			s.counter("jobs_completed_total", obs.Label{Key: "state", Value: "failed"}).Inc()
+			j.transition(s.now(), StateFailed, w, "control plane closed during resume")
 		}
 	case "done":
-		j.transition(s.now(), StateDone, w, msg)
 		s.counter("jobs_completed_total", obs.Label{Key: "state", Value: "done"}).Inc()
+		j.transition(s.now(), StateDone, w, msg)
+		// RunSec is settled by the transition, so the run time is
+		// observed after it.
 		s.histogram("jobs_run_seconds").Observe(j.Status().RunSec)
 	case "cancelled":
-		j.transition(s.now(), StateCancelled, w, msg)
 		s.counter("jobs_completed_total", obs.Label{Key: "state", Value: "cancelled"}).Inc()
+		j.transition(s.now(), StateCancelled, w, msg)
 	default: // "failed"
-		j.transition(s.now(), StateFailed, w, msg)
 		s.counter("jobs_completed_total", obs.Label{Key: "state", Value: "failed"}).Inc()
+		j.transition(s.now(), StateFailed, w, msg)
 	}
 	s.event(j, "jobs/state", 0, obs.S("state", string(j.State())))
 	if j.State().Terminal() {

@@ -14,10 +14,9 @@ import (
 // ==-equal Metrics (total and per-phase) whether its device replays with
 // the streaming engine or the pre-streaming oracle.
 //
-// As in TestKernelsUnchangedByEvaluator: the cache model maps real heap
-// addresses to sets, so the fixture is built once and shared (identical
-// history addresses), and every (algorithm, engine) pair gets a fresh
-// device so neither engine inherits the other's cache state.
+// The fixture is built once and shared (identical history addresses), and
+// every (algorithm, engine) pair gets a fresh device so neither engine
+// inherits the other's cache state.
 func TestKernelsEngineEquivalence(t *testing.T) {
 	type stepOut struct {
 		data                    []float64

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"beamdyn/internal/gpusim"
+	"beamdyn/internal/hostpar"
 	"beamdyn/internal/quadrature"
 	"beamdyn/internal/retard"
 )
@@ -22,19 +23,27 @@ type fixedPhaseSpec struct {
 	// threadsPerBlock is the launch block size (>= the largest block).
 	threadsPerBlock int
 	// partFor returns the partition thread t of block b must walk and the
-	// simulated base address of its breakpoint array. A zero base means
-	// the partition is computed in registers (no breakpoint loads) — the
+	// simulated base address of its breakpoint array; sm is the lane's SM
+	// scratch, for partitions built per lane. A zero base means the
+	// partition is computed in registers (no breakpoint loads) — the
 	// Two-Phase kernel's uniform phase. When every thread of a block
 	// shares one base the breakpoint loads coalesce into broadcasts — the
 	// Predictive kernel's merged cluster partition.
-	partFor func(pointIdx, blockIdx int) (part []float64, base uintptr)
+	partFor func(sm *smScratch, pointIdx, blockIdx int) (part []float64, base uintptr)
 }
 
 // fixedPhase runs the pass and returns its metrics plus the work entries
-// whose Simpson error exceeded the per-panel tolerance (Listing 1's list L).
-func fixedPhase(dev *gpusim.Device, p *retard.Problem, points []Point, spec fixedPhaseSpec) (gpusim.Metrics, []workEntry) {
-	fails := make([][]workEntry, len(points))
-	pool := newIntegrandPool(dev, p)
+// whose Simpson error exceeded the per-panel tolerance (Listing 1's list L),
+// in point order and panel order within a point. Each point's accepted
+// breakpoints start its partition in the store; the lanes collect kept
+// breakpoints and failed panels in their SM's scratch, and the failures
+// are gathered into the store's reused entry list after the launch.
+func fixedPhase(dev *gpusim.Device, st *stepStore, p *retard.Problem, points []Point, spec fixedPhaseSpec) (gpusim.Metrics, []workEntry) {
+	for k := range st.sms {
+		st.sms[k].fails = st.sms[k].fails[:0]
+	}
+	st.failed = hostpar.Resize(st.failed, len(points))
+	clear(st.failed)
 	m := dev.Run(gpusim.Launch{
 		Name:            spec.name,
 		Blocks:          len(spec.blocks),
@@ -46,19 +55,22 @@ func fixedPhase(dev *gpusim.Device, p *retard.Problem, points []Point, spec fixe
 			}
 			i := members[thread]
 			pt := &points[i]
+			smID := block % len(st.sms)
+			sm := &st.sms[smID]
 			lane.Begin(kindInit)
 			lane.Load(pointAddr(i, 0))
 			lane.Load(pointAddr(i, 1))
 			lane.Load(pointAddr(i, 2))
 			lane.Flops(4)
-			part, base := spec.partFor(i, block)
-			f := pool.bind(pt.X, pt.Y, lane, block)
+			part, base := spec.partFor(sm, i, block)
+			f := st.pool.bind(pt.X, pt.Y, lane, block)
 			// Each panel is accepted against the full tolerance tau,
 			// exactly as COMPUTE-RP-INTEGRAL in the paper's Listing 1
 			// compares the quadrature-rule error estimate against tau.
 			tol := p.Tol
 			var acc, accErr float64
-			var kept []float64
+			kept := sm.kept[:0]
+			failLo := len(sm.fails)
 			// The left endpoint's integrand value carries over between
 			// contiguous panels, as any composite-rule kernel arranges.
 			fPrev := 0.0
@@ -109,22 +121,26 @@ func fixedPhase(dev *gpusim.Device, p *retard.Problem, points []Point, spec fixe
 					}
 					kept = append(kept, b)
 				} else {
-					fails[i] = append(fails[i], workEntry{a: a, b: b, tol: tol, pt: i})
+					sm.fails = append(sm.fails, workEntry{a: a, b: b, tol: tol, pt: i})
 				}
 			}
 			lane.Begin(kindFinish)
 			pt.I = acc
 			pt.Err = accErr
-			pt.Partition = quadrature.MergeLists(pt.Partition, kept, 1e-18)
+			// The point's partition starts empty every step.
+			st.parts[i] = quadrature.AppendMergeLists(st.parts[i][:0], nil, kept, 1e-18)
+			sm.kept = kept
+			st.failed[i] = smRange{sm: int32(smID), lo: int32(failLo), hi: int32(len(sm.fails))}
 			lane.Store(pointAddr(i, 3))
 			lane.Store(pointAddr(i, 4))
 			lane.Flops(2)
 		},
 	})
-	var entries []workEntry
-	for _, fs := range fails {
-		entries = append(entries, fs...)
+	entries := st.entries[:0]
+	for _, s := range st.failed {
+		entries = append(entries, st.sms[s.sm].fails[s.lo:s.hi]...)
 	}
+	st.entries = entries
 	return m, entries
 }
 

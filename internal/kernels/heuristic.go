@@ -39,8 +39,11 @@ type Heuristic struct {
 	prevNY    int
 	parts     [][]float64
 	partAddrs []uintptr
+	arenas    []hostpar.Arena[float64] // per worker: this step's parts
+	partBuf   [][]float64              // per worker: partition append scratch
 	obs       *obs.Observer
 	errBuf    []float64
+	store     stepStore
 }
 
 // SetObserver implements Observable.
@@ -66,6 +69,8 @@ func (h *Heuristic) Reset() { h.prevPat, h.prevNX, h.prevNY = nil, 0, 0 }
 func (h *Heuristic) Step(p *retard.Problem, target *grid.Grid, comp int) *StepResult {
 	workers := hostpar.Workers(h.HostWorkers)
 	points := buildPoints(p, target, workers)
+	st := &h.store
+	st.begin(h.Dev, p, len(points))
 	res := &StepResult{}
 	if h.prevNX != target.NX || h.prevNY != target.NY {
 		h.prevPat = nil
@@ -77,19 +82,30 @@ func (h *Heuristic) Step(p *retard.Problem, target *grid.Grid, comp int) *StepRe
 	// live at per-point device addresses, so a warp's breakpoint loads
 	// scatter (one array per lane) — the memory cost the Predictive
 	// kernel's shared merged partitions avoid. Each partition depends only
-	// on its own point, so the build fans out over the worker pool; the
-	// address cursor is sequential and runs as a second, serial pass.
+	// on its own point, so the build fans out over the worker pool into
+	// per-worker arenas; the address cursor is sequential and runs as a
+	// second, serial pass.
 	h.parts = hostpar.Resize(h.parts, len(points))
 	parts := h.parts
 	h.partAddrs = hostpar.Resize(h.partAddrs, len(points))
-	hostpar.For(len(points), workers, func(_, lo, hi int) {
+	if len(h.arenas) < workers {
+		h.arenas = make([]hostpar.Arena[float64], workers)
+		h.partBuf = make([][]float64, workers)
+	}
+	numSub, subW := p.NumSub(), p.SubWidth()
+	coarse := st.coarsePattern(numSub, h.PanelsPerSub)
+	hostpar.For(len(points), workers, func(w, lo, hi int) {
+		arena, buf := &h.arenas[w], h.partBuf[w]
+		arena.Reset()
 		for i := lo; i < hi; i++ {
-			if h.prevPat != nil && len(h.prevPat[i]) == p.NumSub() {
-				parts[i] = h.prevPat[i].UniformPartition(p.SubWidth(), points[i].R)
-			} else {
-				parts[i] = uniformCoarsePartition(p, points[i].R, h.PanelsPerSub)
+			pat := coarse
+			if h.prevPat != nil && len(h.prevPat[i]) == numSub {
+				pat = h.prevPat[i]
 			}
+			buf = pat.AppendUniformPartition(buf[:0], subW, points[i].R)
+			parts[i] = arena.Copy(buf)
 		}
+		h.partBuf[w] = buf
 	})
 	var cursor uintptr
 	for i := range parts {
@@ -97,16 +113,17 @@ func (h *Heuristic) Step(p *retard.Problem, target *grid.Grid, comp int) *StepRe
 		cursor += uintptr(len(parts[i])) * 8
 	}
 
+	nx, ny, tw, th := target.NX, target.NY, h.TileW, h.TileH
 	spec := fixedPhaseSpec{
 		name:            "heuristic/reuse",
-		blocks:          tileBlocks(target.NX, target.NY, h.TileW, h.TileH),
-		threadsPerBlock: h.TileW * h.TileH,
-		partFor: func(i, _ int) ([]float64, uintptr) {
+		blocks:          st.blocks.get([4]int{nx, ny, tw, th}, func() [][]int { return tileBlocks(nx, ny, tw, th) }),
+		threadsPerBlock: tw * th,
+		partFor: func(_ *smScratch, i, _ int) ([]float64, uintptr) {
 			return parts[i], h.partAddrs[i]
 		},
 	}
 	sp := h.obs.Span("heuristic/reuse", target.Step)
-	m, entries := fixedPhase(h.Dev, p, points, spec)
+	m, entries := fixedPhase(h.Dev, st, p, points, spec)
 	res.Metrics.Add(m)
 	res.Fixed = m
 	res.Launches++
@@ -115,13 +132,13 @@ func (h *Heuristic) Step(p *retard.Problem, target *grid.Grid, comp int) *StepRe
 	sp.End(obs.I("fallback_entries", len(entries)), obs.F("sim_sec", m.Time))
 
 	sp = h.obs.Span("heuristic/refine", target.Step)
-	rm, launches := adaptivePhase(h.Dev, p, points, entries, h.ThreadsPerBlock, true, "heuristic/refine")
+	rm, launches := adaptivePhase(h.Dev, st, p, points, entries, h.ThreadsPerBlock, true, "heuristic/refine")
 	res.Metrics.Add(rm)
 	res.Adaptive = rm
 	res.Launches += launches
 	sp.End(obs.I("entries", len(entries)), obs.F("sim_sec", rm.Time))
 
-	finishPatterns(p, points, workers)
+	st.finish(p, points, workers)
 	storeResults(points, target, comp, workers)
 
 	// The persistence forecast (reuse of last step's pattern) is a model

@@ -29,7 +29,6 @@ import (
 	"beamdyn/internal/gpusim"
 	"beamdyn/internal/grid"
 	"beamdyn/internal/hostpar"
-	"beamdyn/internal/quadrature"
 	"beamdyn/internal/retard"
 )
 
@@ -100,50 +99,11 @@ type HostParallel interface {
 // Overhead is the total host-side overhead.
 func (h HostTimes) Overhead() float64 { return h.Clustering + h.Predict + h.Train }
 
-// UseClosureIntegrand routes the kernels' integrand evaluations through
-// the original closure-based Problem.Integrand instead of the panel
-// evaluator pool. The two paths produce bitwise-identical results and
-// identical simulated-lane traces — the equivalence tests assert exactly
-// that — so the switch exists only for those tests and for A/B
-// benchmarks. Toggle while no kernel step is in flight.
-var UseClosureIntegrand bool
-
-// integrandPool hands each simulated SM a persistent panel evaluator.
-// gpusim runs one goroutine per SM with blocks assigned round-robin
-// (SM = block % NumSMs) and lane bodies within an SM run sequentially, so
-// indexing the pool by block modulo NumSMs is race-free.
-type integrandPool struct {
-	p     *retard.Problem
-	evals []*retard.Evaluator // nil when the closure path is selected
-}
-
-func newIntegrandPool(dev *gpusim.Device, p *retard.Problem) *integrandPool {
-	pool := &integrandPool{p: p}
-	if !UseClosureIntegrand {
-		pool.evals = make([]*retard.Evaluator, dev.Config().NumSMs)
-	}
-	return pool
-}
-
-// bind returns the outer radial integrand for the point (x, y), evaluated
-// on the block's SM-local evaluator (or by the closure path when that is
-// selected), recording loads and flops on lane.
-func (ip *integrandPool) bind(x, y float64, lane *gpusim.Lane, block int) quadrature.Func {
-	if ip.evals == nil {
-		return ip.p.Integrand(x, y, lane)
-	}
-	sm := block % len(ip.evals)
-	e := ip.evals[sm]
-	if e == nil {
-		e = retard.NewEvaluator(ip.p)
-		ip.evals[sm] = e
-	}
-	e.Bind(x, y, lane)
-	return e.Func()
-}
-
 // StepResult is the outcome of one compute-potentials step executed by a
-// kernel.
+// kernel. The caller owns it: every Step returns fresh Points, partitions
+// and patterns (filled into a few step-sized slabs, not one object per
+// point) that later steps never overwrite, while the kernel's lane and
+// merge scratch is reused internally from step to step.
 type StepResult struct {
 	// Points holds the final per-point state in row-major target order.
 	Points []Point
@@ -180,7 +140,9 @@ func tallySubregions(p *retard.Problem, entries []workEntry) []int {
 
 // Algorithm is the common interface of the three kernels: evaluate the
 // rp-integral at every point of the target grid for the problem's current
-// step, writing potentials into component comp of target.
+// step, writing potentials into component comp of target. A kernel reuses
+// its step storage, so one kernel value must not run concurrent Steps;
+// MultiGPU and fleet.Fleet hold one kernel per device.
 type Algorithm interface {
 	// Name returns the kernel's paper name.
 	Name() string
@@ -242,10 +204,16 @@ type workEntry struct {
 	pt   int
 }
 
-// adaptiveResult is the per-entry output slot of the adaptive phase.
-type adaptiveResult struct {
-	i, err float64
-	bounds []float64
+// adaptiveFrame is one pending interval of the adaptive phase's
+// depth-first stack. It carries the interval's endpoint and midpoint
+// integrand values plus its coarse estimate, so a refinement step
+// evaluates only the two new quarter points — the evaluation reuse every
+// serious adaptive implementation (including [9]'s CUDA code) performs.
+type adaptiveFrame struct {
+	a, b, tol  float64
+	fa, fm, fb float64
+	coarse     float64
+	depth      int
 }
 
 // adaptivePhase is RP-ADAPTIVEQUADRATURE: one launch with one thread per
@@ -258,8 +226,10 @@ type adaptiveResult struct {
 //
 // The sortByCost flag enables [10]'s workload-balance heuristic of
 // grouping intervals of similar estimated cost into the same warp.
-// Results accumulate into points (integral, error, partition breakpoints).
-func adaptivePhase(dev *gpusim.Device, p *retard.Problem, points []Point, entries []workEntry, threadsPerBlock int, sortByCost bool, name string) (gpusim.Metrics, int) {
+// Integrals and errors accumulate into points, accepted breakpoints into
+// the store's per-point partitions, in entry order; the lanes take their
+// DFS stacks and bound lists from their SM's scratch.
+func adaptivePhase(dev *gpusim.Device, st *stepStore, p *retard.Problem, points []Point, entries []workEntry, threadsPerBlock int, sortByCost bool, name string) (gpusim.Metrics, int) {
 	if len(entries) == 0 {
 		return gpusim.Metrics{}, 0
 	}
@@ -273,10 +243,11 @@ func adaptivePhase(dev *gpusim.Device, p *retard.Problem, points []Point, entrie
 			return entries[i].pt < entries[j].pt
 		})
 	}
-	results := make([]adaptiveResult, len(entries))
+	st.results = hostpar.Resize(st.results, len(entries))
+	results := st.results
+	st.clearBounds()
 	maxDepth := p.MaxDepth
 	blocks := (len(entries) + threadsPerBlock - 1) / threadsPerBlock
-	pool := newIntegrandPool(dev, p)
 	m := dev.Run(gpusim.Launch{
 		Name:            name,
 		Blocks:          blocks,
@@ -287,6 +258,8 @@ func adaptivePhase(dev *gpusim.Device, p *retard.Problem, points []Point, entrie
 				return
 			}
 			e := entries[idx]
+			smID := block % len(st.sms)
+			sm := &st.sms[smID]
 			lane.Begin(kindInit)
 			for f := 0; f < 4; f++ {
 				lane.Load(workAddr(idx, f))
@@ -294,28 +267,17 @@ func adaptivePhase(dev *gpusim.Device, p *retard.Problem, points []Point, entrie
 			lane.Load(pointAddr(e.pt, 0))
 			lane.Load(pointAddr(e.pt, 1))
 			lane.Flops(6)
-			f := pool.bind(points[e.pt].X, points[e.pt].Y, lane, block)
+			f := st.pool.bind(points[e.pt].X, points[e.pt].Y, lane, block)
 			res := &results[idx]
-
-			// Memoized adaptive Simpson: each frame carries its endpoint
-			// and midpoint integrand values plus its coarse estimate, so a
-			// refinement step evaluates only the two new quarter points —
-			// the evaluation reuse every serious adaptive implementation
-			// (including [9]'s CUDA code) performs.
-			type frame struct {
-				a, b, tol  float64
-				fa, fm, fb float64
-				coarse     float64
-				depth      int
-			}
+			*res = laneResult{smRange: smRange{sm: int32(smID), lo: int32(len(sm.bounds))}}
 			m0 := 0.5 * (e.a + e.b)
 			fa, fm, fb := f(e.a), f(m0), f(e.b)
 			lane.Flops(4)
-			stack := []frame{{
+			stack := append(sm.stack[:0], adaptiveFrame{
 				a: e.a, b: e.b, tol: e.tol,
 				fa: fa, fm: fm, fb: fb,
 				coarse: (e.b - e.a) / 6 * (fa + 4*fm + fb),
-			}}
+			})
 			for len(stack) > 0 {
 				fr := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
@@ -331,13 +293,15 @@ func adaptivePhase(dev *gpusim.Device, p *retard.Problem, points []Point, entrie
 				if errEst <= fr.tol || fr.depth >= maxDepth {
 					res.i += left + right + (left+right-fr.coarse)/15
 					res.err += errEst
-					res.bounds = append(res.bounds, fr.a, fr.b)
+					sm.bounds = append(sm.bounds, fr.a, fr.b)
 					continue
 				}
 				stack = append(stack,
-					frame{a: mid, b: fr.b, tol: fr.tol / 2, fa: fr.fm, fm: frm, fb: fr.fb, coarse: right, depth: fr.depth + 1},
-					frame{a: fr.a, b: mid, tol: fr.tol / 2, fa: fr.fa, fm: flm, fb: fr.fm, coarse: left, depth: fr.depth + 1})
+					adaptiveFrame{a: mid, b: fr.b, tol: fr.tol / 2, fa: fr.fm, fm: frm, fb: fr.fb, coarse: right, depth: fr.depth + 1},
+					adaptiveFrame{a: fr.a, b: mid, tol: fr.tol / 2, fa: fr.fa, fm: flm, fb: fr.fm, coarse: left, depth: fr.depth + 1})
 			}
+			sm.stack = stack
+			res.hi = int32(len(sm.bounds))
 			lane.Begin(kindFinish)
 			for f := 0; f < 3; f++ {
 				lane.Store(workAddr(idx, f))
@@ -346,37 +310,7 @@ func adaptivePhase(dev *gpusim.Device, p *retard.Problem, points []Point, entrie
 		},
 	})
 	for i, e := range entries {
-		r := &results[i]
-		pt := &points[e.pt]
-		pt.I += r.i
-		pt.Err += r.err
-		sort.Float64s(r.bounds)
-		pt.Partition = quadrature.MergeLists(pt.Partition, r.bounds, 1e-18)
+		st.fold(points, e, &results[i])
 	}
 	return m, 1
-}
-
-// finishPatterns derives each point's observed access pattern from its
-// final partition (Algorithm 1 line 20: patterns observed during the
-// computation, including the adaptive additions). Panels whose angular
-// window was empty performed no grid references and do not count.
-// ObservedPattern is a pure read of the problem, so points split across
-// the worker pool.
-func finishPatterns(p *retard.Problem, points []Point, workers int) {
-	hostpar.For(len(points), workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			points[i].Pattern = p.ObservedPattern(points[i].X, points[i].Y, points[i].Partition)
-		}
-	})
-}
-
-// uniformCoarsePartition is the first-step partition when no history or
-// prediction exists: panelsPerSub panels per subregion up to R.
-func uniformCoarsePartition(p *retard.Problem, r float64, panelsPerSub int) []float64 {
-	n := p.NumSub()
-	pat := make(access.Pattern, n)
-	for j := range pat {
-		pat[j] = float64(panelsPerSub)
-	}
-	return pat.UniformPartition(p.SubWidth(), r)
 }

@@ -167,6 +167,7 @@ type Predictive struct {
 	obs       *obs.Observer
 	errBuf    []float64
 	scratch   predScratch
+	store     stepStore
 }
 
 // predScratch holds the kernel's step-lifetime buffers, all reused across
@@ -270,6 +271,8 @@ func (pr *Predictive) Step(p *retard.Problem, target *grid.Grid, comp int) *Step
 		hp.SetHostWorkers(workers)
 	}
 	points := buildPoints(p, target, workers)
+	st := &pr.store
+	st.begin(pr.Dev, p, len(points))
 	res := &StepResult{}
 	if pr.prevNX != target.NX || pr.prevNY != target.NY {
 		pr.prevParts = nil
@@ -305,12 +308,12 @@ func (pr *Predictive) Step(p *retard.Problem, target *grid.Grid, comp int) *Step
 		name:            "predictive/clustered",
 		blocks:          blocks,
 		threadsPerBlock: tpb,
-		partFor: func(i, blk int) ([]float64, uintptr) {
+		partFor: func(_ *smScratch, _, blk int) ([]float64, uintptr) {
 			return merged[blk], bases[blk]
 		},
 	}
 	sp = pr.obs.Span("predictive/verify", target.Step)
-	m, entries := fixedPhase(pr.Dev, p, points, spec)
+	m, entries := fixedPhase(pr.Dev, st, p, points, spec)
 	res.Metrics.Add(m)
 	res.Fixed = m
 	res.Launches++
@@ -320,13 +323,13 @@ func (pr *Predictive) Step(p *retard.Problem, target *grid.Grid, comp int) *Step
 
 	// Lines 18-24: adaptive safety net for panels above tolerance.
 	sp = pr.obs.Span("predictive/fallback", target.Step)
-	rm, launches := adaptivePhase(pr.Dev, p, points, entries, pr.threadsPerBlock(), false, "predictive/adaptive")
+	rm, launches := adaptivePhase(pr.Dev, st, p, points, entries, pr.threadsPerBlock(), false, "predictive/adaptive")
 	res.Metrics.Add(rm)
 	res.Adaptive = rm
 	res.Launches += launches
 	sp.End(obs.I("entries", len(entries)), obs.F("sim_sec", rm.Time))
 
-	finishPatterns(p, points, workers)
+	st.finish(p, points, workers)
 	storeResults(points, target, comp, workers)
 
 	// Line 25: ONLINE-LEARNING — refit g on the observed patterns.
@@ -564,10 +567,11 @@ func (pr *Predictive) cluster(p *retard.Problem, target *grid.Grid, points []Poi
 		for b := lo; b < hi; b++ {
 			blk := blocks[b]
 			if pr.Mode == AdaptivePartition {
-				// Aligned previous-step breakpoints merge exactly.
+				// Aligned previous-step breakpoints merge exactly; each
+				// merge writes into a fresh piece of the worker's arena.
 				mp := parts[blk[0]]
 				for _, i := range blk[1:] {
-					mp = mergeClamped(mp, parts[i])
+					mp = quadrature.AppendMergeLists(wk.arena.Take(len(mp) + len(parts[i]))[:0], mp, parts[i], 1e-18)
 				}
 				merged[b] = mp
 				continue
@@ -594,10 +598,6 @@ func (pr *Predictive) cluster(p *retard.Problem, target *grid.Grid, points []Poi
 		cursor += uintptr(len(merged[b])) * 8
 	}
 	return blocks, merged, bases
-}
-
-func mergeClamped(a, b []float64) []float64 {
-	return quadrature.MergeLists(a, b, 1e-18)
 }
 
 // segmentClusters implements the default RP-CLUSTERING: a row-major walk

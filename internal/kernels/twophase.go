@@ -1,8 +1,6 @@
 package kernels
 
 import (
-	"sort"
-
 	"beamdyn/internal/gpusim"
 	"beamdyn/internal/grid"
 	"beamdyn/internal/hostpar"
@@ -30,7 +28,8 @@ type TwoPhase struct {
 	// HostWorkers bounds the host-side worker count (<= 0: GOMAXPROCS).
 	HostWorkers int
 
-	obs *obs.Observer
+	obs   *obs.Observer
+	store stepStore
 }
 
 // SetObserver implements Observable.
@@ -47,25 +46,32 @@ func NewTwoPhase(dev *gpusim.Device) *TwoPhase {
 // Name implements Algorithm.
 func (t *TwoPhase) Name() string { return "Two-Phase-RP" }
 
-// Reset implements Algorithm; the Two-Phase kernel is stateless across
-// steps.
+// Reset implements Algorithm; the Two-Phase kernel carries no state across
+// steps, only reusable storage.
 func (t *TwoPhase) Reset() {}
 
 // Step implements Algorithm.
 func (t *TwoPhase) Step(p *retard.Problem, target *grid.Grid, comp int) *StepResult {
 	workers := hostpar.Workers(t.HostWorkers)
 	points := buildPoints(p, target, workers)
+	st := &t.store
+	st.begin(t.Dev, p, len(points))
 	res := &StepResult{}
+	// Phase 1 partitions are computed per lane, into the SM's scratch.
+	coarse := st.coarsePattern(p.NumSub(), t.PanelsPerSub)
+	subW := p.SubWidth()
+	n, tpb := len(points), t.ThreadsPerBlock
 	spec := fixedPhaseSpec{
 		name:            "twophase/uniform",
-		blocks:          rowMajorBlocks(len(points), t.ThreadsPerBlock),
-		threadsPerBlock: t.ThreadsPerBlock,
-		partFor: func(i, _ int) ([]float64, uintptr) {
-			return uniformCoarsePartition(p, points[i].R, t.PanelsPerSub), 0
+		blocks:          st.blocks.get([4]int{n, tpb}, func() [][]int { return rowMajorBlocks(n, tpb) }),
+		threadsPerBlock: tpb,
+		partFor: func(sm *smScratch, i, _ int) ([]float64, uintptr) {
+			sm.part = coarse.AppendUniformPartition(sm.part[:0], subW, points[i].R)
+			return sm.part, 0
 		},
 	}
 	sp := t.obs.Span("twophase/uniform", target.Step)
-	m, entries := fixedPhase(t.Dev, p, points, spec)
+	m, entries := fixedPhase(t.Dev, st, p, points, spec)
 	res.Metrics.Add(m)
 	res.Fixed = m
 	res.Launches++
@@ -74,13 +80,13 @@ func (t *TwoPhase) Step(p *retard.Problem, target *grid.Grid, comp int) *StepRes
 	sp.End(obs.I("fallback_entries", len(entries)), obs.F("sim_sec", m.Time))
 
 	sp = t.obs.Span("twophase/refine", target.Step)
-	rm, launches := t.refineRounds(p, points, entries)
+	rm, launches := t.refineRounds(st, p, points, entries)
 	res.Metrics.Add(rm)
 	res.Adaptive = rm
 	res.Launches += launches
 	sp.End(obs.I("rounds", launches), obs.F("sim_sec", rm.Time))
 
-	finishPatterns(p, points, workers)
+	st.finish(p, points, workers)
 	storeResults(points, target, comp, workers)
 	// No forecast model: the sample still tracks the fallback series so
 	// kernels are comparable on the same dashboard.
@@ -101,14 +107,17 @@ func (t *TwoPhase) Step(p *retard.Problem, target *grid.Grid, comp int) *StepRes
 // pair from scratch (no evaluation reuse across rounds — each round's
 // intervals are fresh global-memory entries), then splits the failures for
 // the next round. The interval list doubles where refinement continues,
-// scrambling grid points and radii within warps round by round.
-func (t *TwoPhase) refineRounds(p *retard.Problem, points []Point, entries []workEntry) (gpusim.Metrics, int) {
+// scrambling grid points and radii within warps round by round. Accepted
+// intervals merge into their points' partitions in round order and entry
+// order; consecutive rounds alternate between the store's two work lists.
+func (t *TwoPhase) refineRounds(st *stepStore, p *retard.Problem, points []Point, entries []workEntry) (gpusim.Metrics, int) {
 	var total gpusim.Metrics
 	launches := 0
 	tpb := t.ThreadsPerBlock
-	pool := newIntegrandPool(t.Dev, p)
 	for depth := 0; len(entries) > 0 && depth < p.MaxDepth; depth++ {
-		results := make([]adaptiveResult, len(entries))
+		st.results = hostpar.Resize(st.results, len(entries))
+		results := st.results
+		st.clearBounds()
 		es := entries
 		blocks := (len(es) + tpb - 1) / tpb
 		m := t.Dev.Run(gpusim.Launch{
@@ -121,6 +130,8 @@ func (t *TwoPhase) refineRounds(p *retard.Problem, points []Point, entries []wor
 					return
 				}
 				e := es[idx]
+				smID := block % len(st.sms)
+				sm := &st.sms[smID]
 				lane.Begin(kindRefine)
 				for f := 0; f < 4; f++ {
 					lane.Load(workAddr(idx, f))
@@ -128,17 +139,17 @@ func (t *TwoPhase) refineRounds(p *retard.Problem, points []Point, entries []wor
 				lane.Load(pointAddr(e.pt, 0))
 				lane.Load(pointAddr(e.pt, 1))
 				lane.Flops(6)
-				f := pool.bind(points[e.pt].X, points[e.pt].Y, lane, block)
+				f := st.pool.bind(points[e.pt].X, points[e.pt].Y, lane, block)
 				est := quadrature.SimpsonRule(f, e.a, e.b)
 				lane.Flops(14)
 				res := &results[idx]
+				*res = laneResult{smRange: smRange{sm: int32(smID), lo: int32(len(sm.bounds))}}
 				if est.Err <= e.tol || depth == p.MaxDepth-1 {
 					res.i = est.I
 					res.err = est.Err
-					res.bounds = []float64{e.a, e.b}
-				} else {
-					res.bounds = nil
+					sm.bounds = append(sm.bounds, e.a, e.b)
 				}
+				res.hi = int32(len(sm.bounds))
 				lane.Begin(kindFinish)
 				for f := 0; f < 3; f++ {
 					lane.Store(workAddr(idx, f))
@@ -148,15 +159,10 @@ func (t *TwoPhase) refineRounds(p *retard.Problem, points []Point, entries []wor
 		})
 		total.Add(m)
 		launches++
-		var next []workEntry
+		next := st.next[:0]
 		for i, e := range entries {
-			r := &results[i]
-			if r.bounds != nil {
-				pt := &points[e.pt]
-				pt.I += r.i
-				pt.Err += r.err
-				sort.Float64s(r.bounds)
-				pt.Partition = quadrature.MergeLists(pt.Partition, r.bounds, 1e-18)
+			if r := &results[i]; r.hi > r.lo {
+				st.fold(points, e, r)
 			} else {
 				mid := 0.5 * (e.a + e.b)
 				next = append(next,
@@ -164,6 +170,7 @@ func (t *TwoPhase) refineRounds(p *retard.Problem, points []Point, entries []wor
 					workEntry{a: mid, b: e.b, tol: e.tol / 2, pt: e.pt})
 			}
 		}
+		st.entries, st.next = next, entries
 		entries = next
 	}
 	total.Kernels = launches

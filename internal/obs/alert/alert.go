@@ -16,7 +16,8 @@
 // running mean by K mean-absolute-deviations (e.g. "steptime:mad=6").
 // "for=N" requires the condition to hold for N consecutive steps before
 // the alert fires; "sev=" picks the severity (critical by default —
-// critical alerts are what trigger post-mortem bundles).
+// critical alerts are what trigger post-mortem bundles). A threshold may
+// not be NaN, and K must be finite and positive.
 //
 // The paper's bet is a learned predictor inside the simulation loop, which
 // makes forecast accuracy and fallback behaviour runtime properties: this
@@ -27,6 +28,7 @@ package alert
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -216,7 +218,7 @@ func parseRule(s string) (Rule, error) {
 			r.Op, rest = OpLT, rest[1:]
 		}
 		v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
-		if err != nil {
+		if err != nil || math.IsNaN(v) {
 			return Rule{}, fmt.Errorf("alert: rule %q: bad threshold %q", s, rest)
 		}
 		r.Threshold = v
@@ -243,8 +245,8 @@ func parseRule(s string) (Rule, error) {
 				r.For = n
 			case "mad":
 				k, err := strconv.ParseFloat(val, 64)
-				if err != nil || k <= 0 {
-					return Rule{}, fmt.Errorf("alert: rule %q: mad= wants a positive number, got %q", s, val)
+				if err != nil || !(k > 0) || math.IsInf(k, 1) {
+					return Rule{}, fmt.Errorf("alert: rule %q: mad= wants a finite positive number, got %q", s, val)
 				}
 				r.MAD = k
 			case "sev":

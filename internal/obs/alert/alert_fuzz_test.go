@@ -1,0 +1,38 @@
+package alert
+
+import "testing"
+
+// FuzzParseRules feeds arbitrary scripts to the alert-rule parser, seeded
+// with the default set, the scripts the Makefile and README run, and
+// non-finite numbers. No
+// input may panic, and every accepted rule's canonical form (Rule.Name)
+// must parse back to an equal rule.
+func FuzzParseRules(f *testing.F) {
+	for _, s := range []string{
+		DefaultRules,
+		"device_failed:for=1;steptime:mad=8",
+		"fallback_rate>0.2:for=5;steptime:mad=6;device_failed",
+		"err_max>=8:sev=warn",
+		"charge_drift<=1e-3:for=2,sev=crit",
+		"fallback_rate>NaN",
+		"steptime:mad=NaN",
+		"err_p90<-Inf:mad=Inf",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		rules, err := ParseRules(s)
+		if err != nil {
+			return
+		}
+		for _, r := range rules {
+			again, err := ParseRules(r.Name())
+			if err != nil {
+				t.Fatalf("canonical form %q of %q does not parse: %v", r.Name(), s, err)
+			}
+			if len(again) != 1 || again[0] != r {
+				t.Fatalf("round trip of %q changed rule %+v to %+v", s, r, again)
+			}
+		}
+	})
+}

@@ -191,35 +191,32 @@ func FixedPartition(f Func, partition []float64, tol float64) (ok Estimate, fail
 	return ok, failed
 }
 
-// MergeLists returns the sorted union of two sorted partitions with
-// duplicates removed — the MERGE-LISTS auxiliary procedure of Algorithm 1.
-// Values closer than eps are treated as duplicates, which keeps merged
-// partitions from accumulating panels of zero width due to floating-point
-// noise. Inputs are not modified.
-func MergeLists(p, q []float64, eps float64) []float64 {
-	out := make([]float64, 0, len(p)+len(q))
+// AppendMergeLists appends the sorted union of two sorted partitions, with
+// duplicates removed, to dst and returns the extended slice — the
+// MERGE-LISTS auxiliary procedure of Algorithm 1. Values closer than eps
+// are treated as duplicates, which keeps merged partitions from
+// accumulating panels of zero width due to floating-point noise; the rule
+// applies among the merged values only, so the first of them is appended
+// whatever dst ends with. Callers that merge every step pass a reused
+// buffer as dst[:0]. p and q are not modified and must not share memory
+// with dst's spare capacity.
+func AppendMergeLists(dst, p, q []float64, eps float64) []float64 {
+	start := len(dst)
 	i, j := 0, 0
-	push := func(v float64) {
-		if n := len(out); n == 0 || v-out[n-1] > eps {
-			out = append(out, v)
-		}
-	}
-	for i < len(p) && j < len(q) {
-		if p[i] <= q[j] {
-			push(p[i])
+	for i < len(p) || j < len(q) {
+		var v float64
+		if j == len(q) || (i < len(p) && p[i] <= q[j]) {
+			v = p[i]
 			i++
 		} else {
-			push(q[j])
+			v = q[j]
 			j++
 		}
+		if n := len(dst); n == start || v-dst[n-1] > eps {
+			dst = append(dst, v)
+		}
 	}
-	for ; i < len(p); i++ {
-		push(p[i])
-	}
-	for ; j < len(q); j++ {
-		push(q[j])
-	}
-	return out
+	return dst
 }
 
 // UniformPartition returns n+1 equally spaced breakpoints dividing [a, b]

@@ -165,7 +165,7 @@ func TestMergeListsProperties(t *testing.T) {
 	check := func(araw, braw []float64) bool {
 		a := sortedClean(araw)
 		b := sortedClean(braw)
-		m := MergeLists(a, b, 0)
+		m := AppendMergeLists(nil, a, b, 0)
 		if !IsSortedPartition(m) && len(m) > 1 {
 			return false
 		}
@@ -188,7 +188,7 @@ func TestMergeListsProperties(t *testing.T) {
 }
 
 func TestMergeListsDedup(t *testing.T) {
-	m := MergeLists([]float64{0, 1, 2}, []float64{1, 2, 3}, 0)
+	m := AppendMergeLists(nil, []float64{0, 1, 2}, []float64{1, 2, 3}, 0)
 	want := []float64{0, 1, 2, 3}
 	if len(m) != len(want) {
 		t.Fatalf("got %v want %v", m, want)
@@ -201,9 +201,32 @@ func TestMergeListsDedup(t *testing.T) {
 }
 
 func TestMergeListsEpsilonCollapse(t *testing.T) {
-	m := MergeLists([]float64{0, 1}, []float64{1 + 1e-18, 2}, 1e-12)
+	m := AppendMergeLists(nil, []float64{0, 1}, []float64{1 + 1e-18, 2}, 1e-12)
 	if len(m) != 3 {
 		t.Fatalf("near-duplicates not collapsed: %v", m)
+	}
+}
+
+// AppendMergeLists keeps dst's prefix, applies the duplicate rule among the
+// merged values only, and reuses dst's capacity.
+func TestAppendMergeListsKeepsPrefix(t *testing.T) {
+	buf := make([]float64, 0, 8)
+	dst := append(buf, 5, 2)
+	m := AppendMergeLists(dst, []float64{2, 3}, []float64{1, 3 + 1e-18}, 1e-12)
+	want := []float64{5, 2, 1, 2, 3}
+	if len(m) != len(want) {
+		t.Fatalf("got %v want %v", m, want)
+	}
+	for i := range want {
+		if m[i] != want[i] {
+			t.Fatalf("got %v want %v", m, want)
+		}
+	}
+	if &m[0] != &buf[:1][0] {
+		t.Fatal("merge did not reuse dst's backing array")
+	}
+	if got := AppendMergeLists(buf[:0], nil, nil, 0); len(got) != 0 {
+		t.Fatalf("empty merge appended %v", got)
 	}
 }
 

@@ -58,10 +58,10 @@ type subEval struct {
 // Evaluator is the reusable, allocation-free panel evaluation core of the
 // rp-integral: the arithmetic and simulated-lane accounting of the seed's
 // closure path (Integrand under recursive AdaptiveSimpson, which the
-// package tests keep as SolvePointClosure: the equivalence reference and
-// the baseline of BenchmarkEvaluatorFloor), restructured so that
-// everything a point or a subregion can share is computed once and cached
-// — theta-window geometry per (point, subregion) instead of per radius,
+// package tests keep, as Problem.Integrand and SolvePointClosure, for the
+// equivalence reference and the baseline of BenchmarkEvaluatorFloor),
+// restructured so that everything a point or a subregion can share is
+// computed once and cached — theta-window geometry per (point, subregion) instead of per radius,
 // history planes and component offsets hoisted out of the stencil, the
 // Newton-Cotes weight table built once, cos/sin tables reused while the
 // angular window repeats. A bound evaluator produces bitwise-identical
@@ -300,7 +300,7 @@ func makePlane(h *grid.History, g *grid.Grid, step, comp int) plane {
 // Bind points the evaluator at (x, y), computing each subregion's
 // theta-window geometry once — the closure path recomputes it on every
 // radius the quadrature probes. lane, when non-nil, receives the same
-// load/flop trace Problem.Integrand records.
+// load/flop trace the closure path records.
 func (e *Evaluator) Bind(x, y float64, lane *gpusim.Lane) {
 	e.x, e.y = x, y
 	e.lane = lane
@@ -347,7 +347,7 @@ func (e *Evaluator) window(j int, r float64) (t0, t1 float64, ok bool) {
 	return s.center - half, s.center + half, true
 }
 
-// Eval is the outer radial integrand at radius r: Problem.Integrand's
+// Eval is the outer radial integrand at radius r: the closure path's
 // arithmetic, flop accounting and load trace, without its per-point
 // closures, per-call weight tables or History lookups. Without a lane it
 // memoizes per-radius results — the quadrature's evaluation count is
@@ -657,9 +657,9 @@ func (e *Evaluator) SolvePoint(x, y float64) PointResult {
 	return res
 }
 
-// observedPattern is Problem.ObservedPattern for the bound point, with the
-// pattern drawn from the arena and the window test served from the cached
-// geometry.
+// observedPattern is Problem.AppendObservedPattern for the bound point,
+// with the pattern drawn from the arena and the window test served from
+// the cached geometry.
 func (e *Evaluator) observedPattern(partition []float64) access.Pattern {
 	n := e.p.NumSub()
 	pat := access.Pattern(e.arena.Take(n))

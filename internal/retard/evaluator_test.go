@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"beamdyn/internal/access"
 	"beamdyn/internal/gpusim"
 	"beamdyn/internal/grid"
 	"beamdyn/internal/quadrature"
@@ -52,6 +53,129 @@ func samePointResult(t *testing.T, tag string, got, want PointResult) {
 	}
 }
 
+// The seed's closure path — Integrand, Sample and sampleGrid below, with
+// SolvePointClosure and observedPatternClosure — lives here as the
+// equivalence reference for the panel evaluator: the evaluator and the
+// kernels' lanes must reproduce its integrals, partitions, patterns and
+// simulated-lane traces bit for bit.
+
+// Sample evaluates the retarded moment value f^(p)(r, θ, t′) by the
+// 27-point stencil: quadratic temporal interpolation across D_{i-1}, D_i,
+// D_{i+1} and a 3×3 quadratic spatial stencil on each. When lane is
+// non-nil every grid read is recorded as a simulated global load and the
+// arithmetic as flops.
+func (p *Problem) Sample(x, y, r, theta float64, lane *gpusim.Lane) float64 {
+	j := p.subregionOf(r)
+	i := p.Step - j - 1
+	gm, g0, gp := p.Hist.At(i-1), p.Hist.At(i), p.Hist.At(i+1)
+	if g0 == nil {
+		return 0
+	}
+	if gm == nil {
+		gm = g0
+	}
+	if gp == nil {
+		gp = g0
+	}
+	// Retarded time fraction within [iΔt, (i+1)Δt].
+	tp := float64(p.Step) - r/p.subW // retarded time in units of Δt
+	tau := tp - float64(i)
+	// Quadratic Lagrange weights at nodes -1, 0, +1.
+	wm := 0.5 * tau * (tau - 1)
+	w0 := 1 - tau*tau
+	wp := 0.5 * tau * (tau + 1)
+
+	sx := x + r*math.Cos(theta)
+	sy := y + r*math.Sin(theta)
+	v := wm*p.sampleGrid(gm, i-1, sx, sy, lane) +
+		w0*p.sampleGrid(g0, i, sx, sy, lane) +
+		wp*p.sampleGrid(gp, i+1, sx, sy, lane)
+	if lane != nil {
+		lane.Flops(14) // trig, weights and temporal blend
+	}
+	return v
+}
+
+// sampleGrid reads the 3×3 quadratic (TSC) stencil of component
+// p.Component on grid g around the physical point (sx, sy).
+func (p *Problem) sampleGrid(g *grid.Grid, step int, sx, sy float64, lane *gpusim.Lane) float64 {
+	fx, fy := g.Cell(sx, sy)
+	ix := int(math.Round(fx))
+	iy := int(math.Round(fy))
+	if ix < 1 || iy < 1 || ix > g.NX-2 || iy > g.NY-2 {
+		return 0
+	}
+	dx := fx - float64(ix)
+	dy := fy - float64(iy)
+	wx := [3]float64{0.5 * (0.5 - dx) * (0.5 - dx), 0.75 - dx*dx, 0.5 * (0.5 + dx) * (0.5 + dx)}
+	wy := [3]float64{0.5 * (0.5 - dy) * (0.5 - dy), 0.75 - dy*dy, 0.5 * (0.5 + dy) * (0.5 + dy)}
+	var v float64
+	off := p.Component * g.NX * g.NY
+	for oy := 0; oy < 3; oy++ {
+		row := off + (iy+oy-1)*g.NX + ix - 1
+		w := wy[oy]
+		for ox := 0; ox < 3; ox++ {
+			v += w * wx[ox] * g.Data[row+ox]
+			if lane != nil {
+				addr, _ := p.Hist.Address(step, ix+ox-1, iy+oy-1, p.Component)
+				lane.Load(addr)
+			}
+		}
+	}
+	if lane != nil {
+		lane.Flops(30) // stencil weights and accumulation
+	}
+	return v
+}
+
+// Integrand returns the outer-dimension integrand at radius r: the inner
+// Newton-Cotes angular integral times the radial weight. The returned
+// function closes over (x, y) and the optional lane recorder — it is what
+// the quadrature package integrates radially.
+func (p *Problem) Integrand(x, y float64, lane *gpusim.Lane) quadrature.Func {
+	return func(r float64) float64 {
+		j := p.subregionOf(r)
+		t0, t1, ok := p.ThetaWindow(x, y, r, j)
+		if lane != nil {
+			lane.Flops(8) // window test
+		}
+		if !ok {
+			return 0
+		}
+		inner := quadrature.NewtonCotes(func(theta float64) float64 {
+			return p.Sample(x, y, r, theta, lane)
+		}, t0, t1, p.Inner)
+		if lane != nil {
+			lane.Flops(2 * p.Inner.Points())
+		}
+		return p.Weight(r) * inner
+	}
+}
+
+// observedPatternClosure is the seed's ObservedPattern: the reference for
+// AppendObservedPattern and the evaluator's observedPattern.
+func (p *Problem) observedPatternClosure(x, y float64, partition []float64) access.Pattern {
+	n := p.NumSub()
+	pat := make(access.Pattern, n)
+	visible := make([]bool, n)
+	for i := 0; i+1 < len(partition); i++ {
+		mid := 0.5 * (partition[i] + partition[i+1])
+		j := p.subregionOf(mid)
+		pat[j]++
+		if !visible[j] {
+			if _, _, ok := p.ThetaWindow(x, y, mid, j); ok {
+				visible[j] = true
+			}
+		}
+	}
+	for j := range pat {
+		if !visible[j] {
+			pat[j] = 0
+		}
+	}
+	return pat
+}
+
 // SolvePointClosure is the seed's closure-based evaluation path: Integrand
 // over recursive AdaptiveSimpson, with fresh slices per point. It is the
 // equivalence reference for the panel evaluator — Evaluator.SolvePoint
@@ -74,7 +198,7 @@ func (p *Problem) SolvePointClosure(x, y float64) PointResult {
 		res.Evals += sub.Evals
 		res.Partition = append(res.Partition, sub.Partition[1:]...)
 	}
-	res.Pattern = p.ObservedPattern(x, y, res.Partition)
+	res.Pattern = p.observedPatternClosure(x, y, res.Partition)
 	return res
 }
 

@@ -231,7 +231,7 @@ func TestObservedPatternZeroesInvisibleSubregions(t *testing.T) {
 	x := g.X0 + float64(g.NX-1)*g.DX/2
 	y := g.Y0 + float64(g.NY-1)*g.DY // top edge
 	part := quadrature.UniformPartition(0, p.R(x, y), 8)
-	pat := p.ObservedPattern(x, y, part)
+	pat := p.AppendObservedPattern(nil, x, y, part)
 	if len(pat) != p.NumSub() {
 		t.Fatalf("pattern length %d", len(pat))
 	}
@@ -243,6 +243,42 @@ func TestObservedPatternZeroesInvisibleSubregions(t *testing.T) {
 	}
 	if sum > 8 {
 		t.Fatalf("pattern counts %v exceed panel count", pat)
+	}
+}
+
+// AppendObservedPattern must match the seed's allocating form bit for bit
+// at every probe point and partition shape, keep dst's prefix, and fill a
+// slab in place when dst has the capacity.
+func TestAppendObservedPatternMatchesClosure(t *testing.T) {
+	params := testParams()
+	h, _ := buildHistory(8, 48, params)
+	p := NewProblem(h, params)
+	n := p.NumSub()
+	slab := make([]float64, 0, 2*n)
+	for _, pt := range sweepPoints(h.At(7)) {
+		x, y := pt[0], pt[1]
+		r := p.R(x, y)
+		for _, part := range [][]float64{
+			quadrature.UniformPartition(0, r, 1),
+			quadrature.UniformPartition(0, r, 8),
+			quadrature.UniformPartition(0, r, 5*n+3),
+			p.SolvePoint(x, y).Partition,
+			nil,
+		} {
+			want := p.observedPatternClosure(x, y, part)
+			got := p.AppendObservedPattern(append(slab[:0], -7), x, y, part)
+			if len(got) != n+1 || got[0] != -7 {
+				t.Fatalf("(%g,%g): prefix or length lost: %v", x, y, got)
+			}
+			if &got[0] != &slab[:1][0] {
+				t.Fatalf("(%g,%g): pattern did not fill dst's backing array", x, y)
+			}
+			for j := range want {
+				if math.Float64bits(got[1+j]) != math.Float64bits(want[j]) {
+					t.Fatalf("(%g,%g) %d panels: pattern %v, closure %v", x, y, len(part)-1, got[1:], want)
+				}
+			}
+		}
 	}
 }
 
