@@ -94,12 +94,14 @@ bench-host:
 		-benchmem ./internal/core
 
 # Streaming replay engine race gate: the device fans SMs out as
-# goroutines with per-SM scratch, and the engine A/B matrices in gpusim,
-# kernels and fleet drive both engines across every interleaving-sensitive
-# path (resident windows, work stealing, multi-GPU fan-out).
+# goroutines with per-SM scratch. gpusim's A/B matrices drive the streaming
+# engine and the test-side oracle across resident windows, SM counts and
+# partial warps; the committed identity digests of kernels and fleet then
+# drive the replay under the multi-GPU fan-out and the fleet's device
+# workers.
 test-gpu-race:
 	$(GO) test -race -count=1 ./internal/gpusim/...
-	$(GO) test -race -count=1 -run 'Engine' ./internal/kernels/... ./internal/fleet/...
+	$(GO) test -race -count=1 -run 'IdentityHashes' ./internal/kernels/... ./internal/fleet/...
 
 # Tiled-dispatch race gate: the cache-blocked GridSolver fans tiles out
 # across the hostpar pool with per-worker evaluators and shared target
@@ -109,9 +111,10 @@ test-rp-race:
 	$(GO) test -race -count=1 ./internal/retard/...
 
 # Oracle floors: each optimized engine against the seed path it replaced,
-# measured by go test benchmarks in the package that owns the oracle.
-# BenchmarkReplayFloor holds the streaming replay to >= 1.3x the oracle
-# engine over four workload shapes at 48x48 (and >= 1x on each);
+# measured by go test benchmarks in the package whose tests hold the
+# oracle. BenchmarkReplayFloor holds the streaming replay to >= 1.3x the
+# oracle replay in gpusim's tests over four workload shapes at 48x48 (and
+# >= 1x on each);
 # BenchmarkEvaluatorFloor holds the rp panel evaluator to >= 5x the seed
 # closure path, and GridSolver to >= 1.6x at 4 workers vs 1 (skipped on
 # machines with fewer than 4 CPUs). Timing floors stay out of go test ./...
@@ -120,12 +123,15 @@ bench-floors:
 	$(GO) test -run '^$$' -bench Floor -benchtime 1x ./internal/gpusim ./internal/retard
 
 # Parser fuzzing: run each native fuzz target for a few seconds from its
-# seed corpus (the scenario catalog, the -alerts/-inject scripts above, and
-# non-finite numbers). No input may panic, and an accepted input's
-# canonical form (re-marshalled spec, Rule.Name, Event.String) must parse
-# back to an equal value. A failing input is saved under the package's
-# testdata/fuzz and replays in every go test run from then on.
+# seed corpus (the scenario catalog, the -alerts/-inject scripts above,
+# non-finite numbers, and a JSONL trace with truncated and corrupt
+# copies). No input may panic, and an accepted input's canonical form
+# (re-marshalled spec, Rule.Name, Event.String, re-encoded trace lines)
+# must parse back to an equal value; the strict and lenient trace readers
+# must agree. A failing input is saved under the package's testdata/fuzz
+# and replays in every go test run from then on.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 5s ./internal/jobs
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime 5s ./internal/obs/alert
 	$(GO) test -run '^$$' -fuzz '^FuzzParseEvents$$' -fuzztime 5s ./internal/fleet
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 5s ./internal/obs/analysis

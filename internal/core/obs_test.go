@@ -14,8 +14,8 @@ func TestAdvanceEmitsStageSpans(t *testing.T) {
 	s := New(testConfig())
 	s.Algo = kernels.NewPredictive(gpusim.New(gpusim.KeplerK40()))
 	o := obs.New()
-	var sink obs.MemorySink
-	o.Trace = obs.NewTracer(&sink)
+	sink := flight.New(0, nil)
+	o.Trace = obs.NewTracer(sink)
 	s.Obs = o
 
 	s.Warmup()

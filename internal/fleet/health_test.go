@@ -5,6 +5,7 @@ import (
 
 	"beamdyn/internal/grid"
 	"beamdyn/internal/obs"
+	"beamdyn/internal/obs/flight"
 )
 
 func TestFleetHealthReportsStatesAndUtilization(t *testing.T) {
@@ -60,8 +61,8 @@ func TestFleetHealthReportsStatesAndUtilization(t *testing.T) {
 }
 
 func TestFleetEmitsPerDeviceTraceEvents(t *testing.T) {
-	var sink obs.MemorySink
-	o := &obs.Observer{Trace: obs.NewTracer(&sink), Reg: obs.NewRegistry()}
+	sink := flight.New(0, nil)
+	o := &obs.Observer{Trace: obs.NewTracer(sink), Reg: obs.NewRegistry()}
 	fl := newStubFleet(NewFixed(testDevices(2)), 4, func(id int) *stubAlgo { return &stubAlgo{} })
 	fl.SetObserver(o)
 

@@ -453,16 +453,6 @@ func (f *Fleet) reassemble(target *grid.Grid, comp int, tasks []*bandTask, busy 
 		agg.Host.Train += res.Host.Train
 		agg.FallbackEntries += res.FallbackEntries
 		agg.Launches += res.Launches
-		if len(res.FallbackBySubregion) > 0 {
-			if agg.FallbackBySubregion == nil {
-				agg.FallbackBySubregion = make([]int, len(res.FallbackBySubregion))
-			}
-			for j, v := range res.FallbackBySubregion {
-				if j < len(agg.FallbackBySubregion) {
-					agg.FallbackBySubregion[j] += v
-				}
-			}
-		}
 	}
 	// The step finishes when the busiest device does.
 	var maxBusy float64

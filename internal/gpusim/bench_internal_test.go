@@ -77,9 +77,8 @@ func floorLaunches() []Launch {
 // engines so machine noise hits both alike, with GC off.
 func replayWalls(b *testing.B, l Launch, reps int) (oracleSec, streamSec float64) {
 	oracle := New(KeplerK40())
-	oracle.SetEngine(EngineOracle)
 	stream := New(KeplerK40())
-	if mo, ms := oracle.Run(l), stream.Run(l); mo != ms {
+	if mo, ms := runOracle(oracle, l), stream.Run(l); mo != ms {
 		b.Fatalf("%s: engines disagree on warm-up launch\noracle:    %+v\nstreaming: %+v", l.Name, mo, ms)
 	}
 
@@ -87,7 +86,7 @@ func replayWalls(b *testing.B, l Launch, reps int) (oracleSec, streamSec float64
 	oracleSec, streamSec = math.Inf(1), math.Inf(1)
 	for r := 0; r < reps; r++ {
 		t0 := time.Now()
-		oracle.Run(l)
+		runOracle(oracle, l)
 		oracleSec = math.Min(oracleSec, time.Since(t0).Seconds())
 		t0 = time.Now()
 		stream.Run(l)

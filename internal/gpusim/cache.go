@@ -14,8 +14,9 @@ import "math/bits"
 // they touched last). Both fast paths perform exactly the state
 // transitions of the full scan — tick, stamp, hit counters — so an
 // address stream drives a cache to the same state through either entry
-// point; TestCacheAccessMatchesScan pins that equivalence. accessScan is
-// the pre-streaming lookup, kept verbatim for the oracle replay engine.
+// point; TestCacheAccessMatchesScan pins that equivalence against the
+// pre-streaming scan-only lookup, kept with the oracle replay engine in
+// this package's tests.
 type cache struct {
 	lineBytes uintptr
 	sets      int
@@ -94,9 +95,7 @@ func newCache(totalBytes, lineBytes, ways int) *cache {
 // syncLRU rebuilds the recency order from the stamps: ways sorted most
 // recently stamped first, never-touched ways (stamp 0) last in increasing
 // index order — the stamp scan's victim preference. Called at creation and
-// whenever stamps may have advanced without order maintenance (the oracle
-// lookup path), so the two lookup entry points agree on every future
-// victim.
+// reset; access keeps the order in step with the stamps from then on.
 func (c *cache) syncLRU() {
 	for set := 0; set < c.sets; set++ {
 		base := set * c.ways
@@ -127,7 +126,8 @@ func (c *cache) lineOf(addr uintptr) uintptr { return addr / c.lineBytes }
 // recency order and the LRU victim taken from its tail in O(1) — no
 // stamp scan. Stamps are still written on every access, so a cache driven
 // through this entry point is stamp-for-stamp identical to one driven
-// through accessScan (TestCacheAccessMatchesScan pins that).
+// through the oracle's scan-only lookup (TestCacheAccessMatchesScan pins
+// that).
 func (c *cache) access(line uintptr) bool {
 	c.tick++
 	tag := line + 1
@@ -194,37 +194,6 @@ func (c *cache) accessCold(line, tag uintptr) bool {
 	c.tags[victim] = tag
 	c.stamp[victim] = c.tick
 	c.lastTag, c.lastIdx = tag, victim
-	return false
-}
-
-// accessScan is the pre-streaming lookup: one pass over the set's ways,
-// hit check and LRU victim tracking interleaved. The oracle replay engine
-// uses it so the A/B baseline carries none of the fast-path machinery.
-// It invalidates the last-line short-circuit rather than maintaining it,
-// so mixing entry points on one cache stays correct.
-func (c *cache) accessScan(line uintptr) bool {
-	c.tick++
-	c.lastTag = 0
-	set := int(line % uintptr(c.sets))
-	base := set * c.ways
-	tag := line + 1
-	var victim int
-	oldest := ^uint64(0)
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if c.tags[i] == tag {
-			c.stamp[i] = c.tick
-			c.hits++
-			return true
-		}
-		if c.stamp[i] < oldest {
-			oldest = c.stamp[i]
-			victim = i
-		}
-	}
-	c.misses++
-	c.tags[victim] = tag
-	c.stamp[victim] = c.tick
 	return false
 }
 

@@ -25,28 +25,11 @@ type Launch struct {
 	ColdCaches bool
 }
 
-// Engine selects the replay implementation a Device runs.
-type Engine int
-
-const (
-	// EngineStreaming is the default: the zero-steady-state-allocation
-	// streaming replay (warp-granularity record-and-replay fusion,
-	// insertion-sorted kind and line ordering over reusable scratch,
-	// MRU-accelerated cache lookups).
-	EngineStreaming Engine = iota
-	// EngineOracle is the pre-streaming replay, kept callable as the
-	// equivalence oracle: the A/B suite proves both engines produce
-	// ==-equal Metrics for every kernel shape, and BenchmarkReplayFloor
-	// holds the streaming engine's speedup against it.
-	EngineOracle
-)
-
 // Device is a simulated GPU. A Device is safe for sequential use; a single
 // Run call parallelises internally across simulated SMs.
 type Device struct {
 	cfg      Config
 	label    string
-	engine   Engine
 	sms      []*smState
 	wg       sync.WaitGroup
 	profiler *Profiler
@@ -62,7 +45,8 @@ type Device struct {
 	// lineShift converts addresses to L1 lines with a shift when
 	// L1LineBytes is a power of two (every shipped config); -1 selects the
 	// division fallback. Equivalent by construction for power-of-two line
-	// sizes, so the oracle's plain division produces identical lines.
+	// sizes, so the oracle replay's plain division (in this package's
+	// tests) produces identical lines.
 	lineShift int
 }
 
@@ -72,20 +56,6 @@ func (d *Device) SetLabel(label string) { d.label = label }
 
 // Label returns the diagnostic name set with SetLabel ("" if unset).
 func (d *Device) Label() string { return d.label }
-
-// SetEngine selects the replay implementation. Devices default to
-// EngineStreaming; EngineOracle exists for equivalence tests and the
-// replay floor's baseline. Switching on a warm device resynchronizes the
-// streaming lookup's recency order from the LRU stamps, which the oracle
-// lookup advances without maintaining order — the engines then agree on
-// every future eviction.
-func (d *Device) SetEngine(e Engine) {
-	d.engine = e
-	for _, sm := range d.sms {
-		sm.l1.syncLRU()
-		sm.l2.syncLRU()
-	}
-}
 
 // Recorder receives the aggregated metrics of every kernel launch as it
 // completes. Profiler implements it; external telemetry layers (the obs
@@ -287,7 +257,14 @@ func (d *Device) Run(l Launch) Metrics {
 			panic(r)
 		}
 	}
+	return d.aggregate(l.Name, statsBefore)
+}
 
+// aggregate folds the per-SM metrics of the launch just replayed into the
+// launch's Metrics, applies the time model, and reports the result (and
+// the replay statistics accumulated since statsBefore) to the attached
+// profiler and recorder.
+func (d *Device) aggregate(name string, statsBefore ReplayStats) Metrics {
 	total := Metrics{Kernels: 1, warpSize: d.cfg.WarpSize}
 	perSMPeak := d.cfg.PeakGflops * 1e9 / float64(d.cfg.NumSMs)
 	perSMBW := d.cfg.MeasuredBandwidthGBs * 1e9 / float64(d.cfg.NumSMs)
@@ -331,12 +308,12 @@ func (d *Device) Run(l Launch) Metrics {
 	// The kernel finishes when the busiest SM does.
 	total.Time = worst
 	if d.profiler != nil {
-		d.profiler.Record(l.Name, total)
+		d.profiler.Record(name, total)
 	}
 	if d.recorder != nil {
-		d.recorder.Record(l.Name, total)
+		d.recorder.Record(name, total)
 		if rr, ok := d.recorder.(ReplayRecorder); ok {
-			rr.RecordReplay(l.Name, d.ReplayStats().sub(statsBefore))
+			rr.RecordReplay(name, d.ReplayStats().sub(statsBefore))
 		}
 	}
 	return total
@@ -351,11 +328,7 @@ func (d *Device) runSM(smID int) {
 	defer func() { sm.panicked = recover() }()
 	l := d.launch
 	for block := smID; block < l.Blocks; block += d.cfg.NumSMs {
-		if d.engine == EngineOracle {
-			d.runBlockOracle(sm, l, block)
-		} else {
-			d.runBlock(sm, l, block)
-		}
+		d.runBlock(sm, l, block)
 	}
 }
 

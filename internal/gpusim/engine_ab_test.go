@@ -108,11 +108,10 @@ func TestEngineABMatrix(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						stream := New(cfg)
 						oracle := New(cfg)
-						oracle.SetEngine(EngineOracle)
 						for _, ab := range abKernels {
 							l := Launch{Name: ab.name, Blocks: 3, ThreadsPerBlock: tpb, Kernel: ab.k}
 							ms := stream.Run(l)
-							mo := oracle.Run(l)
+							mo := runOracle(oracle, l)
 							if ms != mo {
 								t.Fatalf("%s: engines diverge\nstreaming: %+v\noracle:    %+v", ab.name, ms, mo)
 							}

@@ -144,12 +144,11 @@ func TestFootprintABMatrix(t *testing.T) {
 							fpStream := New(cfg)
 							loadStream := New(cfg)
 							fpOracle := New(cfg)
-							fpOracle.SetEngine(EngineOracle)
 							for _, sh := range fpShapes {
 								l := Launch{Name: sh.name, Blocks: 3, ThreadsPerBlock: tpb}
 								l.Kernel = sh.k((*Lane).Load3x3)
 								mf := fpStream.Run(l)
-								mo := fpOracle.Run(l)
+								mo := runOracle(fpOracle, l)
 								l.Kernel = sh.k(viaLoads)
 								ml := loadStream.Run(l)
 								if mf != ml {

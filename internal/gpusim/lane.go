@@ -21,7 +21,8 @@ type Lane struct {
 	stores []uintptr
 	// fps indexes the loads recorded by Load3x3, one entry per footprint.
 	// The expanded addresses stay in loads, so everything that reads them
-	// (the oracle, the per-instruction replay) is unaffected.
+	// (the per-instruction replay, and the oracle replay in this package's
+	// tests) is unaffected.
 	fps []footprint
 }
 

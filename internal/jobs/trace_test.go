@@ -5,6 +5,7 @@ import (
 
 	"beamdyn/internal/obs"
 	"beamdyn/internal/obs/analysis"
+	"beamdyn/internal/obs/flight"
 )
 
 // referenceSpec runs the host reference solver so the trace carries
@@ -31,7 +32,7 @@ func collectNames(n *analysis.SpanNode, into map[string]int) {
 // JSONL stream with no orphaned spans, while the physics stays bitwise
 // identical to an untraced run.
 func TestJobTraceTreeEndToEnd(t *testing.T) {
-	ms := &obs.MemorySink{}
+	ms := flight.New(0, nil)
 	observer := obs.New()
 	observer.Trace = obs.NewTracer(ms)
 	s := New(Config{Workers: 2, Obs: observer, Node: "test-node"})

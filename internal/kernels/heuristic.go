@@ -128,7 +128,6 @@ func (h *Heuristic) Step(p *retard.Problem, target *grid.Grid, comp int) *StepRe
 	res.Fixed = m
 	res.Launches++
 	res.FallbackEntries = len(entries)
-	res.FallbackBySubregion = tallySubregions(p, entries)
 	sp.End(obs.I("fallback_entries", len(entries)), obs.F("sim_sec", m.Time))
 
 	sp = h.obs.Span("heuristic/refine", target.Step)

@@ -120,22 +120,6 @@ type StepResult struct {
 	// Fixed and Adaptive break Metrics down by phase: the fixed-partition
 	// pass and the adaptive safety net.
 	Fixed, Adaptive gpusim.Metrics
-	// FallbackBySubregion counts the fallback entries per radial
-	// subregion (diagnostics for prediction quality).
-	FallbackBySubregion []int
-}
-
-// tallySubregions histograms work entries by radial subregion.
-func tallySubregions(p *retard.Problem, entries []workEntry) []int {
-	out := make([]int, p.NumSub())
-	sw := p.SubWidth()
-	for _, e := range entries {
-		j := int(0.5 * (e.a + e.b) / sw)
-		if j >= 0 && j < len(out) {
-			out[j]++
-		}
-	}
-	return out
 }
 
 // Algorithm is the common interface of the three kernels: evaluate the

@@ -5,9 +5,10 @@ import (
 
 	"beamdyn/internal/gpusim"
 	"beamdyn/internal/obs"
+	"beamdyn/internal/obs/flight"
 )
 
-func observedNames(sink *obs.MemorySink) map[string]int {
+func observedNames(sink *flight.Recorder) map[string]int {
 	names := map[string]int{}
 	for _, e := range sink.Events() {
 		names[e.Name]++
@@ -19,14 +20,14 @@ func TestPredictiveEmitsSubPhaseSpansAndSample(t *testing.T) {
 	p, target := fixture(8, 24)
 	pr := NewPredictive(gpusim.New(gpusim.KeplerK40()))
 	o := obs.New()
-	var sink obs.MemorySink
-	o.Trace = obs.NewTracer(&sink)
+	sink := flight.New(0, nil)
+	o.Trace = obs.NewTracer(sink)
 	pr.SetObserver(o)
 
 	pr.Step(p, target.Clone(), 0) // bootstrap
 	pr.Step(p, target.Clone(), 0) // trained
 
-	names := observedNames(&sink)
+	names := observedNames(sink)
 	for _, want := range []string{
 		"predictive/predict", "predictive/cluster", "predictive/verify",
 		"predictive/fallback", "predictive/train", "predictor",
@@ -122,8 +123,8 @@ func TestKernelsMatchReferenceWithObserverAttached(t *testing.T) {
 	plain := NewPredictive(gpusim.New(gpusim.KeplerK40()))
 	traced := NewPredictive(gpusim.New(gpusim.KeplerK40()))
 	o := obs.New()
-	var sink obs.MemorySink
-	o.Trace = obs.NewTracer(&sink)
+	sink := flight.New(0, nil)
+	o.Trace = obs.NewTracer(sink)
 	traced.SetObserver(o)
 	for step := 0; step < 2; step++ {
 		a := target.Clone()

@@ -318,7 +318,6 @@ func (pr *Predictive) Step(p *retard.Problem, target *grid.Grid, comp int) *Step
 	res.Fixed = m
 	res.Launches++
 	res.FallbackEntries = len(entries)
-	res.FallbackBySubregion = tallySubregions(p, entries)
 	sp.End(obs.I("fallback_entries", len(entries)), obs.F("sim_sec", m.Time))
 
 	// Lines 18-24: adaptive safety net for panels above tolerance.

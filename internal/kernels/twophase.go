@@ -76,7 +76,6 @@ func (t *TwoPhase) Step(p *retard.Problem, target *grid.Grid, comp int) *StepRes
 	res.Fixed = m
 	res.Launches++
 	res.FallbackEntries = len(entries)
-	res.FallbackBySubregion = tallySubregions(p, entries)
 	sp.End(obs.I("fallback_entries", len(entries)), obs.F("sim_sec", m.Time))
 
 	sp = t.obs.Span("twophase/refine", target.Step)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"beamdyn/internal/obs"
+	"beamdyn/internal/obs/flight"
 )
 
 func TestParseRulesGrammar(t *testing.T) {
@@ -184,8 +185,8 @@ func TestEngineAbsentSignalsNeverFire(t *testing.T) {
 
 func TestEngineEmitsMetricsAndTrace(t *testing.T) {
 	o := obs.New()
-	var sink obs.MemorySink
-	o.Trace = obs.NewTracer(&sink)
+	sink := flight.New(0, nil)
+	o.Trace = obs.NewTracer(sink)
 	rules, _ := ParseRules("device_failed:for=1")
 	var cb []Alert
 	e := NewEngine(Config{Rules: rules, Obs: o, OnAlert: func(a Alert) { cb = append(cb, a) }})

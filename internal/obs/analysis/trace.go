@@ -34,8 +34,8 @@ func ReadTrace(r io.Reader) ([]obs.Event, error) {
 		if len(b) == 0 {
 			continue
 		}
-		var e obs.Event
-		if err := json.Unmarshal(b, &e); err != nil {
+		e, err := decodeEvent(b)
+		if err != nil {
 			return nil, fmt.Errorf("trace line %d: %w", line, err)
 		}
 		out = append(out, e)
@@ -44,6 +44,21 @@ func ReadTrace(r io.Reader) ([]obs.Event, error) {
 		return nil, fmt.Errorf("trace line %d: %w", line, err)
 	}
 	return out, nil
+}
+
+// decodeEvent parses one trace line. An empty attrs object decodes to nil
+// Attrs, the form the tracer writes for an event without attributes (the
+// field is omitted when empty), so every decoded event re-encodes to a
+// line that reads back equal.
+func decodeEvent(b []byte) (obs.Event, error) {
+	var e obs.Event
+	if err := json.Unmarshal(b, &e); err != nil {
+		return obs.Event{}, err
+	}
+	if len(e.Attrs) == 0 {
+		e.Attrs = nil
+	}
+	return e, nil
 }
 
 // ReadTraceFile reads a JSONL trace from path ("-" for stdin).
@@ -80,8 +95,8 @@ func ReadTraceLenient(r io.Reader) (events []obs.Event, dropped bool, err error)
 		if len(b) == 0 {
 			continue
 		}
-		var e obs.Event
-		if uerr := json.Unmarshal(b, &e); uerr != nil {
+		e, uerr := decodeEvent(b)
+		if uerr != nil {
 			if badErr != nil {
 				return nil, false, fmt.Errorf("trace line %d: %w", badLine, badErr)
 			}

@@ -115,8 +115,8 @@ func (r *Recorder) Events() []obs.Event {
 		n = int(r.total)
 	}
 	out := make([]obs.Event, 0, n)
-	if r.total > uint64(len(r.buf)) {
-		// Ring has wrapped: the oldest retained event sits at next.
+	if r.total >= uint64(len(r.buf)) {
+		// Ring is full: the oldest retained event sits at next.
 		out = append(out, r.buf[r.next:]...)
 		out = append(out, r.buf[:r.next]...)
 		return out

@@ -50,9 +50,44 @@ func TestRecorderBelowCapacity(t *testing.T) {
 	}
 }
 
+// TestRecorderExactlyFull pins the boundary between the two drain paths:
+// after exactly depth emits the ring is full but has overwritten nothing,
+// and Events and WriteJSONL must return every event, oldest first.
+func TestRecorderExactlyFull(t *testing.T) {
+	for _, depth := range []int{1, 4, 8} {
+		r := flight.New(depth, nil)
+		for i := 0; i < depth; i++ {
+			r.Emit(ev(i))
+		}
+		got := r.Events()
+		if len(got) != depth {
+			t.Fatalf("depth %d: retained %d events after %d emits, want %d", depth, len(got), depth, depth)
+		}
+		for i, e := range got {
+			if e.Step != i {
+				t.Fatalf("depth %d: event %d has step %d, want %d (oldest-first order)", depth, i, e.Step, i)
+			}
+		}
+		var buf bytes.Buffer
+		if err := r.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		dumped, err := analysis.ReadTrace(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(dumped) != depth || dumped[0].Step != 0 || dumped[depth-1].Step != depth-1 {
+			t.Fatalf("depth %d: WriteJSONL dumped %+v, want steps 0..%d", depth, dumped, depth-1)
+		}
+		if r.Total() != uint64(depth) || r.Dropped() != 0 {
+			t.Fatalf("depth %d: total=%d dropped=%d, want %d/0", depth, r.Total(), r.Dropped(), depth)
+		}
+	}
+}
+
 func TestRecorderForwardsDownstream(t *testing.T) {
-	var mem obs.MemorySink
-	r := flight.New(2, &mem)
+	mem := flight.New(8, nil)
+	r := flight.New(2, mem)
 	for i := 0; i < 5; i++ {
 		r.Emit(ev(i))
 	}

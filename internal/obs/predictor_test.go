@@ -9,8 +9,8 @@ import (
 
 func TestRecordPredictorFillsSampleAndSeries(t *testing.T) {
 	o := New()
-	var sink MemorySink
-	o.Trace = NewTracer(&sink)
+	sink := &memSink{}
+	o.Trace = NewTracer(sink)
 
 	errs := []float64{3, 0.1, 1.5, 0.2, 40}
 	o.RecordPredictor(StepSample{

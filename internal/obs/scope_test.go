@@ -35,7 +35,7 @@ func TestScopeDerivationNoOpsWhenTracingDisabled(t *testing.T) {
 }
 
 func TestScopedSpansShareTraceAndParentCorrectly(t *testing.T) {
-	ms := &MemorySink{}
+	ms := &memSink{}
 	o := &Observer{Trace: NewTracer(ms)}
 
 	root := o.StartTrace(S("job", "j1"), S("tenant", "acme"))
@@ -86,7 +86,7 @@ func TestScopedSpansShareTraceAndParentCorrectly(t *testing.T) {
 }
 
 func TestWithBaggageAppendsWithoutMutatingParent(t *testing.T) {
-	ms := &MemorySink{}
+	ms := &memSink{}
 	o := (&Observer{Trace: NewTracer(ms)}).StartTrace(S("job", "j1"))
 	d := o.WithBaggage(I("attempt", 2))
 	d.Event("a", 0)
@@ -102,7 +102,7 @@ func TestWithBaggageAppendsWithoutMutatingParent(t *testing.T) {
 }
 
 func TestUnscopedSpanRootsFreshTrace(t *testing.T) {
-	ms := &MemorySink{}
+	ms := &memSink{}
 	o := &Observer{Trace: NewTracer(ms)}
 	s1 := o.Span("a", 0)
 	s1.End()
@@ -118,7 +118,7 @@ func TestUnscopedSpanRootsFreshTrace(t *testing.T) {
 }
 
 func TestSpanIDsUniqueAcrossConcurrentWorkers(t *testing.T) {
-	ms := &MemorySink{Cap: 1 << 16}
+	ms := &memSink{}
 	o := &Observer{Trace: NewTracer(ms)}
 	const workers, per = 8, 200
 	var wg sync.WaitGroup

@@ -255,64 +255,3 @@ func (s *JSONLSink) Close() error {
 	}
 	return s.err
 }
-
-// DefaultMemorySinkCap bounds a zero-value MemorySink: large enough that
-// tests and short live runs never notice, small enough that a -obs-interval
-// view left running for days stops growing.
-const DefaultMemorySinkCap = 65536
-
-// MemorySink collects events in memory, mainly for tests and the
-// -obs-interval live view. It is a ring: once Cap events are held, each new
-// event evicts the oldest (like the flight recorder), so a long-lived sink
-// has bounded memory. The zero value is usable and uses
-// DefaultMemorySinkCap; set Cap before the first Emit to override.
-type MemorySink struct {
-	// Cap is the maximum number of retained events; <= 0 means
-	// DefaultMemorySinkCap. Read on the first Emit.
-	Cap int
-
-	mu    sync.Mutex
-	capN  int
-	buf   []Event
-	next  int
-	total uint64
-}
-
-// Emit implements Sink. The buffer grows on demand (a short test run never
-// pays for the full cap) up to capN, then wraps.
-func (s *MemorySink) Emit(e Event) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.capN == 0 {
-		s.capN = s.Cap
-		if s.capN <= 0 {
-			s.capN = DefaultMemorySinkCap
-		}
-	}
-	if len(s.buf) < s.capN {
-		s.buf = append(s.buf, e)
-	} else {
-		s.buf[s.next] = e
-		s.next = (s.next + 1) % s.capN
-	}
-	s.total++
-	return nil
-}
-
-// Events returns a copy of the retained events, oldest first.
-func (s *MemorySink) Events() []Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Event, 0, len(s.buf))
-	out = append(out, s.buf[s.next:]...)
-	out = append(out, s.buf[:s.next]...)
-	return out
-}
-
-// Total returns the number of events ever emitted, including any evicted
-// by the ring.
-func (s *MemorySink) Total() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total
-}

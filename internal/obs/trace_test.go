@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 )
@@ -101,43 +102,26 @@ func TestTracerSurfacesSinkError(t *testing.T) {
 	}
 }
 
-func TestMemorySink(t *testing.T) {
-	var sink MemorySink
-	o := &Observer{Trace: NewTracer(&sink)}
-	o.Event("a", 1)
-	o.Event("b", 2)
-	evs := sink.Events()
-	if len(evs) != 3 || evs[0].Name != MetaT0 || evs[1].Name != "a" || evs[2].Step != 2 {
-		t.Fatalf("memory sink events wrong: %+v", evs)
-	}
+// memSink collects every event in memory. It stands in for
+// flight.Recorder, the ring-buffer sink, which this package's tests cannot
+// import (flight imports obs).
+type memSink struct {
+	mu  sync.Mutex
+	evs []Event
 }
 
-func TestMemorySinkRingEvictsOldestKeepsOrder(t *testing.T) {
-	sink := MemorySink{Cap: 4}
-	for i := 0; i < 10; i++ {
-		sink.Emit(Event{Name: "e", Step: i})
-	}
-	evs := sink.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained %d events, want cap 4", len(evs))
-	}
-	for i, e := range evs {
-		if e.Step != 6+i {
-			t.Fatalf("event %d has step %d, want %d (oldest-first order)", i, e.Step, 6+i)
-		}
-	}
-	if sink.Total() != 10 {
-		t.Fatalf("Total = %d, want 10", sink.Total())
-	}
-	// A sink that never wraps returns everything in emit order.
-	roomy := MemorySink{Cap: 16}
-	for i := 0; i < 5; i++ {
-		roomy.Emit(Event{Step: i})
-	}
-	evs = roomy.Events()
-	if len(evs) != 5 || evs[0].Step != 0 || evs[4].Step != 4 {
-		t.Fatalf("unwrapped sink order wrong: %+v", evs)
-	}
+func (s *memSink) Emit(e Event) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.evs = append(s.evs, e)
+	return nil
+}
+
+// Events returns a copy of the events emitted so far, in emit order.
+func (s *memSink) Events() []Event {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]Event(nil), s.evs...)
 }
 
 // failAfterWriter accepts the first n bytes and then fails every write.

@@ -144,7 +144,7 @@ const (
 
 // GridSolver evaluates the rp-integral over whole grids on the
 // deterministic hostpar worker pool, with one persistent TileEvaluator per
-// worker. The target is decomposed into cache-block tiles (TileW x TileH)
+// worker. The target is decomposed into cache-block tiles (32x16 points)
 // walked row-major; worker w owns a contiguous tile range, so every worker
 // sweeps spatially adjacent points whose stencils overlap and whose
 // adaptive radii hit the shared radial memo. Per-point results are
@@ -157,19 +157,15 @@ type GridSolver struct {
 	// Workers bounds the worker count; values <= 0 mean GOMAXPROCS.
 	Workers int
 
-	// TileW, TileH set the cache-block tile shape; values <= 0 take the
-	// package defaults.
-	TileW, TileH int
-
-	// PerPoint forces the row-band per-point dispatch, bypassing tiling
-	// (the A/B reference for the tiled path).
-	PerPoint bool
-
 	// Obs, when non-nil, receives the solver's counters after every
 	// Solve: rp_tile_hits_total / rp_tile_solves_total (scratch reuse),
 	// rp_memo_reuse_total / rp_memo_probe_total (radial memo), the
 	// rp_tile_w / rp_tile_h shape gauges and rp_tile_fallback_total.
 	Obs *obs.Registry
+
+	// tileW, tileH override the cache-block tile shape when > 0; only
+	// this package's tests set them.
+	tileW, tileH int
 
 	evals   []*TileEvaluator
 	results []PointResult
@@ -202,7 +198,7 @@ func (s *GridSolver) Solve(p *Problem, target *grid.Grid, comp int) []PointResul
 	s.results = hostpar.Resize(s.results, target.NX*target.NY)
 	results := s.results
 	w := hostpar.Workers(s.Workers)
-	tw, th := s.TileW, s.TileH
+	tw, th := s.tileW, s.tileH
 	if tw <= 0 {
 		tw = defaultTileW
 	}
@@ -213,7 +209,7 @@ func (s *GridSolver) Solve(p *Problem, target *grid.Grid, comp int) []PointResul
 	// Crossover heuristic: tiling pays when every worker gets at least
 	// one tile; otherwise idle workers would stall the step behind a
 	// too-coarse decomposition and the row-band dispatch balances better.
-	tiled := !s.PerPoint && tg.NumTiles() >= w
+	tiled := tg.NumTiles() >= w
 	if !tiled {
 		if w > target.NY {
 			w = target.NY

@@ -58,7 +58,7 @@ func TestTiledSolveMatchesClosureAllKernels(t *testing.T) {
 			src := h.At(7)
 			for _, workers := range []int{1, 2, 3, 4} {
 				tag := fmt.Sprintf("inner=%d wexp=%g workers=%d", inner, wexp, workers)
-				s := GridSolver{Workers: workers, TileW: 8, TileH: 8}
+				s := GridSolver{Workers: workers, tileW: 8, tileH: 8}
 				target, res := solveGrid(p, src, 16, 16, &s)
 				if st := s.LastStats(); !st.Tiled {
 					t.Fatalf("%s: expected the tiled dispatch (got fallback)", tag)
@@ -82,20 +82,25 @@ func TestTiledSolveMatchesClosureAllKernels(t *testing.T) {
 
 // TestTiledMatchesPerPointAcrossShapes pins tiled vs per-point A/B
 // equality for a spread of tile shapes (including edge-clamping shapes
-// that do not divide the grid) and worker counts.
+// that do not divide the grid) and worker counts. The per-point reference
+// is the crossover fallback: the default 32x16 tile cuts the 24x24 grid
+// into 2 tiles, too few for 4 workers.
 func TestTiledMatchesPerPointAcrossShapes(t *testing.T) {
 	params := testParams()
 	h, _ := buildHistory(8, 32, params)
 	p := NewProblem(h, params)
 	src := h.At(7)
 
-	ref := GridSolver{Workers: 1, PerPoint: true}
+	ref := GridSolver{Workers: 4}
 	refGrid, refRes := solveGrid(p, src, 24, 24, &ref)
+	if ref.LastStats().Tiled {
+		t.Fatal("reference solve took the tiled dispatch, want the per-point fallback")
+	}
 
 	for _, shape := range [][2]int{{4, 4}, {8, 3}, {5, 7}, {24, 1}, {1, 24}, {32, 16}} {
 		for _, workers := range []int{1, 2, 3, 4} {
 			tag := fmt.Sprintf("tile=%dx%d workers=%d", shape[0], shape[1], workers)
-			s := GridSolver{Workers: workers, TileW: shape[0], TileH: shape[1]}
+			s := GridSolver{Workers: workers, tileW: shape[0], tileH: shape[1]}
 			tg, res := solveGrid(p, src, 24, 24, &s)
 			for i := range refGrid.Data {
 				if tg.Data[i] != refGrid.Data[i] {
@@ -136,7 +141,7 @@ func TestGridSolverCrossoverFallback(t *testing.T) {
 
 	// Same grid forced through tiles small enough to feed every worker
 	// must match the fallback bitwise.
-	tiny := GridSolver{Workers: 4, TileW: 2, TileH: 2}
+	tiny := GridSolver{Workers: 4, tileW: 2, tileH: 2}
 	tinyGrid, _ := solveGrid(p, src, 8, 8, &tiny)
 	if st := tiny.LastStats(); !st.Tiled {
 		t.Fatal("2x2 tiles on an 8x8 grid should dispatch tiled")
@@ -163,7 +168,7 @@ func TestGridSolverObsCounters(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	workers := 2
-	s := GridSolver{Workers: workers, TileW: 8, TileH: 8, Obs: reg}
+	s := GridSolver{Workers: workers, tileW: 8, tileH: 8, Obs: reg}
 	target := cloneGeometry(src, 24, 24)
 	s.Solve(p, target, 0)
 
