@@ -174,7 +174,7 @@ func runSummary(args []string) {
 		fatal(err)
 	}
 	events = filterJob(events, *job)
-	fmt.Print(analysis.SummaryTable(analysis.Aggregate(events, nil)))
+	fmt.Print(analysis.SummaryTable(analysis.Aggregate(events)))
 	if t := analysis.RPCacheTable(analysis.RPCache(events)); t != "" {
 		fmt.Print("\n" + t)
 	}
@@ -256,7 +256,7 @@ func runDiff(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	rows := analysis.Diff(oldEvents, newEvents, nil)
+	rows := analysis.Diff(oldEvents, newEvents)
 	fmt.Print(analysis.DiffTable(rows))
 	if *maxRegress != "" {
 		limit, err := parseRegress(*maxRegress)

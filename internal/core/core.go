@@ -55,7 +55,9 @@ type Config struct {
 	WeightExp float64
 	// Inner is the inner Newton-Cotes rule (default Simpson).
 	Inner quadrature.NewtonCotesOrder
-	// Scheme is the deposition/interpolation weighting (default CIC).
+	// Scheme is the deposition/interpolation weighting. The zero value
+	// is grid.NGP and defaults leave it alone, so only a caller that sets
+	// it (the job catalog sets grid.CIC, the paper's scheme) runs another.
 	Scheme grid.Scheme
 	// Shape is the sampled longitudinal bunch profile (default Gaussian).
 	Shape particles.Shape

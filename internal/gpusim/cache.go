@@ -18,9 +18,8 @@ import "math/bits"
 // pre-streaming scan-only lookup, kept with the oracle replay engine in
 // this package's tests.
 type cache struct {
-	lineBytes uintptr
-	sets      int
-	ways      int
+	sets int
+	ways int
 	// tags[set*ways+way] holds the line address + 1 (0 means invalid).
 	tags []uintptr
 	// stamp[set*ways+way] is the LRU timestamp.
@@ -79,14 +78,13 @@ func newCache(totalBytes, lineBytes, ways int) *cache {
 		magic = ^uint64(0) / uint64(sets)
 	}
 	c := &cache{
-		lineBytes: uintptr(lineBytes),
-		sets:      sets,
-		ways:      ways,
-		tags:      make([]uintptr, sets*ways),
-		stamp:     make([]uint64, sets*ways),
-		order:     make([]uint8, sets*ways),
-		setMask:   mask,
-		setMagic:  magic,
+		sets:     sets,
+		ways:     ways,
+		tags:     make([]uintptr, sets*ways),
+		stamp:    make([]uint64, sets*ways),
+		order:    make([]uint8, sets*ways),
+		setMask:  mask,
+		setMagic: magic,
 	}
 	c.syncLRU()
 	return c
@@ -116,9 +114,6 @@ func (c *cache) syncLRU() {
 		}
 	}
 }
-
-// lineOf returns the line address containing addr.
-func (c *cache) lineOf(addr uintptr) uintptr { return addr / c.lineBytes }
 
 // access looks up the line containing addr, fills it on a miss, and
 // reports whether it hit. Fast paths first (see the type comment); then a
@@ -195,6 +190,22 @@ func (c *cache) accessCold(line, tag uintptr) bool {
 	c.stamp[victim] = c.tick
 	c.lastTag, c.lastIdx = tag, victim
 	return false
+}
+
+// touchMRU repeats lookups of lines that each sit at slots[k] as the most
+// recently used way of a set of its own, the last with tag lastTag: the
+// tick, stamp, hit and MRU-hit transitions access performs on such hits,
+// and the last-line state it leaves. The recency order already has every
+// slot at the front of its set, so it does not change.
+func (c *cache) touchMRU(slots []int, lastTag uintptr) {
+	for _, i := range slots {
+		c.tick++
+		c.stamp[i] = c.tick
+	}
+	n := uint64(len(slots))
+	c.hits += n
+	c.mruHits += n
+	c.lastTag, c.lastIdx = lastTag, slots[len(slots)-1]
 }
 
 // reset clears contents and counters (mruHits excepted; it is a replay

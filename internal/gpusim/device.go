@@ -3,6 +3,7 @@ package gpusim
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -134,6 +135,12 @@ type smState struct {
 	// scratch for coalescing (<= WarpSize entries per warp instruction)
 	addrs []uintptr
 	lines []uintptr
+	// l1Slots[k] is the L1 slot (set*ways+way) the k-th unique line of
+	// the last walked load instruction landed in; fpLines is the second
+	// line buffer of a footprint group, which keeps the previous
+	// instruction's lines for the repeat test (see replayFootprint).
+	l1Slots []int
+	fpLines []uintptr
 	// scratch for divergent-kind grouping (<= WarpSize distinct kinds):
 	// members collects the lanes alive at step t, group one kind's subset
 	kinds   []uint16
@@ -157,6 +164,9 @@ type smState struct {
 	warpInsts     uint64
 	sortFallbacks uint64
 	lineHits      uint64
+	// repeats counts footprint instructions resolved by the repeat
+	// shortcut; only this package's tests read it.
+	repeats uint64
 
 	// panicked is the value a kernel body panicked with on this SM during
 	// the current Run (nil if none); Run re-raises it after the join.
@@ -188,6 +198,8 @@ func New(cfg Config) *Device {
 			lanes:    make([]*Lane, cfg.WarpSize*cfg.ResidentWarps),
 			addrs:    make([]uintptr, 0, cfg.WarpSize),
 			lines:    make([]uintptr, 0, cfg.WarpSize),
+			l1Slots:  make([]int, cfg.WarpSize),
+			fpLines:  make([]uintptr, 0, cfg.WarpSize),
 			kinds:    make([]uint16, 0, cfg.WarpSize),
 			members:  make([]*Lane, 0, cfg.WarpSize),
 			group:    make([]*Lane, 0, cfg.WarpSize),
@@ -496,7 +508,7 @@ func (d *Device) replayGroup(sm *smState, members []*Lane, t int) {
 			d.replayFootprintLoads(sm, members, loadSl, t, int(maxLoads))
 		} else {
 			for i := 0; i < int(maxLoads); i++ {
-				n, same, sorted := d.gatherLines(sm, loadSl, i)
+				n, same, sorted := d.gatherLines(sm, loadSl, nil, i)
 				m.LoadReqBytes += 8 * uint64(n)
 				d.walkLines(sm, sm.lines[:n], same, sorted, true)
 			}
@@ -509,7 +521,7 @@ func (d *Device) replayGroup(sm *smState, members []*Lane, t int) {
 			storeSl = append(storeSl, lane.stores[u.stStart:u.stEnd])
 		}
 		for i := 0; i < int(maxStores); i++ {
-			n, same, sorted := d.gatherLines(sm, storeSl, i)
+			n, same, sorted := d.gatherLines(sm, storeSl, nil, i)
 			m.StoreReqBytes += 8 * uint64(n)
 			d.walkLines(sm, sm.lines[:n], same, sorted, false)
 		}
@@ -519,7 +531,8 @@ func (d *Device) replayGroup(sm *smState, members []*Lane, t int) {
 // replayFootprintLoads replays the loads of unit t when some member
 // recorded footprints in it: each load index is first offered to
 // replayFootprint, which issues a whole footprint group at once, and
-// otherwise replays alone exactly as replayGroup does.
+// otherwise replays alone exactly as replayGroup does, with the addresses
+// of footprint slots expanded by loadAt.
 func (d *Device) replayFootprintLoads(sm *smState, members []*Lane, loadSl [][]uintptr, t, maxLoads int) {
 	fpSl := sm.fpSl[:0]
 	for _, lane := range members {
@@ -531,7 +544,7 @@ func (d *Device) replayFootprintLoads(sm *smState, members []*Lane, loadSl [][]u
 			i += 8
 			continue
 		}
-		n, same, sorted := d.gatherLines(sm, loadSl, i)
+		n, same, sorted := d.gatherLines(sm, loadSl, fpSl, i)
 		sm.m.LoadReqBytes += 8 * uint64(n)
 		d.walkLines(sm, sm.lines[:n], same, sorted, true)
 	}
@@ -554,6 +567,17 @@ func (d *Device) replayFootprintLoads(sm *smState, members []*Lane, loadSl [][]u
 // exactly as the per-instruction path would. A group whose addresses
 // would wrap around the address space is declined, since the identity
 // needs a0+o not to overflow.
+//
+// Repeat shortcut: consecutive instructions of a group often touch the
+// same lines (the columns of a footprint row inside one line). When an
+// instruction's sorted unique lines equal the previous instruction's and
+// span fewer lines than L1 has sets, the lines lie in distinct sets (a
+// window of fewer than sets consecutive lines has distinct residues
+// modulo sets), so the previous walk left each one resident as its set's
+// most recently used way, and no other L1 lookup came between. The
+// per-instruction walk would then hit each line on its first probe and
+// touch no L2; touchMRU performs exactly those transitions on the slots
+// the previous walk noted, and the counters advance as walkLines would.
 func (d *Device) replayFootprint(sm *smState, loadSl [][]uintptr, fpSl [][]footprint, i int) bool {
 	lineBytes := uintptr(d.cfg.L1LineBytes)
 	runs := sm.runs[:0]
@@ -565,7 +589,7 @@ func (d *Device) replayFootprint(sm *smState, loadSl [][]uintptr, fpSl [][]footp
 			continue
 		}
 		fs := fpSl[k]
-		for len(fs) > 0 && int(fs[0].start) < i {
+		for len(fs) > 0 && int(fs[0].start)+9 <= i {
 			fs = fs[1:]
 		}
 		fpSl[k] = fs
@@ -614,8 +638,11 @@ func (d *Device) replayFootprint(sm *smState, loadSl [][]uintptr, fpSl [][]footp
 		sm.sortFallbacks++
 	}
 	m := &sm.m
+	l1 := sm.l1
+	buf, spare := sm.lines[:0], sm.fpLines[:0]
+	var prev []uintptr
 	for _, o := range offs {
-		uniq := sm.lines[:0]
+		uniq := buf[:0]
 		for _, rn := range runs {
 			lo := rn.line + d.lineOf(rn.lo+o)
 			hi := rn.line + d.lineOf(rn.hi+o)
@@ -627,7 +654,20 @@ func (d *Device) replayFootprint(sm *smState, loadSl [][]uintptr, fpSl [][]footp
 			}
 		}
 		m.LoadReqBytes += 8 * uint64(active)
-		d.walkLines(sm, uniq, len(uniq) == 1, true, true)
+		if n := len(uniq); n > 0 && uniq[n-1]-uniq[0] < uintptr(l1.sets) && slices.Equal(uniq, prev) {
+			l1.touchMRU(sm.l1Slots[:n], uniq[n-1]+1)
+			m.L1TransferBytes += uint64(n) * uint64(d.cfg.L1LineBytes)
+			m.L1Accesses += uint64(n)
+			m.L1Hits += uint64(n)
+			if n == 1 {
+				sm.lineHits++
+			}
+			sm.repeats++
+		} else {
+			d.walkLines(sm, uniq, len(uniq) == 1, true, true)
+		}
+		prev = uniq
+		buf, spare = spare, buf
 	}
 	return true
 }
@@ -642,18 +682,25 @@ func (d *Device) lineOf(a uintptr) uintptr {
 
 // gatherLines collects the i-th address of every window into the line
 // scratch, converted to L1 lines, noting whether all lines coincide and
-// whether they arrived non-decreasing. Returns the number gathered.
-func (d *Device) gatherLines(sm *smState, windows [][]uintptr, i int) (n int, same, sorted bool) {
+// whether they arrived non-decreasing. Returns the number gathered. fps,
+// when non-nil, holds each window's footprints not yet passed: addresses
+// then come from loadAt, which expands footprint slots and advances fps.
+func (d *Device) gatherLines(sm *smState, windows [][]uintptr, fps [][]footprint, i int) (n int, same, sorted bool) {
 	lineBytes := uintptr(d.cfg.L1LineBytes)
 	shift := d.lineShift
 	lines := sm.lines[:0]
 	var first, prev uintptr
 	same, sorted = true, true
-	for _, sl := range windows {
+	for k, sl := range windows {
 		if i >= len(sl) {
 			continue
 		}
-		a := sl[i]
+		var a uintptr
+		if fps != nil {
+			a, fps[k] = loadAt(sl, fps[k], i)
+		} else {
+			a = sl[i]
+		}
 		var ln uintptr
 		if shift >= 0 {
 			ln = a >> uint(shift)
@@ -712,9 +759,11 @@ func (d *Device) walkLines(sm *smState, lines []uintptr, same, sorted, isLoad bo
 	m := &sm.m
 	if isLoad {
 		m.L1TransferBytes += uint64(len(uniq)) * uint64(d.cfg.L1LineBytes)
-		for _, ln := range uniq {
+		for k, ln := range uniq {
 			m.L1Accesses++
-			if sm.l1.access(ln) {
+			hit := sm.l1.access(ln)
+			sm.l1Slots[k] = sm.l1.lastIdx
+			if hit {
 				m.L1Hits++
 				continue
 			}

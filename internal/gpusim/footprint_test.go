@@ -108,6 +108,29 @@ var fpShapes = []struct {
 			l.Store(uintptr(th * 8))
 		}
 	}},
+	{"repeat-lines", func(fp recordFootprint) Kernel {
+		// Row-contiguous bases a few doubles into a line: a footprint
+		// row's three column instructions share lines, and a later column
+		// straddles into the next line, so the repeat shortcut fires on
+		// some instructions of a row and the walk serves the rest.
+		return func(l *Lane, b, th int) {
+			l.Begin(0)
+			for s := 0; s < 2; s++ {
+				fp(l, uintptr(b*4096+32+th*8+s*256), 8, 640)
+			}
+		}
+	}},
+	{"set-span", func(fp recordFootprint) Kernel {
+		// Lanes 512 bytes apart: with 64-byte lines every lane's line
+		// falls in the same L1 set, and the warp's lines span more lines
+		// than L1 has sets. Each column repeats the previous column's
+		// lines, yet they evict each other, so the shortcut must decline.
+		return func(l *Lane, b, th int) {
+			l.Begin(0)
+			fp(l, uintptr(b*65536+th*512), 8, 128)
+			fp(l, uintptr(b*65536+th*512+16), 8, 128)
+		}
+	}},
 	{"wrap", func(fp recordFootprint) Kernel {
 		// Addresses near the top of the address space wrap for some
 		// offsets: the group is declined and each load replays alone.
@@ -126,12 +149,54 @@ func fpConfig(warp, sms, resident, l1Line int) Config {
 	return cfg
 }
 
+// cacheState renders a cache's contents and counters: tags, LRU stamps,
+// tick and hit/miss counts, plus, with lookup set, the streaming lookup's
+// recency order, last-line state and MRU-hit count (which the oracle's
+// scan-only lookup does not maintain).
+func cacheState(c *cache, lookup bool) string {
+	s := fmt.Sprint(c.tags, c.stamp, c.tick, c.hits, c.misses)
+	if lookup {
+		s += fmt.Sprint(c.order, c.lastTag, c.lastIdx, c.mruHits)
+	}
+	return s
+}
+
+// sameCaches fails unless every SM's L1 and L2 of a and b are in the same
+// state, as cacheState renders it.
+func sameCaches(t *testing.T, tag string, a, b *Device, lookup bool) {
+	t.Helper()
+	for i := range a.sms {
+		for _, c := range []struct {
+			name   string
+			ca, cb *cache
+		}{{"L1", a.sms[i].l1, b.sms[i].l1}, {"L2", a.sms[i].l2, b.sms[i].l2}} {
+			if sa, sb := cacheState(c.ca, lookup), cacheState(c.cb, lookup); sa != sb {
+				t.Fatalf("%s: SM %d %s state differs\n%s\n%s", tag, i, c.name, sa, sb)
+			}
+		}
+	}
+}
+
+// repeats sums the footprint instructions the repeat shortcut resolved.
+func repeats(d *Device) uint64 {
+	var n uint64
+	for _, sm := range d.sms {
+		n += sm.repeats
+	}
+	return n
+}
+
 // TestFootprintABMatrix is Load3x3's contract with the simulated GPU: for
 // every footprint shape, warp size, resident window, SM count, partial
 // warp and L1 line size (96 bytes is not a power of two), a trace recorded
 // with Load3x3 and replayed by the streaming engine gives ==-equal Metrics
 // to the same trace recorded as nine single loads, under both the
 // streaming engine and the oracle, launch after launch on warm devices.
+// After every launch the caches must be in the same state too: the
+// Load3x3 device's L1 and L2 (tags, stamps, recency order, last-line
+// state) equal the single-load device's, and their tags and stamps equal
+// the oracle's; so must the replay statistics the footprint path does not
+// change by design (everything but SortFallbacks).
 func TestFootprintABMatrix(t *testing.T) {
 	for _, ws := range []int{4, 32} {
 		for _, res := range []int{1, 8} {
@@ -156,6 +221,13 @@ func TestFootprintABMatrix(t *testing.T) {
 								}
 								if mf != mo {
 									t.Fatalf("%s: streaming diverges from oracle\nstreaming: %+v\noracle:    %+v", sh.name, mf, mo)
+								}
+								sameCaches(t, sh.name+" Load3x3 vs Load", fpStream, loadStream, true)
+								sameCaches(t, sh.name+" Load3x3 vs oracle", fpStream, fpOracle, false)
+								sf, sl := fpStream.ReplayStats(), loadStream.ReplayStats()
+								sf.SortFallbacks, sl.SortFallbacks = 0, 0
+								if sf != sl {
+									t.Fatalf("%s: replay statistics diverge\nLoad3x3: %+v\nLoad:    %+v", sh.name, sf, sl)
 								}
 							}
 						})
@@ -194,10 +266,16 @@ func TestFootprintGroupSortsOnce(t *testing.T) {
 	}
 }
 
-// TestLoad3x3RecordsNineLoads pins the recorded addresses: Load3x3 appends
-// exactly what nine Load calls would, row by row.
+// TestLoad3x3RecordsNineLoads pins the recorded addresses: read through
+// loadAt, Load3x3 records exactly what nine Load calls would, row by row,
+// in nine load slots of which it writes none.
 func TestLoad3x3RecordsNineLoads(t *testing.T) {
+	const stale = 0xdead
 	var a, b Lane
+	a.reset(0, 0)
+	for i := 0; i < 16; i++ {
+		a.Load(stale)
+	}
 	a.reset(0, 0)
 	b.reset(0, 0)
 	a.Begin(0)
@@ -206,11 +284,67 @@ func TestLoad3x3RecordsNineLoads(t *testing.T) {
 	b.Load(3)
 	a.Load3x3(1000, 8, 200)
 	viaLoads(&b, 1000, 8, 200)
-	if fmt.Sprint(a.loads) != fmt.Sprint(b.loads) {
-		t.Fatalf("Load3x3 recorded %v, nine loads %v", a.loads, b.loads)
+	a.Load3x3(5000, 16, 64)
+	a.Load(7)
+	viaLoads(&b, 5000, 16, 64)
+	b.Load(7)
+	a.closeUnit()
+	if len(a.loads) != len(b.loads) {
+		t.Fatalf("Load3x3 recorded %d load slots, single loads %d", len(a.loads), len(b.loads))
 	}
-	if len(a.fps) != 1 || a.fps[0].start != 1 {
-		t.Fatalf("footprint index %+v, want one entry starting at load 1", a.fps)
+	for i := 1; i < 10; i++ {
+		if a.loads[i] != stale {
+			t.Fatalf("Load3x3 wrote load slot %d (%d)", i, a.loads[i])
+		}
+	}
+	var got []uintptr
+	fs := a.fps
+	for i := range a.loads {
+		var addr uintptr
+		addr, fs = loadAt(a.loads, fs, i)
+		got = append(got, addr)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(b.loads) {
+		t.Fatalf("Load3x3 expands to %v, nine loads %v", got, b.loads)
+	}
+	if len(a.fps) != 2 || a.fps[0].start != 1 || a.fps[1].start != 10 {
+		t.Fatalf("footprint index %+v, want entries starting at loads 1 and 10", a.fps)
+	}
+}
+
+// TestFootprintRepeatShortcut shows the repeat shortcut fires where it
+// should and only there. One warp of four lanes, 8 bytes apart, records
+// one footprint whose rows lie 512 bytes apart: each row's three column
+// instructions read one 64-byte line, so the second and third column of
+// every row repeat the first (6 of the 9 instructions). The set-span
+// shape's lines repeat too but span more lines than L1 has sets, so it
+// must never fire there. TestFootprintABMatrix proves the resolved
+// instructions leave the same Metrics, caches and statistics.
+func TestFootprintRepeatShortcut(t *testing.T) {
+	cfg := abConfig(4, 1, 1)
+	run := func(k Kernel) uint64 {
+		d := New(cfg)
+		d.Run(Launch{Name: "repeat", Blocks: 2, ThreadsPerBlock: cfg.WarpSize, Kernel: k})
+		return repeats(d)
+	}
+	row := func(l *Lane, b, th int) {
+		l.Begin(0)
+		l.Load3x3(uintptr(b*4096+th*8), 8, 512)
+	}
+	if got := run(row); got != 2*6 {
+		t.Fatalf("shortcut resolved %d instructions, want 6 per footprint group (12)", got)
+	}
+	for _, sh := range fpShapes {
+		switch sh.name {
+		case "aligned":
+			if got := run(sh.k((*Lane).Load3x3)); got == 0 {
+				t.Fatal("aligned: the shortcut never fired")
+			}
+		case "set-span":
+			if got := run(sh.k((*Lane).Load3x3)); got != 0 {
+				t.Fatalf("set-span: the shortcut fired %d times on lines spanning every set", got)
+			}
+		}
 	}
 }
 

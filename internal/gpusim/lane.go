@@ -1,5 +1,7 @@
 package gpusim
 
+import "slices"
+
 // Lane is the per-thread trace recorder handed to kernel functions. A
 // kernel expresses its execution as a sequence of work units — the
 // granularity at which SIMT lockstep is modelled. Within a warp, the i-th
@@ -19,10 +21,11 @@ type Lane struct {
 	units  []unit
 	loads  []uintptr
 	stores []uintptr
-	// fps indexes the loads recorded by Load3x3, one entry per footprint.
-	// The expanded addresses stay in loads, so everything that reads them
-	// (the per-instruction replay, and the oracle replay in this package's
-	// tests) is unaffected.
+	// fps holds the loads recorded by Load3x3, one entry per footprint.
+	// Each footprint also reserves its nine slots of loads, so load
+	// indices stay aligned with the nine Load calls it stands for, but
+	// leaves them unwritten: a footprint slot's address comes only from
+	// loadAt.
 	fps []footprint
 }
 
@@ -42,6 +45,24 @@ type unit struct {
 type footprint struct {
 	start        uint32
 	a0, col, row uintptr
+}
+
+// loadAt returns load i of a unit's load window sl, whose footprints not
+// yet passed are fs: the recorded address of a single Load, or the
+// expansion of the footprint covering slot i (slot o of a footprint is
+// row o/3, column o%3). It is the only reader of a footprint's slots. fs
+// is returned advanced past the footprints that end at or before i, so a
+// caller walking i upwards pays for each footprint once.
+func loadAt(sl []uintptr, fs []footprint, i int) (uintptr, []footprint) {
+	for len(fs) > 0 && int(fs[0].start)+9 <= i {
+		fs = fs[1:]
+	}
+	if len(fs) > 0 && int(fs[0].start) <= i {
+		f := &fs[0]
+		o := uintptr(i - int(f.start))
+		return f.a0 + o/3*f.row + o%3*f.col, fs
+	}
+	return sl[i], fs
 }
 
 // Begin opens a new work unit of the given kind, closing the previous one.
@@ -97,17 +118,18 @@ func (l *Lane) Load(addr uintptr) {
 // Load3x3 records the nine 8-byte reads of a 3x3 stencil footprint:
 // exactly the addresses, in exactly the order, of the nine calls
 // Load(a0 + r*row + c*col) with r the outer and c the inner loop over
-// 0..2. The streaming replay can then issue the footprint's nine warp
-// memory instructions together (see replayFootprint); every other reader
-// of the trace sees nine ordinary loads.
+// 0..2. It stores one footprint entry and reserves the nine load slots
+// without writing them; loadAt expands a slot on demand. The streaming
+// replay issues the footprint's nine warp memory instructions together
+// (see replayFootprint) and reads only the entry.
 func (l *Lane) Load3x3(a0, col, row uintptr) {
 	l.ensure()
-	start := uint32(len(l.loads)) - l.units[len(l.units)-1].loadStart
-	r1, r2 := a0+row, a0+2*row
-	l.loads = append(l.loads,
-		a0, a0+col, a0+2*col,
-		r1, r1+col, r1+2*col,
-		r2, r2+col, r2+2*col)
+	n := len(l.loads)
+	start := uint32(n) - l.units[len(l.units)-1].loadStart
+	if cap(l.loads)-n < 9 {
+		l.loads = slices.Grow(l.loads, 9)
+	}
+	l.loads = l.loads[:n+9]
 	l.fps = append(l.fps, footprint{start: start, a0: a0, col: col, row: row})
 }
 

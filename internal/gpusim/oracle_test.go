@@ -16,6 +16,9 @@ import (
 // configuration, and BenchmarkReplayFloor holds the streaming engine's
 // speedup against it. Above this package, the committed identity digests
 // of the kernels and fleet packages pin outputs the oracle reproduces.
+// The oracle reads every load from Lane.loads; Load3x3 only reserves its
+// slots there, so runOracle fills them (expandFootprints) as each lane's
+// trace completes, before anything replays it.
 
 // runOracle is Device.Run with the oracle engine: it fans the SMs out on
 // goroutines as Run does, replays each SM's blocks with runBlockOracle,
@@ -25,6 +28,11 @@ import (
 func runOracle(d *Device, l Launch) Metrics {
 	if l.ColdCaches {
 		d.ResetCaches()
+	}
+	kernel := l.Kernel
+	l.Kernel = func(lane *Lane, block, thread int) {
+		kernel(lane, block, thread)
+		expandFootprints(lane)
 	}
 	statsBefore := d.ReplayStats()
 	var wg sync.WaitGroup
@@ -40,6 +48,21 @@ func runOracle(d *Device, l Launch) Metrics {
 	}
 	wg.Wait()
 	return d.aggregate(l.Name, statsBefore)
+}
+
+// expandFootprints writes the nine addresses of each of a traced lane's
+// footprints into the load slots Load3x3 reserved for them, so that the
+// lane's loads read as the nine single Load calls each footprint stands
+// for.
+func expandFootprints(lane *Lane) {
+	lane.closeUnit()
+	for _, u := range lane.units {
+		sl := lane.loads[u.loadStart:u.loadEnd]
+		fs := lane.fps[u.fpStart:u.fpEnd]
+		for i := range sl {
+			sl[i], fs = loadAt(sl, fs, i)
+		}
+	}
 }
 
 // runBlockOracle traces and replays one thread block on an SM. Warps are

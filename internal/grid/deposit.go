@@ -54,7 +54,11 @@ func (s Scheme) support() int {
 func (s Scheme) weights1D(f float64, w []float64) int {
 	switch s {
 	case NGP:
-		i := int(f + 0.5)
+		t := f + 0.5
+		i := int(t)
+		if t < 0 {
+			i-- // floor, as CIC does: int truncates toward zero
+		}
 		w[0] = 1
 		return i
 	case CIC:
@@ -67,7 +71,11 @@ func (s Scheme) weights1D(f float64, w []float64) int {
 		w[1] = d
 		return i
 	case TSC:
-		i := int(f + 0.5)
+		t := f + 0.5
+		i := int(t)
+		if t < 0 {
+			i--
+		}
 		d := f - float64(i)
 		w[0] = 0.5 * (0.5 - d) * (0.5 - d)
 		w[1] = 0.75 - d*d

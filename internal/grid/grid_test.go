@@ -131,6 +131,42 @@ func TestInterpReproducesDeposit(t *testing.T) {
 	}
 }
 
+// TestOutsideEdgesMirror places a particle 0.3, 0.7 and 1.2 cells outside
+// each edge of each axis, for every scheme: a particle outside the low
+// edge must be dropped exactly when its mirror outside the high edge is,
+// and Interp of a field of ones must be 0 at both or at neither.
+func TestOutsideEdgesMirror(t *testing.T) {
+	const n = 8
+	g := New(n, n, MomentComponents, 0, 0, 1, 1)
+	ones := New(n, n, 1, 0, 0, 1, 1)
+	for i := range ones.Data {
+		ones.Data[i] = 1
+	}
+	mid := float64(n-1) / 2
+	for _, s := range []Scheme{NGP, CIC, TSC} {
+		for axis := 0; axis < 2; axis++ {
+			for _, d := range []float64{0.3, 0.7, 1.2} {
+				probe := func(c float64) (dropped bool, interp float64) {
+					x, y := c, mid
+					if axis == 1 {
+						x, y = mid, c
+					}
+					e := &particles.Ensemble{P: []particles.Particle{{X: x, Y: y, Charge: 1}}}
+					return Deposit(g, e, s) == 1, Interp(ones, x, y, 0, s)
+				}
+				lowDrop, lowV := probe(-d)
+				highDrop, highV := probe(float64(n-1) + d)
+				if lowDrop != highDrop {
+					t.Errorf("%v axis %d, %.1f cells out: low edge dropped=%v, high edge dropped=%v", s, axis, d, lowDrop, highDrop)
+				}
+				if (lowV == 0) != (highV == 0) {
+					t.Errorf("%v axis %d, %.1f cells out: Interp %g at the low edge, %g at the high edge", s, axis, d, lowV, highV)
+				}
+			}
+		}
+	}
+}
+
 func TestInterpLinearFieldExactUnderCIC(t *testing.T) {
 	// CIC (bilinear) interpolation reproduces linear fields exactly.
 	g := New(8, 8, 1, 0, 0, 1, 1)

@@ -10,13 +10,6 @@ import (
 	"beamdyn/internal/obs"
 )
 
-// DefaultDurationBounds are the span-duration histogram bounds the
-// aggregator uses for quantile estimation: factor-1.5 exponential from
-// 1us to ~270s, fine enough that a within-bucket linear interpolation
-// (obs.HistogramSnapshot.Quantile) stays within ~25% of the exact value
-// while keeping aggregates mergeable across runs with the same bounds.
-var DefaultDurationBounds = obs.ExpBuckets(1e-6, 1.5, 48)
-
 // SpanStats aggregates every span of one name.
 type SpanStats struct {
 	Name     string
@@ -24,9 +17,8 @@ type SpanStats struct {
 	TotalSec float64
 	MinSec   float64
 	MaxSec   float64
-	// Hist is the duration histogram over the aggregation bounds; the
-	// quantile accessors interpolate inside it.
-	Hist obs.HistogramSnapshot
+	// durs holds every span duration, sorted, for exact quantiles.
+	durs []float64
 }
 
 // Mean returns the mean span duration.
@@ -37,19 +29,24 @@ func (s SpanStats) Mean() float64 {
 	return s.TotalSec / float64(s.Count)
 }
 
-// Quantile estimates the q-quantile span duration via the histogram.
-func (s SpanStats) Quantile(q float64) float64 { return s.Hist.Quantile(q) }
+// Quantile returns the exact nearest-rank q-quantile span duration: the
+// smallest duration with at least a fraction q of all spans at or below
+// it, the definition the end-to-end benchmark uses for its percentiles.
+// It is always an observed duration (0 for no spans).
+func (s SpanStats) Quantile(q float64) float64 {
+	n := len(s.durs)
+	if n == 0 {
+		return 0
+	}
+	rank := min(max(int(math.Ceil(q*float64(n))), 1), n)
+	return s.durs[rank-1]
+}
 
 // Aggregate groups span events by name, accumulating count, total, min,
-// max and a duration histogram over bounds (nil means
-// DefaultDurationBounds). Results are sorted by name. Point events
+// max and the sorted durations. Results are sorted by name. Point events
 // (kind "event") carry no duration and are ignored.
-func Aggregate(events []obs.Event, bounds []float64) []SpanStats {
-	if bounds == nil {
-		bounds = DefaultDurationBounds
-	}
+func Aggregate(events []obs.Event) []SpanStats {
 	byName := make(map[string]*SpanStats)
-	durs := make(map[string][]float64)
 	for _, e := range events {
 		if e.Kind != "span" {
 			continue
@@ -63,40 +60,15 @@ func Aggregate(events []obs.Event, bounds []float64) []SpanStats {
 		st.TotalSec += e.Dur
 		st.MinSec = math.Min(st.MinSec, e.Dur)
 		st.MaxSec = math.Max(st.MaxSec, e.Dur)
-		durs[e.Name] = append(durs[e.Name], e.Dur)
+		st.durs = append(st.durs, e.Dur)
 	}
 	out := make([]SpanStats, 0, len(byName))
-	for name, st := range byName {
-		st.Hist = histogramOf(name, durs[name], bounds)
+	for _, st := range byName {
+		slices.Sort(st.durs)
 		out = append(out, *st)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// histogramOf builds a HistogramSnapshot over bounds from raw values,
-// using the registry's bucketing convention (count at index i is
-// observations <= bounds[i], plus an overflow bucket) and recording their
-// range.
-func histogramOf(name string, vals []float64, bounds []float64) obs.HistogramSnapshot {
-	h := obs.HistogramSnapshot{Name: name, Count: uint64(len(vals))}
-	if len(vals) > 0 {
-		h.Min, h.Max = slices.Min(vals), slices.Max(vals)
-	}
-	counts := make([]uint64, len(bounds)+1)
-	for _, v := range vals {
-		i := sort.SearchFloat64s(bounds, v)
-		counts[i]++
-		h.Sum += v
-	}
-	for i, c := range counts {
-		ub := math.Inf(1)
-		if i < len(bounds) {
-			ub = bounds[i]
-		}
-		h.Buckets = append(h.Buckets, obs.BucketSnapshot{UpperBound: ub, Count: c})
-	}
-	return h
 }
 
 // SummaryTable renders the aggregate as an aligned table (durations in

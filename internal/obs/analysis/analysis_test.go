@@ -57,13 +57,13 @@ func TestReadTraceRejectsCorruptLine(t *testing.T) {
 
 func TestAggregateStats(t *testing.T) {
 	var events []obs.Event
-	// 100 spans of 1..100ms: mean 50.5ms, p50 ~50ms, p99 ~99ms.
+	// 100 spans of 1..100ms: mean 50.5ms, p50 50ms, p99 99ms.
 	for i := 1; i <= 100; i++ {
 		events = append(events, span("predictive/predict", i, float64(i)*1e-3))
 	}
 	events = append(events, span("predictive/train", 1, 0.2))
 	events = append(events, obs.Event{Name: "predictor", Kind: "event", Step: 1}) // ignored
-	stats := Aggregate(events, nil)
+	stats := Aggregate(events)
 	if len(stats) != 2 {
 		t.Fatalf("stats = %d series, want 2", len(stats))
 	}
@@ -81,11 +81,10 @@ func TestAggregateStats(t *testing.T) {
 	if p.MinSec != 1e-3 || p.MaxSec != 0.1 {
 		t.Fatalf("min/max = %g/%g", p.MinSec, p.MaxSec)
 	}
-	// Histogram-estimated quantiles: within a factor-1.5 bucket of exact.
-	for _, tc := range []struct{ q, exact float64 }{{0.5, 0.050}, {0.95, 0.095}, {0.99, 0.099}} {
-		got := p.Quantile(tc.q)
-		if got < tc.exact/1.5 || got > tc.exact*1.5 {
-			t.Errorf("Quantile(%g) = %g, exact %g: outside one bucket factor", tc.q, got, tc.exact)
+	// Exact nearest-rank quantiles: the observed durations themselves.
+	for _, tc := range []struct{ q, exact float64 }{{0.5, 0.050}, {0.95, 0.095}, {0.99, 0.099}, {1, 0.1}} {
+		if got := p.Quantile(tc.q); got != tc.exact {
+			t.Errorf("Quantile(%g) = %g, want exactly %g", tc.q, got, tc.exact)
 		}
 	}
 	out := SummaryTable(stats)
@@ -210,7 +209,7 @@ func TestDiffFindsRegressions(t *testing.T) {
 		oldE = append(oldE, span("old/only", i, 0.002))
 		newE = append(newE, span("new/only", i, 0.002))
 	}
-	rows := Diff(oldE, newE, nil)
+	rows := Diff(oldE, newE)
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(rows))
 	}

@@ -79,7 +79,7 @@ func (pm Postmortem) Report() string {
 	if len(pm.Trace) > 0 {
 		fmt.Fprintf(&b, "\nflight trace (steps %d..%d):\n",
 			pm.Trace[0].Step, pm.Trace[len(pm.Trace)-1].Step)
-		b.WriteString(SummaryTable(Aggregate(pm.Trace, nil)))
+		b.WriteString(SummaryTable(Aggregate(pm.Trace)))
 	}
 	return b.String()
 }

@@ -30,9 +30,10 @@ type plane struct {
 
 // subEval is the per-subregion state of an Evaluator: problem-lifetime
 // plane and support geometry (set by Reset), point-lifetime window
-// geometry (set by Bind), and a window-lifetime cos/sin table keyed on the
-// exact window bounds — full-circle windows are radius-independent, so
-// near the bunch every radius of a subregion reuses one table.
+// geometry (computed by bound on the subregion's first use after a Bind),
+// and a window-lifetime cos/sin table keyed on the exact window bounds —
+// full-circle windows are radius-independent, so near the bunch every
+// radius of a subregion reuses one table.
 type subEval struct {
 	// Problem-lifetime (Reset).
 	ok         bool // middle grid resident
@@ -42,7 +43,8 @@ type subEval struct {
 	empty      bool
 	cx, cy     float64 // support-box centre
 	halfDiag   float64
-	// Point-lifetime (Bind).
+	// Point-lifetime (bound): valid while bindGen is the evaluator's.
+	bindGen     uint64
 	dmin, dmax  float64
 	center      float64
 	centerValid bool // center computed for the bound point (lazy Atan2)
@@ -78,6 +80,9 @@ type Evaluator struct {
 
 	x, y float64
 	lane *gpusim.Lane
+	// bindGen counts Binds; a subregion whose stamp differs computes its
+	// point-lifetime geometry on first use (bound).
+	bindGen uint64
 
 	// f is Eval bound once at construction; handing out a fresh method
 	// value per point would allocate a closure per call.
@@ -297,35 +302,43 @@ func makePlane(h *grid.History, g *grid.Grid, step, comp int) plane {
 	return pl
 }
 
-// Bind points the evaluator at (x, y), computing each subregion's
-// theta-window geometry once — the closure path recomputes it on every
-// radius the quadrature probes. lane, when non-nil, receives the same
+// Bind points the evaluator at (x, y). Each subregion's theta-window
+// geometry is computed once per point, on the subregion's first use
+// (bound) — the closure path recomputes it on every radius the
+// quadrature probes, and a refine lane that integrates one subregion
+// pays for that one only. lane, when non-nil, receives the same
 // load/flop trace the closure path records.
 func (e *Evaluator) Bind(x, y float64, lane *gpusim.Lane) {
 	e.x, e.y = x, y
 	e.lane = lane
 	e.cacheGen++ // lazily invalidate the memoized radii of the old point
-	for j := range e.sub {
-		s := &e.sub[j]
-		s.cacheValid = false
-		if s.empty {
-			continue
-		}
-		b := e.p.support[j]
-		s.dmin, s.dmax = boxDistRange(x, y, b)
-		d := math.Hypot(s.cx-x, s.cy-y)
-		s.fullAlways = d <= s.halfDiag
-		// center is computed lazily on the first narrow-cone window —
-		// subregions the quadrature never probes (or that always see the
-		// full circle) skip the Atan2 entirely.
-		s.centerValid = false
-	}
+	e.bindGen++  // lazily invalidate every subregion's window geometry
 }
 
-// window is ThetaWindow for the bound point, served from the geometry Bind
-// cached; same branches, same arithmetic, same results.
-func (e *Evaluator) window(j int, r float64) (t0, t1 float64, ok bool) {
+// bound returns subregion j with its point-lifetime geometry computed
+// for the bound point: the annulus range [dmin, dmax] and fullAlways,
+// with the lazily built centre and the trig cache marked stale.
+func (e *Evaluator) bound(j int) *subEval {
 	s := &e.sub[j]
+	if s.bindGen == e.bindGen {
+		return s
+	}
+	s.bindGen = e.bindGen
+	s.cacheValid = false
+	// center is computed lazily on the first narrow-cone window —
+	// subregions that always see the full circle skip the Atan2.
+	s.centerValid = false
+	if !s.empty {
+		s.dmin, s.dmax = boxDistRange(e.x, e.y, e.p.support[j])
+		s.fullAlways = math.Hypot(s.cx-e.x, s.cy-e.y) <= s.halfDiag
+	}
+	return s
+}
+
+// window is ThetaWindow for the bound point, served from the geometry
+// bound caches; same branches, same arithmetic, same results.
+func (e *Evaluator) window(j int, r float64) (t0, t1 float64, ok bool) {
+	s := e.bound(j)
 	if s.empty || r < s.dmin || r > s.dmax {
 		return 0, 0, false
 	}
@@ -368,20 +381,23 @@ func (e *Evaluator) Eval(r float64) float64 {
 
 // eval computes the integrand with no per-point memoization; the
 // radius-only factors (subregion index, radial weight, cone half-angle)
-// are served from the cross-point radial memo.
+// are served from the cross-point radial memo. A bound lane is charged
+// once per evaluation: 8 flops for the window test and, when the window
+// is open, the stencil flops inner reports and 2 per angular weight —
+// the closure path's total (the replay reads only a unit's flop sum).
 func (e *Evaluator) eval(r float64) float64 {
 	ent := e.radial(r)
 	j := int(ent.j)
 	t0, t1, ok := e.windowMemo(j, r, ent)
-	if e.lane != nil {
-		e.lane.Flops(8) // window test
-	}
 	if !ok {
+		if e.lane != nil {
+			e.lane.Flops(8) // window test
+		}
 		return 0
 	}
-	inner := e.inner(&e.sub[j], r, t0, t1)
+	inner, flops := e.inner(&e.sub[j], r, t0, t1)
 	if e.lane != nil {
-		e.lane.Flops(2 * len(e.weights))
+		e.lane.Flops(8 + flops + 2*len(e.weights))
 	}
 	return ent.weight * inner
 }
@@ -417,7 +433,7 @@ func (e *Evaluator) MemoStats(reset bool) (hits, misses uint64) {
 // served from the radial memo while subregion j's support box generation
 // is unchanged. Same branches, same arithmetic, same results as window.
 func (e *Evaluator) windowMemo(j int, r float64, ent *radialEntry) (t0, t1 float64, ok bool) {
-	s := &e.sub[j]
+	s := e.bound(j)
 	if s.empty || r < s.dmin || r > s.dmax {
 		return 0, 0, false
 	}
@@ -445,12 +461,14 @@ func (e *Evaluator) windowMemo(j int, r float64, ent *radialEntry) (t0, t1 float
 // inner is the Newton-Cotes angular integral with the 27-point stencil
 // inlined: temporal interpolation weights hoisted per radius (the closure
 // path rederives them per angular sample) and samples read straight from
-// the hoisted planes.
-func (e *Evaluator) inner(s *subEval, r, t0, t1 float64) float64 {
+// the hoisted planes. With a lane bound it also returns the flops the
+// closure path charges for the samples: 14 per angular sample and 30 per
+// plane stencil recorded.
+func (e *Evaluator) inner(s *subEval, r, t0, t1 float64) (float64, int) {
 	if !s.ok {
 		// No resident middle grid: every sample is zero and the closure
 		// path records no loads or sample flops, so the sum is exactly 0.
-		return 0
+		return 0, 0
 	}
 	p := e.p
 	// Retarded time fraction within [iΔt, (i+1)Δt]; quadratic Lagrange
@@ -477,15 +495,16 @@ func (e *Evaluator) inner(s *subEval, r, t0, t1 float64) float64 {
 		}
 		s.cacheT0, s.cacheT1, s.cacheValid = t0, t1, true
 	}
-	// The stencil loop is unrolled and the three temporal planes are
-	// gathered in one call so the x-side weights stay in registers
-	// (sampleRow3Fast). A lane records each in-range plane sample as one
-	// Load3x3 footprint after the arithmetic: the same nine addresses, in
-	// the same order, that the closure path loads one by one.
+	// The stencil loop is unrolled, and each plane's sample records
+	// itself (rowFast): with a lane bound, an in-range sample is one
+	// Load3x3 footprint, the same nine addresses in the same order that
+	// the closure path loads one by one, and the planes record in the
+	// order they are summed (pm, p0, pp).
 	var sum float64
 	x, y := e.x, e.y
 	weights := e.weights
 	lane := e.lane
+	flops := 0
 	for i := 0; i < n; i++ {
 		sx := x + r*cosTab[i]
 		sy := y + r*sinTab[i]
@@ -496,74 +515,56 @@ func (e *Evaluator) inner(s *subEval, r, t0, t1 float64) float64 {
 			// compute itself. An x rejection zeroes all three samples
 			// exactly as three early returns would.
 			fx := (sx - s.p0.x0) / s.p0.dx
-			ix := int(math.Round(fx))
+			ix := roundInt(fx)
 			if ix >= 1 && ix <= s.p0.nx-2 {
 				dx := fx - float64(ix)
-				v = sampleRow3Fast(s, ix,
-					0.5*(0.5-dx)*(0.5-dx), 0.75-dx*dx, 0.5*(0.5+dx)*(0.5+dx),
-					sy, wm, w0, wp)
-				if lane != nil {
-					rowFootprint(lane, &s.pm, ix, sy)
-					rowFootprint(lane, &s.p0, ix, sy)
-					rowFootprint(lane, &s.pp, ix, sy)
-				}
+				wx0, wx1, wx2 := 0.5*(0.5-dx)*(0.5-dx), 0.75-dx*dx, 0.5*(0.5+dx)*(0.5+dx)
+				vm, fm := rowFast(&s.pm, ix, wx0, wx1, wx2, sy, lane)
+				v0, f0 := rowFast(&s.p0, ix, wx0, wx1, wx2, sy, lane)
+				vp, fp := rowFast(&s.pp, ix, wx0, wx1, wx2, sy, lane)
+				v = wm*vm + w0*v0 + wp*vp
+				flops += fm + f0 + fp
 			}
 		} else {
-			v = wm*samplePlaneFast(&s.pm, sx, sy) +
-				w0*samplePlaneFast(&s.p0, sx, sy) +
-				wp*samplePlaneFast(&s.pp, sx, sy)
-			if lane != nil {
-				planeFootprint(lane, &s.pm, sx, sy)
-				planeFootprint(lane, &s.p0, sx, sy)
-				planeFootprint(lane, &s.pp, sx, sy)
-			}
-		}
-		if lane != nil {
-			lane.Flops(14) // trig, weights and temporal blend
+			vm, fm := samplePlaneFast(&s.pm, sx, sy, lane)
+			v0, f0 := samplePlaneFast(&s.p0, sx, sy, lane)
+			vp, fp := samplePlaneFast(&s.pp, sx, sy, lane)
+			v = wm*vm + w0*v0 + wp*vp
+			flops += fm + f0 + fp
 		}
 		sum += weights[i] * v
 	}
-	return (t1 - t0) * sum
-}
-
-// rowFootprint records on lane what rowFast reads and computes when its
-// sample row is in range: the 3x3 stencil as one Load3x3, and 30 stencil
-// flops. The row arithmetic is rowFast's, so a plane records exactly when
-// it contributes.
-func rowFootprint(lane *gpusim.Lane, pl *plane, ix int, sy float64) {
-	iy := int(math.Round((sy - pl.y0) / pl.dy))
-	if iy < 1 || iy > pl.ny-2 {
-		return
+	if lane != nil {
+		flops += 14 * n // trig, weights and temporal blend
 	}
-	row := (iy-1)*pl.nx + ix - 1
-	lane.Load3x3(pl.base+uintptr(row)*pl.addrStride, pl.addrStride, uintptr(pl.nx)*pl.addrStride)
-	lane.Flops(30) // stencil weights and accumulation
+	return (t1 - t0) * sum, flops
 }
 
-// planeFootprint is rowFootprint behind samplePlaneFast's column test.
-func planeFootprint(lane *gpusim.Lane, pl *plane, sx, sy float64) {
-	if ix := int(math.Round((sx - pl.x0) / pl.dx)); ix >= 1 && ix <= pl.nx-2 {
-		rowFootprint(lane, pl, ix, sy)
+// roundInt is int(math.Round(x)), rounding half away from zero, for
+// |x| < 2^52: truncate toward zero, then step one away from zero when the
+// remainder's magnitude is at least 0.5. The remainder x - trunc(x) is
+// exact there (Sterbenz), so the comparison decides exactly what Round
+// decides. Beyond that range, and for NaN and ±Inf, neither form yields
+// an index inside any grid's range test.
+func roundInt(x float64) int {
+	i := int(x)
+	if f := x - float64(i); f >= 0.5 {
+		i++
+	} else if f <= -0.5 {
+		i--
 	}
-}
-
-// sampleRow3Fast blends the three temporal planes' row samples in one
-// call: v = wm*rowFast(pm) + w0*rowFast(p0) + wp*rowFast(pp) with the
-// identical association order the three-call form produces, the x-side
-// weights handed over in registers instead of through a stack array.
-func sampleRow3Fast(s *subEval, ix int, wx0, wx1, wx2, sy, wm, w0, wp float64) float64 {
-	return wm*rowFast(&s.pm, ix, wx0, wx1, wx2, sy) +
-		w0*rowFast(&s.p0, ix, wx0, wx1, wx2, sy) +
-		wp*rowFast(&s.pp, ix, wx0, wx1, wx2, sy)
+	return i
 }
 
 // rowFast is one plane's 3x3 stencil sample at column ix, with the x-side
-// weights precomputed by the caller; rows out of range sample 0.
-func rowFast(pl *plane, ix int, wx0, wx1, wx2, sy float64) float64 {
+// weights precomputed by the caller; rows out of range sample 0. With a
+// lane bound, an in-range sample records its 3x3 stencil as one Load3x3
+// and reports its 30 stencil flops.
+func rowFast(pl *plane, ix int, wx0, wx1, wx2, sy float64, lane *gpusim.Lane) (float64, int) {
 	fy := (sy - pl.y0) / pl.dy
-	iy := int(math.Round(fy))
+	iy := roundInt(fy)
 	if iy < 1 || iy > pl.ny-2 {
-		return 0
+		return 0, 0
 	}
 	dy := fy - float64(iy)
 	wy0 := 0.5 * (0.5 - dy) * (0.5 - dy)
@@ -583,28 +584,33 @@ func rowFast(pl *plane, ix int, wx0, wx1, wx2, sy float64) float64 {
 	v += wy2 * wx0 * d2[0]
 	v += wy2 * wx1 * d2[1]
 	v += wy2 * wx2 * d2[2]
-	return v
+	if lane == nil {
+		return v, 0
+	}
+	lane.Load3x3(pl.base+uintptr(row)*pl.addrStride, pl.addrStride, uintptr(pl.nx)*pl.addrStride)
+	return v, 30 // stencil weights and accumulation
 }
 
 // samplePlaneFast is the closure path's sampleGrid on a hoisted plane:
 // identical arithmetic with no Grid/History indirection per sample and the
-// stencil unrolled the same way as rowFast.
-func samplePlaneFast(pl *plane, sx, sy float64) float64 {
+// stencil unrolled the same way as rowFast, which records it on lane.
+func samplePlaneFast(pl *plane, sx, sy float64, lane *gpusim.Lane) (float64, int) {
 	fx := (sx - pl.x0) / pl.dx
-	ix := int(math.Round(fx))
+	ix := roundInt(fx)
 	if ix < 1 || ix > pl.nx-2 {
-		return 0
+		return 0, 0
 	}
 	dx := fx - float64(ix)
-	return rowFast(pl, ix, 0.5*(0.5-dx)*(0.5-dx), 0.75-dx*dx, 0.5*(0.5+dx)*(0.5+dx), sy)
+	return rowFast(pl, ix, 0.5*(0.5-dx)*(0.5-dx), 0.75-dx*dx, 0.5*(0.5+dx)*(0.5+dx), sy, lane)
 }
 
-// boundR is Problem.R for the bound point, from the cached geometry.
+// boundR is Problem.R for the bound point, from the geometry bound
+// computes (for every subregion).
 func (e *Evaluator) boundR() float64 {
 	p := e.p
 	last := 0
 	for j := range e.sub {
-		s := &e.sub[j]
+		s := e.bound(j)
 		if s.empty {
 			continue
 		}

@@ -3,6 +3,7 @@ package retard
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"beamdyn/internal/access"
@@ -324,13 +325,12 @@ func TestEvaluatorLaneMetricsMatchClosure(t *testing.T) {
 
 // splitSamples counts the angular samples of the probes that some of
 // their three temporal planes accept and others reject, judged by whether
-// planeFootprint records the plane's stencil.
+// samplePlaneFast records the plane's stencil on a lane.
 func splitSamples(e *Evaluator, points [][2]float64, radii []float64, subW float64) int {
 	var lane gpusim.Lane
 	accepts := func(pl *plane, sx, sy float64) bool {
-		before := lane.LaneFlops()
-		planeFootprint(&lane, pl, sx, sy)
-		return lane.LaneFlops() > before
+		_, flops := samplePlaneFast(pl, sx, sy, &lane)
+		return flops > 0
 	}
 	n := 0
 	for _, pt := range points {
@@ -563,4 +563,57 @@ func TestEvaluatorReset(t *testing.T) {
 	got := e.SolvePoint(cx, cy)
 	want := NewEvaluator(p2).SolvePoint(cx, cy)
 	samePointResult(t, "after Reset", got, want)
+}
+
+// TestRoundIntMatchesRound pins the stencil's rounding helper to
+// int(math.Round(x)) wherever a stencil index can be accepted: the two are
+// equal for |x| < 2^52, and beyond that (and for NaN and ±Inf) both must
+// fall outside every index range [1, n-2] a grid tests. Checked on a table
+// of halfway and boundary cases, then on 10^6 random values near and away
+// from halfway points and on 10^6 random bit patterns.
+func TestRoundIntMatchesRound(t *testing.T) {
+	check := func(x float64) {
+		got, want := roundInt(x), int(math.Round(x))
+		if math.Abs(x) < 1<<52 {
+			if got != want {
+				t.Fatalf("roundInt(%v) = %d, int(math.Round) = %d", x, got, want)
+			}
+			return
+		}
+		for _, n := range []int{3, 4, 128, 1 << 20, 1 << 40} {
+			if got >= 1 && got <= n-2 || want >= 1 && want <= n-2 {
+				t.Fatalf("x = %v: roundInt %d or int(math.Round) %d passes the range test [1, %d]", x, got, want, n-2)
+			}
+		}
+	}
+	const p52, p53 = 1 << 52, 1 << 53
+	belowHalf := 0.49999999999999994 // the largest float64 below 0.5
+	exact := map[float64]int{0.5: 1, -0.5: -1, 1.5: 2, -1.5: -2, 2.5: 3, -2.5: -3,
+		belowHalf: 0, -belowHalf: 0, p52 - 0.5: p52, -(p52 - 0.5): -p52}
+	for x, want := range exact {
+		if got := roundInt(x); got != want {
+			t.Fatalf("roundInt(%v) = %d, want %d", x, got, want)
+		}
+		check(x)
+	}
+	for _, x := range []float64{0, math.Copysign(0, -1), p52 + 1, p52 - 1, -(p52 + 1), -(p52 - 1),
+		p52, -p52, p53, -p53, math.MaxFloat64, -math.MaxFloat64, 1 << 63, -(1 << 63), 1 << 64, -(1 << 64),
+		math.NaN(), math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64} {
+		check(x)
+	}
+	rng := rand.New(rand.NewPCG(3, 41))
+	for i := 0; i < 1_000_000; i++ {
+		k := float64(rng.IntN(1<<20) - 1<<19)
+		switch i % 4 {
+		case 0: // uniform over a grid's index range
+			check((rng.Float64() - 0.5) * 4096)
+		case 1: // a halfway point or one ulp either side of it
+			check(math.Nextafter(k+0.5, k+0.5+float64(rng.IntN(3)-1)))
+		case 2: // an integer or one ulp either side of it
+			check(math.Nextafter(k, k+float64(rng.IntN(3)-1)))
+		default: // any magnitude below 2^52
+			check((rng.Float64() - 0.5) * p53)
+		}
+		check(math.Float64frombits(rng.Uint64()))
+	}
 }
