@@ -31,11 +31,12 @@ race:
 	$(GO) test -race ./...
 
 # Fault-injection paths are concurrency-heavy: race-check the fleet
-# package and run a short scripted-failure chaos pass on every PR.
+# package and run a short chaos pass on every PR that drives the stateful
+# Predictive-RP kernel through a mid-step failure and a slowdown.
 test-fleet-race:
 	$(GO) test -race -count=1 ./internal/fleet/...
-	$(GO) run ./cmd/beamsim -n 5000 -grid 32 -steps 2 -kernel twophase \
-		-devices 4 -inject "fail:dev=1,step=10,after=1"
+	$(GO) run ./cmd/beamsim -n 5000 -grid 32 -steps 2 -kernel predictive \
+		-devices 3 -inject "fail:dev=1,step=10,after=1;slow:dev=2,step=9,factor=3"
 
 # Incident-layer race gate: the alert engine, flight recorder, bundle
 # writer and export server are all crossed by concurrent goroutines
@@ -97,8 +98,7 @@ bench-host:
 # goroutines with per-SM scratch. gpusim's A/B matrices drive the streaming
 # engine and the test-side oracle across resident windows, SM counts and
 # partial warps; the committed identity digests of kernels and fleet then
-# drive the replay under the multi-GPU fan-out and the fleet's device
-# workers.
+# drive the replay under the fleet's per-device goroutines.
 test-gpu-race:
 	$(GO) test -race -count=1 ./internal/gpusim/...
 	$(GO) test -race -count=1 -run 'IdentityHashes' ./internal/kernels/... ./internal/fleet/...

@@ -136,29 +136,9 @@ func NewPredictive(dev *Device) *kernels.Predictive { return kernels.NewPredicti
 func PascalP100() DeviceConfig { return gpusim.PascalP100() }
 
 // NewMultiGPU runs the selected kernel data-parallel across several
-// simulated devices (strong scaling over grid-row bands).
+// simulated K40s (strong scaling over grid-row bands): a fleet.Fleet over
+// healthy devices with one band per device.
 func NewMultiGPU(k Kernel, devices int) Algorithm {
-	return kernels.NewMultiGPU(devices, func(int) kernels.Algorithm {
-		return NewKernel(k)
-	})
-}
-
-// NewMultiGPUOn is NewMultiGPU with caller-supplied devices: mkDev is
-// invoked once per device index, so profilers and telemetry recorders can
-// be attached to each device before its kernel is built.
-func NewMultiGPUOn(k Kernel, devices int, mkDev func(d int) *Device) Algorithm {
-	return kernels.NewMultiGPU(devices, func(d int) kernels.Algorithm {
-		return NewKernelOn(k, mkDev(d))
-	})
-}
-
-// NewFleet runs the selected kernel across a managed device fleet with
-// dynamic, cost-predicted band scheduling (see internal/fleet): the grid
-// is over-decomposed into more row-bands than devices, bands are placed
-// by predicted cost, idle devices steal work, and bands lost to mid-step
-// device failures are retried on survivors. The seed drives every
-// stochastic scheduler choice, keeping runs reproducible.
-func NewFleet(k Kernel, devices int, seed uint64) Algorithm {
 	devs := make([]*Device, devices)
 	for d := range devs {
 		devs[d] = NewDevice(KeplerK40())
@@ -169,7 +149,6 @@ func NewFleet(k Kernel, devices int, seed uint64) Algorithm {
 		MakeKernel: func(id int, dev *Device) kernels.Algorithm {
 			return NewKernelOn(k, dev)
 		},
-		Seed: seed,
 	})
 }
 

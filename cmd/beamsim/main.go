@@ -15,14 +15,14 @@
 // telemetry over HTTP while the run advances: /metrics (Prometheus text
 // exposition), /snapshot.json, /healthz (step liveness + fleet device
 // states) and /debug/pprof. Traces feed the offline obstool analyzer
-// (summary, timeline, fleet, predictor, diff, gate).
+// (summary, timeline, fleet, tree, predictor, diff).
 //
-// Multi-device runs: -devices N splits the grid statically (one band per
-// device); adding -fleet schedules bands dynamically through the fleet
-// manager (over-decomposition, cost-predicted placement, work stealing,
-// failure retry), and -inject scripts health events against it:
+// Multi-device runs: -devices N (N > 1) runs the kernel on a fleet of N
+// simulated K40s (internal/fleet), one row-band per device, and -inject
+// scripts health events against it; the bands of a device that fails
+// mid-step are re-placed on the survivors:
 //
-//	beamsim -devices 4 -fleet -inject "fail:dev=1,step=9,after=2" -steps 6
+//	beamsim -devices 4 -inject "fail:dev=1,step=9,after=1" -steps 6
 //
 // The incident layer (see the Incidents & alerts section of README.md)
 // rides on the same observer: -alerts evaluates a per-step rule script
@@ -83,9 +83,8 @@ func main() {
 
 		hostWorkers = flag.Int("host-workers", 0, "host-side worker count for the kernels' predict/cluster/train phases, the reference solver and the particle force gather and push (0 = GOMAXPROCS; results are identical for any value)")
 
-		devices   = flag.Int("devices", 1, "number of simulated devices")
-		fleetMode = flag.Bool("fleet", false, "schedule row-bands dynamically across the devices via the fleet manager")
-		inject    = flag.String("inject", "", "scripted fleet health events, e.g. \"fail:dev=1,step=9,after=2;slow:dev=2,step=8,factor=3,until=12\" (implies -fleet)")
+		devices = flag.Int("devices", 1, "number of simulated devices; more than one runs the kernel on a device fleet, one row-band per device")
+		inject  = flag.String("inject", "", "scripted fleet health events, e.g. \"fail:dev=1,step=9,after=1;slow:dev=2,step=8,factor=3,until=12\" (runs the fleet even at -devices 1)")
 
 		traceOut    = flag.String("trace", "", "write a JSONL span/event trace to this file")
 		node        = flag.String("node", "", "node label stamped as baggage on every traced span/event")
@@ -124,9 +123,7 @@ func main() {
 		sim = beamdyn.New(cfg)
 	}
 	sim.Cfg.HostWorkers = *hostWorkers
-	if *inject != "" {
-		*fleetMode = true
-	}
+	fleetMode := *devices > 1 || *inject != ""
 	if *devices < 1 {
 		log.Fatalf("-devices %d: need at least one device", *devices)
 	}
@@ -136,13 +133,13 @@ func main() {
 	// (including the simulated-GPU counters via the device recorder) and
 	// the predictor-quality series. Fleet runs always get an observer so
 	// the end-of-run snapshot table carries the fleet counters (bands
-	// dispatched/stolen/retried, device state transitions).
+	// dispatched/retried, device state transitions).
 	var (
 		observer  *obs.Observer
 		traceSink *obs.JSONLSink
 		flightRec *flight.Recorder
 	)
-	if *traceOut != "" || *metricsOut != "" || *obsInterval > 0 || *fleetMode ||
+	if *traceOut != "" || *metricsOut != "" || *obsInterval > 0 || fleetMode ||
 		*httpAddr != "" || *alerts != "" || *postmortemDir != "" {
 		observer = beamdyn.NewObserver()
 		if *traceOut != "" {
@@ -231,8 +228,8 @@ func main() {
 	case "predictive":
 		ksel = beamdyn.PredictiveRP
 	case "reference":
-		if *fleetMode || *devices > 1 {
-			log.Fatal("-kernel reference runs on the host; it cannot drive -devices or -fleet")
+		if fleetMode {
+			log.Fatal("-kernel reference runs on the host; it cannot drive -devices or -inject")
 		}
 	default:
 		log.Printf("unknown kernel %q", *kernel)
@@ -257,7 +254,7 @@ func main() {
 	switch {
 	case *kernel == "reference":
 		// Host reference solver: sim.Algo stays nil.
-	case *fleetMode:
+	case fleetMode:
 		devs := make([]*gpusim.Device, *devices)
 		for d := range devs {
 			devs[d] = newDevice(d)
@@ -276,12 +273,9 @@ func main() {
 			MakeKernel: func(id int, dev *gpusim.Device) beamdyn.Algorithm {
 				return beamdyn.NewKernelOn(ksel, dev)
 			},
-			Seed: *seed,
 		})
 		sim.Algo = fl
 		sim.DeviceCounts = fl.Counts
-	case *devices > 1:
-		sim.Algo = beamdyn.NewMultiGPUOn(ksel, *devices, newDevice)
 	default:
 		sim.Algo = beamdyn.NewKernelOn(ksel, newDevice(0))
 	}
@@ -332,10 +326,8 @@ func main() {
 	}
 
 	mode := ""
-	if *fleetMode {
+	if fleetMode {
 		mode = fmt.Sprintf(" devices=%d (fleet)", *devices)
-	} else if *devices > 1 {
-		mode = fmt.Sprintf(" devices=%d (static bands)", *devices)
 	}
 	fmt.Printf("beamdyn simulation: N=%d grid=%dx%d kappa=%d tol=%g kernel=%s%s\n",
 		sim.Cfg.Beam.NumParticles, sim.Cfg.NX, sim.Cfg.NY, sim.Cfg.Kappa, sim.Cfg.Tol, *kernel, mode)
@@ -407,8 +399,8 @@ func main() {
 	}
 	if fl != nil {
 		st := fl.LastStats()
-		fmt.Printf("\nfleet summary (last step): bands=%d stolen=%d retried=%d\n",
-			st.Bands, st.Stolen, st.Retried)
+		fmt.Printf("\nfleet summary (last step): bands=%d retried=%d\n",
+			st.Bands, st.Retried)
 		for d := 0; d < mgr.NumDevices(); d++ {
 			fmt.Printf("  %-6s state=%-8s slowdown=%.3g busy=%.4gs util=%.0f%%\n",
 				mgr.Device(d).Label(), mgr.State(d), mgr.Slowdown(d),

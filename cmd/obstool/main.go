@@ -4,8 +4,8 @@
 // Subcommands:
 //
 //	obstool summary trace.jsonl
-//	    Per-span aggregation: count, total, mean, p50/p95/p99 (histogram
-//	    quantile estimation over exponential duration buckets), max. When
+//	    Per-span aggregation: count, total, mean, p50/p95/p99 (exact
+//	    nearest-rank quantiles of the observed durations), max. When
 //	    the trace carries host reference solves, appends the rp solver
 //	    cache section (tile-scratch and radial-memo reuse rates).
 //
@@ -13,7 +13,7 @@
 //	    Per-step span timeline with proportional duration bars.
 //
 //	obstool fleet trace.jsonl
-//	    Fleet scheduler accounting: bands dispatched/stolen/retried and
+//	    Fleet scheduler accounting: bands dispatched/retried and
 //	    per-device busy time, mean utilization and lifecycle states.
 //
 //	obstool tree trace.jsonl [-job ID]
@@ -58,7 +58,7 @@ func usage() {
 commands:
   summary   trace.jsonl                  per-span aggregation (count, mean, p50/p95/p99, max)
   timeline  trace.jsonl                  per-step span timeline
-  fleet     trace.jsonl                  per-device utilization and steal/retry accounting
+  fleet     trace.jsonl                  per-device utilization and retry accounting
   tree      trace.jsonl                  causal span tree with self/total time and critical path
   predictor trace.jsonl                  predictor quality series + fallback spike detection
   diff      old.jsonl new.jsonl          compare two runs per span name

@@ -68,7 +68,11 @@ var AllKernels = []KernelName{TwoPhaseRP, HeuristicRP, PredictiveRP}
 
 // NewAlgorithm constructs the named kernel on a fresh simulated K40.
 func NewAlgorithm(name KernelName) kernels.Algorithm {
-	dev := gpusim.New(gpusim.KeplerK40())
+	return newAlgorithmOn(name, gpusim.New(gpusim.KeplerK40()))
+}
+
+// newAlgorithmOn constructs the named kernel on dev.
+func newAlgorithmOn(name KernelName, dev *gpusim.Device) kernels.Algorithm {
 	switch name {
 	case TwoPhaseRP:
 		return kernels.NewTwoPhase(dev)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 
+	"beamdyn/internal/fleet"
+	"beamdyn/internal/gpusim"
 	"beamdyn/internal/kernels"
 )
 
@@ -27,7 +29,8 @@ type ScalingResult struct {
 }
 
 // Scaling measures per-step time of the named kernel across device
-// counts on a fixed problem (strong scaling).
+// counts on a fixed problem (strong scaling), on a fleet of healthy K40s
+// with one row-band per device.
 func Scaling(name KernelName, counts []int, scale Scale, seed uint64) *ScalingResult {
 	nx := 64
 	n := 100000
@@ -37,8 +40,15 @@ func Scaling(name KernelName, counts []int, scale Scale, seed uint64) *ScalingRe
 	res := &ScalingResult{Grid: nx, Kernel: name}
 	var base float64
 	for _, d := range counts {
-		algo := kernels.NewMultiGPU(d, func(int) kernels.Algorithm {
-			return NewAlgorithm(name)
+		devs := make([]*gpusim.Device, d)
+		for i := range devs {
+			devs[i] = gpusim.New(gpusim.KeplerK40())
+		}
+		algo := fleet.New(fleet.Config{
+			Manager: fleet.NewFixed(devs),
+			MakeKernel: func(_ int, dev *gpusim.Device) kernels.Algorithm {
+				return newAlgorithmOn(name, dev)
+			},
 		})
 		cfg := baseConfig(n, nx, seed)
 		_, _, gpu := measureKernel(cfg, algo, 2)

@@ -10,8 +10,10 @@ import "testing"
 func FuzzParseEvents(f *testing.F) {
 	for _, s := range []string{
 		"fail:dev=1,step=10,after=1",
+		"fail:dev=1,step=10,after=1;slow:dev=2,step=9,factor=3",
 		"fail:dev=1,step=9",
 		"fail:dev=1,step=11,after=2;slow:dev=2,step=10,factor=3,until=12",
+		"fail:dev=1,step=11,after=1;slow:dev=2,step=10,factor=3,until=12",
 		"drain:dev=0,step=4;recover:dev=0,step=6",
 		"slow:dev=0,step=1,factor=NaN",
 		"slow:dev=0,step=1,factor=+Inf,until=3",

@@ -1,13 +1,7 @@
-// Package fleet manages a fleet of simulated GPUs behind a device-manager
-// abstraction with lifecycle states, injectable health events, and a
-// cost-predicting dynamic scheduler for the compute-potentials stage.
-//
-// The static kernels.MultiGPU split (one contiguous row-band per device)
-// assumes every device is healthy, equally fast, and that every band costs
-// the same. None of those hold in a production fleet: devices fail
-// mid-step, run degraded, or get drained for maintenance, and the
-// rp-integral's cost is wildly non-uniform across grid rows. This package
-// supplies the production arrangement:
+// Package fleet runs the compute-potentials stage across several
+// simulated GPUs behind a device-manager abstraction with lifecycle
+// states and injectable health events. It is the repository's one
+// multi-device path.
 //
 //   - Manager — a device registry holding *gpusim.Device handles with the
 //     lifecycle states Healthy / Degraded / Draining / Failed. Fixed is
@@ -15,20 +9,18 @@
 //     Injectable is the testing fake that accepts scripted health events
 //     (mid-step failure, slowdown factor, recover-at-step) in the style
 //     of GPU-manager fakes used by fleet-management systems.
-//   - Fleet — a kernels.Algorithm that over-decomposes the target grid
-//     into many more row-bands than devices, orders and places them by
-//     predicted cost (the Predictive kernel's forecast access-pattern
-//     totals when a trained model is attached, last-step measured band
-//     cost otherwise), dispatches them through per-device work queues
-//     with work stealing, and retries bands whose device fails mid-step
-//     on surviving devices.
+//   - Fleet — a kernels.Algorithm that splits the target grid's rows into
+//     contiguous bands (by default one per device, the static split of
+//     the multi-GPU predecessor [10]), places them
+//     longest-processing-time-first by band rows times device slowdown,
+//     runs each device's queue on its own goroutine, and re-places the
+//     bands of a device that fails mid-step over the survivors.
 //
-// Every stochastic choice the scheduler makes (steal victim, retry
-// placement) draws from an explicitly seeded generator, so runs are
-// reproducible per the repository convention. Fleet metrics (bands
-// dispatched / stolen / retried, device state transitions, per-device
-// utilization) are emitted through the obs registry when an observer is
-// attached.
+// Placement depends only on band rows and device slowdowns, and each
+// device runs its queue in order, so a step's output depends only on its
+// inputs and the manager's health script. Fleet metrics (bands
+// dispatched / retried, device state transitions, per-device utilization)
+// are emitted through the obs registry when an observer is attached.
 package fleet
 
 import (

@@ -73,10 +73,10 @@ type GridSpec struct {
 type FleetSpec struct {
 	// Devices is the simulated-device count of the job's fleet (default 1).
 	Devices int `json:"devices,omitempty"`
-	// Bands fixes the scheduler's row-band over-decomposition; 0 lets the
-	// fleet derive it. Pin it when bitwise reproducibility across resumes
-	// matters (the dispatcher's recovery guarantee relies on it, so
-	// Validate requires it for multi-device jobs).
+	// Bands fixes the fleet's row-band count; 0 means one band per
+	// device. The band count fixes the per-band numerics, which the
+	// dispatcher's bitwise recovery guarantee relies on, so Validate
+	// requires multi-device jobs to pin it in the spec.
 	Bands int `json:"bands,omitempty"`
 	// Inject scripts health events against the job's first placement, in
 	// the fleet.ParseEvents grammar ("fail:dev=1,step=9,after=1;...").
@@ -123,7 +123,7 @@ type Spec struct {
 	Kappa int `json:"kappa,omitempty"`
 	// Tol is the rp-integral tolerance (default 1e-8).
 	Tol float64 `json:"tol,omitempty"`
-	// Seed seeds the Monte-Carlo sampling and the fleet scheduler.
+	// Seed seeds the Monte-Carlo sampling.
 	Seed uint64 `json:"seed,omitempty"`
 	// Dynamic lets the bunch respond to its self-forces (default: rigid).
 	Dynamic bool `json:"dynamic,omitempty"`
@@ -261,7 +261,7 @@ func (sp *Spec) Validate() error {
 			return fmt.Errorf("jobs: spec %q: fleet.devices must be >= 1", sp.Name)
 		}
 		if sp.Fleet.Devices > 1 && sp.Fleet.Bands <= 0 {
-			return fmt.Errorf("jobs: spec %q: multi-device jobs must pin fleet.bands (the bitwise resume guarantee needs a fixed over-decomposition)", sp.Name)
+			return fmt.Errorf("jobs: spec %q: multi-device jobs must pin fleet.bands (the bitwise resume guarantee needs a fixed band decomposition)", sp.Name)
 		}
 		if sp.Fleet.Inject != "" {
 			if _, err := fleet.ParseEvents(sp.Fleet.Inject); err != nil {
@@ -353,7 +353,6 @@ func (sp *Spec) BuildAlgo(newDev func(id int) *gpusim.Device, firstAttempt bool)
 		Manager:    mgr,
 		MakeKernel: func(id int, dev *gpusim.Device) kernels.Algorithm { return mk(dev) },
 		Bands:      sp.Fleet.Bands,
-		Seed:       sp.Seed,
 	})
 	return fl, fl, nil
 }

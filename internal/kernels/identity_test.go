@@ -48,16 +48,10 @@ var identityWant = map[string][3]identityDigests{
 		{"7890d4acdc09f23c2b5a77c3c1ad1a9247d7c74205707ae966dc939fb7394fed", "68434ad3d954f9142fc7adc2a8530343480bcdfaca3953604ea3393af0746e99", "76b8ed6ad4c6ef347ae12c7db0aea4391be483dc3be9537c4f1be0a2e01128bb", "ad01b6debd6724e2009daed5db817a661a5110500cdd72bb51611f662ad4ea17"},
 		{"7890d4acdc09f23c2b5a77c3c1ad1a9247d7c74205707ae966dc939fb7394fed", "9ff8009a5db6c18643a0cf494bed2f4a54fee018f955dd2e82aeefcf67527513", "76b8ed6ad4c6ef347ae12c7db0aea4391be483dc3be9537c4f1be0a2e01128bb", "cc58ac68eed0db6fba70b76b141ef89d8494c1417e3da6b90a8ea76b15d57ddd"},
 	},
-	"multigpu": {
-		{"46261b7009af0da95da7de4e85075b5e7d795e27e520ed890ba798c12c5e0089", "e8713e7f8623383c1b8a234bae4e7a930b9575eea4a8e3315d3b6b83258cc2b7", "46708905ab20a6df8c83543254f9c96bd36deb6590dd8fd7c8ac699e4cd48d42", "561183ccb2fec2f58c2865e57797a0dc39915231232c044ebc666402c9900f87"},
-		{"46261b7009af0da95da7de4e85075b5e7d795e27e520ed890ba798c12c5e0089", "8a32dda7ed11e3dfa51bf19c833b45258da2290edd002a989828ffb994628b85", "46708905ab20a6df8c83543254f9c96bd36deb6590dd8fd7c8ac699e4cd48d42", "1c104571b050f08c2215393c4e9585a3dd1ddc50470d1014a1b5f517a6ce72f9"},
-		{"46261b7009af0da95da7de4e85075b5e7d795e27e520ed890ba798c12c5e0089", "8a32dda7ed11e3dfa51bf19c833b45258da2290edd002a989828ffb994628b85", "46708905ab20a6df8c83543254f9c96bd36deb6590dd8fd7c8ac699e4cd48d42", "1c104571b050f08c2215393c4e9585a3dd1ddc50470d1014a1b5f517a6ce72f9"},
-	},
 }
 
-// identityKernels builds each pinned kernel on a fresh K40; "multigpu"
-// splits the grid into two row bands, each run by Two-Phase-RP on its own
-// K40.
+// identityKernels builds each pinned kernel on a fresh K40. The
+// two-device rows live in fleet's identity test.
 func identityKernels() map[string]func() Algorithm {
 	return map[string]func() Algorithm{
 		"twophase":   func() Algorithm { return NewTwoPhase(gpusim.New(gpusim.KeplerK40())) },
@@ -67,9 +61,6 @@ func identityKernels() map[string]func() Algorithm {
 			pr := NewPredictive(gpusim.New(gpusim.KeplerK40()))
 			pr.Mode = AdaptivePartition
 			return pr
-		},
-		"multigpu": func() Algorithm {
-			return NewMultiGPU(2, func(int) Algorithm { return NewTwoPhase(gpusim.New(gpusim.KeplerK40())) })
 		},
 	}
 }

@@ -88,8 +88,8 @@ type HostTimes struct {
 
 // HostParallel is implemented by kernels whose host-side stages run on the
 // deterministic worker pool of internal/hostpar. SetHostWorkers bounds the
-// worker count (values <= 0 mean runtime.GOMAXPROCS); wrappers (MultiGPU,
-// fleet schedulers) forward the setting to their per-device kernels. Every
+// worker count (values <= 0 mean runtime.GOMAXPROCS); fleet.Fleet
+// forwards the setting to its per-device kernels. Every
 // host loop partitions its index range statically and writes results by
 // index, so a kernel's output is bitwise identical for every worker count.
 type HostParallel interface {
@@ -126,7 +126,7 @@ type StepResult struct {
 // rp-integral at every point of the target grid for the problem's current
 // step, writing potentials into component comp of target. A kernel reuses
 // its step storage, so one kernel value must not run concurrent Steps;
-// MultiGPU and fleet.Fleet hold one kernel per device.
+// fleet.Fleet holds one kernel per device.
 type Algorithm interface {
 	// Name returns the kernel's paper name.
 	Name() string
@@ -134,18 +134,6 @@ type Algorithm interface {
 	Step(p *retard.Problem, target *grid.Grid, comp int) *StepResult
 	// Reset clears cross-step state (between independent experiments).
 	Reset()
-}
-
-// CostForecaster is implemented by kernels that can forecast the relative
-// cost of evaluating each target row before the step runs. The Predictive
-// kernel derives it from its learned access-pattern forecast (a row's
-// predicted grid references are a proxy for its integration work); fleet
-// schedulers use the forecast to place row-bands across devices.
-type CostForecaster interface {
-	// ForecastRowCosts returns one relative cost per target row, or nil
-	// when no trustworthy forecast exists yet (untrained model, geometry
-	// mismatch) — callers then fall back to measured or uniform costs.
-	ForecastRowCosts(p *retard.Problem, target *grid.Grid) []float64
 }
 
 // gridCenter returns the physical centre of the target grid, the origin of

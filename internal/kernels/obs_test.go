@@ -103,19 +103,6 @@ func TestHeuristicAndTwoPhaseRecordSamples(t *testing.T) {
 	}
 }
 
-func TestMultiGPUForwardsObserver(t *testing.T) {
-	p, target := fixture(8, 24)
-	mg := NewMultiGPU(2, func(int) Algorithm {
-		return NewPredictive(gpusim.New(gpusim.KeplerK40()))
-	})
-	o := obs.New()
-	mg.SetObserver(o)
-	mg.Step(p, target.Clone(), 0)
-	if len(o.Pred.Samples()) != 2 {
-		t.Fatalf("per-device samples = %d, want 2", len(o.Pred.Samples()))
-	}
-}
-
 func TestKernelsMatchReferenceWithObserverAttached(t *testing.T) {
 	// Instrumentation must not perturb results: same potentials with and
 	// without the observer.

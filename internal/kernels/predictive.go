@@ -454,57 +454,6 @@ func (pr *Predictive) trainPhase(points []Point, target *grid.Grid, workers int)
 	pr.Pred.Fit(sc.x, sc.y)
 }
 
-// ForecastRowCosts implements CostForecaster: the learned access-pattern
-// forecast, summed over subregions, approximates the panel count (and so
-// the integration work) of a grid point. Each row's cost samples a few
-// columns across it — the pattern field is smooth along a row, so a
-// sparse sample ranks rows as well as the full sweep at a fraction of the
-// prediction cost; rows split across the host worker pool. Returns nil
-// before the model has trained on a grid of this subregion count.
-func (pr *Predictive) ForecastRowCosts(p *retard.Problem, target *grid.Grid) []float64 {
-	numSub := p.NumSub()
-	if pr.Pred == nil || !pr.Pred.Trained() || pr.Pred.OutDim() != numSub {
-		return nil
-	}
-	workers := pr.hostWorkers()
-	var reg *knn.Regressor
-	if kp, ok := pr.Pred.(KNNPredictor); ok {
-		reg = kp.Regressor
-	}
-	sc := &pr.scratch
-	sc.setup(workers, numSub, reg)
-	cx, cy := gridCenter(target)
-	stride := target.NX / 16
-	if stride < 1 {
-		stride = 1
-	}
-	costs := make([]float64, target.NY)
-	hostpar.For(target.NY, workers, func(w, lo, hi int) {
-		wk := &sc.workers[w]
-		for iy := lo; iy < hi; iy++ {
-			var sum float64
-			var n int
-			for ix := 0; ix < target.NX; ix += stride {
-				x, y := target.Point(ix, iy)
-				wk.feat[0], wk.feat[1] = x-cx, y-cy
-				if wk.searcher != nil {
-					wk.searcher.PredictWeighted(wk.feat, wk.buf)
-				} else {
-					pr.Pred.Predict(wk.feat, wk.buf)
-				}
-				for _, v := range wk.buf {
-					if v > 0 {
-						sum += v
-					}
-				}
-				n++
-			}
-			costs[iy] = sum / float64(n)
-		}
-	})
-	return costs
-}
-
 func (pr *Predictive) threadsPerBlock() int {
 	if pr.ThreadsPerBlock > 0 {
 		return pr.ThreadsPerBlock

@@ -129,16 +129,16 @@ func fleetEvent(step, dev int, state string, busy, util float64) obs.Event {
 func TestFleetStats(t *testing.T) {
 	events := []obs.Event{
 		{Name: "fleet/step", Kind: "span", Step: 1, Dur: 0.1,
-			Attrs: map[string]any{"bands": 8.0, "stolen": 2.0, "retried": 1.0}},
+			Attrs: map[string]any{"bands": 8.0, "retried": 2.0}},
 		{Name: "fleet/step", Kind: "span", Step: 2, Dur: 0.1,
-			Attrs: map[string]any{"bands": 8.0, "stolen": 0.0, "retried": 0.0}},
+			Attrs: map[string]any{"bands": 8.0, "retried": 0.0}},
 		fleetEvent(1, 0, "healthy", 1.0, 1.0),
 		fleetEvent(2, 0, "healthy", 1.0, 1.0),
 		fleetEvent(1, 1, "healthy", 0.5, 0.5),
 		fleetEvent(2, 1, "failed", 0.0, 0.0),
 	}
 	rep := FleetStats(events)
-	if rep.Steps != 2 || rep.Bands != 16 || rep.Stolen != 2 || rep.Retried != 1 {
+	if rep.Steps != 2 || rep.Bands != 16 || rep.Retried != 2 {
 		t.Fatalf("totals wrong: %+v", rep)
 	}
 	if len(rep.Devices) != 2 {
@@ -152,7 +152,7 @@ func TestFleetStats(t *testing.T) {
 		t.Fatalf("dev1 wrong: %+v", d1)
 	}
 	out := rep.Table()
-	for _, want := range []string{"stolen=2", "dev0", "failed"} {
+	for _, want := range []string{"retried=2", "dev0", "failed"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("fleet table missing %q:\n%s", want, out)
 		}

@@ -23,9 +23,9 @@ type FleetDevice struct {
 type FleetReport struct {
 	// Steps is the number of fleet/step spans (scheduler rounds).
 	Steps int
-	// Bands, Stolen and Retried total the scheduler's accounting across
-	// the run, from the fleet/step span attributes.
-	Bands, Stolen, Retried int
+	// Bands and Retried total the scheduler's accounting across the run,
+	// from the fleet/step span attributes.
+	Bands, Retried int
 	// Devices is the per-device aggregation, ordered by device index.
 	Devices []FleetDevice
 }
@@ -44,9 +44,6 @@ func FleetStats(events []obs.Event) FleetReport {
 			rep.Steps++
 			if v, ok := attrFloat(e, "bands"); ok {
 				rep.Bands += int(v)
-			}
-			if v, ok := attrFloat(e, "stolen"); ok {
-				rep.Stolen += int(v)
 			}
 			if v, ok := attrFloat(e, "retried"); ok {
 				rep.Retried += int(v)
@@ -87,10 +84,10 @@ func FleetStats(events []obs.Event) FleetReport {
 // Table renders the report for the obstool fleet subcommand.
 func (r FleetReport) Table() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "fleet: steps=%d bands=%d stolen=%d retried=%d\n",
-		r.Steps, r.Bands, r.Stolen, r.Retried)
+	fmt.Fprintf(&b, "fleet: steps=%d bands=%d retried=%d\n",
+		r.Steps, r.Bands, r.Retried)
 	if len(r.Devices) == 0 {
-		b.WriteString("no fleet/device events in trace (run beamsim with -fleet -trace)\n")
+		b.WriteString("no fleet/device events in trace (run beamsim with -devices N -trace)\n")
 		return b.String()
 	}
 	fmt.Fprintf(&b, "%-8s %12s %10s %-10s %s\n", "device", "busy_sim_s", "mean_util", "state", "states_seen")

@@ -58,7 +58,6 @@ func TestChaosRunDumpsPostmortemBundle(t *testing.T) {
 		MakeKernel: func(id int, dev *gpusim.Device) kernels.Algorithm {
 			return kernels.NewTwoPhase(dev)
 		},
-		Seed: 1,
 	})
 	sim.Algo = fl
 	sim.DeviceCounts = fl.Counts

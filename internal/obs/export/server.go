@@ -58,7 +58,7 @@ type Server struct {
 	// Obs is the observer being served; nil serves empty snapshots.
 	Obs *obs.Observer
 	// Devices optionally reports fleet device health (wired by beamsim
-	// from fleet.Fleet.Health when -fleet is active).
+	// from fleet.Fleet.Health on multi-device runs).
 	Devices func() []DeviceHealth
 	// Alerts optionally serves /alerts and folds active alerts into the
 	// /healthz status (nil engines are inert, so wiring it unconditionally
