@@ -85,9 +85,10 @@ bench-obs:
 	$(GO) test -run '^$$' -bench 'BenchmarkObs' -benchtime 5x ./internal/core
 
 # Host-phase microbenchmarks, per worker count (see internal/hostpar):
-# predict/cluster/train ns per step, and the force stage plus push at the
-# particles-1m shape (32x32, 10^6 particles; rows above the CPU count are
-# skipped), each with allocations per step.
+# predict/cluster/train ns per step, and at the particles-1m shape (32x32,
+# 10^6 particles) the serial centroid, the serial deposit per scheme and
+# the force stage plus push per scheme (NGP, CIC) and worker count (rows
+# above the CPU count are skipped), each with allocations per step.
 bench-host:
 	$(GO) test -run '^$$' -bench 'BenchmarkPredictiveHostPhases' -benchtime 3x \
 		-benchmem ./internal/kernels

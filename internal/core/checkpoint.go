@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 
 	"beamdyn/internal/grid"
 	"beamdyn/internal/particles"
@@ -34,6 +35,27 @@ type gridSnapshot struct {
 	Data           []float64
 }
 
+// check reports why gs cannot be a history grid of a simulation with
+// configuration cfg: its shape must be the config's, its components the
+// deposited moments, its spacing finite and positive and its data complete.
+func (gs *gridSnapshot) check(cfg *Config) error {
+	switch {
+	case gs.NX != cfg.NX || gs.NY != cfg.NY:
+		return fmt.Errorf("core: checkpoint grid of step %d is %dx%d, the config's is %dx%d",
+			gs.Step, gs.NX, gs.NY, cfg.NX, cfg.NY)
+	case gs.Comp != grid.MomentComponents:
+		return fmt.Errorf("core: checkpoint grid of step %d has %d components, want %d",
+			gs.Step, gs.Comp, grid.MomentComponents)
+	case !(gs.DX > 0) || !(gs.DY > 0) || math.IsInf(gs.DX, 1) || math.IsInf(gs.DY, 1):
+		return fmt.Errorf("core: checkpoint grid of step %d has spacing %g x %g, want finite and positive",
+			gs.Step, gs.DX, gs.DY)
+	case len(gs.Data) != gs.NX*gs.NY*gs.Comp:
+		return fmt.Errorf("core: checkpoint grid of step %d holds %d values, want %d",
+			gs.Step, len(gs.Data), gs.NX*gs.NY*gs.Comp)
+	}
+	return nil
+}
+
 // Save writes the simulation state (configuration, particles, grid
 // history, step counter) to w in gob format.
 func (s *Simulation) Save(w io.Writer) error {
@@ -62,7 +84,9 @@ func (s *Simulation) Save(w io.Writer) error {
 
 // Load restores a simulation saved with Save. The returned simulation has
 // no kernel attached (set Algo afterwards); its next Advance continues
-// from the checkpointed step.
+// from the checkpointed step. A history grid whose shape, components,
+// spacing or data length does not fit the checkpointed config, or whose
+// step does not follow the previous grid's, is an error.
 func Load(r io.Reader) (*Simulation, error) {
 	var cp checkpoint
 	if err := gob.NewDecoder(r).Decode(&cp); err != nil {
@@ -82,7 +106,14 @@ func Load(r io.Reader) (*Simulation, error) {
 		cy:       cp.CY,
 		dropped:  cp.Dropped,
 	}
-	for _, gs := range cp.Grids {
+	for i := range cp.Grids {
+		gs := &cp.Grids[i]
+		if err := gs.check(&cfg); err != nil {
+			return nil, err
+		}
+		if gs.Step <= s.Hist.Latest() {
+			return nil, fmt.Errorf("core: checkpoint grids out of order: step %d after step %d", gs.Step, s.Hist.Latest())
+		}
 		g := grid.New(gs.NX, gs.NY, gs.Comp, gs.X0, gs.Y0, gs.DX, gs.DY)
 		g.Step = gs.Step
 		copy(g.Data, gs.Data)

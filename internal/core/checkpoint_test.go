@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"beamdyn/internal/gpusim"
@@ -82,6 +85,68 @@ func TestCheckpointContinuumRun(t *testing.T) {
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("not a checkpoint"))); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// TestLoadRejectsBadGridSnapshots re-encodes a valid checkpoint with one
+// history grid corrupted: Load must return an error naming that grid's
+// step, never a panic or a simulation resumed from a zero-filled grid.
+func TestLoadRejectsBadGridSnapshots(t *testing.T) {
+	orig := New(testConfig())
+	orig.Warmup()
+	var buf bytes.Buffer
+	if err := orig.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	cases := []struct {
+		name   string
+		mutate func(gs *gridSnapshot)
+		want   string
+	}{
+		{"truncated data", func(gs *gridSnapshot) { gs.Data = gs.Data[:10] }, "holds 10 values"},
+		{"nx 1", func(gs *gridSnapshot) { gs.NX = 1 }, "is 1x24"},
+		{"comp 0", func(gs *gridSnapshot) { gs.Comp = 0 }, "0 components"},
+		{"dx 0", func(gs *gridSnapshot) { gs.DX = 0 }, "spacing 0 x"},
+		{"dx NaN", func(gs *gridSnapshot) { gs.DX = math.NaN() }, "spacing NaN x"},
+		{"dy +Inf", func(gs *gridSnapshot) { gs.DY = math.Inf(1) }, "x +Inf"},
+		{"shape unlike the config", func(gs *gridSnapshot) {
+			gs.NX, gs.NY = 32, 16
+			gs.Data = make([]float64, 32*16*gs.Comp)
+		}, "is 32x16, the config's is 24x24"},
+		{"step out of order", func(gs *gridSnapshot) { gs.Step = 0 }, "out of order"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var cp checkpoint
+			if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&cp); err != nil {
+				t.Fatal(err)
+			}
+			if len(cp.Grids) < 3 {
+				t.Fatalf("checkpoint holds %d grids", len(cp.Grids))
+			}
+			gs := &cp.Grids[2]
+			tc.mutate(gs)
+			var crafted bytes.Buffer
+			if err := gob.NewEncoder(&crafted).Encode(&cp); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("Load panicked: %v", r)
+					}
+				}()
+				_, err = Load(&crafted)
+			}()
+			if err == nil {
+				t.Fatal("crafted checkpoint accepted")
+			}
+			if !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), fmt.Sprintf("step %d", gs.Step)) {
+				t.Fatalf("error %q does not say %q about step %d", err, tc.want, gs.Step)
+			}
+		})
 	}
 }
 

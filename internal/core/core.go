@@ -383,11 +383,11 @@ func relDrift(v, base float64) float64 {
 }
 
 // computeForces evaluates -grad(potential) on ForceGrid and gathers both
-// components at every particle into Forces. The gather runs over static
-// particle ranges on the hostpar pool; each particle's arithmetic is that
-// of two grid.Interp calls and each worker writes only its own indices,
-// so the forces are bitwise identical for every worker count. ForceGrid
-// and Forces are reused across steps.
+// components at every particle into Forces with one grid.GatherForces call
+// per static hostpar range. Each force is bitwise that of two grid.Interp
+// calls and each worker writes only its own range, so the forces are
+// identical for every worker count. ForceGrid and Forces are reused
+// across steps.
 func (s *Simulation) computeForces(pot *grid.Grid) {
 	fg := s.ForceGrid
 	if fg == nil || fg.NX != pot.NX || fg.NY != pot.NY {
@@ -406,11 +406,7 @@ func (s *Simulation) computeForces(pot *grid.Grid) {
 	s.Forces = hostpar.Resize(s.Forces, len(ps))
 	forces, scheme := s.Forces, s.Cfg.Scheme
 	hostpar.For(len(ps), s.Cfg.HostWorkers, func(_, lo, hi int) {
-		var f [2]float64
-		for i := lo; i < hi; i++ {
-			grid.InterpVec(fg, ps[i].X, ps[i].Y, scheme, f[:])
-			forces[i] = particles.Force{AX: f[0], AY: f[1]}
-		}
+		grid.GatherForces(fg, ps[lo:hi], scheme, forces[lo:hi])
 	})
 }
 

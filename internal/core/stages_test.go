@@ -51,9 +51,10 @@ func sameFloatBits(a, b []float64) bool {
 }
 
 // TestParticleStagesWorkerCountDeterministic pins the pooled force gather
-// and push: for every HostWorkers value the particles, forces, force grid
-// and potentials are bitwise identical, and the last step's forces and
-// push match the serial reference stages.
+// and push under NGP (the default scheme's weight-free gather) and CIC
+// (the weighted one): for every HostWorkers value the particles, forces,
+// force grid and potentials are bitwise identical, and the last step's
+// forces and push match the serial reference stages.
 func TestParticleStagesWorkerCountDeterministic(t *testing.T) {
 	type result struct {
 		p         []particles.Particle
@@ -63,51 +64,57 @@ func TestParticleStagesWorkerCountDeterministic(t *testing.T) {
 		refFG     []float64
 		refPushed []particles.Particle
 	}
-	run := func(workers int) result {
-		s := New(dynamicConfig())
-		s.Cfg.HostWorkers = workers
-		s.Warmup()
-		s.Run(2)
-		pre := slices.Clone(s.Ensemble.P)
-		s.Advance()
-		refFG, refForces := referenceForces(s.Potential, pre, s.Cfg.Scheme, s.Cfg.ForceScale)
-		e := particles.Ensemble{P: pre}
-		e.Push(s.Forces, s.Cfg.Dt)
-		return result{
-			p:         slices.Clone(s.Ensemble.P),
-			forces:    slices.Clone(s.Forces),
-			fg:        slices.Clone(s.ForceGrid.Data),
-			pot:       slices.Clone(s.Potential.Data),
-			refForces: refForces,
-			refFG:     refFG.Data,
-			refPushed: pre,
-		}
-	}
-	base := run(1)
-	for _, w := range []int{1, 2, 3, 7} {
-		r := base
-		if w != 1 {
-			r = run(w)
-		}
-		if !slices.Equal(r.forces, r.refForces) {
-			t.Errorf("workers=%d: forces differ from the serial two-Interp force stage", w)
-		}
-		if !sameFloatBits(r.fg, r.refFG) {
-			t.Errorf("workers=%d: force grid differs from the serial force stage's", w)
-		}
-		if !slices.Equal(r.p, r.refPushed) {
-			t.Errorf("workers=%d: pushed particles differ from a serial Ensemble.Push", w)
-		}
-		if !slices.Equal(r.p, base.p) || !slices.Equal(r.forces, base.forces) {
-			t.Errorf("workers=%d: particles or forces differ from workers=1", w)
-		}
-		if !sameFloatBits(r.fg, base.fg) || !sameFloatBits(r.pot, base.pot) {
-			t.Errorf("workers=%d: force grid or potentials differ from workers=1", w)
-		}
-	}
-	nonzero := slices.ContainsFunc(base.forces, func(f particles.Force) bool { return f.AX != 0 || f.AY != 0 })
-	if len(base.p) != dynamicConfig().Beam.NumParticles || !nonzero {
-		t.Fatalf("degenerate run: %d particles, nonzero forces %t", len(base.p), nonzero)
+	for _, scheme := range []grid.Scheme{grid.NGP, grid.CIC} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			run := func(workers int) result {
+				cfg := dynamicConfig()
+				cfg.Scheme = scheme
+				cfg.HostWorkers = workers
+				s := New(cfg)
+				s.Warmup()
+				s.Run(2)
+				pre := slices.Clone(s.Ensemble.P)
+				s.Advance()
+				refFG, refForces := referenceForces(s.Potential, pre, s.Cfg.Scheme, s.Cfg.ForceScale)
+				e := particles.Ensemble{P: pre}
+				e.Push(s.Forces, s.Cfg.Dt)
+				return result{
+					p:         slices.Clone(s.Ensemble.P),
+					forces:    slices.Clone(s.Forces),
+					fg:        slices.Clone(s.ForceGrid.Data),
+					pot:       slices.Clone(s.Potential.Data),
+					refForces: refForces,
+					refFG:     refFG.Data,
+					refPushed: pre,
+				}
+			}
+			base := run(1)
+			for _, w := range []int{1, 2, 3, 7} {
+				r := base
+				if w != 1 {
+					r = run(w)
+				}
+				if !slices.Equal(r.forces, r.refForces) {
+					t.Errorf("workers=%d: forces differ from the serial two-Interp force stage", w)
+				}
+				if !sameFloatBits(r.fg, r.refFG) {
+					t.Errorf("workers=%d: force grid differs from the serial force stage's", w)
+				}
+				if !slices.Equal(r.p, r.refPushed) {
+					t.Errorf("workers=%d: pushed particles differ from a serial Ensemble.Push", w)
+				}
+				if !slices.Equal(r.p, base.p) || !slices.Equal(r.forces, base.forces) {
+					t.Errorf("workers=%d: particles or forces differ from workers=1", w)
+				}
+				if !sameFloatBits(r.fg, base.fg) || !sameFloatBits(r.pot, base.pot) {
+					t.Errorf("workers=%d: force grid or potentials differ from workers=1", w)
+				}
+			}
+			nonzero := slices.ContainsFunc(base.forces, func(f particles.Force) bool { return f.AX != 0 || f.AY != 0 })
+			if len(base.p) != dynamicConfig().Beam.NumParticles || !nonzero {
+				t.Fatalf("degenerate run: %d particles, nonzero forces %t", len(base.p), nonzero)
+			}
+		})
 	}
 }
 
@@ -133,11 +140,17 @@ func TestParticleStagesReuseBuffers(t *testing.T) {
 	}
 }
 
-// BenchmarkParticleStages times the force stage and the push at the
-// particles-1m benchmark workload's shape (32x32 grid, 10^6 particles,
-// dynamic bunch), one row per worker count with GOMAXPROCS raised to
-// match. Each iteration restores the same pre-step particles, so every
-// row does identical work. Run with -benchmem for allocations.
+// centroidSink keeps BenchmarkParticleStages' centroid from being
+// optimized away.
+var centroidSink float64
+
+// BenchmarkParticleStages times the particle stages at the particles-1m
+// benchmark workload's shape (32x32 grid, 10^6 particles, dynamic bunch):
+// the serial bunch centroid (Center), the serial deposit per scheme, and
+// the pooled force stage plus push per scheme and worker count, with
+// GOMAXPROCS raised to match. Each force-and-push iteration restores the
+// same pre-step particles, so every row does identical work. Run with
+// -benchmem for allocations.
 func BenchmarkParticleStages(b *testing.B) {
 	cfg := dynamicConfig()
 	cfg.NX, cfg.NY = 32, 32
@@ -147,21 +160,36 @@ func BenchmarkParticleStages(b *testing.B) {
 	s.Warmup()
 	s.Advance()
 	pre := slices.Clone(s.Ensemble.P)
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			if n := runtime.NumCPU(); n < w {
-				b.Skipf("%d workers need %d CPUs, have %d", w, w, n)
-			}
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
-			s.Cfg.HostWorkers = w
-			b.ResetTimer()
+	b.Run("centroid", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			centroidSink, _ = s.Center()
+		}
+	})
+	g := s.currentGrid()
+	for _, scheme := range []grid.Scheme{grid.NGP, grid.CIC} {
+		b.Run("deposit/scheme="+scheme.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				copy(s.Ensemble.P, pre)
-				b.StartTimer()
-				s.computeForces(s.Potential)
-				s.push()
+				grid.Deposit(g, s.Ensemble, scheme)
 			}
 		})
+	}
+	for _, scheme := range []grid.Scheme{grid.NGP, grid.CIC} {
+		for _, w := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("forces+push/scheme=%v/workers=%d", scheme, w), func(b *testing.B) {
+				if n := runtime.NumCPU(); n < w {
+					b.Skipf("%d workers need %d CPUs, have %d", w, w, n)
+				}
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
+				s.Cfg.HostWorkers, s.Cfg.Scheme = w, scheme
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					copy(s.Ensemble.P, pre)
+					b.StartTimer()
+					s.computeForces(s.Potential)
+					s.push()
+				}
+			})
+		}
 	}
 }

@@ -29,16 +29,25 @@ func BenchmarkDeposit(b *testing.B) {
 	}
 }
 
-// BenchmarkInterp measures force gathering (step 3).
+// interpSink keeps BenchmarkInterp's gathers from being optimized away.
+var interpSink float64
+
+// BenchmarkInterp measures single-component gathering (step 3) per
+// scheme: NGP's weight-free path and CIC's weighted loop.
 func BenchmarkInterp(b *testing.B) {
 	e := benchEnsemble(10000)
 	g := New(128, 128, MomentComponents, -8e-4, -16e-4, 16e-4/127, 32e-4/127)
-	Deposit(g, e, CIC)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range e.P {
-			Interp(g, e.P[j].X, e.P[j].Y, CompCharge, CIC)
-		}
+	for _, s := range []Scheme{NGP, CIC} {
+		Deposit(g, e, s)
+		b.Run(s.String(), func(b *testing.B) {
+			var sum float64
+			for i := 0; i < b.N; i++ {
+				for j := range e.P {
+					sum += Interp(g, e.P[j].X, e.P[j].Y, CompCharge, s)
+				}
+			}
+			interpSink = sum
+		})
 	}
 }
 

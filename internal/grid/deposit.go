@@ -34,12 +34,10 @@ func (s Scheme) String() string {
 	return fmt.Sprintf("Scheme(%d)", int(s))
 }
 
-// support returns the number of grid points the kernel touches along one
-// axis.
+// support returns the number of grid points the kernel of a weighted
+// scheme (CIC or TSC) touches along one axis.
 func (s Scheme) support() int {
 	switch s {
-	case NGP:
-		return 1
 	case CIC:
 		return 2
 	case TSC:
@@ -48,19 +46,25 @@ func (s Scheme) support() int {
 	panic("grid: unknown scheme")
 }
 
+// nearest returns the NGP grid point of fractional grid coordinate f:
+// floor(f + 0.5), stepping int's truncation toward zero down for negative
+// arguments as CIC's floor does. NGP's weight is exactly 1, so the NGP
+// loops below use the point alone and never form a weight.
+func nearest(f float64) int {
+	t := f + 0.5
+	i := int(t)
+	if t < 0 {
+		i--
+	}
+	return i
+}
+
 // weights1D fills w with the kernel weights along one axis for a particle
-// at fractional grid coordinate f, and returns the index of the first grid
-// point touched. w must have length >= the scheme's support.
+// at fractional grid coordinate f under a weighted scheme (CIC or TSC), and
+// returns the index of the first grid point touched. w must have length >=
+// the scheme's support.
 func (s Scheme) weights1D(f float64, w []float64) int {
 	switch s {
-	case NGP:
-		t := f + 0.5
-		i := int(t)
-		if t < 0 {
-			i-- // floor, as CIC does: int truncates toward zero
-		}
-		w[0] = 1
-		return i
 	case CIC:
 		i := int(f)
 		if f < 0 {
@@ -99,17 +103,29 @@ const (
 	MomentComponents = 3
 )
 
+// outside reports whether a kernel of sup points starting at grid index i
+// leaves [0, n). It is the check i < 0 || i+sup > n written so that it
+// cannot overflow: a non-finite or huge coordinate can convert to an index
+// at the top of the int range, which must be dropped too.
+func outside(i, sup, n int) bool {
+	return i < 0 || i > n-sup
+}
+
 // Deposit scatters the ensemble onto g using the given weighting scheme:
 // component 0 receives charge density, components 1 and 2 the current
 // densities (charge density times velocity). g must have at least
 // MomentComponents components. Particles outside the grid are dropped,
 // matching the behaviour of the reference implementation, and the number
 // dropped is returned so callers can assert the grid covers the bunch.
+// Particles are added in ensemble order, so the sums are reproducible.
 func Deposit(g *Grid, e *particles.Ensemble, s Scheme) (dropped int) {
 	if g.Comp < MomentComponents {
 		panic(fmt.Sprintf("grid: Deposit needs %d components, grid has %d", MomentComponents, g.Comp))
 	}
 	g.Zero()
+	if s == NGP {
+		return depositNGP(g, e.P)
+	}
 	sup := s.support()
 	var wx, wy [3]float64
 	cellArea := g.DX * g.DY
@@ -118,7 +134,7 @@ func Deposit(g *Grid, e *particles.Ensemble, s Scheme) (dropped int) {
 		fx, fy := g.Cell(p.X, p.Y)
 		ix0 := s.weights1D(fx, wx[:])
 		iy0 := s.weights1D(fy, wy[:])
-		if ix0 < 0 || iy0 < 0 || ix0+sup > g.NX || iy0+sup > g.NY {
+		if outside(ix0, sup, g.NX) || outside(iy0, sup, g.NY) {
 			dropped++
 			continue
 		}
@@ -138,16 +154,51 @@ func Deposit(g *Grid, e *particles.Ensemble, s Scheme) (dropped int) {
 	return dropped
 }
 
+// depositNGP is Deposit's nearest-grid-point loop: each in-bounds particle
+// adds q, q*VX and q*VY to one cell of the three planes, the generic
+// loop's q*w terms at w = 1.
+func depositNGP(g *Grid, ps []particles.Particle) (dropped int) {
+	nx, ny := g.NX, g.NY
+	plane := nx * ny
+	rho := g.Data[CompCharge*plane : (CompCharge+1)*plane]
+	jx := g.Data[CompCurrentX*plane : (CompCurrentX+1)*plane]
+	jy := g.Data[CompCurrentY*plane : (CompCurrentY+1)*plane]
+	x0, y0, dx, dy := g.X0, g.Y0, g.DX, g.DY
+	cellArea := dx * dy
+	for i := range ps {
+		p := &ps[i]
+		ix, iy := nearest((p.X-x0)/dx), nearest((p.Y-y0)/dy)
+		if outside(ix, 1, nx) || outside(iy, 1, ny) {
+			dropped++
+			continue
+		}
+		q := p.Charge / cellArea
+		idx := iy*nx + ix
+		rho[idx] += q
+		jx[idx] += q * p.VX
+		jy[idx] += q * p.VY
+	}
+	return dropped
+}
+
 // Interp gathers component c of g at the physical point (x, y) using the
 // same weighting scheme as deposition (the standard PIC requirement for
 // momentum conservation). Points outside the grid return 0.
 func Interp(g *Grid, x, y float64, c int, s Scheme) float64 {
+	fx, fy := g.Cell(x, y)
+	if s == NGP {
+		ix, iy := nearest(fx), nearest(fy)
+		if outside(ix, 1, g.NX) || outside(iy, 1, g.NY) {
+			return 0
+		}
+		// 0 + v is the weighted sum from 0 at w = 1: a -0 cell reads +0.
+		return 0 + g.At(ix, iy, c)
+	}
 	sup := s.support()
 	var wx, wy [3]float64
-	fx, fy := g.Cell(x, y)
 	ix0 := s.weights1D(fx, wx[:])
 	iy0 := s.weights1D(fy, wy[:])
-	if ix0 < 0 || iy0 < 0 || ix0+sup > g.NX || iy0+sup > g.NY {
+	if outside(ix0, sup, g.NX) || outside(iy0, sup, g.NY) {
 		return 0
 	}
 	var v float64
@@ -161,34 +212,52 @@ func Interp(g *Grid, x, y float64, c int, s Scheme) float64 {
 	return v
 }
 
-// InterpVec gathers all components of g at (x, y) into out, which must have
-// length g.Comp. It is the vector form of Interp used by the rp-integrand,
-// which needs every moment component at once.
-func InterpVec(g *Grid, x, y float64, s Scheme, out []float64) {
-	if len(out) != g.Comp {
-		panic(fmt.Sprintf("grid: InterpVec out length %d != %d components", len(out), g.Comp))
+// GatherForces gathers the force field fg (components 0: AX, 1: AY) at
+// every particle of ps into out, which must have the same length; a
+// particle outside the grid gets a zero force. Each force is bitwise the
+// pair Interp(fg, x, y, 0, s), Interp(fg, x, y, 1, s): the weighted
+// schemes form each weight once and accumulate both components in
+// Interp's order. It writes only out, so disjoint ranges can be gathered
+// concurrently.
+func GatherForces(fg *Grid, ps []particles.Particle, s Scheme, out []particles.Force) {
+	if fg.Comp < 2 || len(out) != len(ps) {
+		panic(fmt.Sprintf("grid: GatherForces needs 2 components and one force per particle, have %d components, %d forces for %d particles",
+			fg.Comp, len(out), len(ps)))
 	}
-	for i := range out {
-		out[i] = 0
+	nx, ny := fg.NX, fg.NY
+	plane := nx * ny
+	ax, ay := fg.Data[:plane], fg.Data[plane:2*plane]
+	if s == NGP {
+		x0, y0, dx, dy := fg.X0, fg.Y0, fg.DX, fg.DY
+		for i := range ps {
+			ix, iy := nearest((ps[i].X-x0)/dx), nearest((ps[i].Y-y0)/dy)
+			if outside(ix, 1, nx) || outside(iy, 1, ny) {
+				out[i] = particles.Force{}
+				continue
+			}
+			idx := iy*nx + ix
+			out[i] = particles.Force{AX: 0 + ax[idx], AY: 0 + ay[idx]}
+		}
+		return
 	}
 	sup := s.support()
 	var wx, wy [3]float64
-	fx, fy := g.Cell(x, y)
-	ix0 := s.weights1D(fx, wx[:])
-	iy0 := s.weights1D(fy, wy[:])
-	if ix0 < 0 || iy0 < 0 || ix0+sup > g.NX || iy0+sup > g.NY {
-		return
-	}
-	plane := g.NX * g.NY
-	for dy := 0; dy < sup; dy++ {
-		row := (iy0+dy)*g.NX + ix0
-		for dx := 0; dx < sup; dx++ {
-			w := wx[dx] * wy[dy]
-			idx := row + dx
-			for c := 0; c < g.Comp; c++ {
-				out[c] += w * g.Data[c*plane+idx]
+	for i := range ps {
+		fx, fy := fg.Cell(ps[i].X, ps[i].Y)
+		ix0 := s.weights1D(fx, wx[:])
+		iy0 := s.weights1D(fy, wy[:])
+		var f particles.Force
+		if !outside(ix0, sup, nx) && !outside(iy0, sup, ny) {
+			for dy := 0; dy < sup; dy++ {
+				row := (iy0+dy)*nx + ix0
+				for dx := 0; dx < sup; dx++ {
+					w := wx[dx] * wy[dy]
+					f.AX += w * ax[row+dx]
+					f.AY += w * ay[row+dx]
+				}
 			}
 		}
+		out[i] = f
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package grid implements the 2-D data grids of moments used by the
 // particle-in-cell machinery: deposition of the sampled distribution onto a
 // grid (step 1 of the simulation loop), interpolation of gridded quantities
-// back to arbitrary points (step 3 and the rp-integrand), and the history
+// back to arbitrary points and particles (step 3), and the history
 // ring buffer holding the grids D_{k-kappa}..D_k that the retarded-potential
 // integrals read (Section II.A of the paper).
 package grid

@@ -195,18 +195,33 @@ func TestInterpOutOfBoundsIsZero(t *testing.T) {
 	}
 }
 
-func TestInterpVecMatchesScalarInterp(t *testing.T) {
+// TestGatherForcesMatchesInterp pins the range gather to Interp for every
+// scheme: each particle's force is bitwise the pair Interp(c=0),
+// Interp(c=1), also for particles outside the grid and at non-finite
+// coordinates; outside the grid and at -Inf the force is zero.
+func TestGatherForcesMatchesInterp(t *testing.T) {
 	e := particles.NewGaussian(testBeam(2000), 3)
-	g := New(32, 32, MomentComponents, -8e-4, -16e-4, 16e-4/31*2, 32e-4/31*2)
-	Deposit(g, e, TSC)
-	out := make([]float64, MomentComponents)
-	for _, pt := range [][2]float64{{0, 0}, {1e-4, -2e-4}, {-2e-4, 3e-4}} {
-		InterpVec(g, pt[0], pt[1], TSC, out)
-		for c := 0; c < MomentComponents; c++ {
-			want := Interp(g, pt[0], pt[1], c, TSC)
-			if math.Abs(out[c]-want) > 1e-15*math.Max(1, math.Abs(want)) {
-				t.Fatalf("InterpVec[%d] = %g, Interp = %g", c, out[c], want)
+	e.P = append(e.P,
+		particles.Particle{X: 1, Y: 0}, particles.Particle{X: 0, Y: -1},
+		particles.Particle{X: math.NaN(), Y: 0}, particles.Particle{X: 0, Y: math.Inf(-1)})
+	fg := New(32, 32, 2, -4e-4, -8e-4, 8e-4/31, 16e-4/31)
+	for i := range fg.Data {
+		fg.Data[i] = math.Sin(float64(i)) * 1e3
+	}
+	for _, s := range []Scheme{NGP, CIC, TSC} {
+		out := make([]particles.Force, len(e.P))
+		for i := range out {
+			out[i] = particles.Force{AX: 1, AY: 1} // stale forces must be overwritten
+		}
+		GatherForces(fg, e.P, s, out)
+		for i, p := range e.P {
+			want := particles.Force{AX: Interp(fg, p.X, p.Y, 0, s), AY: Interp(fg, p.X, p.Y, 1, s)}
+			if !sameForceBits(out[i], want) {
+				t.Fatalf("%v particle %d at (%g, %g): GatherForces %v, Interp %v", s, i, p.X, p.Y, out[i], want)
 			}
+		}
+		if n := len(e.P); out[n-4] != (particles.Force{}) || out[n-3] != (particles.Force{}) || out[n-1] != (particles.Force{}) {
+			t.Errorf("%v: particles outside the grid got forces %v, %v, %v", s, out[n-4], out[n-3], out[n-1])
 		}
 	}
 }
@@ -303,5 +318,312 @@ func TestHistoryAddressesStableAndDisjoint(t *testing.T) {
 	}
 	if _, ok := h.Address(99, 0, 0, 0); ok {
 		t.Fatal("address for non-resident step")
+	}
+}
+
+// The reference below is the generic weighted loop that deposited and
+// gathered every scheme, NGP included, before NGP got loops of its own:
+// the parent's weights1D, Deposit, Interp and InterpVec, renamed. The NGP
+// paths must reproduce it bit for bit.
+
+func refSupport(s Scheme) int {
+	switch s {
+	case NGP:
+		return 1
+	case CIC:
+		return 2
+	case TSC:
+		return 3
+	}
+	panic("grid: unknown scheme")
+}
+
+func refWeights1D(s Scheme, f float64, w []float64) int {
+	switch s {
+	case NGP:
+		t := f + 0.5
+		i := int(t)
+		if t < 0 {
+			i-- // floor, as CIC does: int truncates toward zero
+		}
+		w[0] = 1
+		return i
+	case CIC:
+		i := int(f)
+		if f < 0 {
+			i-- // floor toward the lower cell for negative coordinates
+		}
+		d := f - float64(i)
+		w[0] = 1 - d
+		w[1] = d
+		return i
+	case TSC:
+		t := f + 0.5
+		i := int(t)
+		if t < 0 {
+			i--
+		}
+		d := f - float64(i)
+		w[0] = 0.5 * (0.5 - d) * (0.5 - d)
+		w[1] = 0.75 - d*d
+		w[2] = 0.5 * (0.5 + d) * (0.5 + d)
+		return i - 1
+	}
+	panic("grid: unknown scheme")
+}
+
+func refDeposit(g *Grid, e *particles.Ensemble, s Scheme) (dropped int) {
+	g.Zero()
+	sup := refSupport(s)
+	var wx, wy [3]float64
+	cellArea := g.DX * g.DY
+	for i := range e.P {
+		p := &e.P[i]
+		fx, fy := g.Cell(p.X, p.Y)
+		ix0 := refWeights1D(s, fx, wx[:])
+		iy0 := refWeights1D(s, fy, wy[:])
+		if ix0 < 0 || iy0 < 0 || ix0+sup > g.NX || iy0+sup > g.NY {
+			dropped++
+			continue
+		}
+		q := p.Charge / cellArea
+		plane := g.NX * g.NY
+		for dy := 0; dy < sup; dy++ {
+			row := (iy0+dy)*g.NX + ix0
+			for dx := 0; dx < sup; dx++ {
+				w := wx[dx] * wy[dy]
+				idx := row + dx
+				g.Data[CompCharge*plane+idx] += q * w
+				g.Data[CompCurrentX*plane+idx] += q * w * p.VX
+				g.Data[CompCurrentY*plane+idx] += q * w * p.VY
+			}
+		}
+	}
+	return dropped
+}
+
+func refInterp(g *Grid, x, y float64, c int, s Scheme) float64 {
+	sup := refSupport(s)
+	var wx, wy [3]float64
+	fx, fy := g.Cell(x, y)
+	ix0 := refWeights1D(s, fx, wx[:])
+	iy0 := refWeights1D(s, fy, wy[:])
+	if ix0 < 0 || iy0 < 0 || ix0+sup > g.NX || iy0+sup > g.NY {
+		return 0
+	}
+	var v float64
+	off := c * g.NX * g.NY
+	for dy := 0; dy < sup; dy++ {
+		row := off + (iy0+dy)*g.NX + ix0
+		for dx := 0; dx < sup; dx++ {
+			v += wx[dx] * wy[dy] * g.Data[row+dx]
+		}
+	}
+	return v
+}
+
+func refInterpVec(g *Grid, x, y float64, s Scheme, out []float64) {
+	for i := range out {
+		out[i] = 0
+	}
+	sup := refSupport(s)
+	var wx, wy [3]float64
+	fx, fy := g.Cell(x, y)
+	ix0 := refWeights1D(s, fx, wx[:])
+	iy0 := refWeights1D(s, fy, wy[:])
+	if ix0 < 0 || iy0 < 0 || ix0+sup > g.NX || iy0+sup > g.NY {
+		return
+	}
+	plane := g.NX * g.NY
+	for dy := 0; dy < sup; dy++ {
+		row := (iy0+dy)*g.NX + ix0
+		for dx := 0; dx < sup; dx++ {
+			w := wx[dx] * wy[dy]
+			idx := row + dx
+			for c := 0; c < g.Comp; c++ {
+				out[c] += w * g.Data[c*plane+idx]
+			}
+		}
+	}
+}
+
+// overflows runs f and reports whether it panicked. The reference's
+// ix0+sup > NX check overflows for a coordinate at -Inf (int conversion
+// gives the end of the int range) and then indexes out of range; the
+// production check drops such a particle instead.
+func overflows(f func()) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	f()
+	return false
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameForceBits(a, b particles.Force) bool {
+	return math.Float64bits(a.AX) == math.Float64bits(b.AX) && math.Float64bits(a.AY) == math.Float64bits(b.AY)
+}
+
+// ngpProbes are fractional grid coordinates along an axis of n points that
+// exercise the NGP cell rule: the low-edge band (f+0.5 in (-1, 0), where
+// truncation toward zero would give cell 0), f = k+0.5 exactly (ties round
+// up), in-range points, points past either edge, and non-finite values.
+func ngpProbes(n int) []float64 {
+	hi := float64(n - 1)
+	return []float64{
+		-1.4999, -1, -0.9, -0.5000001,
+		-0.5, 0.5, 2.5, hi - 0.5, hi + 0.5,
+		-0.4999999, 0, 0.3, 3.7, hi, hi + 0.4999999,
+		-1.5, -3, hi + 0.5000001, hi + 2,
+		math.NaN(), math.Inf(1), math.Inf(-1),
+	}
+}
+
+// TestNGPDepositMatchesReference deposits each probe particle alone and
+// then all of them at once, on a unit-spaced grid (fractional coordinate =
+// position) and on a Gaussian bunch's grid with inexact spacing: the NGP
+// Deposit must reproduce the reference's grid bits and dropped count.
+func TestNGPDepositMatchesReference(t *testing.T) {
+	const n = 8
+	probes := ngpProbes(n)
+	var all particles.Ensemble
+	for i, x := range probes {
+		for j, y := range probes {
+			vx, vy := float64(i-j)*0.37, math.Copysign(0, float64(i-j))
+			all.P = append(all.P, particles.Particle{X: x, Y: y, VX: vx, VY: vy, Charge: 0.1 + 0.01*float64(i)})
+		}
+	}
+	g := New(n, n, MomentComponents, 0, 0, 1, 1)
+	ref := New(n, n, MomentComponents, 0, 0, 1, 1)
+	for _, p := range all.P {
+		one := &particles.Ensemble{P: []particles.Particle{p}}
+		got := Deposit(g, one, NGP)
+		var want int
+		if overflows(func() { want = refDeposit(ref, one, NGP) }) {
+			if got != 1 || g.MaxAbs(CompCharge) != 0 {
+				t.Errorf("particle at (%g, %g): reference overflows; dropped %d, want 1 and an empty grid", p.X, p.Y, got)
+			}
+			continue
+		}
+		if got != want || !sameBits(g.Data, ref.Data) {
+			t.Errorf("particle at (%g, %g): dropped %d, grid differs=%t; reference dropped %d", p.X, p.Y, got, !sameBits(g.Data, ref.Data), want)
+		}
+	}
+	var finite particles.Ensemble
+	for _, p := range all.P {
+		if !math.IsInf(p.X, -1) && !math.IsInf(p.Y, -1) {
+			finite.P = append(finite.P, p)
+		}
+	}
+	if got, want := Deposit(g, &finite, NGP), refDeposit(ref, &finite, NGP); got != want || !sameBits(g.Data, ref.Data) {
+		t.Errorf("all probes: dropped %d (reference %d), grids equal %t", got, want, sameBits(g.Data, ref.Data))
+	}
+	if g.Total(CompCharge) == 0 || g.Total(CompCurrentX) == 0 {
+		t.Fatal("probe deposit left the grid empty")
+	}
+
+	e := particles.NewGaussian(testBeam(20000), 9)
+	for i := range e.P {
+		e.P[i].VX = float64(i%7-3) * 1e3
+		e.P[i].VY = -e.P[i].VX
+	}
+	g = New(24, 40, MomentComponents, -3e-4, -6e-4, 6e-4/23, 12e-4/39)
+	ref = New(24, 40, MomentComponents, -3e-4, -6e-4, 6e-4/23, 12e-4/39)
+	if got, want := Deposit(g, e, NGP), refDeposit(ref, e, NGP); got != want || want == 0 || !sameBits(g.Data, ref.Data) {
+		t.Errorf("bunch: dropped %d (reference %d, want > 0), grids equal %t", got, want, sameBits(g.Data, ref.Data))
+	}
+}
+
+// TestNGPGatherMatchesReference gathers a field with -0, +0, negative and
+// positive cells at every probe point: NGP Interp, GatherForces and the
+// reference's Interp and InterpVec must agree bitwise (a -0 cell reads +0),
+// and a point the reference overflows on gets zero.
+func TestNGPGatherMatchesReference(t *testing.T) {
+	const n = 8
+	fg := New(n, n, 2, 0, 0, 1, 1)
+	for i := range fg.Data {
+		switch i % 4 {
+		case 0:
+			fg.Data[i] = math.Copysign(0, -1)
+		case 1:
+			fg.Data[i] = 0
+		default:
+			fg.Data[i] = math.Cos(float64(i)) * 7
+		}
+	}
+	var ps []particles.Particle
+	for _, x := range ngpProbes(n) {
+		for _, y := range ngpProbes(n) {
+			ps = append(ps, particles.Particle{X: x, Y: y})
+		}
+	}
+	out := make([]particles.Force, len(ps))
+	for i := range out {
+		out[i] = particles.Force{AX: 1, AY: 1} // stale forces must be overwritten
+	}
+	GatherForces(fg, ps, NGP, out)
+	var negZero, plusZero int
+	for i, p := range ps {
+		var vec [2]float64
+		var want particles.Force
+		if overflows(func() {
+			refInterpVec(fg, p.X, p.Y, NGP, vec[:])
+			want = particles.Force{AX: refInterp(fg, p.X, p.Y, 0, NGP), AY: refInterp(fg, p.X, p.Y, 1, NGP)}
+		}) {
+			if out[i] != (particles.Force{}) || Interp(fg, p.X, p.Y, 0, NGP) != 0 {
+				t.Errorf("(%g, %g): reference overflows; GatherForces %v, want zero", p.X, p.Y, out[i])
+			}
+			continue
+		}
+		got := particles.Force{AX: Interp(fg, p.X, p.Y, 0, NGP), AY: Interp(fg, p.X, p.Y, 1, NGP)}
+		if !sameForceBits(got, want) || !sameForceBits(out[i], want) || !sameForceBits(want, particles.Force{AX: vec[0], AY: vec[1]}) {
+			t.Errorf("(%g, %g): Interp %v, GatherForces %v, reference Interp %v, InterpVec %v", p.X, p.Y, got, out[i], want, vec)
+		}
+		ix, iy := nearest(p.X), nearest(p.Y)
+		if !outside(ix, 1, n) && !outside(iy, 1, n) && math.Float64bits(fg.At(ix, iy, 0)) == math.Float64bits(math.Copysign(0, -1)) {
+			negZero++
+			if math.Float64bits(out[i].AX) == 0 {
+				plusZero++
+			}
+		}
+	}
+	if negZero == 0 || plusZero != negZero {
+		t.Errorf("%d probes over -0 cells, %d read +0", negZero, plusZero)
+	}
+}
+
+// TestNonFiniteCoordinatesDoNotPanic: every scheme drops a particle at
+// ±Inf or beyond the int range in either coordinate and gathers zero
+// there (a NaN coordinate's conversion is platform-defined, so only the
+// absence of a panic is checked for it).
+func TestNonFiniteCoordinatesDoNotPanic(t *testing.T) {
+	g := New(8, 8, MomentComponents, 0, 0, 1, 1)
+	ones := New(8, 8, 2, 0, 0, 1, 1)
+	for i := range ones.Data {
+		ones.Data[i] = 1
+	}
+	for _, s := range []Scheme{NGP, CIC, TSC} {
+		for _, v := range []float64{math.Inf(1), math.Inf(-1), 1e300, -1e300, math.NaN()} {
+			for _, p := range []particles.Particle{{X: v, Y: 3, Charge: 1}, {X: 3, Y: v, Charge: 1}} {
+				dropped := Deposit(g, &particles.Ensemble{P: []particles.Particle{p}}, s)
+				f := make([]particles.Force, 1)
+				GatherForces(ones, []particles.Particle{p}, s, f)
+				if math.IsNaN(v) {
+					continue
+				}
+				if dropped != 1 || f[0] != (particles.Force{}) || Interp(ones, p.X, p.Y, 0, s) != 0 {
+					t.Errorf("%v at (%g, %g): dropped %d, force %v", s, p.X, p.Y, dropped, f[0])
+				}
+			}
+		}
 	}
 }

@@ -26,7 +26,7 @@ func smallSpec(name string) Spec {
 	return sp
 }
 
-// fleetSpec is a two-device fleet job with pinned bands; inject scripts
+// fleetSpec is a two-device fleet job with 8 pinned bands; inject scripts
 // health events against the first attempt's pool.
 func fleetSpec(name, inject string) Spec {
 	sp := Spec{
@@ -140,89 +140,102 @@ func TestServerRunsJobToDone(t *testing.T) {
 // TestChaosResumeBitwiseIdentical is the E2E recovery guarantee: a job
 // whose fleet loses a device mid-run is checkpointed, re-queued, resumed
 // by a different worker on a healthy pool — and its final potential grid
-// is bitwise-identical to the same job run without the failure.
+// is bitwise-identical to the same job run without the failure. It runs
+// with pinned bands and with bands unset (one band per device), since a
+// resumed attempt keeps the spec's device count either way.
 func TestChaosResumeBitwiseIdentical(t *testing.T) {
-	// Baseline: the same physics with no injected failure.
-	obsBase := obs.New()
-	base := New(Config{Workers: 2, Obs: obsBase})
-	bj, err := base.Submit(fleetSpec("baseline", ""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bst := waitDone(t, bj)
-	base.Close()
-	if bst.State != StateDone {
-		t.Fatalf("baseline state = %s (err %q)", bst.State, bst.Error)
-	}
-	baseRes := bj.Result()
-
-	// Chaos: device 1 dies during its first band of step 7 (mid-run:
-	// target step is 10), so the job checkpoints at step 8 and resumes.
-	observer := obs.New()
-	s := New(Config{Workers: 2, Obs: observer})
-	defer s.Close()
-	j, err := s.Submit(fleetSpec("chaos", "fail:dev=1,step=7,after=1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := waitDone(t, j)
-	if st.State != StateDone {
-		t.Fatalf("chaos job state = %s (err %q), want DONE despite the failure", st.State, st.Error)
-	}
-	if st.Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2 (one failure, one resume)", st.Attempts)
-	}
-	if len(st.Workers) != 2 || st.Workers[0] == st.Workers[1] {
-		t.Fatalf("workers = %v, want the resume on a different worker", st.Workers)
-	}
-
-	res := j.Result()
-	if res.Attempts != 2 {
-		t.Errorf("result attempts = %d, want 2", res.Attempts)
-	}
-	if res.SHA256 != baseRes.SHA256 {
-		t.Fatalf("recovered grid differs from the uninterrupted run:\n  chaos    %s\n  baseline %s",
-			res.SHA256, baseRes.SHA256)
-	}
-	for i := range res.Data {
-		if res.Data[i] != baseRes.Data[i] {
-			t.Fatalf("grid differs at %d: %g vs %g", i, res.Data[i], baseRes.Data[i])
-		}
-	}
-
-	// The lifecycle must show the checkpoint and the resume from it.
-	var haveCheckpoint, haveResume bool
-	var states []State
-	for _, ev := range j.Events() {
-		switch ev.Type {
-		case "checkpoint":
-			haveCheckpoint = true
-		case "resume":
-			haveResume = true
-			if ev.Step != 8 {
-				t.Errorf("resume restored the step-%d checkpoint, want step 8 (%q)", ev.Step, ev.Msg)
+	for _, tc := range []struct {
+		name  string
+		bands int
+	}{{"pinned bands", 8}, {"bands unset", 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Baseline: the same physics with no injected failure.
+			obsBase := obs.New()
+			base := New(Config{Workers: 2, Obs: obsBase})
+			bsp := fleetSpec("baseline", "")
+			bsp.Fleet.Bands = tc.bands
+			bj, err := base.Submit(bsp)
+			if err != nil {
+				t.Fatal(err)
 			}
-		case "state":
-			states = append(states, ev.State)
-		}
-	}
-	if !haveCheckpoint || !haveResume {
-		t.Errorf("lifecycle lacks checkpoint/resume events: checkpoint=%t resume=%t", haveCheckpoint, haveResume)
-	}
-	wantStates := []State{StateQueued, StateRunning, StateQueued, StateRunning, StateDone}
-	if len(states) != len(wantStates) {
-		t.Fatalf("state sequence = %v, want %v", states, wantStates)
-	}
-	for i := range wantStates {
-		if states[i] != wantStates[i] {
-			t.Fatalf("state sequence = %v, want %v", states, wantStates)
-		}
-	}
-	if got := observer.Reg.Counter("jobs_resumes_total").Value(); got != 1 {
-		t.Errorf("jobs_resumes_total = %d, want 1", got)
-	}
-	if got := observer.Reg.Counter("jobs_checkpoints_total").Value(); got == 0 {
-		t.Error("jobs_checkpoints_total = 0, want > 0")
+			bst := waitDone(t, bj)
+			base.Close()
+			if bst.State != StateDone {
+				t.Fatalf("baseline state = %s (err %q)", bst.State, bst.Error)
+			}
+			baseRes := bj.Result()
+
+			// Chaos: device 1 dies during its first band of step 7 (mid-run:
+			// target step is 10), so the job checkpoints at step 8 and resumes.
+			observer := obs.New()
+			s := New(Config{Workers: 2, Obs: observer})
+			defer s.Close()
+			csp := fleetSpec("chaos", "fail:dev=1,step=7,after=1")
+			csp.Fleet.Bands = tc.bands
+			j, err := s.Submit(csp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := waitDone(t, j)
+			if st.State != StateDone {
+				t.Fatalf("chaos job state = %s (err %q), want DONE despite the failure", st.State, st.Error)
+			}
+			if st.Attempts != 2 {
+				t.Fatalf("attempts = %d, want 2 (one failure, one resume)", st.Attempts)
+			}
+			if len(st.Workers) != 2 || st.Workers[0] == st.Workers[1] {
+				t.Fatalf("workers = %v, want the resume on a different worker", st.Workers)
+			}
+
+			res := j.Result()
+			if res.Attempts != 2 {
+				t.Errorf("result attempts = %d, want 2", res.Attempts)
+			}
+			if res.SHA256 != baseRes.SHA256 {
+				t.Fatalf("recovered grid differs from the uninterrupted run:\n  chaos    %s\n  baseline %s",
+					res.SHA256, baseRes.SHA256)
+			}
+			for i := range res.Data {
+				if res.Data[i] != baseRes.Data[i] {
+					t.Fatalf("grid differs at %d: %g vs %g", i, res.Data[i], baseRes.Data[i])
+				}
+			}
+
+			// The lifecycle must show the checkpoint and the resume from it.
+			var haveCheckpoint, haveResume bool
+			var states []State
+			for _, ev := range j.Events() {
+				switch ev.Type {
+				case "checkpoint":
+					haveCheckpoint = true
+				case "resume":
+					haveResume = true
+					if ev.Step != 8 {
+						t.Errorf("resume restored the step-%d checkpoint, want step 8 (%q)", ev.Step, ev.Msg)
+					}
+				case "state":
+					states = append(states, ev.State)
+				}
+			}
+			if !haveCheckpoint || !haveResume {
+				t.Errorf("lifecycle lacks checkpoint/resume events: checkpoint=%t resume=%t", haveCheckpoint, haveResume)
+			}
+			wantStates := []State{StateQueued, StateRunning, StateQueued, StateRunning, StateDone}
+			if len(states) != len(wantStates) {
+				t.Fatalf("state sequence = %v, want %v", states, wantStates)
+			}
+			for i := range wantStates {
+				if states[i] != wantStates[i] {
+					t.Fatalf("state sequence = %v, want %v", states, wantStates)
+				}
+			}
+			if got := observer.Reg.Counter("jobs_resumes_total").Value(); got != 1 {
+				t.Errorf("jobs_resumes_total = %d, want 1", got)
+			}
+			if got := observer.Reg.Counter("jobs_checkpoints_total").Value(); got == 0 {
+				t.Error("jobs_checkpoints_total = 0, want > 0")
+			}
+		})
 	}
 }
 

@@ -74,9 +74,10 @@ type FleetSpec struct {
 	// Devices is the simulated-device count of the job's fleet (default 1).
 	Devices int `json:"devices,omitempty"`
 	// Bands fixes the fleet's row-band count; 0 means one band per
-	// device. The band count fixes the per-band numerics, which the
-	// dispatcher's bitwise recovery guarantee relies on, so Validate
-	// requires multi-device jobs to pin it in the spec.
+	// device. Either way the band count is a function of the spec, and a
+	// resumed attempt gets the same device count, so a job resumes with
+	// the per-band numerics it started with (the bitwise recovery
+	// guarantee).
 	Bands int `json:"bands,omitempty"`
 	// Inject scripts health events against the job's first placement, in
 	// the fleet.ParseEvents grammar ("fail:dev=1,step=9,after=1;...").
@@ -259,9 +260,6 @@ func (sp *Spec) Validate() error {
 		}
 		if sp.Fleet.Devices < 1 {
 			return fmt.Errorf("jobs: spec %q: fleet.devices must be >= 1", sp.Name)
-		}
-		if sp.Fleet.Devices > 1 && sp.Fleet.Bands <= 0 {
-			return fmt.Errorf("jobs: spec %q: multi-device jobs must pin fleet.bands (the bitwise resume guarantee needs a fixed band decomposition)", sp.Name)
 		}
 		if sp.Fleet.Inject != "" {
 			if _, err := fleet.ParseEvents(sp.Fleet.Inject); err != nil {

@@ -67,9 +67,6 @@ func TestValidateRejections(t *testing.T) {
 			sp.Kernel = "reference"
 			sp.Fleet = &FleetSpec{Devices: 2, Bands: 4}
 		}, "cannot drive a fleet"},
-		{"multi-device without bands", func(sp *Spec) {
-			sp.Fleet = &FleetSpec{Devices: 2}
-		}, "fleet.bands"},
 		{"bad inject", func(sp *Spec) {
 			sp.Fleet = &FleetSpec{Devices: 2, Bands: 4, Inject: "explode:dev=0"}
 		}, "unknown kind"},
@@ -89,6 +86,32 @@ func TestValidateRejections(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestValidateAccepts lists specs Validate must accept: a multi-device
+// fleet may leave its bands unset (one band per device).
+func TestValidateAccepts(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*Spec)
+	}{
+		{"multi-device without bands", func(sp *Spec) {
+			sp.Fleet = &FleetSpec{Devices: 2}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sp, err := ParseSpec([]byte(minimalSpec()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(&sp)
+			sp.Normalize()
+			if err := sp.Validate(); err != nil {
+				t.Fatalf("valid spec rejected: %v", err)
 			}
 		})
 	}
