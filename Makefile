@@ -43,23 +43,26 @@ test-fleet-race:
 # (watchdogs, scrapers, the step loop), so race-check them directly, then
 # run a scripted-chaos pass with alerting and post-mortem dumping enabled
 # and triage the resulting bundle with obstool — the full incident chain,
-# end to end, on every PR.
+# end to end, on every PR. This gate, test-jobs-race and test-trace-race
+# write under a fresh mktemp -d directory (it honours TMPDIR) and remove it
+# on exit.
 test-alert-race:
 	$(GO) test -race -count=1 ./internal/obs/...
-	rm -rf /tmp/beamdyn_pm
+	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) run ./cmd/beamsim -n 5000 -grid 32 -steps 4 -kernel twophase \
 		-devices 2 -inject "fail:dev=1,step=9" \
 		-alerts "device_failed:for=1;steptime:mad=8" \
-		-flight-depth 1024 -postmortem-dir /tmp/beamdyn_pm
-	$(GO) run ./cmd/obstool postmortem /tmp/beamdyn_pm/postmortem-00-*
+		-flight-depth 1024 -postmortem-dir "$$dir" && \
+	$(GO) run ./cmd/obstool postmortem "$$dir"/postmortem-00-*
 
 # Control-plane gate: race-check the jobs package (queue hammering, the
-# checkpoint/resume chaos test, SSE streaming), then run the scenario
-# catalog through a real oneshot server with tracing on.
+# checkpoint/resume chaos test), then run the scenario catalog through a
+# real oneshot server with tracing on.
 test-jobs-race:
 	$(GO) test -race -count=1 ./internal/jobs/...
+	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) run ./cmd/beamsim serve -http "" -oneshot \
-		-trace /tmp/jobs_trace.jsonl \
+		-trace "$$dir/jobs_trace.jsonl" \
 		-submit examples/scenarios/smooth-gaussian.json,examples/scenarios/halo-dominated.json,examples/scenarios/bunch-compression.json
 
 # Distributed-tracing gate: race-check the span-context paths (concurrent
@@ -70,10 +73,11 @@ test-jobs-race:
 test-trace-race:
 	$(GO) test -race -count=1 -run 'Trace|Scope|Span|Tree|Exemplar' \
 		./internal/obs/... ./internal/jobs/...
+	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) run -race ./cmd/beamsim serve -http "" -oneshot \
-		-node ci -trace /tmp/trace_gate.jsonl \
-		-submit examples/scenarios/smooth-gaussian.json,examples/scenarios/halo-dominated.json
-	$(GO) run ./cmd/obstool tree /tmp/trace_gate.jsonl
+		-node ci -trace "$$dir/trace_gate.jsonl" \
+		-submit examples/scenarios/smooth-gaussian.json,examples/scenarios/halo-dominated.json && \
+	$(GO) run ./cmd/obstool tree "$$dir/trace_gate.jsonl"
 
 # Telemetry-overhead check: the disabled path must stay within 5% of the
 # uninstrumented kernel step, and the full incident layer (flight recorder
@@ -125,14 +129,18 @@ bench-floors:
 
 # Parser fuzzing: run each native fuzz target for a few seconds from its
 # seed corpus (the scenario catalog, the -alerts/-inject scripts above,
-# non-finite numbers, and a JSONL trace with truncated and corrupt
-# copies). No input may panic, and an accepted input's canonical form
-# (re-marshalled spec, Rule.Name, Event.String, re-encoded trace lines)
-# must parse back to an equal value; the strict and lenient trace readers
-# must agree. A failing input is saved under the package's testdata/fuzz
-# and replays in every go test run from then on.
+# non-finite numbers, a JSONL trace with truncated and corrupt copies, and
+# a small checkpoint with crafted configs). No input may panic, and an
+# accepted input's canonical form (re-marshalled spec, Rule.Name,
+# Event.String, re-encoded trace lines, re-saved checkpoint) must parse
+# back to an equal value; the strict and lenient trace readers must agree.
+# A failing input is saved under the package's testdata/fuzz and replays
+# in every go test run from then on. FuzzLoad's inputs are ~3 KB gob
+# streams, and minimizing a new one ran the whole default 60 s budget
+# (34 execs in a 90 s run), so its minimization stops after 100 runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 5s ./internal/jobs
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime 5s ./internal/obs/alert
 	$(GO) test -run '^$$' -fuzz '^FuzzParseEvents$$' -fuzztime 5s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 5s ./internal/obs/analysis
+	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/core

@@ -36,9 +36,9 @@
 //
 // "beamsim serve" switches from one-shot runs to the job control plane
 // (see the Serving section of README.md): simulations are submitted as
-// JobSpec documents over HTTP (POST /jobs), queued per tenant and
-// priority, dispatched onto a worker pool, checkpointed every step and
-// resumed after device failures. cmd/beamctl is the matching client.
+// JobSpec documents over HTTP (POST /jobs), queued in submission order,
+// dispatched onto a worker pool, checkpointed every step and resumed
+// after device failures.
 package main
 
 import (
@@ -120,6 +120,9 @@ func main() {
 		cfg.Tol = *tol
 		cfg.Seed = *seed
 		cfg.Rigid = !*dynamic
+		if err := cfg.Validate(); err != nil {
+			log.Fatalf("invalid flags: %v", err)
+		}
 		sim = beamdyn.New(cfg)
 	}
 	sim.Cfg.HostWorkers = *hostWorkers

@@ -16,14 +16,16 @@ import (
 )
 
 // runServe is the "beamsim serve" mode: a long-running job control plane
-// serving the jobs API alongside the telemetry endpoints.
+// serving the jobs API alongside the telemetry endpoints. Jobs run in
+// submission order, checkpointed at every step and resumed after device
+// failures.
 //
 //	beamsim serve -http :8080 -workers 2
 //	beamsim serve -oneshot -submit a.json,b.json -trace serve.jsonl
 //
 // -submit preloads JobSpec files at startup; with -oneshot the process
-// exits once those jobs finish (the CI harness for the scenario catalog
-// and the queue-wait perf gate), otherwise it serves until killed.
+// exits once those jobs finish (the CI harness for the scenario catalog),
+// otherwise it serves until killed.
 func runServe(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	fs.Usage = func() {
@@ -31,18 +33,15 @@ func runServe(args []string) {
 		fs.PrintDefaults()
 	}
 	var (
-		httpAddr        = fs.String("http", ":8080", "serve the jobs API + telemetry on this address (empty disables HTTP; useful with -oneshot)")
-		workers         = fs.Int("workers", 2, "dispatch workers (jobs running concurrently)")
-		maxQueued       = fs.Int("max-queued", 16, "per-tenant queued-job quota (0 = unlimited)")
-		checkpointEvery = fs.Int("checkpoint-every", 1, "checkpoint running jobs every N steps (<0 disables periodic checkpoints)")
-		maxResumes      = fs.Int("max-resumes", 3, "checkpoint/resume episodes allowed per job before it fails")
-		flightDepth     = fs.Int("flight-depth", flight.DefaultDepth, "flight recorder depth (0 disables)")
-		traceOut        = fs.String("trace", "", "write the control plane's JSONL span/event trace to this file")
-		submit          = fs.String("submit", "", "comma-separated JobSpec files to submit at startup")
-		oneshot         = fs.Bool("oneshot", false, "exit after the -submit jobs finish (requires -submit)")
-		staleAfter      = fs.Duration("stale-after", 0*time.Second, "/healthz reports stalled (503) when no step completes within this window (0 disables)")
-		node            = fs.String("node", "", "node label stamped as baggage on every job's traced spans")
-		runtimeInt      = fs.Duration("runtime-interval", time.Second, "sample Go runtime telemetry (go_* gauges) at this period (0 disables)")
+		httpAddr    = fs.String("http", ":8080", "serve the jobs API + telemetry on this address (empty disables HTTP; useful with -oneshot)")
+		workers     = fs.Int("workers", 2, "dispatch workers (jobs running concurrently)")
+		flightDepth = fs.Int("flight-depth", flight.DefaultDepth, "flight recorder depth (0 disables)")
+		traceOut    = fs.String("trace", "", "write the control plane's JSONL span/event trace to this file")
+		submit      = fs.String("submit", "", "comma-separated JobSpec files to submit at startup")
+		oneshot     = fs.Bool("oneshot", false, "exit after the -submit jobs finish (requires -submit)")
+		staleAfter  = fs.Duration("stale-after", 0*time.Second, "/healthz reports stalled (503) when no step completes within this window (0 disables)")
+		node        = fs.String("node", "", "node label stamped as baggage on every job's traced spans")
+		runtimeInt  = fs.Duration("runtime-interval", time.Second, "sample Go runtime telemetry (go_* gauges) at this period (0 disables)")
 	)
 	fs.Parse(args)
 	if fs.NArg() > 0 {
@@ -79,14 +78,7 @@ func runServe(args []string) {
 		rtc = runtimecol.Start(observer.Reg, *runtimeInt)
 	}
 
-	js := jobs.New(jobs.Config{
-		Workers:            *workers,
-		Obs:                observer,
-		Node:               *node,
-		MaxQueuedPerTenant: *maxQueued,
-		CheckpointEvery:    *checkpointEvery,
-		MaxResumes:         *maxResumes,
-	})
+	js := jobs.New(jobs.Config{Workers: *workers, Obs: observer, Node: *node})
 
 	if *httpAddr != "" {
 		srv := &export.Server{Obs: observer, StaleAfter: *staleAfter}

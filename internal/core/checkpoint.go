@@ -84,9 +84,10 @@ func (s *Simulation) Save(w io.Writer) error {
 
 // Load restores a simulation saved with Save. The returned simulation has
 // no kernel attached (set Algo afterwards); its next Advance continues
-// from the checkpointed step. A history grid whose shape, components,
-// spacing or data length does not fit the checkpointed config, or whose
-// step does not follow the previous grid's, is an error.
+// from the checkpointed step. A config that Validate rejects is an error,
+// and so is a history grid whose shape, components, spacing or data
+// length does not fit the config, or whose step does not follow the
+// previous grid's.
 func Load(r io.Reader) (*Simulation, error) {
 	var cp checkpoint
 	if err := gob.NewDecoder(r).Decode(&cp); err != nil {
@@ -96,6 +97,9 @@ func Load(r io.Reader) (*Simulation, error) {
 		return nil, fmt.Errorf("core: checkpoint version %d, want %d", cp.Version, checkpointVersion)
 	}
 	cfg := cp.Cfg
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("checkpoint config: %w", err)
+	}
 	cfg.fillDefaults()
 	s := &Simulation{
 		Cfg:      cfg,
@@ -111,7 +115,7 @@ func Load(r io.Reader) (*Simulation, error) {
 		if err := gs.check(&cfg); err != nil {
 			return nil, err
 		}
-		if gs.Step <= s.Hist.Latest() {
+		if gs.Step < 0 || i > 0 && gs.Step != s.Hist.Latest()+1 {
 			return nil, fmt.Errorf("core: checkpoint grids out of order: step %d after step %d", gs.Step, s.Hist.Latest())
 		}
 		g := grid.New(gs.NX, gs.NY, gs.Comp, gs.X0, gs.Y0, gs.DX, gs.DY)

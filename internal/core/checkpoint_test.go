@@ -202,3 +202,83 @@ func TestCheckpointPreservesStepAndHistoryDepth(t *testing.T) {
 		t.Fatalf("sample step %d, want %d", s.Step, before)
 	}
 }
+
+// smallCheckpoint saves a 4x4, 40-particle, kappa-1 simulation with a full
+// history: a few kilobytes, small enough to seed FuzzLoad.
+func smallCheckpoint(tb testing.TB) []byte {
+	cfg := testConfig()
+	cfg.NX, cfg.NY = 4, 4
+	cfg.Beam.NumParticles = 40
+	cfg.Kappa = 1
+	s := New(cfg)
+	s.Warmup()
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// recode re-encodes the checkpoint raw after mutate edits it.
+func recode(tb testing.TB, raw []byte, mutate func(*checkpoint)) []byte {
+	var cp checkpoint
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&cp); err != nil {
+		tb.Fatal(err)
+	}
+	mutate(&cp)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&cp); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// badCheckpointConfigs are configs Validate rejects, written into an
+// otherwise valid checkpoint.
+var badCheckpointConfigs = []struct {
+	name   string
+	mutate func(*Config)
+	want   string
+}{
+	{"nx 1", func(c *Config) { c.NX = 1 }, "grid 1x4 too small"},
+	{"kappa -10", func(c *Config) { c.Kappa = -10 }, "kappa -10 outside"},
+	{"kappa above the bound", func(c *Config) { c.Kappa = MaxKappa + 1 }, fmt.Sprintf("kappa %d outside", MaxKappa+1)},
+	{"tol NaN", func(c *Config) { c.Tol = math.NaN() }, "tol is NaN"},
+	{"unknown scheme", func(c *Config) { c.Scheme = 7 }, "unknown deposition scheme"},
+}
+
+// TestLoadRejectsBadConfigs: a checkpoint whose config cannot run is an
+// error from Load, before the history is allocated, never a panic.
+func TestLoadRejectsBadConfigs(t *testing.T) {
+	raw := smallCheckpoint(t)
+	for _, tc := range badCheckpointConfigs {
+		t.Run(tc.name, func(t *testing.T) {
+			crafted := recode(t, raw, func(cp *checkpoint) { tc.mutate(&cp.Cfg) })
+			var err error
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("Load panicked: %v", r)
+					}
+				}()
+				_, err = Load(bytes.NewReader(crafted))
+			}()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Load error = %v, want one saying %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestLoadRejectsHistoryGap: Save writes consecutive history steps. A gap
+// is an error, because the ring would drop grids below it on the next
+// Save and the checkpoint would not round-trip.
+func TestLoadRejectsHistoryGap(t *testing.T) {
+	crafted := recode(t, smallCheckpoint(t), func(cp *checkpoint) {
+		cp.Grids = append(cp.Grids[:2:2], cp.Grids[3:]...)
+	})
+	_, err := Load(bytes.NewReader(crafted))
+	if err == nil || !strings.Contains(err.Error(), "out of order: step 3 after step 1") {
+		t.Fatalf("Load error = %v, want grids out of order", err)
+	}
+}

@@ -102,9 +102,50 @@ func (c *Config) fillDefaults() {
 	if c.ForceScale == 0 {
 		c.ForceScale = 1
 	}
-	if c.NX < 2 || c.NY < 2 {
-		panic(fmt.Sprintf("core: invalid grid %dx%d", c.NX, c.NY))
+}
+
+// MaxKappa bounds the retardation depth. The history ring allocates κ+4
+// slots before it holds a grid, so an unbounded κ from a checkpoint or a
+// job spec could demand gigabytes up front. Every configuration in this
+// repository uses κ ≤ 10; the bound leaves two orders of magnitude of
+// headroom while the ring's slot arrays stay a few tens of kilobytes.
+const MaxKappa = 1024
+
+// Validate reports why a simulation cannot run cfg, after the defaults New
+// fills in: it is the one place that decides which configurations run.
+// New panics with its error, Load returns it, and the job spec and beamsim
+// report it as input errors.
+func (c Config) Validate() error {
+	c.fillDefaults()
+	switch {
+	case c.NX < 2 || c.NY < 2:
+		return fmt.Errorf("core: grid %dx%d too small, want at least 2x2", c.NX, c.NY)
+	case c.Kappa < 1 || c.Kappa > MaxKappa:
+		return fmt.Errorf("core: kappa %d outside [1, %d]", c.Kappa, MaxKappa)
+	case c.Beam.NumParticles < 1:
+		return fmt.Errorf("core: beam of %d particles, want at least 1", c.Beam.NumParticles)
+	case c.Inner < quadrature.Trapezoid || c.Inner > quadrature.Boole:
+		return fmt.Errorf("core: unknown inner Newton-Cotes rule %d", c.Inner)
+	case c.Scheme < grid.NGP || c.Scheme > grid.TSC:
+		return fmt.Errorf("core: unknown deposition scheme %v", c.Scheme)
+	case c.Shape < particles.GaussianShape || c.Shape > particles.ParabolicShape:
+		return fmt.Errorf("core: unknown bunch shape %v", c.Shape)
+	case c.Continuum && c.Shape != particles.GaussianShape:
+		return fmt.Errorf("core: continuum mode supports only the Gaussian shape, not %v", c.Shape)
 	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"tol", c.Tol}, {"dt", c.Dt}, {"pad sigma", c.PadSigma},
+		{"beam sigma x", c.Beam.SigmaX}, {"beam sigma y", c.Beam.SigmaY},
+		{"beam energy", c.Beam.Energy},
+	} {
+		if !(f.v > 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("core: %s is %g, want finite and positive", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // Simulation is the running state of a beam-dynamics simulation.
@@ -169,17 +210,16 @@ type Simulation struct {
 	solver retard.GridSolver
 }
 
-// New builds a simulation and samples the initial bunch.
+// New builds a simulation and samples the initial bunch. It panics with
+// the Validate error when cfg cannot run.
 func New(cfg Config) *Simulation {
-	cfg.fillDefaults()
-	if cfg.Continuum {
-		cfg.Rigid = true
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
+	cfg.fillDefaults()
 	ebeam := cfg.Beam
 	if cfg.Continuum {
-		if cfg.Shape != particles.GaussianShape {
-			panic("core: continuum mode supports only the Gaussian shape")
-		}
+		cfg.Rigid = true
 		ebeam.NumParticles = 0
 	}
 	s := &Simulation{

@@ -2,7 +2,6 @@ package jobs
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,7 +17,7 @@ const maxSpecBytes = 1 << 20
 //	POST   /jobs              submit a JobSpec, 201 + status
 //	GET    /jobs              list all jobs (submission order)
 //	GET    /jobs/{id}         one job's status
-//	GET    /jobs/{id}/events  the lifecycle log as SSE (replay + live)
+//	GET    /jobs/{id}/events  the lifecycle log so far, a JSON array
 //	GET    /jobs/{id}/result  the final grid (409 until DONE)
 //	DELETE /jobs/{id}         cancel
 func (s *Server) Handler() http.Handler {
@@ -55,18 +54,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j, err := s.Submit(sp)
-	switch {
-	case err == nil:
-		writeJSON(w, http.StatusCreated, j.Status())
-	case errors.Is(err, ErrQuota):
-		httpError(w, http.StatusTooManyRequests, "%v", err)
-	case errors.Is(err, ErrDeadline):
-		httpError(w, http.StatusBadRequest, "%v", err)
-	case errors.Is(err, ErrClosed):
+	if err != nil { // ErrClosed
 		httpError(w, http.StatusServiceUnavailable, "%v", err)
-	default:
-		httpError(w, http.StatusInternalServerError, "%v", err)
+		return
 	}
+	writeJSON(w, http.StatusCreated, j.Status())
 }
 
 // handleJob routes /jobs/{id}[/events|/result].
@@ -84,7 +76,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	case sub == "" && r.Method == http.MethodDelete:
 		s.handleCancel(w, j)
 	case sub == "events" && r.Method == http.MethodGet:
-		s.handleEvents(w, r, j)
+		writeJSON(w, http.StatusOK, j.Events())
 	case sub == "result" && r.Method == http.MethodGet:
 		s.handleResult(w, j)
 	default:
@@ -112,54 +104,6 @@ func (s *Server) handleResult(w http.ResponseWriter, j *Job) {
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
-}
-
-// handleEvents streams the job's lifecycle log as server-sent events:
-// the full log so far is replayed, then live events follow until the job
-// reaches a terminal state (or the client disconnects). Each event is one
-// "data:" line of Event JSON.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, j *Job) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusInternalServerError, "response writer cannot stream")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	past, live, cancel := j.Subscribe()
-	defer cancel()
-	for _, ev := range past {
-		if writeSSE(w, ev) != nil {
-			return
-		}
-	}
-	fl.Flush()
-	ctx := r.Context()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case ev, ok := <-live:
-			if !ok {
-				return
-			}
-			if writeSSE(w, ev) != nil {
-				return
-			}
-			fl.Flush()
-		}
-	}
-}
-
-func writeSSE(w io.Writer, ev Event) error {
-	data, err := json.Marshal(ev)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, data)
-	return err
 }
 
 // apiError is the JSON error body every non-2xx response carries.

@@ -1,7 +1,6 @@
 package jobs
 
 import (
-	"bufio"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -82,26 +81,19 @@ func TestHTTPWalkthrough(t *testing.T) {
 		t.Fatalf("list = %+v", list)
 	}
 
-	// Events (SSE): the stream replays the log and closes at terminal.
-	resp, err := http.Get(ts.URL + "/jobs/" + st.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
+	// Events: once the job is DONE, the log is one JSON array holding
+	// the whole lifecycle.
+	waitDone(t, srv.Get(st.ID))
+	code, body = getBody(t, ts.URL+"/jobs/"+st.ID+"/events")
+	if code != http.StatusOK {
+		t.Fatalf("GET /jobs/{id}/events = %d: %s", code, body)
 	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "text/event-stream") {
-		t.Fatalf("events content-type = %q", ct)
+	var events []Event
+	if err := json.Unmarshal([]byte(body), &events); err != nil {
+		t.Fatalf("events are not a JSON array of events: %v", err)
 	}
 	var sawRunning, sawDone, sawProgress bool
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		data, ok := strings.CutPrefix(sc.Text(), "data: ")
-		if !ok {
-			continue
-		}
-		var ev Event
-		if err := json.Unmarshal([]byte(data), &ev); err != nil {
-			t.Fatalf("bad SSE payload %q: %v", data, err)
-		}
+	for _, ev := range events {
 		switch {
 		case ev.Type == "state" && ev.State == StateRunning:
 			sawRunning = true
@@ -111,14 +103,11 @@ func TestHTTPWalkthrough(t *testing.T) {
 			sawProgress = true
 		}
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
 	if !sawRunning || !sawDone || !sawProgress {
-		t.Fatalf("SSE lifecycle incomplete: running=%t done=%t progress=%t", sawRunning, sawDone, sawProgress)
+		t.Fatalf("event log incomplete: running=%t done=%t progress=%t", sawRunning, sawDone, sawProgress)
 	}
 
-	// Status after the stream closed: DONE.
+	// Status: DONE.
 	code, body = getBody(t, ts.URL+"/jobs/"+st.ID)
 	if code != http.StatusOK {
 		t.Fatalf("GET /jobs/{id} = %d", code)
@@ -167,7 +156,6 @@ func TestHTTPWalkthrough(t *testing.T) {
 			t.Errorf("/metrics lacks %s", want)
 		}
 	}
-	_ = srv
 }
 
 func TestHTTPErrors(t *testing.T) {
@@ -193,25 +181,6 @@ func TestHTTPErrors(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &apiErr); err != nil || apiErr.Error == "" {
 		t.Errorf("error body not {error: ...} JSON: %q", body)
 	}
-}
-
-func TestHTTPQuota(t *testing.T) {
-	srv, ts := apiFixture(t, Config{Workers: 1, MaxQueuedPerTenant: 1})
-	long := smallSpec("blocker")
-	long.Steps = 50
-	blocker, err := srv.Submit(long)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitRunning(t, blocker)
-	// One fits the queue quota, the next gets 429.
-	if code, body := postSpec(t, ts.URL, minimalSpec()); code != http.StatusCreated {
-		t.Fatalf("first queued submit = %d: %s", code, body)
-	}
-	if code, _ := postSpec(t, ts.URL, minimalSpec()); code != http.StatusTooManyRequests {
-		t.Errorf("submit past quota = %d, want 429", code)
-	}
-	srv.Cancel(blocker.ID)
 }
 
 func TestHTTPResultBeforeDone(t *testing.T) {

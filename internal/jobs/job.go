@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"math"
 	"sync"
 	"time"
@@ -17,7 +16,8 @@ import (
 //
 //	PENDING -> QUEUED -> RUNNING -> DONE | FAILED | CANCELLED
 //	                     RUNNING -> QUEUED   (checkpointed resume)
-//	           QUEUED  -> FAILED | CANCELLED (deadline expiry, cancel)
+//	           QUEUED  -> CANCELLED          (cancel, shutdown)
+//	           QUEUED  -> FAILED             (shutdown during a resume)
 type State string
 
 // The job states.
@@ -38,8 +38,8 @@ func (s State) Terminal() bool {
 // AllStates lists every state, for gauge initialisation and display.
 var AllStates = []State{StatePending, StateQueued, StateRunning, StateDone, StateFailed, StateCancelled}
 
-// Event is one entry of a job's lifecycle log, streamed over the SSE
-// endpoint and replayed to late subscribers.
+// Event is one entry of a job's lifecycle log, served as a JSON array by
+// GET /jobs/{id}/events.
 type Event struct {
 	// Seq is the event's position in the job's log (0-based).
 	Seq int `json:"seq"`
@@ -98,14 +98,11 @@ func GridDigest(nx, ny int, data []float64) string {
 
 // Status is the externally visible job snapshot served by the API.
 type Status struct {
-	ID       string `json:"id"`
-	Name     string `json:"name"`
-	Tenant   string `json:"tenant"`
-	State    State  `json:"state"`
-	Priority int    `json:"priority"`
+	ID    string `json:"id"`
+	Name  string `json:"name"`
+	State State  `json:"state"`
 
 	SubmittedAt time.Time  `json:"submitted_at"`
-	Deadline    *time.Time `json:"deadline,omitempty"`
 	StartedAt   *time.Time `json:"started_at,omitempty"`
 	FinishedAt  *time.Time `json:"finished_at,omitempty"`
 
@@ -130,8 +127,9 @@ type Status struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// Job is one managed simulation run. All mutable state is guarded by mu;
-// the Spec and ID are immutable after creation.
+// Job is one managed simulation run. Its mutable state is guarded by mu,
+// except the queue's seq and avoid; the Spec and ID are immutable after
+// creation.
 type Job struct {
 	// ID is the control plane's job identifier ("j-000001").
 	ID string
@@ -142,17 +140,17 @@ type Job struct {
 	state     State
 	err       string
 	submitted time.Time
-	deadline  time.Time // zero = none
 	started   time.Time
 	finished  time.Time
 	waitSec   float64
 	runSec    float64
 
-	// seq is the queue's FIFO tiebreak, assigned at first enqueue and
-	// kept across resumes so a resumed job does not lose its place.
-	seq int
-	// avoid is the worker id that must not pick this job up (the one
-	// whose device pool just failed); -1 means any worker may.
+	// seq is the queue's FIFO order, assigned at first enqueue and kept
+	// across resumes so a resumed job does not lose its place. avoid is
+	// the worker id that must not pick this job up (the one whose device
+	// pool just failed); -1 means any worker may. Both are written only
+	// while the job is out of the queue and read under the queue's lock.
+	seq      int
 	avoid    int
 	attempts int
 	workers  []int
@@ -165,7 +163,6 @@ type Job struct {
 	lastStep   int
 
 	events []Event
-	subs   map[chan Event]struct{}
 	result *Result
 	done   chan struct{}
 
@@ -175,29 +172,24 @@ type Job struct {
 	enqueued time.Time
 	runStart time.Time
 
-	// scope is the job-scoped observer (fresh trace, job/tenant/node
-	// baggage) whose spans parent under root, the job's "jobs/job" root
-	// span; traceID names the trace in the JSONL stream. All are inert
-	// without tracing.
+	// scope is the job-scoped observer (fresh trace, job/node baggage)
+	// whose spans parent under root, the job's "jobs/job" root span;
+	// traceID names the trace in the JSONL stream. All are inert without
+	// tracing.
 	scope   *obs.Observer
 	root    obs.Span
 	traceID string
 }
 
 func newJob(id string, sp Spec, now time.Time) *Job {
-	j := &Job{
+	return &Job{
 		ID:        id,
 		Spec:      sp,
 		state:     StatePending,
 		submitted: now,
 		avoid:     -1,
-		subs:      make(map[chan Event]struct{}),
 		done:      make(chan struct{}),
 	}
-	if sp.DeadlineSec > 0 {
-		j.deadline = now.Add(time.Duration(sp.DeadlineSec * float64(time.Second)))
-	}
-	return j
 }
 
 // State returns the current lifecycle state.
@@ -245,9 +237,7 @@ func (j *Job) Status() Status {
 	st := Status{
 		ID:           j.ID,
 		Name:         j.Spec.Name,
-		Tenant:       j.Spec.Tenant,
 		State:        j.state,
-		Priority:     j.Spec.Priority,
 		SubmittedAt:  j.submitted,
 		Step:         j.lastStep,
 		TargetStep:   j.Spec.TargetStep(),
@@ -258,10 +248,6 @@ func (j *Job) Status() Status {
 		RunSec:       j.runSec,
 		HasResult:    j.result != nil,
 		TraceID:      j.traceID,
-	}
-	if !j.deadline.IsZero() {
-		d := j.deadline
-		st.Deadline = &d
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -281,49 +267,12 @@ func (j *Job) Events() []Event {
 	return append([]Event(nil), j.events...)
 }
 
-// subscribeBuffer is each subscriber's channel depth; a subscriber that
-// falls further behind than this loses events (the SSE handler drains
-// promptly, and the full log stays replayable via Events).
-const subscribeBuffer = 256
-
-// Subscribe returns the event log so far plus a channel of future events.
-// The cancel function must be called when done; the channel is closed
-// after the terminal state event has been delivered.
-func (j *Job) Subscribe() (past []Event, ch <-chan Event, cancel func()) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	past = append([]Event(nil), j.events...)
-	c := make(chan Event, subscribeBuffer)
-	if j.state.Terminal() {
-		close(c)
-		return past, c, func() {}
-	}
-	j.subs[c] = struct{}{}
-	return past, c, func() {
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		if _, ok := j.subs[c]; ok {
-			delete(j.subs, c)
-			close(c)
-		}
-	}
-}
-
-// emitLocked appends an event and fans it out. Callers hold j.mu.
+// emitLocked appends an event to the log, closing Done at the terminal
+// state. Callers hold j.mu.
 func (j *Job) emitLocked(ev Event) {
 	ev.Seq = len(j.events)
 	j.events = append(j.events, ev)
-	for c := range j.subs {
-		select {
-		case c <- ev:
-		default: // slow subscriber: drop, the log keeps the record
-		}
-	}
 	if ev.Type == "state" && ev.State.Terminal() {
-		for c := range j.subs {
-			delete(j.subs, c)
-			close(c)
-		}
 		close(j.done)
 	}
 }
@@ -409,9 +358,4 @@ func (j *Job) checkpointData() ([]byte, int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.checkpoint, j.ckStep
-}
-
-// describe renders the job for logs.
-func (j *Job) describe() string {
-	return fmt.Sprintf("%s %s", j.ID, j.Spec.String())
 }

@@ -2,205 +2,104 @@ package jobs
 
 import (
 	"errors"
-	"fmt"
-	"time"
+	"slices"
+	"sync"
 )
 
-// Admission errors. The HTTP layer maps ErrQuota to 429 and the others to
-// 4xx client errors.
-var (
-	// ErrQuota means the tenant already has its maximum number of queued
-	// jobs; resubmit after one drains.
-	ErrQuota = errors.New("jobs: tenant queue quota exceeded")
-	// ErrDeadline means the job's admission deadline had already passed at
-	// submit time.
-	ErrDeadline = errors.New("jobs: deadline already expired")
-	// ErrClosed means the control plane is shutting down.
-	ErrClosed = errors.New("jobs: control plane closed")
-)
+// ErrClosed means the control plane is shutting down; the HTTP layer maps
+// it to 503.
+var ErrClosed = errors.New("jobs: control plane closed")
 
-// queue is the multi-tenant priority queue feeding the dispatch workers.
-// Ordering is by descending priority, FIFO (ascending enqueue sequence)
-// within a priority. Admission enforces per-tenant quotas and rejects
-// jobs whose deadline has already passed; dispatch expires jobs whose
-// deadline passes while they wait. All methods are safe for concurrent
-// use; pop blocks until work is available or the queue closes.
+// queue is the FIFO feeding the dispatch workers, ordered by admission
+// sequence number. All methods are safe for concurrent use; pop blocks
+// until work is available or the queue closes.
 type queue struct {
-	mu     chan struct{} // 1-slot semaphore: a mutex whose waiters we can interleave with wakeups
-	wake   chan struct{} // closed+replaced to wake blocked pops
-	items  []*Job
-	queued map[string]int // per-tenant queued count
-	closed bool
-	seq    int
-
-	maxPerTenant int
-	now          func() time.Time
-	// onExpire is called (outside the lock) for each job dropped because
-	// its deadline passed while queued.
-	onExpire func(*Job)
+	mu      sync.Mutex
+	changed sync.Cond // broadcast when a job arrives or the queue closes
+	items   []*Job
+	closed  bool
+	seq     int
 }
 
-func newQueue(maxPerTenant int, now func() time.Time, onExpire func(*Job)) *queue {
-	if now == nil {
-		now = time.Now
-	}
-	q := &queue{
-		mu:           make(chan struct{}, 1),
-		wake:         make(chan struct{}),
-		queued:       make(map[string]int),
-		maxPerTenant: maxPerTenant,
-		now:          now,
-		onExpire:     onExpire,
-	}
+func newQueue() *queue {
+	q := &queue{}
+	q.changed.L = &q.mu
 	return q
 }
 
-func (q *queue) lock()   { q.mu <- struct{}{} }
-func (q *queue) unlock() { <-q.mu }
-
-// wakeLocked signals every blocked pop to rescan.
-func (q *queue) wakeLocked() {
-	close(q.wake)
-	q.wake = make(chan struct{})
-}
-
-// push admits a new job: quota and deadline checks, sequence assignment.
+// push enqueues j. A new job is numbered after every job admitted before
+// it; a resumed job keeps its number, so it does not lose its FIFO place.
 func (q *queue) push(j *Job) error {
-	q.lock()
-	defer q.unlock()
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	if q.closed {
 		return ErrClosed
 	}
-	if q.maxPerTenant > 0 && q.queued[j.Spec.Tenant] >= q.maxPerTenant {
-		return fmt.Errorf("%w (tenant %q, limit %d)", ErrQuota, j.Spec.Tenant, q.maxPerTenant)
-	}
-	j.mu.Lock()
-	expired := !j.deadline.IsZero() && !q.now().Before(j.deadline)
-	if !expired {
+	if j.seq == 0 {
 		q.seq++
 		j.seq = q.seq
 	}
-	j.mu.Unlock()
-	if expired {
-		return ErrDeadline
-	}
 	q.items = append(q.items, j)
-	q.queued[j.Spec.Tenant]++
-	q.wakeLocked()
+	q.changed.Broadcast()
 	return nil
 }
 
-// pushResume re-enqueues a checkpointed job. It skips admission (the job
-// was already admitted) and keeps the original sequence number, so the
-// resume does not lose its FIFO place.
-func (q *queue) pushResume(j *Job) error {
-	q.lock()
-	defer q.unlock()
-	if q.closed {
-		return ErrClosed
-	}
-	q.items = append(q.items, j)
-	q.queued[j.Spec.Tenant]++
-	q.wakeLocked()
-	return nil
-}
-
-// pop blocks until a job is available for the given worker and returns it,
-// or returns nil when the queue closes. A job marked to avoid this worker
-// (its device pool just failed there) is skipped unless the worker is the
-// only one (soleWorker), so single-worker deployments still drain resumes.
-// Jobs whose deadline passed while queued are dropped via onExpire.
+// pop blocks until a job is available for the given worker and returns the
+// one admitted first, or returns nil when the queue closes. A job marked to
+// avoid this worker (its device pool just failed there) is skipped unless
+// the worker is the only one (soleWorker), so single-worker deployments
+// still drain resumes.
 func (q *queue) pop(worker int, soleWorker bool) *Job {
-	for {
-		q.lock()
-		if q.closed {
-			q.unlock()
-			return nil
-		}
-		now := q.now()
-		var expired []*Job
-		var best *Job
-		var bestPrio, bestSeq int
-		for _, j := range q.items {
-			j.mu.Lock()
-			dead := !j.deadline.IsZero() && now.After(j.deadline)
-			avoid := j.avoid
-			prio, seq := j.Spec.Priority, j.seq
-			j.mu.Unlock()
-			if dead {
-				expired = append(expired, j)
-				continue
-			}
-			if avoid == worker && !soleWorker {
-				continue
-			}
-			if best == nil || prio > bestPrio || (prio == bestPrio && seq < bestSeq) {
-				best, bestPrio, bestSeq = j, prio, seq
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for !q.closed {
+		best := -1
+		for i, j := range q.items {
+			if (soleWorker || j.avoid != worker) && (best < 0 || j.seq < q.items[best].seq) {
+				best = i
 			}
 		}
-		for _, j := range expired {
-			q.removeLocked(j)
+		if best >= 0 {
+			j := q.items[best]
+			q.items = slices.Delete(q.items, best, best+1)
+			return j
 		}
-		if best != nil {
-			q.removeLocked(best)
-		}
-		wake := q.wake
-		q.unlock()
-		for _, j := range expired {
-			if q.onExpire != nil {
-				q.onExpire(j)
-			}
-		}
-		if best != nil {
-			return best
-		}
-		<-wake
+		q.changed.Wait()
 	}
-}
-
-// removeLocked deletes j from the queue if present, returning whether it
-// was.
-func (q *queue) removeLocked(j *Job) bool {
-	for i, it := range q.items {
-		if it == j {
-			q.items = append(q.items[:i], q.items[i+1:]...)
-			q.queued[j.Spec.Tenant]--
-			if q.queued[j.Spec.Tenant] == 0 {
-				delete(q.queued, j.Spec.Tenant)
-			}
-			return true
-		}
-	}
-	return false
+	return nil
 }
 
 // remove takes j out of the queue (cancellation of a queued job),
 // reporting whether it was still queued.
 func (q *queue) remove(j *Job) bool {
-	q.lock()
-	defer q.unlock()
-	return q.removeLocked(j)
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	i := slices.Index(q.items, j)
+	if i < 0 {
+		return false
+	}
+	q.items = slices.Delete(q.items, i, i+1)
+	return true
 }
 
 // depth returns the number of queued jobs.
 func (q *queue) depth() int {
-	q.lock()
-	defer q.unlock()
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	return len(q.items)
 }
 
 // drain closes the queue, waking every blocked pop, and returns the jobs
 // still queued (the server cancels them on shutdown).
 func (q *queue) drain() []*Job {
-	q.lock()
-	defer q.unlock()
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	if q.closed {
 		return nil
 	}
 	q.closed = true
 	out := q.items
 	q.items = nil
-	q.queued = make(map[string]int)
-	q.wakeLocked()
+	q.changed.Broadcast()
 	return out
 }

@@ -9,116 +9,44 @@ import (
 
 // testSpec builds a minimal valid spec for queue-level tests (the queue
 // never runs it).
-func testSpec(name, tenant string, prio int) Spec {
+func testSpec(name string) Spec {
 	sp := Spec{
-		Name:     name,
-		Tenant:   tenant,
-		Priority: prio,
-		Beam:     BeamSpec{Particles: 100, ChargeC: 1e-9, SigmaX: 1e-4, SigmaY: 5e-5, EnergyEV: 1e9},
-		Grid:     GridSpec{NX: 8},
-		Steps:    1,
-		Kernel:   "twophase",
+		Name:   name,
+		Beam:   BeamSpec{Particles: 100, ChargeC: 1e-9, SigmaX: 1e-4, SigmaY: 5e-5, EnergyEV: 1e9},
+		Grid:   GridSpec{NX: 8},
+		Steps:  1,
+		Kernel: "twophase",
 	}
 	sp.Normalize()
 	return sp
 }
 
-// fakeClock is a lockable test clock for deadline tests.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *fakeClock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
-func TestQueuePriorityAndFIFO(t *testing.T) {
-	q := newQueue(0, nil, nil)
+func TestQueueFIFO(t *testing.T) {
+	q := newQueue()
 	now := time.Now()
-	low1 := newJob("low1", testSpec("low1", "a", 1), now)
-	low2 := newJob("low2", testSpec("low2", "a", 1), now)
-	high := newJob("high", testSpec("high", "a", 5), now)
-	for _, j := range []*Job{low1, low2, high} {
+	first := newJob("first", testSpec("first"), now)
+	second := newJob("second", testSpec("second"), now)
+	third := newJob("third", testSpec("third"), now)
+	want := []*Job{first, second, third}
+	for _, j := range want {
 		if err := q.push(j); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want := []*Job{high, low1, low2}
 	for i, w := range want {
 		got := q.pop(0, true)
 		if got != w {
-			t.Fatalf("pop %d = %s, want %s (priority order, FIFO within priority)", i, got.ID, w.ID)
+			t.Fatalf("pop %d = %s, want %s (submission order)", i, got.ID, w.ID)
 		}
-	}
-}
-
-func TestQueueTenantQuota(t *testing.T) {
-	q := newQueue(2, nil, nil)
-	now := time.Now()
-	for i := 0; i < 2; i++ {
-		if err := q.push(newJob("a", testSpec("a", "alice", 0), now)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	err := q.push(newJob("a3", testSpec("a3", "alice", 0), now))
-	if err == nil {
-		t.Fatal("third queued job for one tenant accepted past quota 2")
-	}
-	// Another tenant is unaffected.
-	if err := q.push(newJob("b", testSpec("b", "bob", 0), now)); err != nil {
-		t.Fatalf("other tenant rejected: %v", err)
-	}
-	// Draining one of alice's jobs frees her quota slot.
-	q.pop(0, true)
-	if err := q.push(newJob("a4", testSpec("a4", "alice", 0), now)); err != nil {
-		t.Fatalf("tenant still over quota after a pop: %v", err)
-	}
-}
-
-func TestQueueDeadline(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	var expired atomic.Int32
-	q := newQueue(0, clk.now, func(*Job) { expired.Add(1) })
-
-	dead := testSpec("dead", "a", 0)
-	dead.DeadlineSec = 5
-	past := newJob("past", dead, clk.now().Add(-10*time.Second))
-	if err := q.push(past); err != ErrDeadline {
-		t.Fatalf("push of already-expired job = %v, want ErrDeadline", err)
-	}
-
-	soon := newJob("soon", dead, clk.now())
-	fine := newJob("fine", testSpec("fine", "a", 0), clk.now())
-	if err := q.push(soon); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.push(fine); err != nil {
-		t.Fatal(err)
-	}
-	clk.advance(10 * time.Second) // soon's deadline passes while queued
-	if got := q.pop(0, true); got != fine {
-		t.Fatalf("pop = %s, want the undeadlined job", got.ID)
-	}
-	if expired.Load() != 1 {
-		t.Fatalf("onExpire ran %d times, want 1 (the expired queued job)", expired.Load())
 	}
 }
 
 func TestQueueAvoidWorker(t *testing.T) {
-	q := newQueue(0, nil, nil)
+	q := newQueue()
 	now := time.Now()
-	j := newJob("resumed", testSpec("resumed", "a", 0), now)
+	j := newJob("resumed", testSpec("resumed"), now)
 	j.avoid = 0
-	other := newJob("other", testSpec("other", "a", 0), now)
+	other := newJob("other", testSpec("other"), now)
 	if err := q.push(j); err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +64,8 @@ func TestQueueAvoidWorker(t *testing.T) {
 }
 
 func TestQueueAvoidSoleWorker(t *testing.T) {
-	q := newQueue(0, nil, nil)
-	j := newJob("resumed", testSpec("resumed", "a", 0), time.Now())
+	q := newQueue()
+	j := newJob("resumed", testSpec("resumed"), time.Now())
 	j.avoid = 0
 	if err := q.push(j); err != nil {
 		t.Fatal(err)
@@ -149,10 +77,10 @@ func TestQueueAvoidSoleWorker(t *testing.T) {
 }
 
 func TestQueueResumeKeepsFIFOPlace(t *testing.T) {
-	q := newQueue(0, nil, nil)
+	q := newQueue()
 	now := time.Now()
-	first := newJob("first", testSpec("first", "a", 0), now)
-	second := newJob("second", testSpec("second", "a", 0), now)
+	first := newJob("first", testSpec("first"), now)
+	second := newJob("second", testSpec("second"), now)
 	if err := q.push(first); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +92,7 @@ func TestQueueResumeKeepsFIFOPlace(t *testing.T) {
 		t.Fatalf("pop = %s, want first", got.ID)
 	}
 	// first resumes: it keeps seq 1 and outranks second.
-	if err := q.pushResume(first); err != nil {
+	if err := q.push(first); err != nil {
 		t.Fatal(err)
 	}
 	if got := q.pop(1, true); got != first {
@@ -173,7 +101,7 @@ func TestQueueResumeKeepsFIFOPlace(t *testing.T) {
 }
 
 func TestQueueDrainWakesBlockedPop(t *testing.T) {
-	q := newQueue(0, nil, nil)
+	q := newQueue()
 	done := make(chan *Job, 1)
 	go func() { done <- q.pop(0, true) }()
 	time.Sleep(10 * time.Millisecond) // let the pop block
@@ -192,7 +120,7 @@ func TestQueueDrainWakesBlockedPop(t *testing.T) {
 // under -race this is the queue's data-race proof. Every job is either
 // popped exactly once or removed exactly once, never both.
 func TestQueueCancellationRaces(t *testing.T) {
-	q := newQueue(0, nil, nil)
+	q := newQueue()
 	const n = 200
 	jobsCh := make(chan *Job, n)
 	var popped, removed atomic.Int32
@@ -227,7 +155,7 @@ func TestQueueCancellationRaces(t *testing.T) {
 		}()
 	}
 	for i := 0; i < n; i++ {
-		j := newJob("x", testSpec("x", "a", i%3), time.Now())
+		j := newJob("x", testSpec("x"), time.Now())
 		if err := q.push(j); err != nil {
 			t.Fatal(err)
 		}

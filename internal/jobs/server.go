@@ -22,31 +22,15 @@ type Config struct {
 	// (jobs/queue-wait, jobs/run, jobs/state, ...); nil disables
 	// instrumentation.
 	Obs *obs.Observer
-	// MaxQueuedPerTenant bounds each tenant's queued jobs (0 = unlimited);
-	// admission beyond it fails with ErrQuota.
-	MaxQueuedPerTenant int
-	// CheckpointEvery takes a step-boundary checkpoint every N completed
-	// steps (default 1; <0 disables periodic checkpoints — a device
-	// failure still checkpoints immediately).
-	CheckpointEvery int
-	// MaxResumes bounds checkpoint/resume episodes per job (default 3);
-	// past it a failing job goes FAILED.
-	MaxResumes int
-	// ProgressEvery emits a progress event every N completed steps
-	// (default 1).
-	ProgressEvery int
-	// NewDevice overrides simulated-device construction (tests swap in
-	// instrumented devices); nil builds a Kepler K40 labelled
-	// "<job>-a<attempt>-dev<id>".
-	NewDevice func(j *Job, attempt, id int) *gpusim.Device
 	// Node labels this control plane's traces: when set, every per-job
 	// trace event carries a node=<Node> baggage attr, so JSONL streams
 	// merged across processes stay attributable.
 	Node string
-
-	// now stubs the clock for queue/deadline tests; nil means time.Now.
-	now func() time.Time
 }
+
+// maxResumes bounds the checkpoint/resume episodes of one job; past it a
+// failing job goes FAILED.
+const maxResumes = 3
 
 // Server is the job control plane: admission, queueing, dispatch onto a
 // worker pool, checkpoint/resume, and observation. Create with New, stop
@@ -55,7 +39,6 @@ type Server struct {
 	cfg Config
 	q   *queue
 	obs *obs.Observer
-	now func() time.Time
 
 	mu     sync.Mutex
 	jobs   map[string]*Job
@@ -71,26 +54,12 @@ func New(cfg Config) *Server {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
 	}
-	if cfg.CheckpointEvery == 0 {
-		cfg.CheckpointEvery = 1
-	}
-	if cfg.MaxResumes == 0 {
-		cfg.MaxResumes = 3
-	}
-	if cfg.ProgressEvery <= 0 {
-		cfg.ProgressEvery = 1
-	}
-	now := cfg.now
-	if now == nil {
-		now = time.Now
-	}
 	s := &Server{
 		cfg:  cfg,
+		q:    newQueue(),
 		obs:  cfg.Obs,
-		now:  now,
 		jobs: make(map[string]*Job),
 	}
-	s.q = newQueue(cfg.MaxQueuedPerTenant, now, s.expireJob)
 	for st := range AllStates {
 		// Pre-create the per-state gauges so scrapes see zeros, not gaps.
 		s.gauge("jobs_state", obs.Label{Key: "state", Value: string(AllStates[st])})
@@ -117,7 +86,7 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 	for _, j := range s.q.drain() {
 		s.endWait(j)
-		j.transition(s.now(), StateCancelled, -1, "control plane shutdown")
+		j.transition(time.Now(), StateCancelled, -1, "control plane shutdown")
 		s.counter("jobs_completed_total", obs.Label{Key: "state", Value: "cancelled"}).Inc()
 		s.endJob(j)
 	}
@@ -126,7 +95,8 @@ func (s *Server) Close() {
 }
 
 // Submit admits a job built from sp (which must already be normalized and
-// validated — ParseSpec does both). On success the job is QUEUED.
+// validated — ParseSpec does both). On success the job is QUEUED; the only
+// error is ErrClosed.
 func (s *Server) Submit(sp Spec) (*Job, error) {
 	s.mu.Lock()
 	if s.closed {
@@ -135,20 +105,20 @@ func (s *Server) Submit(sp Spec) (*Job, error) {
 	}
 	s.idSeq++
 	id := fmt.Sprintf("j-%06d", s.idSeq)
-	j := newJob(id, sp, s.now())
+	j := newJob(id, sp, time.Now())
 	s.mu.Unlock()
 
-	s.counter("jobs_submitted_total", obs.Label{Key: "tenant", Value: sp.Tenant}).Inc()
+	s.counter("jobs_submitted_total").Inc()
 	// Become QUEUED (wait span running) before the job is poppable, so a
 	// fast worker can never observe it pre-QUEUED. A rejected job is simply
 	// discarded — it was never registered.
 	//
-	// The job gets its own trace: a scoped observer carrying job/tenant
-	// (and node) baggage, a "jobs/job" root span open until the terminal
+	// The job gets its own trace: a scoped observer carrying job (and
+	// node) baggage, a "jobs/job" root span open until the terminal
 	// transition, and every descendant span — queue-wait, run, the
 	// simulation stages — parenting under it.
 	j.mu.Lock()
-	baggage := []obs.Attr{obs.S("job", id), obs.S("tenant", sp.Tenant)}
+	baggage := []obs.Attr{obs.S("job", id)}
 	if s.cfg.Node != "" {
 		baggage = append(baggage, obs.S("node", s.cfg.Node))
 	}
@@ -158,15 +128,9 @@ func (s *Server) Submit(sp Spec) (*Job, error) {
 	j.traceID, _ = j.root.IDs()
 	j.waitSpan = j.scope.Span("jobs/queue-wait", 0)
 	j.mu.Unlock()
-	j.transition(s.now(), StateQueued, -1, "admitted")
+	j.transition(time.Now(), StateQueued, -1, "admitted")
 	if err := s.q.push(j); err != nil {
-		reason := "quota"
-		if err == ErrDeadline {
-			reason = "deadline"
-		} else if err == ErrClosed {
-			reason = "closed"
-		}
-		s.counter("jobs_rejected_total", obs.Label{Key: "reason", Value: reason}).Inc()
+		s.counter("jobs_rejected_total", obs.Label{Key: "reason", Value: "closed"}).Inc()
 		return nil, err
 	}
 	s.mu.Lock()
@@ -214,27 +178,13 @@ func (s *Server) Cancel(id string) (bool, error) {
 	}
 	if s.q.remove(j) {
 		s.endWait(j)
-		j.transition(s.now(), StateCancelled, -1, "cancelled while queued")
+		j.transition(time.Now(), StateCancelled, -1, "cancelled while queued")
 		s.counter("jobs_completed_total", obs.Label{Key: "state", Value: "cancelled"}).Inc()
 		s.event(j, "jobs/state", 0, obs.S("state", string(StateCancelled)))
 		s.endJob(j)
 		s.updateGauges()
 	}
 	return true, nil
-}
-
-// QueueDepth returns the number of queued jobs.
-func (s *Server) QueueDepth() int { return s.q.depth() }
-
-// expireJob finalises a job whose deadline passed while it waited.
-func (s *Server) expireJob(j *Job) {
-	s.endWait(j)
-	j.transition(s.now(), StateFailed, -1, "deadline expired before dispatch")
-	s.counter("jobs_completed_total", obs.Label{Key: "state", Value: "failed"}).Inc()
-	s.counter("jobs_deadline_expired_total").Inc()
-	s.event(j, "jobs/state", 0, obs.S("state", string(StateFailed)), obs.S("reason", "deadline"))
-	s.endJob(j)
-	s.updateGauges()
 }
 
 // endJob closes the job's root trace span; called exactly once, at the
@@ -261,7 +211,7 @@ func (s *Server) worker(id int) {
 }
 
 // endWait closes the job's queue-wait span and observes the wait; the
-// span's baggage already carries job/tenant. The worst recent wait keeps
+// span's baggage already carries the job. The worst recent wait keeps
 // its trace/span IDs as the histogram's exemplar.
 func (s *Server) endWait(j *Job) {
 	j.mu.Lock()
@@ -271,7 +221,7 @@ func (s *Server) endWait(j *Job) {
 	j.mu.Unlock()
 	sp.End()
 	if !enq.IsZero() {
-		wait := s.now().Sub(enq).Seconds()
+		wait := time.Since(enq).Seconds()
 		if trace, span := sp.IDs(); span != "" {
 			s.histogram("jobs_queue_wait_seconds").ObserveExemplar(wait, trace, span)
 		} else {
@@ -286,7 +236,7 @@ func (s *Server) endWait(j *Job) {
 // device fleet degrades under it.
 func (s *Server) runJob(w int, j *Job) {
 	s.endWait(j)
-	j.transition(s.now(), StateRunning, w, fmt.Sprintf("attempt %d on worker %d", j.Attempts()+1, w))
+	j.transition(time.Now(), StateRunning, w, fmt.Sprintf("attempt %d on worker %d", j.Attempts()+1, w))
 	s.event(j, "jobs/state", 0, obs.S("state", string(StateRunning)), obs.I("worker", w))
 	s.updateGauges()
 
@@ -309,24 +259,24 @@ func (s *Server) runJob(w int, j *Job) {
 		j.waitSpan = j.scope.Span("jobs/queue-wait", 0)
 		j.mu.Unlock()
 		s.counter("jobs_resumes_total").Inc()
-		j.transition(s.now(), StateQueued, w, msg)
+		j.transition(time.Now(), StateQueued, w, msg)
 		s.event(j, "jobs/resume", 0, obs.S("reason", msg))
-		if err := s.q.pushResume(j); err != nil {
+		if err := s.q.push(j); err != nil {
 			s.counter("jobs_completed_total", obs.Label{Key: "state", Value: "failed"}).Inc()
-			j.transition(s.now(), StateFailed, w, "control plane closed during resume")
+			j.transition(time.Now(), StateFailed, w, "control plane closed during resume")
 		}
 	case "done":
 		s.counter("jobs_completed_total", obs.Label{Key: "state", Value: "done"}).Inc()
-		j.transition(s.now(), StateDone, w, msg)
+		j.transition(time.Now(), StateDone, w, msg)
 		// RunSec is settled by the transition, so the run time is
 		// observed after it.
 		s.histogram("jobs_run_seconds").Observe(j.Status().RunSec)
 	case "cancelled":
 		s.counter("jobs_completed_total", obs.Label{Key: "state", Value: "cancelled"}).Inc()
-		j.transition(s.now(), StateCancelled, w, msg)
+		j.transition(time.Now(), StateCancelled, w, msg)
 	default: // "failed"
 		s.counter("jobs_completed_total", obs.Label{Key: "state", Value: "failed"}).Inc()
-		j.transition(s.now(), StateFailed, w, msg)
+		j.transition(time.Now(), StateFailed, w, msg)
 	}
 	s.event(j, "jobs/state", 0, obs.S("state", string(j.State())))
 	if j.State().Terminal() {
@@ -343,7 +293,7 @@ func (s *Server) runJob(w int, j *Job) {
 func (s *Server) runAttempt(w int, j *Job, attempt int, ro *obs.Observer) (outcome, msg string) {
 	defer func() {
 		if r := recover(); r != nil {
-			if data, _ := j.checkpointData(); data != nil && attempt <= s.cfg.MaxResumes {
+			if data, _ := j.checkpointData(); data != nil && attempt <= maxResumes {
 				outcome, msg = "requeue", fmt.Sprintf("worker %d panic: %v", w, r)
 				return
 			}
@@ -362,11 +312,9 @@ func (s *Server) runAttempt(w int, j *Job, attempt int, ro *obs.Observer) (outco
 		}
 		sim.Advance()
 		step := sim.Step
-		if step%s.cfg.ProgressEvery == 0 || step == target {
-			st := sim.Ensemble.Stats()
-			j.progress(s.now(), step, w, st.SigmaX, st.SigmaY)
-			ro.Event("jobs/progress", step, obs.I("of", target))
-		}
+		st := sim.Ensemble.Stats()
+		j.progress(time.Now(), step, w, st.SigmaX, st.SigmaY)
+		ro.Event("jobs/progress", step, obs.I("of", target))
 		failedDevs := 0
 		if fl != nil {
 			failedDevs, _ = fl.Counts()
@@ -379,12 +327,12 @@ func (s *Server) runAttempt(w int, j *Job, attempt int, ro *obs.Observer) (outco
 			if err := s.checkpoint(j, sim, w, "device failure"); err != nil {
 				return "failed", fmt.Sprintf("checkpoint after device failure: %v", err)
 			}
-			if attempt > s.cfg.MaxResumes {
+			if attempt > maxResumes {
 				return "failed", fmt.Sprintf("device failure at step %d: resume budget exhausted", step)
 			}
 			return "requeue", fmt.Sprintf("device failure at step %d", step)
 		}
-		if s.cfg.CheckpointEvery > 0 && step%s.cfg.CheckpointEvery == 0 && step < target {
+		if step < target {
 			if err := s.checkpoint(j, sim, w, "periodic"); err != nil {
 				return "failed", fmt.Sprintf("checkpoint: %v", err)
 			}
@@ -427,23 +375,16 @@ func (s *Server) buildSim(j *Job, attempt int, ro *obs.Observer) (*core.Simulati
 		if err != nil {
 			return nil, nil, fmt.Errorf("jobs: restoring %s from step-%d checkpoint: %w", j.ID, ckStep, err)
 		}
-		j.event(s.now(), "resume", ckStep, -1, fmt.Sprintf("restored from step-%d checkpoint", ckStep))
+		j.event(time.Now(), "resume", ckStep, -1, fmt.Sprintf("restored from step-%d checkpoint", ckStep))
 	} else {
 		sim = core.New(j.Spec.CoreConfig())
-	}
-	newDev := s.cfg.NewDevice
-	if newDev == nil {
-		newDev = func(j *Job, attempt, id int) *gpusim.Device {
-			dev := gpusim.New(gpusim.KeplerK40())
-			dev.SetLabel(fmt.Sprintf("%s-a%d-dev%d", j.ID, attempt, id))
-			return dev
-		}
 	}
 	// First attempt iff we built from the spec: any episode starting from a
 	// checkpoint is a resume and gets a fresh, healthy pool (the injection
 	// script models the original hardware, not the job).
 	algo, fl, err := j.Spec.BuildAlgo(func(id int) *gpusim.Device {
-		dev := newDev(j, attempt, id)
+		dev := gpusim.New(gpusim.KeplerK40())
+		dev.SetLabel(fmt.Sprintf("%s-a%d-dev%d", j.ID, attempt, id))
 		if s.obs != nil {
 			dev.AttachRecorder(ro.GPURecorder())
 		}
@@ -462,7 +403,7 @@ func (s *Server) buildSim(j *Job, attempt int, ro *obs.Observer) (*core.Simulati
 			Rules: rules,
 			Obs:   ro,
 			OnAlert: func(a alert.Alert) {
-				j.event(s.now(), "alert", a.Step, -1, a.Message)
+				j.event(time.Now(), "alert", a.Step, -1, a.Message)
 				s.counter("jobs_alerts_total").Inc()
 			},
 		})
@@ -479,7 +420,7 @@ func (s *Server) checkpoint(j *Job, sim *core.Simulation, w int, reason string) 
 	}
 	j.setCheckpoint(sim.Step, buf.Bytes())
 	s.counter("jobs_checkpoints_total").Inc()
-	j.event(s.now(), "checkpoint", sim.Step, w, reason)
+	j.event(time.Now(), "checkpoint", sim.Step, w, reason)
 	s.event(j, "jobs/checkpoint", sim.Step, obs.S("reason", reason),
 		obs.I("bytes", buf.Len()))
 	return nil
@@ -513,7 +454,7 @@ func (s *Server) histogram(name string) *obs.Histogram {
 
 // event emits a jobs/* trace event through the job's scoped observer
 // (flight recorder and/or trace file): the scope's baggage supplies the
-// job/tenant/node attrs, so — unlike the old per-call append — the
+// job/node attrs, so — unlike the old per-call append — the
 // disabled path allocates nothing.
 func (s *Server) event(j *Job, name string, step int, attrs ...obs.Attr) {
 	j.scope.Event(name, step, attrs...)

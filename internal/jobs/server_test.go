@@ -1,7 +1,6 @@
 package jobs
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -46,9 +45,7 @@ func fleetSpec(name, inject string) Spec {
 	return sp
 }
 
-// waitRunning waits until j has been popped off the queue (its tenant
-// quota slot is freed at pop time, so tests that count queued jobs must
-// wait for this before submitting more).
+// waitRunning waits until j has been popped off the queue.
 func waitRunning(t *testing.T, j *Job) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
@@ -126,7 +123,7 @@ func TestServerRunsJobToDone(t *testing.T) {
 
 	// Metrics: submit/complete counters and the wait histogram moved.
 	reg := observer.Reg
-	if got := reg.Counter("jobs_submitted_total", obs.Label{Key: "tenant", Value: "default"}).Value(); got != 1 {
+	if got := reg.Counter("jobs_submitted_total").Value(); got != 1 {
 		t.Errorf("jobs_submitted_total = %d, want 1", got)
 	}
 	if got := reg.Counter("jobs_completed_total", obs.Label{Key: "state", Value: "done"}).Value(); got != 1 {
@@ -274,33 +271,6 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 	if bst.Step >= long.TargetStep() {
 		t.Errorf("blocker finished all %d steps despite cancellation", long.TargetStep())
-	}
-}
-
-func TestSubmitQuotaAndDeadline(t *testing.T) {
-	s := New(Config{Workers: 1, MaxQueuedPerTenant: 1})
-	defer s.Close()
-	long := smallSpec("blocker")
-	long.Steps = 50
-	blocker, err := s.Submit(long)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitRunning(t, blocker)
-	// One queued job fits the quota; the next is rejected.
-	if _, err := s.Submit(smallSpec("fits")); err != nil {
-		t.Fatalf("first queued job rejected: %v", err)
-	}
-	if _, err := s.Submit(smallSpec("over")); err == nil || !strings.Contains(err.Error(), "quota") {
-		t.Fatalf("Submit past quota = %v, want ErrQuota", err)
-	}
-	dead := smallSpec("dead")
-	dead.DeadlineSec = 0.000001
-	time.Sleep(time.Millisecond)
-	if _, err := s.Submit(dead); err == nil {
-		// Racy only in the impossible direction: the deadline math runs on
-		// the submit clock, so a microsecond deadline is always past.
-		t.Fatal("Submit with an expired deadline accepted")
 	}
 }
 

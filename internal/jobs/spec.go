@@ -1,25 +1,23 @@
 // Package jobs is the simulation job control plane: it turns the one-shot
 // simulation loop into a long-running service where runs are submitted,
-// queued, scheduled, observed and recovered as first-class jobs.
+// queued, dispatched, observed and recovered as jobs.
 //
 // The pieces, front to back:
 //
 //   - Spec — a declarative JSON job payload (beam, grid, steps, kernel,
-//     fleet topology, injection script, alert rules, priority / deadline /
-//     tenant). It doubles as the scenario format of the catalog under
-//     examples/scenarios.
-//   - Queue — a multi-tenant priority queue: FIFO within priority,
-//     per-tenant admission quotas, deadline-based admission and expiry,
-//     and cancellation of queued jobs.
-//   - Server — the scheduler/dispatcher: a pool of workers, each running
-//     one job at a time on a per-job device fleet (internal/fleet over
+//     fleet topology, injection script, alert rules). It doubles as the
+//     scenario format of the catalog under examples/scenarios.
+//   - Queue — one FIFO in admission order, with cancellation of queued
+//     jobs; a resumed job keeps its place.
+//   - Server — the dispatcher: a pool of workers, each running one job at
+//     a time on a per-job device fleet (internal/fleet over
 //     internal/gpusim, host phases on internal/hostpar). Running jobs
-//     checkpoint at step boundaries through the core gob machinery; a job
-//     whose fleet loses a device is checkpointed, re-queued and resumed on
-//     a fresh worker with a healthy device pool, bitwise-identically to an
-//     uninterrupted run.
-//   - Handler — the HTTP/JSON API (POST /jobs, GET /jobs/{id}, SSE events,
-//     result fetch, DELETE) designed to be mounted onto the
+//     checkpoint at every step boundary through the core gob machinery; a
+//     job whose fleet loses a device is checkpointed, re-queued and
+//     resumed on a fresh worker with a healthy device pool,
+//     bitwise-identically to an uninterrupted run.
+//   - Handler — the HTTP/JSON API (POST /jobs, GET /jobs/{id}, the event
+//     log, result fetch, DELETE) designed to be mounted onto the
 //     internal/obs/export server, with jobs_* metrics and per-job trace
 //     spans flowing into the same observer/flight recorder as everything
 //     else.
@@ -30,7 +28,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"strings"
 
 	"beamdyn/internal/core"
 	"beamdyn/internal/fleet"
@@ -100,16 +97,6 @@ type LatticeSpec struct {
 type Spec struct {
 	// Name labels the job (required; [a-z0-9-] only).
 	Name string `json:"name"`
-	// Tenant is the submitting tenant for quota accounting (default
-	// "default").
-	Tenant string `json:"tenant,omitempty"`
-	// Priority orders the queue: 0 (batch) .. 9 (urgent), default 0.
-	// Within a priority the queue is FIFO.
-	Priority int `json:"priority,omitempty"`
-	// DeadlineSec is the admission deadline, seconds after submission: a
-	// job that has not started running by then is rejected (at submit time
-	// when it cannot be met at all) or failed at dispatch time. 0 = none.
-	DeadlineSec float64 `json:"deadline_sec,omitempty"`
 
 	Beam    BeamSpec     `json:"beam"`
 	Grid    GridSpec     `json:"grid"`
@@ -172,9 +159,6 @@ func LoadSpec(path string) (Spec, error) {
 // Normalize fills defaulted fields in place, so a normalized spec
 // re-marshals to its full form (the catalog round-trip contract).
 func (sp *Spec) Normalize() {
-	if sp.Tenant == "" {
-		sp.Tenant = "default"
-	}
 	if sp.Kernel == "" {
 		sp.Kernel = "predictive"
 	}
@@ -221,6 +205,8 @@ var shapeNames = map[string]particles.Shape{
 }
 
 // Validate checks a normalized spec, returning the first problem found.
+// The simulation parameters are checked by core.Config.Validate on the
+// translated config; the rules here cover only what the spec adds.
 func (sp *Spec) Validate() error {
 	if sp.Name == "" {
 		return fmt.Errorf("jobs: spec: missing name")
@@ -230,23 +216,8 @@ func (sp *Spec) Validate() error {
 			return fmt.Errorf("jobs: spec %q: name must be [a-z0-9-]", sp.Name)
 		}
 	}
-	if sp.Priority < 0 || sp.Priority > 9 {
-		return fmt.Errorf("jobs: spec %q: priority %d outside [0, 9]", sp.Name, sp.Priority)
-	}
-	if sp.DeadlineSec < 0 {
-		return fmt.Errorf("jobs: spec %q: negative deadline", sp.Name)
-	}
 	if sp.Steps <= 0 {
 		return fmt.Errorf("jobs: spec %q: steps must be positive", sp.Name)
-	}
-	if sp.Grid.NX < 2 || sp.Grid.NY < 2 {
-		return fmt.Errorf("jobs: spec %q: grid %dx%d too small", sp.Name, sp.Grid.NX, sp.Grid.NY)
-	}
-	if sp.Beam.Particles <= 0 {
-		return fmt.Errorf("jobs: spec %q: beam.particles must be positive", sp.Name)
-	}
-	if sp.Beam.SigmaX <= 0 || sp.Beam.SigmaY <= 0 || sp.Beam.EnergyEV <= 0 {
-		return fmt.Errorf("jobs: spec %q: beam sigmas and energy must be positive", sp.Name)
 	}
 	if _, ok := kernelNames[sp.Kernel]; !ok {
 		return fmt.Errorf("jobs: spec %q: unknown kernel %q", sp.Name, sp.Kernel)
@@ -271,6 +242,9 @@ func (sp *Spec) Validate() error {
 		if _, err := alert.ParseRules(sp.Alerts); err != nil {
 			return fmt.Errorf("jobs: spec %q: %w", sp.Name, err)
 		}
+	}
+	if err := sp.CoreConfig().Validate(); err != nil {
+		return fmt.Errorf("jobs: spec %q: %w", sp.Name, err)
 	}
 	return nil
 }
@@ -370,16 +344,4 @@ func (sp *Spec) AlertRules() []alert.Rule {
 		return nil
 	}
 	return rules
-}
-
-// String renders the spec compactly for logs.
-func (sp *Spec) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s (tenant=%s prio=%d %dx%d steps=%d kernel=%s",
-		sp.Name, sp.Tenant, sp.Priority, sp.Grid.NX, sp.Grid.NY, sp.Steps, sp.Kernel)
-	if sp.Fleet != nil && sp.Fleet.Devices > 1 {
-		fmt.Fprintf(&b, " devices=%d", sp.Fleet.Devices)
-	}
-	b.WriteString(")")
-	return b.String()
 }

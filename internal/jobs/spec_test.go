@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"beamdyn/internal/core"
 )
 
 // minimalSpec returns a valid small spec for mutation in tests.
@@ -24,9 +26,6 @@ func TestParseSpecDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp.Tenant != "default" {
-		t.Errorf("tenant = %q, want default", sp.Tenant)
-	}
 	if sp.Grid.NY != 16 {
 		t.Errorf("ny = %d, want nx (16)", sp.Grid.NY)
 	}
@@ -41,10 +40,14 @@ func TestParseSpecDefaults(t *testing.T) {
 	}
 }
 
+// TestParseSpecRejectsUnknownFields: a key the spec does not define is
+// an error, a typo and a scheduling key alike.
 func TestParseSpecRejectsUnknownFields(t *testing.T) {
-	bad := strings.Replace(minimalSpec(), `"steps": 2,`, `"steps": 2, "stpes": 3,`, 1)
-	if _, err := ParseSpec([]byte(bad)); err == nil {
-		t.Fatal("unknown field accepted")
+	for _, field := range []string{`"stpes": 3`, `"tenant": "a"`, `"priority": 1`, `"deadline_sec": 5`} {
+		bad := strings.Replace(minimalSpec(), `"steps": 2,`, `"steps": 2, `+field+`,`, 1)
+		if _, err := ParseSpec([]byte(bad)); err == nil {
+			t.Errorf("unknown field %s accepted", field)
+		}
 	}
 }
 
@@ -56,13 +59,15 @@ func TestValidateRejections(t *testing.T) {
 	}{
 		{"bad name", func(sp *Spec) { sp.Name = "Has Spaces" }, "[a-z0-9-]"},
 		{"empty name", func(sp *Spec) { sp.Name = "" }, "missing name"},
-		{"priority", func(sp *Spec) { sp.Priority = 10 }, "priority"},
 		{"steps", func(sp *Spec) { sp.Steps = 0 }, "steps"},
 		{"grid", func(sp *Spec) { sp.Grid.NX, sp.Grid.NY = 1, 1 }, "too small"},
 		{"particles", func(sp *Spec) { sp.Beam.Particles = 0 }, "particles"},
 		{"kernel", func(sp *Spec) { sp.Kernel = "quantum" }, "unknown kernel"},
 		{"shape", func(sp *Spec) { sp.Beam.Shape = "banana" }, "unknown beam shape"},
-		{"deadline", func(sp *Spec) { sp.DeadlineSec = -1 }, "negative deadline"},
+		{"negative kappa", func(sp *Spec) { sp.Kappa = -1 }, "kappa -1 outside"},
+		{"kappa above the bound", func(sp *Spec) { sp.Kappa = core.MaxKappa + 1 }, "outside [1, 1024]"},
+		{"negative tol", func(sp *Spec) { sp.Tol = -1e-8 }, "tol is -1e-08"},
+		{"negative pad sigma", func(sp *Spec) { sp.Grid.PadSigma = -5 }, "pad sigma is -5"},
 		{"reference fleet", func(sp *Spec) {
 			sp.Kernel = "reference"
 			sp.Fleet = &FleetSpec{Devices: 2, Bands: 4}

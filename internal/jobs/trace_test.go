@@ -107,12 +107,12 @@ func TestJobTraceTreeEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Baggage: every traced record of a job's tree carries job/tenant/node.
+	// Baggage: every traced record of a job's tree carries job/node.
 	for _, e := range events {
 		if e.Kind == "meta" || e.Trace == "" {
 			continue
 		}
-		if e.Attrs["job"] == nil || e.Attrs["tenant"] == nil || e.Attrs["node"] != "test-node" {
+		if e.Attrs["job"] == nil || e.Attrs["node"] != "test-node" {
 			t.Fatalf("record %q missing baggage: %v", e.Name, e.Attrs)
 		}
 	}
@@ -137,8 +137,8 @@ func TestJobTraceTreeEndToEnd(t *testing.T) {
 
 // TestEventAllocFreeWhenTracingDisabled pins the jobs event fast path:
 // with no trace sink attached, emitting a per-step control-plane event
-// allocates nothing (the old path built a job/tenant attr slice before
-// checking whether tracing was even on).
+// allocates nothing: the scope's baggage supplies the job attrs only
+// when tracing is on.
 func TestEventAllocFreeWhenTracingDisabled(t *testing.T) {
 	s := New(Config{Workers: 1, Obs: obs.New()}) // registry only, no tracer
 	defer s.Close()

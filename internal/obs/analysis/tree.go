@@ -31,10 +31,9 @@ type SpanNode struct {
 // TraceTree is one trace's reconstructed span forest.
 type TraceTree struct {
 	TraceID string
-	// Job/Tenant are the baggage attrs of the roots, when present.
-	Job    string
-	Tenant string
-	Roots  []*SpanNode
+	// Job is the job baggage attr of the roots, when present.
+	Job   string
+	Roots []*SpanNode
 	// Spans counts every span in the trace; Orphans counts parent-less
 	// non-root spans promoted to roots.
 	Spans   int
@@ -99,11 +98,6 @@ func BuildTrees(events []obs.Event) []*TraceTree {
 		if t.Job == "" {
 			if j, ok := attrString(e, "job"); ok {
 				t.Job = j
-			}
-		}
-		if t.Tenant == "" {
-			if ten, ok := attrString(e, "tenant"); ok {
-				t.Tenant = ten
 			}
 		}
 	}
@@ -229,9 +223,6 @@ func TreeTable(trees []*TraceTree) string {
 		fmt.Fprintf(&b, "trace %s", t.TraceID)
 		if t.Job != "" {
 			fmt.Fprintf(&b, "  job=%s", t.Job)
-		}
-		if t.Tenant != "" {
-			fmt.Fprintf(&b, "  tenant=%s", t.Tenant)
 		}
 		fmt.Fprintf(&b, "  spans=%d", t.Spans)
 		if t.Orphans > 0 {

@@ -18,7 +18,7 @@ func TestBuildTreesReconstructsHierarchy(t *testing.T) {
 	events := []obs.Event{
 		{TS: 0, Name: obs.MetaT0, Kind: "meta", Attrs: map[string]any{"t0": "2026-08-08T00:00:00Z"}},
 		tspan("t-000001", "s-000001", "", "jobs/job", 0, 1.0, 1.0,
-			map[string]any{"job": "j1", "tenant": "acme"}),
+			map[string]any{"job": "j1"}),
 		tspan("t-000001", "s-000002", "s-000001", "jobs/queue-wait", 0, 0.2, 0.2, nil),
 		tspan("t-000001", "s-000003", "s-000001", "jobs/run", 1, 1.0, 0.8, nil),
 		tspan("t-000001", "s-000004", "s-000003", "advance", 0, 0.5, 0.3, nil),
@@ -29,8 +29,8 @@ func TestBuildTreesReconstructsHierarchy(t *testing.T) {
 		t.Fatalf("trees = %d, want 1", len(trees))
 	}
 	tr := trees[0]
-	if tr.TraceID != "t-000001" || tr.Job != "j1" || tr.Tenant != "acme" {
-		t.Fatalf("tree header = %q job=%q tenant=%q", tr.TraceID, tr.Job, tr.Tenant)
+	if tr.TraceID != "t-000001" || tr.Job != "j1" {
+		t.Fatalf("tree header = %q job=%q", tr.TraceID, tr.Job)
 	}
 	if tr.Spans != 5 || tr.Orphans != 0 {
 		t.Fatalf("spans=%d orphans=%d, want 5/0", tr.Spans, tr.Orphans)

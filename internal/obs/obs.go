@@ -46,7 +46,7 @@ type Observer struct {
 
 // ScopedTracer is the span context a derived observer carries: the trace
 // it belongs to, the span its children parent under, and baggage attrs
-// (job, tenant, attempt, node, ...) stamped on every descendant event.
+// (job, attempt, node, ...) stamped on every descendant event.
 type ScopedTracer struct {
 	TraceID  string
 	ParentID string
