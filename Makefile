@@ -108,12 +108,15 @@ test-gpu-race:
 	$(GO) test -race -count=1 ./internal/gpusim/...
 	$(GO) test -race -count=1 -run 'IdentityHashes' ./internal/kernels/... ./internal/fleet/...
 
-# Tiled-dispatch race gate: the cache-blocked GridSolver fans tiles out
-# across the hostpar pool with per-worker evaluators and shared target
-# writes, so race-check the whole retard package (the A/B and determinism
-# tests drive the tiled path at several worker counts) on every PR.
+# Tiled-dispatch race gate: the cache-blocked GridSolver's workers claim
+# tiles (and fallback rows) from a shared counter, with per-worker
+# evaluators and shared target writes, so race-check the whole retard
+# package (the A/B and determinism tests drive both dispatches at several
+# worker counts, repeating each solve) and run hostpar's claim-loop tests
+# ten times under the race detector, in every CI run.
 test-rp-race:
 	$(GO) test -race -count=1 ./internal/retard/...
+	$(GO) test -race -count=10 ./internal/hostpar/...
 
 # Oracle floors: each optimized engine against the seed path it replaced,
 # measured by go test benchmarks in the package whose tests hold the
@@ -121,9 +124,11 @@ test-rp-race:
 # oracle replay in gpusim's tests over four workload shapes at 48x48 (and
 # >= 1x on each);
 # BenchmarkEvaluatorFloor holds the rp panel evaluator to >= 5x the seed
-# closure path, and GridSolver to >= 1.6x at 4 workers vs 1 (skipped on
-# machines with fewer than 4 CPUs). Timing floors stay out of go test ./...
-# and the race build, which run no benchmarks.
+# closure path and GridSolver to >= 1.6x at 4 workers vs 1, and reports
+# GridSolver's 2-worker speedup without a floor (it read 1.20x-2.69x over
+# 20 runs on 2 shared vCPUs); each scaling row is skipped on machines with
+# fewer CPUs than its workers. Timing floors stay out of go test ./... and
+# the race build, which run no benchmarks.
 bench-floors:
 	$(GO) test -run '^$$' -bench Floor -benchtime 1x ./internal/gpusim ./internal/retard
 

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -241,6 +242,9 @@ var badCheckpointConfigs = []struct {
 	want   string
 }{
 	{"nx 1", func(c *Config) { c.NX = 1 }, "grid 1x4 too small"},
+	// NX·NY wraps to 0: half the bits of int each.
+	{"cell count wraps int", func(c *Config) { c.NX, c.NY = 1<<(bits.UintSize/2), 1<<(bits.UintSize/2) }, "has more than 16777216 cells"},
+	{"cell count above the bound", func(c *Config) { c.NX, c.NY = MaxGridCells/2+1, 2 }, "has more than 16777216 cells"},
 	{"kappa -10", func(c *Config) { c.Kappa = -10 }, "kappa -10 outside"},
 	{"kappa above the bound", func(c *Config) { c.Kappa = MaxKappa + 1 }, fmt.Sprintf("kappa %d outside", MaxKappa+1)},
 	{"tol NaN", func(c *Config) { c.Tol = math.NaN() }, "tol is NaN"},

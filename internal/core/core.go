@@ -53,7 +53,10 @@ type Config struct {
 	// WeightExp is the radial kernel exponent (default 1/3, the
 	// longitudinal collective-effect kernel).
 	WeightExp float64
-	// Inner is the inner Newton-Cotes rule (default Simpson).
+	// Inner is the inner Newton-Cotes rule. The zero value is
+	// quadrature.Trapezoid and defaults leave it alone, so unless a caller
+	// sets it (none in this module does) a simulation runs the trapezoid
+	// rule.
 	Inner quadrature.NewtonCotesOrder
 	// Scheme is the deposition/interpolation weighting. The zero value
 	// is grid.NGP and defaults leave it alone, so only a caller that sets
@@ -111,6 +114,15 @@ func (c *Config) fillDefaults() {
 // headroom while the ring's slot arrays stay a few tens of kilobytes.
 const MaxKappa = 1024
 
+// MaxGridCells bounds the moment grid's cell count NX·NY. Each history
+// slot allocates NX·NY·grid.MomentComponents floats, a product that wraps
+// around int for a large enough grid and leaves an empty grid that the
+// deposit then indexes out of range. The full-scale runs use 256×256 =
+// 2^16 cells; 2^24 cells (4096×4096, 384 MiB per grid) leaves two orders
+// of magnitude of headroom and keeps NX·NY·MomentComponents far inside
+// int.
+const MaxGridCells = 1 << 24
+
 // Validate reports why a simulation cannot run cfg, after the defaults New
 // fills in: it is the one place that decides which configurations run.
 // New panics with its error, Load returns it, and the job spec and beamsim
@@ -120,6 +132,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.NX < 2 || c.NY < 2:
 		return fmt.Errorf("core: grid %dx%d too small, want at least 2x2", c.NX, c.NY)
+	case c.NX > MaxGridCells/c.NY: // by division: NX·NY itself may overflow
+		return fmt.Errorf("core: grid %dx%d has more than %d cells", c.NX, c.NY, MaxGridCells)
 	case c.Kappa < 1 || c.Kappa > MaxKappa:
 		return fmt.Errorf("core: kappa %d outside [1, %d]", c.Kappa, MaxKappa)
 	case c.Beam.NumParticles < 1:

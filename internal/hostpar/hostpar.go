@@ -1,7 +1,7 @@
 // Package hostpar is the deterministic host-side worker pool used by the
 // kernels' learning stages (PREDICT, RP-CLUSTERING, ONLINE-LEARNING), the
-// shared per-point host loops, and the simulation's particle force gather
-// and push.
+// shared per-point host loops, the simulation's particle force gather and
+// push, and the host reference solve.
 //
 // The paper runs its host-side ML (k-means, kNN fits) on a multicore host
 // precisely so the learning stages stay cheap relative to the GPU kernel;
@@ -12,13 +12,20 @@
 //     worker (static partitioning — no channels, no work queue, no
 //     scheduling nondeterminism) and runs the ranges concurrently. As long
 //     as the body writes only to slots owned by its indices, the result is
-//     bitwise identical for every worker count, including 1.
+//     bitwise identical for every worker count, including 1. It suits
+//     loops whose indices cost about the same.
+//   - Claim runs loops whose units differ in cost: worker w runs unit w
+//     first, then claims the next unclaimed unit from a shared counter
+//     until none is left, so no worker idles while another holds a
+//     backlog. Which worker runs which unit depends on timing; under the
+//     same contract as For (the body writes only what its unit owns, and
+//     the values depend only on the unit), the result does not.
 //   - Arena is a per-worker bump allocator for step-lifetime scratch
 //     (predicted partitions, merged cluster partitions, quantile buffers):
 //     Reset at the start of a step makes the previous step's chunks
 //     reusable, so steady-state host phases allocate nothing.
 //
-// Workers own disjoint index ranges, so per-worker arenas never share
+// Every index runs on exactly one worker, so per-worker arenas never share
 // slices across goroutines; the values written through them depend only on
 // the index, never on the worker, which preserves the bitwise-determinism
 // guarantee.
@@ -27,6 +34,7 @@ package hostpar
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Workers resolves a worker-count knob: values below 1 mean
@@ -68,6 +76,52 @@ func For(n, workers int, fn func(worker, lo, hi int)) {
 		}(i)
 	}
 	fn(0, 0, n/w)
+	wg.Wait()
+}
+
+// Claim runs fn once for every index in [0, n) on the given number of
+// workers (resolved through Workers, and at most n). Worker w runs index w
+// first; it then claims the next unclaimed index from a shared counter and
+// runs it, until none is left. So every worker runs at least one index,
+// each worker's indices increase, and a worker stalled on a costly index
+// leaves the rest of the range to the others. The call returns when every
+// index has run. With one worker fn runs over [0, n) in order on the
+// calling goroutine.
+//
+// Which worker runs an index after its first depends on timing, so fn must
+// write only data owned by its index (or per-worker state indexed by
+// worker), and the values it writes must depend only on the index; the
+// output is then bitwise identical for every worker count and schedule.
+func Claim(n, workers int, fn func(worker, i int)) {
+	if n <= 0 {
+		return
+	}
+	w := Workers(workers)
+	if w > n {
+		w = n
+	}
+	if w == 1 {
+		for i := 0; i < n; i++ {
+			fn(0, i)
+		}
+		return
+	}
+	var next atomic.Int64
+	next.Store(int64(w))
+	run := func(worker int) {
+		for i := worker; i < n; i = int(next.Add(1) - 1) {
+			fn(worker, i)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(w - 1)
+	for i := 1; i < w; i++ {
+		go func(i int) {
+			defer wg.Done()
+			run(i)
+		}(i)
+	}
+	run(0)
 	wg.Wait()
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestWorkers(t *testing.T) {
@@ -188,5 +189,77 @@ func TestPartitionMatchesFor(t *testing.T) {
 				t.Fatalf("n=%d w=%d: partition ends at %d, want %d", n, w, prev, n)
 			}
 		}
+	}
+}
+
+// Claim must run every index exactly once, start worker w at index w and
+// hand each worker increasing indices, for unit counts around the worker
+// count and well above it, including the inline single-worker path.
+func TestClaimContract(t *testing.T) {
+	for _, w := range []int{1, 2, 3, 7} {
+		for _, n := range []int{0, 1, w - 1, w, w + 1, 1000} {
+			visits := make([]int32, n)
+			seq := make([][]int, w)
+			Claim(n, w, func(worker, i int) {
+				if worker < 0 || worker >= w || i < 0 || i >= n {
+					t.Errorf("n=%d w=%d: worker %d ran index %d", n, w, worker, i)
+					return
+				}
+				atomic.AddInt32(&visits[i], 1)
+				seq[worker] = append(seq[worker], i)
+			})
+			for i, v := range visits {
+				if v != 1 {
+					t.Fatalf("n=%d w=%d: index %d ran %d times", n, w, i, v)
+				}
+			}
+			active := min(w, n)
+			for worker, got := range seq {
+				if worker >= active {
+					if len(got) != 0 {
+						t.Fatalf("n=%d w=%d: surplus worker %d ran %v", n, w, worker, got)
+					}
+					continue
+				}
+				if len(got) == 0 || got[0] != worker {
+					t.Fatalf("n=%d w=%d: worker %d ran %d indices, want index %d first", n, w, worker, len(got), worker)
+				}
+				for k := 1; k < len(got); k++ {
+					if got[k] <= got[k-1] {
+						t.Fatalf("n=%d w=%d: worker %d ran %d after %d", n, w, worker, got[k], got[k-1])
+					}
+				}
+			}
+		}
+	}
+}
+
+// A worker stalled on its first index must hold no other: the rest of the
+// range drains through the remaining worker, which a static split into
+// halves could not do.
+func TestClaimStalledWorker(t *testing.T) {
+	const n = 50
+	done := make(chan int, n)
+	var first []int
+	Claim(n, 2, func(worker, i int) {
+		if worker == 1 {
+			done <- i
+			return
+		}
+		first = append(first, i)
+		if i != 0 {
+			return
+		}
+		for k := 1; k < n; k++ {
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Errorf("worker 1 ran %d of the %d other indices, then stopped", k-1, n-1)
+				return
+			}
+		}
+	})
+	if len(first) != 1 {
+		t.Fatalf("worker 0 ran %d indices, want only index 0", len(first))
 	}
 }

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"encoding/json"
+	"math/bits"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -61,6 +62,8 @@ func TestValidateRejections(t *testing.T) {
 		{"empty name", func(sp *Spec) { sp.Name = "" }, "missing name"},
 		{"steps", func(sp *Spec) { sp.Steps = 0 }, "steps"},
 		{"grid", func(sp *Spec) { sp.Grid.NX, sp.Grid.NY = 1, 1 }, "too small"},
+		{"grid cells wrap int", func(sp *Spec) { sp.Grid.NX = 1 << (bits.UintSize / 2) }, "has more than 16777216 cells"},
+		{"grid cells above the bound", func(sp *Spec) { sp.Grid.NX, sp.Grid.NY = 4097, 4096 }, "4097x4096 has more than"},
 		{"particles", func(sp *Spec) { sp.Beam.Particles = 0 }, "particles"},
 		{"kernel", func(sp *Spec) { sp.Kernel = "quantum" }, "unknown kernel"},
 		{"shape", func(sp *Spec) { sp.Beam.Shape = "banana" }, "unknown beam shape"},

@@ -22,7 +22,7 @@ type NewtonCotesOrder int
 const (
 	// Trapezoid is the 2-point closed rule (degree 1).
 	Trapezoid NewtonCotesOrder = iota
-	// Simpson is the 3-point closed rule (degree 2), the paper's default.
+	// Simpson is the 3-point closed rule (degree 2).
 	Simpson
 	// Simpson38 is the 4-point closed rule (degree 3).
 	Simpson38

@@ -1,6 +1,7 @@
 package retard
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"runtime/debug"
@@ -143,9 +144,12 @@ func interleavedMinNs(pts [][2]float64, reps int, fns ...func(x, y float64)) []f
 //     WeightExp one ulp off 1/3 routes it there instead of the Cbrt fast
 //     path, with physically indistinguishable values.
 //   - scaling: a full-grid GridSolver solve at 4 workers must be at least
-//     1.6x faster than at 1 (min of 8 reps, GOMAXPROCS raised to the
-//     worker count). Skipped on machines with fewer than 4 CPUs, where
-//     parallel speedup is not measurable.
+//     1.6x faster than at 1 (min of 8 reps each, GOMAXPROCS raised to the
+//     worker count). The 2-worker row only reports its speedup: on 2
+//     shared vCPUs it read 1.20x to 2.69x over 20 runs, so a 1.3x floor
+//     would fail about one run in twenty. A row is skipped on machines
+//     with fewer CPUs than its workers, where parallel speedup is not
+//     measurable.
 func BenchmarkEvaluatorFloor(b *testing.B) {
 	const nx, reps = 48, 8
 	params := testParams()
@@ -182,10 +186,6 @@ func BenchmarkEvaluatorFloor(b *testing.B) {
 	})
 
 	b.Run("scaling", func(b *testing.B) {
-		const workers, minScaling = 4, 1.6
-		if n := runtime.NumCPU(); n < workers {
-			b.Skipf("%d-worker scaling needs %d CPUs, have %d", workers, workers, n)
-		}
 		solveNs := func(w int) float64 {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
 			s := GridSolver{Workers: w}
@@ -199,12 +199,22 @@ func BenchmarkEvaluatorFloor(b *testing.B) {
 			}
 			return best
 		}
-		for i := 0; i < b.N; i++ {
-			speedup := solveNs(1) / solveNs(workers)
-			b.ReportMetric(speedup, "x_vs_1_worker")
-			if speedup < minScaling {
-				b.Errorf("GridSolver %.2fx at %d workers vs 1, want >= %.1f", speedup, workers, minScaling)
-			}
+		for _, row := range []struct {
+			workers    int
+			minScaling float64 // 0 reports only
+		}{{2, 0}, {4, 1.6}} {
+			b.Run(fmt.Sprintf("workers=%d", row.workers), func(b *testing.B) {
+				if n := runtime.NumCPU(); n < row.workers {
+					b.Skipf("%d-worker scaling needs %d CPUs, have %d", row.workers, row.workers, n)
+				}
+				for i := 0; i < b.N; i++ {
+					speedup := solveNs(1) / solveNs(row.workers)
+					b.ReportMetric(speedup, "x_vs_1_worker")
+					if speedup < row.minScaling {
+						b.Errorf("GridSolver %.2fx at %d workers vs 1, want >= %.1f", speedup, row.workers, row.minScaling)
+					}
+				}
+			})
 		}
 	})
 }

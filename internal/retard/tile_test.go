@@ -82,33 +82,38 @@ func TestTiledSolveMatchesClosureAllKernels(t *testing.T) {
 
 // TestTiledMatchesPerPointAcrossShapes pins tiled vs per-point A/B
 // equality for a spread of tile shapes (including edge-clamping shapes
-// that do not divide the grid) and worker counts. The per-point reference
-// is the crossover fallback: the default 32x16 tile cuts the 24x24 grid
-// into 2 tiles, too few for 4 workers.
+// that do not divide the grid) and worker counts, against the 1-worker
+// solve. The default 32x16 tile cuts the 24x24 grid into 2 tiles, too few
+// for 3 or more workers, so those rows run the per-row fallback. Workers
+// claim tiles and rows in an order that depends on timing, so each solve
+// repeats 20 times on the same solver, and every repeat must match.
 func TestTiledMatchesPerPointAcrossShapes(t *testing.T) {
 	params := testParams()
 	h, _ := buildHistory(8, 32, params)
 	p := NewProblem(h, params)
 	src := h.At(7)
 
-	ref := GridSolver{Workers: 4}
+	ref := GridSolver{Workers: 1}
 	refGrid, refRes := solveGrid(p, src, 24, 24, &ref)
-	if ref.LastStats().Tiled {
-		t.Fatal("reference solve took the tiled dispatch, want the per-point fallback")
-	}
 
 	for _, shape := range [][2]int{{4, 4}, {8, 3}, {5, 7}, {24, 1}, {1, 24}, {32, 16}} {
-		for _, workers := range []int{1, 2, 3, 4} {
-			tag := fmt.Sprintf("tile=%dx%d workers=%d", shape[0], shape[1], workers)
+		for _, workers := range []int{1, 2, 3, 4, 7} {
 			s := GridSolver{Workers: workers, tileW: shape[0], tileH: shape[1]}
-			tg, res := solveGrid(p, src, 24, 24, &s)
-			for i := range refGrid.Data {
-				if tg.Data[i] != refGrid.Data[i] {
-					t.Fatalf("%s: grid datum %d = %v != %v", tag, i, tg.Data[i], refGrid.Data[i])
+			wantTiled := grid.NewTileGrid(24, 24, shape[0], shape[1]).NumTiles() >= workers
+			for rep := 0; rep < 20; rep++ {
+				tag := fmt.Sprintf("tile=%dx%d workers=%d repeat=%d", shape[0], shape[1], workers, rep)
+				tg, res := solveGrid(p, src, 24, 24, &s)
+				if got := s.LastStats().Tiled; got != wantTiled {
+					t.Fatalf("%s: tiled dispatch = %v, want %v", tag, got, wantTiled)
 				}
-			}
-			for i := range refRes {
-				samePointResult(t, fmt.Sprintf("%s result %d", tag, i), res[i], refRes[i])
+				for i := range refGrid.Data {
+					if tg.Data[i] != refGrid.Data[i] {
+						t.Fatalf("%s: grid datum %d = %v != %v", tag, i, tg.Data[i], refGrid.Data[i])
+					}
+				}
+				for i := range refRes {
+					samePointResult(t, fmt.Sprintf("%s result %d", tag, i), res[i], refRes[i])
+				}
 			}
 		}
 	}
