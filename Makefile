@@ -125,10 +125,12 @@ test-rp-race:
 # >= 1x on each);
 # BenchmarkEvaluatorFloor holds the rp panel evaluator to >= 5x the seed
 # closure path and GridSolver to >= 1.6x at 4 workers vs 1, and reports
-# GridSolver's 2-worker speedup without a floor (it read 1.20x-2.69x over
-# 20 runs on 2 shared vCPUs); each scaling row is skipped on machines with
-# fewer CPUs than its workers. Timing floors stay out of go test ./... and
-# the race build, which run no benchmarks.
+# GridSolver's 2-worker speedup without a floor; the scaling rows alternate
+# the 1- and w-worker solves within every rep (min of 8 each), and the
+# 2-worker row read 0.98x-2.41x over 40 runs on 2 shared vCPUs (median
+# 1.81x); each scaling row is skipped on machines with fewer CPUs than its
+# workers. Timing floors stay out of go test ./... and the race build,
+# which run no benchmarks.
 bench-floors:
 	$(GO) test -run '^$$' -bench Floor -benchtime 1x ./internal/gpusim ./internal/retard
 
@@ -143,9 +145,15 @@ bench-floors:
 # in every go test run from then on. FuzzLoad's inputs are ~3 KB gob
 # streams, and minimizing a new one ran the whole default 60 s budget
 # (34 execs in a 90 s run), so its minimization stops after 100 runs.
+# FuzzEvaluatorMatchesClosure fuzzes the rp evaluator rather than a
+# parser: a problem index (three inner rules x a bunch straddling y = 0
+# or 5 cm from it) and a point as fractions of the grid's extent, inside
+# or outside it, seeded with the bunch centre, the corners and the y = 0
+# rows; Evaluator.SolvePoint must equal the closure oracle bit for bit.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 5s ./internal/jobs
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime 5s ./internal/obs/alert
 	$(GO) test -run '^$$' -fuzz '^FuzzParseEvents$$' -fuzztime 5s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 5s ./internal/obs/analysis
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzEvaluatorMatchesClosure$$' -fuzztime 5s ./internal/retard

@@ -125,34 +125,6 @@ func Claim(n, workers int, fn func(worker, i int)) {
 	wg.Wait()
 }
 
-// Range is one worker's contiguous share of an index range, as For would
-// hand it out.
-type Range struct {
-	Worker int
-	Lo, Hi int
-}
-
-// Partition previews For's static decomposition of [0, n) across workers
-// without running anything: the returned ranges are exactly the (worker,
-// lo, hi) triples For(n, workers, fn) would invoke fn with. Dispatchers
-// use it to decide whether a unit count is worth fanning out (a range per
-// worker with fewer units than workers collapses to fewer, larger
-// ranges) and tests use it to pin the decomposition.
-func Partition(n, workers int) []Range {
-	if n <= 0 {
-		return nil
-	}
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	rs := make([]Range, w)
-	for i := 0; i < w; i++ {
-		rs[i] = Range{Worker: i, Lo: i * n / w, Hi: (i + 1) * n / w}
-	}
-	return rs
-}
-
 // arenaMinChunk is the smallest chunk an Arena allocates; large enough
 // that a step's partitions fit in a handful of chunks, small enough that
 // tiny grids don't over-commit.

@@ -2,7 +2,6 @@ package hostpar
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -45,22 +44,41 @@ func TestForCoversExactlyOnce(t *testing.T) {
 }
 
 // Worker ranges must be a deterministic function of (n, workers) alone:
-// the same split every call, contiguous and in worker order.
+// at most n workers, worker w handed exactly [w*n/workers, (w+1)*n/workers),
+// the ranges contiguous and in worker order, for worker counts below, at
+// and above n.
 func TestForStaticPartition(t *testing.T) {
-	n, w := 103, 7
-	ranges := make([][2]int, w)
-	For(n, w, func(worker, lo, hi int) {
-		ranges[worker] = [2]int{lo, hi}
-	})
-	prev := 0
-	for i, r := range ranges {
-		if r[0] != prev {
-			t.Fatalf("worker %d starts at %d, want %d", i, r[0], prev)
+	for _, n := range []int{0, 1, 2, 7, 64, 103, 1000} {
+		for _, w := range []int{1, 2, 3, 7, 8, 1001} {
+			var mu sync.Mutex
+			got := map[int][2]int{}
+			For(n, w, func(worker, lo, hi int) {
+				mu.Lock()
+				defer mu.Unlock()
+				if _, dup := got[worker]; dup {
+					t.Errorf("n=%d w=%d: worker %d ran twice", n, w, worker)
+				}
+				got[worker] = [2]int{lo, hi}
+			})
+			active := min(w, n)
+			if len(got) != active {
+				t.Fatalf("n=%d w=%d: %d workers ran, want %d", n, w, len(got), active)
+			}
+			prev := 0
+			for worker := 0; worker < active; worker++ {
+				r, ok := got[worker]
+				if want := [2]int{worker * n / active, (worker + 1) * n / active}; !ok || r != want {
+					t.Fatalf("n=%d w=%d: worker %d ran %v (ran: %v), want %v", n, w, worker, r, ok, want)
+				}
+				if r[0] != prev || r[1] < r[0] {
+					t.Fatalf("n=%d w=%d: worker %d range %v does not continue at %d", n, w, worker, r, prev)
+				}
+				prev = r[1]
+			}
+			if prev != n {
+				t.Fatalf("n=%d w=%d: ranges end at %d, want %d", n, w, prev, n)
+			}
 		}
-		prev = r[1]
-	}
-	if prev != n {
-		t.Fatalf("ranges end at %d, want %d", prev, n)
 	}
 }
 
@@ -153,42 +171,6 @@ func TestResize(t *testing.T) {
 	r2 := Resize(s, 32)
 	if len(r2) != 32 {
 		t.Fatal("Resize growth")
-	}
-}
-
-// Partition must preview For's decomposition exactly: same worker count
-// collapse, same (worker, lo, hi) triples, covering [0, n) contiguously.
-func TestPartitionMatchesFor(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 7, 64, 103, 1000} {
-		for _, w := range []int{1, 2, 3, 7, 8, 1001} {
-			var mu sync.Mutex
-			var got []Range
-			For(n, w, func(worker, lo, hi int) {
-				mu.Lock()
-				got = append(got, Range{Worker: worker, Lo: lo, Hi: hi})
-				mu.Unlock()
-			})
-			sort.Slice(got, func(i, j int) bool { return got[i].Worker < got[j].Worker })
-			want := Partition(n, w)
-			if len(got) != len(want) {
-				t.Fatalf("n=%d w=%d: For ran %d ranges, Partition previews %d", n, w, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d w=%d: range %d: For %+v != Partition %+v", n, w, i, got[i], want[i])
-				}
-			}
-			prev := 0
-			for _, r := range want {
-				if r.Lo != prev || r.Hi < r.Lo {
-					t.Fatalf("n=%d w=%d: non-contiguous partition %+v", n, w, want)
-				}
-				prev = r.Hi
-			}
-			if prev != n {
-				t.Fatalf("n=%d w=%d: partition ends at %d, want %d", n, w, prev, n)
-			}
-		}
 	}
 }
 

@@ -67,6 +67,14 @@ func (w *AdaptiveWorkspace) IntegrateInto(f Func, a, b, tol float64, maxDepth in
 	return est, part
 }
 
+// Known is an integrand value the caller already holds: F is f(X). It
+// carries a shared endpoint from one IntegrateReuse call to the next; the
+// zero value holds nothing.
+type Known struct {
+	X, F float64
+	OK   bool
+}
+
 // IntegrateReuse integrates f over [a, b] with the same adaptive Simpson
 // scheme as IntegrateInto — identical estimates, error sums, reported
 // evaluation counts and panel partition, bit for bit — but reuses panel
@@ -78,24 +86,34 @@ func (w *AdaptiveWorkspace) IntegrateInto(f Func, a, b, tol float64, maxDepth in
 // the quadrature's nominal evaluation count — the quantity the paper's
 // access-pattern model is built on — not a call tally.
 //
+// fa carries a value the caller already holds, which must be what f
+// returns at fa.X: when fa.X is bitwise a, fa.F serves as f(a) and f is
+// not called there. The returned Known holds f(b) (nothing for an empty
+// interval), so integrations over adjacent intervals can hand their
+// shared endpoint on.
+//
 // The reuse is only sound for a deterministic, side-effect-free integrand:
 // f(x) must return the identical float64 every time it is called with the
 // same x within one integration. Integrands that record simulated-lane
 // loads/flops per call must use IntegrateInto, whose call sequence matches
 // the recursive reference exactly.
-func (w *AdaptiveWorkspace) IntegrateReuse(f Func, a, b, tol float64, maxDepth int, part []float64) (Estimate, []float64) {
+func (w *AdaptiveWorkspace) IntegrateReuse(f Func, a, b, tol float64, maxDepth int, fa Known, part []float64) (Estimate, Known, []float64) {
 	if b < a || math.IsNaN(a) || math.IsNaN(b) || math.IsInf(a, 0) || math.IsInf(b, 0) {
 		panic(fmt.Sprintf("quadrature: invalid interval [%g, %g]", a, b))
 	}
 	var est Estimate
 	if a == b {
-		return est, append(part, b)
+		return est, Known{}, append(part, b)
 	}
 	// The root panel's endpoint and midpoint values; SimpsonRule's own
 	// evaluation order is (a, m, b, ...), preserved here so an integrand
 	// with internal state keyed on first-seen radii behaves identically.
 	rm := 0.5 * (a + b)
-	rfa, rfm, rfb := f(a), f(rm), f(b)
+	rfa := fa.F
+	if !fa.OK || math.Float64bits(fa.X) != math.Float64bits(a) {
+		rfa = f(a)
+	}
+	rfm, rfb := f(rm), f(b)
 	// Depth-first descent with the current interval held in registers: a
 	// refined panel's left child continues in place and only the right
 	// child is pushed, so each refinement costs one frame copy instead of
@@ -130,5 +148,5 @@ func (w *AdaptiveWorkspace) IntegrateReuse(f Func, a, b, tol float64, maxDepth i
 		fr = asrFrame{a: fr.a, b: m, tol: fr.tol / 2, depth: fr.depth + 1, fa: fr.fa, fm: flm, fb: fr.fm}
 	}
 	w.rstack = stack[:0]
-	return est, part
+	return est, Known{X: b, F: rfb, OK: true}, part
 }

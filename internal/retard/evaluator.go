@@ -19,6 +19,14 @@ const maxInnerPoints = 5
 // slice, the grid geometry, and the simulated base address. addrStride is
 // 0 for a grid that is not resident in the simulated address space, which
 // reproduces the zero addresses the closure path records in that case.
+//
+// The plane also memoizes the y side of its stencil for the last sample
+// row it saw, keyed on the exact bits of that row's sy: whether the row is
+// in range, its flat offset (iy-1)·nx and its three weights. Every
+// full-circle sample of a point has sy == y, and the lanes of a warp that
+// lie in one grid row share y, so most samples skip the division,
+// rounding and weights. The memo holds geometry only, never plane values,
+// so re-pointing data (TileEvaluator) leaves it valid.
 type plane struct {
 	data       []float64
 	nx, ny     int
@@ -26,6 +34,11 @@ type plane struct {
 	dx, dy     float64
 	base       uintptr
 	addrStride uintptr
+
+	yKey          uint64 // Float64bits of the memoized sy
+	yIn           bool   // the row is inside [1, ny-2]
+	yRow          int    // (iy-1)·nx, when yIn
+	wy0, wy1, wy2 float64
 }
 
 // subEval is the per-subregion state of an Evaluator: problem-lifetime
@@ -66,7 +79,9 @@ type subEval struct {
 // computed once and cached — theta-window geometry per (point, subregion) instead of per radius,
 // history planes and component offsets hoisted out of the stencil, the
 // Newton-Cotes weight table built once, cos/sin tables reused while the
-// angular window repeats. A bound evaluator produces bitwise-identical
+// angular window repeats, each plane's stencil row reused while the
+// sample row repeats, and each distinct radius or angular sample
+// evaluated once. A bound evaluator produces bitwise-identical
 // integrals, errors, partitions and access patterns, and records the
 // identical load/flop sequence on a gpusim.Lane. An Evaluator is not safe
 // for concurrent use — give each worker (or simulated SM) its own.
@@ -105,22 +120,6 @@ type Evaluator struct {
 	part    []float64
 	visible []bool
 	arena   hostpar.Arena[float64]
-
-	// cache memoizes Eval(r) for the bound point. Adaptive Simpson
-	// re-probes three of every child panel's five abscissae at radii the
-	// parent panel already evaluated (its endpoints and midpoint); the
-	// closure path pays the full stencil again, the evaluator returns
-	// the identical stored float, so results stay bitwise equal. The
-	// cache is bypassed whenever a lane is attached: simulated kernels
-	// must charge every load and flop, and reuse would change the
-	// accounting.
-	cache    [evalCacheSize]evalCacheEntry
-	cacheGen uint64
-
-	// fRaw is eval bound once at construction: the uncached integrand
-	// SolvePoint hands to the panel-value-reusing quadrature, which never
-	// probes the same radius twice within a point.
-	fRaw quadrature.Func
 
 	// rmemo is the radial memo: integrand factors that depend on the
 	// radius alone — the subregion index, the singular weight w(r), and
@@ -163,26 +162,12 @@ type radialEntry struct {
 	half    float64
 }
 
-// evalCacheBits sizes the direct-mapped radius cache; 256 slots cover the
-// few hundred distinct abscissae of a deeply refined point with few
-// collisions.
-const (
-	evalCacheBits = 8
-	evalCacheSize = 1 << evalCacheBits
-)
-
-type evalCacheEntry struct {
-	r, v float64
-	gen  uint64
-}
-
 // NewEvaluator returns an evaluator bound to p. The constructor allocates;
 // everything after it (Bind, Eval, SolvePoint, Reset) reuses the
 // evaluator's scratch.
 func NewEvaluator(p *Problem) *Evaluator {
 	e := &Evaluator{}
 	e.f = e.Eval
-	e.fRaw = e.eval
 	e.rmemo = make([]radialEntry, radialMemoSize)
 	e.Reset(p)
 	return e
@@ -198,7 +183,6 @@ func (e *Evaluator) Func() quadrature.Func { return e.f }
 // Scratch is reused; steady-state Resets do not allocate.
 func (e *Evaluator) Reset(p *Problem) {
 	e.p = p
-	e.cacheGen++ // memoized radii belong to the old problem (and gen 0 marks the zero-value cache invalid)
 	e.weights = p.Inner.AppendWeights(e.weights[:0])
 	n := p.NumSub()
 	// Radial-memo generation: the memoized subregion index and weight
@@ -286,7 +270,9 @@ func (e *Evaluator) Reset(p *Problem) {
 // step the closure path would pass to History.Address — when a missing
 // neighbour grid was substituted by the middle one the address lookup
 // fails and the closure path records address 0 for every load of that
-// grid; addrStride 0 reproduces exactly that.
+// grid; addrStride 0 reproduces exactly that. The y-row memo starts keyed
+// on a NaN, with yIn false: a NaN sy rounds to an index outside every
+// row range (TestRoundIntMatchesRound), which is what the empty memo says.
 func makePlane(h *grid.History, g *grid.Grid, step, comp int) plane {
 	n := g.NX * g.NY
 	pl := plane{
@@ -294,6 +280,7 @@ func makePlane(h *grid.History, g *grid.Grid, step, comp int) plane {
 		nx:   g.NX, ny: g.NY,
 		x0: g.X0, y0: g.Y0,
 		dx: g.DX, dy: g.DY,
+		yKey: math.Float64bits(math.NaN()),
 	}
 	if base, ok := h.Address(step, 0, 0, comp); ok {
 		pl.base = base
@@ -311,8 +298,7 @@ func makePlane(h *grid.History, g *grid.Grid, step, comp int) plane {
 func (e *Evaluator) Bind(x, y float64, lane *gpusim.Lane) {
 	e.x, e.y = x, y
 	e.lane = lane
-	e.cacheGen++ // lazily invalidate the memoized radii of the old point
-	e.bindGen++  // lazily invalidate every subregion's window geometry
+	e.bindGen++ // lazily invalidate every subregion's window geometry
 }
 
 // bound returns subregion j with its point-lifetime geometry computed
@@ -360,32 +346,15 @@ func (e *Evaluator) window(j int, r float64) (t0, t1 float64, ok bool) {
 	return s.center - half, s.center + half, true
 }
 
-// Eval is the outer radial integrand at radius r: the closure path's
-// arithmetic, flop accounting and load trace, without its per-point
-// closures, per-call weight tables or History lookups. Without a lane it
-// memoizes per-radius results — the quadrature's evaluation count is
-// unchanged (it still calls Eval), but repeated abscissae cost a table
-// probe instead of a 27-point stencil walk.
-func (e *Evaluator) Eval(r float64) float64 {
-	if e.lane == nil {
-		ent := &e.cache[(math.Float64bits(r)*0x9e3779b97f4a7c15)>>(64-evalCacheBits)]
-		if ent.gen == e.cacheGen && ent.r == r {
-			return ent.v
-		}
-		v := e.eval(r)
-		*ent = evalCacheEntry{r: r, v: v, gen: e.cacheGen}
-		return v
-	}
-	return e.eval(r)
-}
-
-// eval computes the integrand with no per-point memoization; the
+// Eval is the outer radial integrand at radius r for the bound point: the
+// closure path's arithmetic, flop accounting and load trace, without its
+// per-point closures, per-call weight tables or History lookups. The
 // radius-only factors (subregion index, radial weight, cone half-angle)
 // are served from the cross-point radial memo. A bound lane is charged
 // once per evaluation: 8 flops for the window test and, when the window
 // is open, the stencil flops inner reports and 2 per angular weight —
 // the closure path's total (the replay reads only a unit's flop sum).
-func (e *Evaluator) eval(r float64) float64 {
+func (e *Evaluator) Eval(r float64) float64 {
 	ent := e.radial(r)
 	j := int(ent.j)
 	t0, t1, ok := e.windowMemo(j, r, ent)
@@ -484,8 +453,9 @@ func (e *Evaluator) inner(s *subEval, r, t0, t1 float64) (float64, int) {
 	// The full-circle window [-π, π] is point-independent: serve it from
 	// the evaluator-wide table. Other windows use the subregion's cache,
 	// rebuilt only when the exact bounds change.
+	full := t0 == -math.Pi && t1 == math.Pi
 	cosTab, sinTab := &s.cosTab, &s.sinTab
-	if t0 == -math.Pi && t1 == math.Pi {
+	if full {
 		cosTab, sinTab = &e.fullCos, &e.fullSin
 	} else if !s.cacheValid || s.cacheT0 != t0 || s.cacheT1 != t1 {
 		for i := 0; i < n; i++ {
@@ -499,17 +469,36 @@ func (e *Evaluator) inner(s *subEval, r, t0, t1 float64) (float64, int) {
 	// itself (rowFast): with a lane bound, an in-range sample is one
 	// Load3x3 footprint, the same nine addresses in the same order that
 	// the closure path loads one by one, and the planes record in the
-	// order they are summed (pm, p0, pp).
+	// order they are summed (pm, p0, pp). Each sample also returns the
+	// flat index of its footprint (-1 out of range).
+	//
+	// On the full circle the first and last abscissae are θ = -π and
+	// θ = π: cos is -1 at both, and r·sin(±π) = ±1.2e-16·r is below half
+	// an ulp of y once the bunch has left y ≈ 0, so both sample the
+	// bitwise-same point (x - r, y). The last abscissa then reuses the
+	// first's value and records its footprints again; a pair whose
+	// coordinates differ in any bit is computed like every other sample.
 	var sum float64
 	x, y := e.x, e.y
 	weights := e.weights
 	lane := e.lane
 	flops := 0
+	var firstX, firstY, firstV float64
+	var firstM, first0, firstP int
 	for i := 0; i < n; i++ {
 		sx := x + r*cosTab[i]
 		sy := y + r*sinTab[i]
 		var v float64
-		if s.sharedX {
+		rm, r0, rp := -1, -1, -1
+		switch {
+		case full && i == n-1 && math.Float64bits(sx) == math.Float64bits(firstX) && math.Float64bits(sy) == math.Float64bits(firstY):
+			v, rm, r0, rp = firstV, firstM, first0, firstP
+			if lane != nil {
+				s.pm.record(lane, rm)
+				s.p0.record(lane, r0)
+				s.pp.record(lane, rp)
+			}
+		case s.sharedX:
 			// One x-side index/weight computation serves all three
 			// planes; the values are bitwise what each plane would
 			// compute itself. An x rejection zeroes all three samples
@@ -519,18 +508,24 @@ func (e *Evaluator) inner(s *subEval, r, t0, t1 float64) (float64, int) {
 			if ix >= 1 && ix <= s.p0.nx-2 {
 				dx := fx - float64(ix)
 				wx0, wx1, wx2 := 0.5*(0.5-dx)*(0.5-dx), 0.75-dx*dx, 0.5*(0.5+dx)*(0.5+dx)
-				vm, fm := rowFast(&s.pm, ix, wx0, wx1, wx2, sy, lane)
-				v0, f0 := rowFast(&s.p0, ix, wx0, wx1, wx2, sy, lane)
-				vp, fp := rowFast(&s.pp, ix, wx0, wx1, wx2, sy, lane)
+				var vm, v0, vp float64
+				vm, rm = rowFast(&s.pm, ix, wx0, wx1, wx2, sy, lane)
+				v0, r0 = rowFast(&s.p0, ix, wx0, wx1, wx2, sy, lane)
+				vp, rp = rowFast(&s.pp, ix, wx0, wx1, wx2, sy, lane)
 				v = wm*vm + w0*v0 + wp*vp
-				flops += fm + f0 + fp
 			}
-		} else {
-			vm, fm := samplePlaneFast(&s.pm, sx, sy, lane)
-			v0, f0 := samplePlaneFast(&s.p0, sx, sy, lane)
-			vp, fp := samplePlaneFast(&s.pp, sx, sy, lane)
+		default:
+			var vm, v0, vp float64
+			vm, rm = samplePlaneFast(&s.pm, sx, sy, lane)
+			v0, r0 = samplePlaneFast(&s.p0, sx, sy, lane)
+			vp, rp = samplePlaneFast(&s.pp, sx, sy, lane)
 			v = wm*vm + w0*v0 + wp*vp
-			flops += fm + f0 + fp
+		}
+		if lane != nil {
+			flops += stencilFlops(rm) + stencilFlops(r0) + stencilFlops(rp)
+		}
+		if i == 0 {
+			firstX, firstY, firstV, firstM, first0, firstP = sx, sy, v, rm, r0, rp
 		}
 		sum += weights[i] * v
 	}
@@ -556,21 +551,36 @@ func roundInt(x float64) int {
 	return i
 }
 
-// rowFast is one plane's 3x3 stencil sample at column ix, with the x-side
-// weights precomputed by the caller; rows out of range sample 0. With a
-// lane bound, an in-range sample records its 3x3 stencil as one Load3x3
-// and reports its 30 stencil flops.
-func rowFast(pl *plane, ix int, wx0, wx1, wx2, sy float64, lane *gpusim.Lane) (float64, int) {
+// setRow fills the plane's y-row memo for the sample row sy.
+func (pl *plane) setRow(sy float64) {
 	fy := (sy - pl.y0) / pl.dy
 	iy := roundInt(fy)
-	if iy < 1 || iy > pl.ny-2 {
-		return 0, 0
+	pl.yKey = math.Float64bits(sy)
+	pl.yIn = iy >= 1 && iy <= pl.ny-2
+	if !pl.yIn {
+		return
 	}
 	dy := fy - float64(iy)
-	wy0 := 0.5 * (0.5 - dy) * (0.5 - dy)
-	wy1 := 0.75 - dy*dy
-	wy2 := 0.5 * (0.5 + dy) * (0.5 + dy)
-	row := (iy-1)*pl.nx + ix - 1
+	pl.wy0 = 0.5 * (0.5 - dy) * (0.5 - dy)
+	pl.wy1 = 0.75 - dy*dy
+	pl.wy2 = 0.5 * (0.5 + dy) * (0.5 + dy)
+	pl.yRow = (iy - 1) * pl.nx
+}
+
+// rowFast is one plane's 3x3 stencil sample at column ix, with the x-side
+// weights precomputed by the caller and the y side served from the
+// plane's row memo. It returns the sample and the flat index of the
+// footprint's first element, or 0 and -1 when the row is out of range.
+// With a lane bound, an in-range sample records its footprint.
+func rowFast(pl *plane, ix int, wx0, wx1, wx2, sy float64, lane *gpusim.Lane) (float64, int) {
+	if math.Float64bits(sy) != pl.yKey {
+		pl.setRow(sy)
+	}
+	if !pl.yIn {
+		return 0, -1
+	}
+	wy0, wy1, wy2 := pl.wy0, pl.wy1, pl.wy2
+	row := pl.yRow + ix - 1
 	d0 := pl.data[row : row+3 : row+3]
 	d1 := pl.data[row+pl.nx : row+pl.nx+3 : row+pl.nx+3]
 	d2 := pl.data[row+2*pl.nx : row+2*pl.nx+3 : row+2*pl.nx+3]
@@ -584,21 +594,40 @@ func rowFast(pl *plane, ix int, wx0, wx1, wx2, sy float64, lane *gpusim.Lane) (f
 	v += wy2 * wx0 * d2[0]
 	v += wy2 * wx1 * d2[1]
 	v += wy2 * wx2 * d2[2]
-	if lane == nil {
-		return v, 0
+	if lane != nil {
+		pl.record(lane, row)
 	}
-	lane.Load3x3(pl.base+uintptr(row)*pl.addrStride, pl.addrStride, uintptr(pl.nx)*pl.addrStride)
-	return v, 30 // stencil weights and accumulation
+	return v, row
+}
+
+// record charges the plane's footprint at flat index row to lane, when
+// the sample was in range (row >= 0): one Load3x3, the nine loads the
+// closure path's sampleGrid records one by one.
+func (pl *plane) record(lane *gpusim.Lane, row int) {
+	if row >= 0 {
+		lane.Load3x3(pl.base+uintptr(row)*pl.addrStride, pl.addrStride, uintptr(pl.nx)*pl.addrStride)
+	}
+}
+
+// stencilFlops is the closure path's flop charge for one plane sample
+// with footprint index row: 30 for the stencil weights and accumulation
+// when it was in range, none otherwise.
+func stencilFlops(row int) int {
+	if row < 0 {
+		return 0
+	}
+	return 30
 }
 
 // samplePlaneFast is the closure path's sampleGrid on a hoisted plane:
 // identical arithmetic with no Grid/History indirection per sample and the
-// stencil unrolled the same way as rowFast, which records it on lane.
+// stencil unrolled the same way as rowFast, which records it on lane and
+// whose footprint index it returns (-1 when x or y is out of range).
 func samplePlaneFast(pl *plane, sx, sy float64, lane *gpusim.Lane) (float64, int) {
 	fx := (sx - pl.x0) / pl.dx
 	ix := roundInt(fx)
 	if ix < 1 || ix > pl.nx-2 {
-		return 0, 0
+		return 0, -1
 	}
 	dx := fx - float64(ix)
 	return rowFast(pl, ix, 0.5*(0.5-dx)*(0.5-dx), 0.75-dx*dx, 0.5*(0.5+dx)*(0.5+dx), sy, lane)
@@ -639,6 +668,13 @@ func (e *Evaluator) SolvePoint(x, y float64) PointResult {
 	n := p.NumSub()
 	part := append(e.part[:0], 0)
 	var res PointResult
+	// The panel-value-reusing quadrature never probes a radius twice
+	// within one subregion, and adjacent subregions share a boundary
+	// radius (b_j == a_{j+1}): each integration hands f(b_j) on, and the
+	// next takes it as f(a_{j+1}) when the two radii are bitwise equal.
+	// Eval is deterministic for the bound point, which is all
+	// IntegrateReuse requires for bitwise identity.
+	var fb quadrature.Known
 	for j := 0; j < n; j++ {
 		a := float64(j) * p.subW
 		if a >= r {
@@ -646,13 +682,7 @@ func (e *Evaluator) SolvePoint(x, y float64) PointResult {
 		}
 		b := math.Min(a+p.subW, r)
 		var est quadrature.Estimate
-		// The panel-value-reusing quadrature never probes a radius twice
-		// within one subregion, but adjacent subregions share a boundary
-		// radius (b_j == a_{j+1}): the memoizing Eval serves the second
-		// probe from the per-point cache. Eval is deterministic for the
-		// bound point, which is all IntegrateReuse requires for bitwise
-		// identity.
-		est, part = e.ws.IntegrateReuse(e.f, a, b, p.Tol, p.MaxDepth, part)
+		est, fb, part = e.ws.IntegrateReuse(e.f, a, b, p.Tol, p.MaxDepth, fb, part)
 		res.I += est.I
 		res.Err += est.Err
 		res.Evals += est.Evals

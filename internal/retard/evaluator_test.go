@@ -9,6 +9,7 @@ import (
 	"beamdyn/internal/access"
 	"beamdyn/internal/gpusim"
 	"beamdyn/internal/grid"
+	"beamdyn/internal/phys"
 	"beamdyn/internal/quadrature"
 )
 
@@ -287,34 +288,11 @@ func TestEvaluatorLaneMetricsMatchClosure(t *testing.T) {
 					{x0 + 2*edge, y1 - 3*edge}, {x1 - 3*edge, y0 + 2*edge},
 				}
 
-				run := func(mk func(lane *gpusim.Lane, x, y float64) quadrature.Func) (gpusim.Metrics, []float64) {
-					dev := gpusim.New(gpusim.KeplerK40())
-					vals := make([]float64, len(points)*len(radii))
-					m := dev.Run(gpusim.Launch{
-						Name: "probe", Blocks: 1, ThreadsPerBlock: len(points), ColdCaches: true,
-						Kernel: func(lane *gpusim.Lane, b, th int) {
-							lane.Begin(0)
-							f := mk(lane, points[th][0], points[th][1])
-							for i, r := range radii {
-								vals[th*len(radii)+i] = f(r * p.SubWidth())
-							}
-						},
-					})
-					return m, vals
+				var probe []float64
+				for _, r := range radii {
+					probe = append(probe, r*p.SubWidth())
 				}
-
-				mc, vc := run(func(l *gpusim.Lane, x, y float64) quadrature.Func { return p.Integrand(x, y, l) })
-				me, ve := run(func(l *gpusim.Lane, x, y float64) quadrature.Func { e.Bind(x, y, l); return e.Func() })
-				for i := range vc {
-					if vc[i] != ve[i] {
-						pt := points[i/len(radii)]
-						t.Fatalf("integrand at (%g,%g) r=%g: closure %v != evaluator %v",
-							pt[0], pt[1], radii[i%len(radii)], vc[i], ve[i])
-					}
-				}
-				if mc != me {
-					t.Fatalf("simulated metrics diverge:\nclosure:   %+v\nevaluator: %+v", mc, me)
-				}
+				lanesMatchClosure(t, p, e, points, probe)
 				if n := splitSamples(e, points, radii, p.SubWidth()); n == 0 {
 					t.Fatal("no probe sample is accepted by some temporal planes and rejected by others")
 				}
@@ -323,14 +301,200 @@ func TestEvaluatorLaneMetricsMatchClosure(t *testing.T) {
 	}
 }
 
+// endpointHistories are the two fixtures of the coincident-endpoint
+// tests: step 7's bunch centred on y = 0, so its rows straddle y = 0 and
+// r·sin(±π) moves the last bits of y at rows near it, and the same bunch
+// translated 5 cm away, where it never does. The bunch is 0.3 times the
+// standard one, so its support boxes' half-diagonals (~80 µm) fall below
+// the largest radii (κ·cΔt = 200 µm) and points outside a box see narrow
+// cones.
+func endpointHistories(params Params) []struct {
+	name string
+	h    *grid.History
+} {
+	const k = 0.3
+	_, beam := buildHistory(1, 8, params)
+	straddle, _ := buildHistoryAt(8, 48, 48, params, -7*beam.Beta()*phys.C*params.Dt, k)
+	far, _ := buildHistoryAt(8, 48, 48, params, 0.05, k)
+	return []struct {
+		name string
+		h    *grid.History
+	}{{"straddle", straddle}, {"far", far}}
+}
+
+// endpointKind sorts the integrand at (x, y, r) by what inner does with
+// its last abscissa: reused (the full circle's endpoints coincide bit for
+// bit), computed (full circle, endpoints differ), narrow (a cone window)
+// or none (no window, or no middle grid). The endpoints are recomputed
+// here with the expressions the evaluator's full-circle table uses.
+func endpointKind(p *Problem, x, y, r float64) string {
+	j := p.subregionOf(r)
+	t0, t1, ok := p.ThetaWindow(x, y, r, j)
+	switch {
+	case !ok || p.Hist.At(p.Step-j-1) == nil:
+		return "none"
+	case t0 != -math.Pi || t1 != math.Pi:
+		return "narrow"
+	}
+	n := p.Inner.Points()
+	h := (math.Pi - (-math.Pi)) / float64(n-1)
+	last := -math.Pi + float64(n-1)*h
+	sx0, sy0 := x+r*math.Cos(-math.Pi), y+r*math.Sin(-math.Pi)
+	sx1, sy1 := x+r*math.Cos(last), y+r*math.Sin(last)
+	if math.Float64bits(sx0) == math.Float64bits(sx1) && math.Float64bits(sy0) == math.Float64bits(sy1) {
+		return "reused"
+	}
+	return "computed"
+}
+
+// TestEvaluatorCoincidentEndpoints covers the full circle's shared
+// endpoint sample for the trapezoid, Simpson and Boole rules on three
+// kinds of point: rows near y = 0, where y + r·sin(±π) differ and both
+// endpoints are computed; rows far from y = 0, where they coincide and
+// the last reuses the first; and points outside the charge support, whose
+// narrow-cone windows never reuse. SolvePoint must equal the closure bit
+// for bit, and the lane-bound integrand must give the closure's values,
+// flops per probe and ==-equal Metrics. The probes are sorted by
+// endpointKind, and the test fails unless every kind occurred.
+func TestEvaluatorCoincidentEndpoints(t *testing.T) {
+	for _, inner := range []quadrature.NewtonCotesOrder{quadrature.Trapezoid, quadrature.Simpson, quadrature.Boole} {
+		params := testParams()
+		params.Inner = inner
+		for _, hc := range endpointHistories(params) {
+			t.Run(fmt.Sprintf("%s/inner=%d", hc.name, inner), func(t *testing.T) {
+				p := NewProblem(hc.h, params)
+				e := NewEvaluator(p)
+				g := hc.h.At(7)
+				x0, y0, x1, y1 := g.Bounds()
+				cx, cy := 0.5*(x0+x1), 0.5*(y0+y1)
+				w, ht := x1-x0, y1-y0
+				points := append(sweepPoints(g),
+					[2]float64{cx, 0}, [2]float64{x0 + 0.3*w, 0}, [2]float64{cx, 1e-9},
+					[2]float64{x1 + w, cy}, [2]float64{cx, y1 + ht}, [2]float64{x0 - 0.5*w, y0 - 0.5*ht})
+				kinds := map[string]int{}
+				var radii []float64
+				for k := 1; k <= 64; k++ {
+					radii = append(radii, float64(k)/16*p.SubWidth())
+				}
+				for _, pt := range points {
+					want := p.SolvePointClosure(pt[0], pt[1])
+					e.ResetScratch()
+					got := e.SolvePoint(pt[0], pt[1])
+					samePointResult(t, fmt.Sprintf("point (%g,%g)", pt[0], pt[1]), got, want)
+					for _, r := range want.Partition[1:] {
+						kinds[endpointKind(p, pt[0], pt[1], r)]++
+					}
+					for _, r := range radii {
+						kinds[endpointKind(p, pt[0], pt[1], r)]++
+					}
+				}
+
+				lanesMatchClosure(t, p, e, points, radii)
+
+				t.Logf("probes by kind: %v", kinds)
+				if kinds["reused"] == 0 || kinds["narrow"] == 0 {
+					t.Fatalf("probes by kind %v: want reused and narrow-cone probes", kinds)
+				}
+				switch hc.name {
+				case "straddle":
+					if kinds["computed"] == 0 {
+						t.Fatalf("probes by kind %v: no full-circle probe near y = 0 had distinct endpoints", kinds)
+					}
+				case "far":
+					if kinds["computed"] != 0 {
+						t.Fatalf("probes by kind %v: endpoints 5 cm from y = 0 differ", kinds)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestEvaluatorResetClearsRowMemo solves a point, then re-targets the
+// evaluator, its y-row memos holding that point's rows, at a problem whose
+// grids moved a fraction of a cell in y or one with a different NY, and
+// solves the point again: the same sample rows then map to other grid
+// rows, weights and range tests, so a memo that survived Reset would
+// change the result. It must match a fresh evaluator, and the closure,
+// bit for bit.
+func TestEvaluatorResetClearsRowMemo(t *testing.T) {
+	params := testParams()
+	h, _ := buildHistory(8, 48, params)
+	g := h.At(7)
+	shifted, _ := buildHistoryAt(8, 48, 48, params, 0.37*g.DY, 1)
+	shorter, _ := buildHistoryAt(8, 48, 40, params, 0, 1)
+	x0, _, x1, y1 := g.Bounds()
+	points := append(sweepPoints(g), [2]float64{0.5 * (x0 + x1), y1 - 1.2*g.DY}, [2]float64{x0 + 3*g.DX, y1 - 0.6*g.DY})
+
+	base := NewProblem(h, params)
+	e := NewEvaluator(base)
+	for _, hc := range []struct {
+		name string
+		h    *grid.History
+	}{{"moved in y", shifted}, {"other NY", shorter}} {
+		p := NewProblem(hc.h, params)
+		fresh := NewEvaluator(p)
+		for _, pt := range points {
+			tag := fmt.Sprintf("%s, point (%g,%g)", hc.name, pt[0], pt[1])
+			e.Reset(base)
+			e.ResetScratch()
+			e.SolvePoint(pt[0], pt[1])
+			e.Reset(p)
+			e.ResetScratch()
+			fresh.ResetScratch()
+			want := fresh.SolvePoint(pt[0], pt[1])
+			samePointResult(t, tag+" vs fresh", e.SolvePoint(pt[0], pt[1]), want)
+			samePointResult(t, tag+" vs closure", want, p.SolvePointClosure(pt[0], pt[1]))
+		}
+	}
+}
+
+// lanesMatchClosure probes the closure integrand and the evaluator bound
+// to lanes, one lane per point and every radius per lane, on two fresh
+// simulated devices, and requires identical values, identical flops per
+// probe and ==-equal Metrics: the evaluator's Load3x3 footprints go
+// through the grouped replay while the closure records single loads.
+func lanesMatchClosure(t *testing.T, p *Problem, e *Evaluator, points [][2]float64, radii []float64) {
+	t.Helper()
+	run := func(mk func(lane *gpusim.Lane, x, y float64) quadrature.Func) (gpusim.Metrics, []float64, []uint64) {
+		dev := gpusim.New(gpusim.KeplerK40())
+		vals := make([]float64, len(points)*len(radii))
+		flops := make([]uint64, len(vals))
+		m := dev.Run(gpusim.Launch{
+			Name: "probe", Blocks: 1, ThreadsPerBlock: len(points), ColdCaches: true,
+			Kernel: func(lane *gpusim.Lane, b, th int) {
+				lane.Begin(0)
+				f := mk(lane, points[th][0], points[th][1])
+				for i, r := range radii {
+					before := lane.LaneFlops()
+					vals[th*len(radii)+i] = f(r)
+					flops[th*len(radii)+i] = lane.LaneFlops() - before
+				}
+			},
+		})
+		return m, vals, flops
+	}
+	mc, vc, fc := run(func(l *gpusim.Lane, x, y float64) quadrature.Func { return p.Integrand(x, y, l) })
+	me, ve, fe := run(func(l *gpusim.Lane, x, y float64) quadrature.Func { e.Bind(x, y, l); return e.Func() })
+	for i := range vc {
+		if vc[i] != ve[i] || fc[i] != fe[i] {
+			pt := points[i/len(radii)]
+			t.Fatalf("integrand at (%g,%g) r=%g: closure %v (%d flops) != evaluator %v (%d flops)",
+				pt[0], pt[1], radii[i%len(radii)], vc[i], fc[i], ve[i], fe[i])
+		}
+	}
+	if mc != me {
+		t.Fatalf("simulated metrics diverge:\nclosure:   %+v\nevaluator: %+v", mc, me)
+	}
+}
+
 // splitSamples counts the angular samples of the probes that some of
 // their three temporal planes accept and others reject, judged by whether
-// samplePlaneFast records the plane's stencil on a lane.
+// samplePlaneFast reports an in-range footprint for the plane.
 func splitSamples(e *Evaluator, points [][2]float64, radii []float64, subW float64) int {
-	var lane gpusim.Lane
 	accepts := func(pl *plane, sx, sy float64) bool {
-		_, flops := samplePlaneFast(pl, sx, sy, &lane)
-		return flops > 0
+		_, row := samplePlaneFast(pl, sx, sy, nil)
+		return row >= 0
 	}
 	n := 0
 	for _, pt := range points {

@@ -15,16 +15,24 @@ import (
 // translating at the design velocity, the standard test fixture for
 // rp-integral evaluation.
 func buildHistory(steps, nx int, params Params) (*grid.History, phys.Beam) {
+	return buildHistoryAt(steps, nx, nx, params, 0, 1)
+}
+
+// buildHistoryAt is buildHistory on nx x ny grids with the bunch's
+// transverse sigmas scaled by k and the bunch of step s centred at
+// y = y0 + s·vΔt; (nx, nx, y0 = 0, k = 1) gives buildHistory's grids bit
+// for bit.
+func buildHistoryAt(steps, nx, ny int, params Params, y0, k float64) (*grid.History, phys.Beam) {
 	beam := phys.Beam{
 		NumParticles: 1, TotalCharge: 1e-9,
-		SigmaX: 20e-6, SigmaY: 50e-6, Energy: 4.3e9,
+		SigmaX: k * 20e-6, SigmaY: k * 50e-6, Energy: 4.3e9,
 	}
 	h := grid.NewHistory(params.Kappa + 4)
 	v := beam.Beta() * phys.C
 	for s := 0; s < steps; s++ {
-		cy := float64(s) * v * params.Dt
+		cy := y0 + float64(s)*v*params.Dt
 		hx, hy := 5*beam.SigmaX, 5*beam.SigmaY
-		g := grid.New(nx, nx, grid.MomentComponents, -hx, cy-hy, 2*hx/float64(nx-1), 2*hy/float64(nx-1))
+		g := grid.New(nx, ny, grid.MomentComponents, -hx, cy-hy, 2*hx/float64(nx-1), 2*hy/float64(ny-1))
 		g.Step = s
 		analytic.ContinuumDeposit(g, beam, 0, cy)
 		h.Push(g)

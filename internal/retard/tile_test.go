@@ -15,21 +15,7 @@ import (
 // scaled by k: same step count, same grid resolution and subregion layout,
 // different charge-support boxes.
 func buildHistoryWide(steps, nx int, params Params, k float64) (*grid.History, phys.Beam) {
-	beam := phys.Beam{
-		NumParticles: 1, TotalCharge: 1e-9,
-		SigmaX: k * 20e-6, SigmaY: k * 50e-6, Energy: 4.3e9,
-	}
-	h := grid.NewHistory(params.Kappa + 4)
-	v := beam.Beta() * phys.C
-	for s := 0; s < steps; s++ {
-		cy := float64(s) * v * params.Dt
-		hx, hy := 5*beam.SigmaX, 5*beam.SigmaY
-		g := grid.New(nx, nx, grid.MomentComponents, -hx, cy-hy, 2*hx/float64(nx-1), 2*hy/float64(nx-1))
-		g.Step = s
-		analytic.ContinuumDeposit(g, beam, 0, cy)
-		h.Push(g)
-	}
-	return h, beam
+	return buildHistoryAt(steps, nx, nx, params, 0, k)
 }
 
 // solveGrid runs one GridSolver configuration and returns the target grid
