@@ -43,16 +43,18 @@ test-fleet-race:
 # (watchdogs, scrapers, the step loop), so race-check them directly, then
 # run a scripted-chaos pass with alerting and post-mortem dumping enabled
 # and triage the resulting bundle with obstool — the full incident chain,
-# end to end, on every PR. This gate, test-jobs-race and test-trace-race
-# write under a fresh mktemp -d directory (it honours TMPDIR) and remove it
-# on exit.
+# end to end, on every PR. The device failure is the critical alert that
+# dumps the bundle; the steptime rule runs the step-time signal end to end
+# as a warning, which dumps nothing. This gate, test-jobs-race and
+# test-trace-race write under a fresh mktemp -d directory (it honours
+# TMPDIR) and remove it on exit.
 test-alert-race:
 	$(GO) test -race -count=1 ./internal/obs/...
 	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) run ./cmd/beamsim -n 5000 -grid 32 -steps 4 -kernel twophase \
 		-devices 2 -inject "fail:dev=1,step=9" \
-		-alerts "device_failed:for=1;steptime:mad=8" \
-		-flight-depth 1024 -postmortem-dir "$$dir" && \
+		-alerts "device_failed:for=1;steptime>60:sev=warn" \
+		-postmortem-dir "$$dir" && \
 	$(GO) run ./cmd/obstool postmortem "$$dir"/postmortem-00-*
 
 # Control-plane gate: race-check the jobs package (queue hammering, the
@@ -81,9 +83,9 @@ test-trace-race:
 
 # Telemetry-overhead check: the disabled path must stay within 5% of the
 # uninstrumented kernel step, and the full incident layer (flight recorder
-# + default alert rules + invariant gauges) within 5% of the bare
-# simulation step (compare the Benchmark lines by hand, or with benchstat
-# when available).
+# + default alert rules — fallback rate, failed devices, charge drift —
+# + invariant gauges) within 5% of the bare simulation step (compare the
+# Benchmark lines by hand, or with benchstat when available).
 bench-obs:
 	$(GO) test -run '^$$' -bench 'BenchmarkObs' -benchtime 5x ./internal/kernels
 	$(GO) test -run '^$$' -bench 'BenchmarkObs' -benchtime 5x ./internal/core
@@ -135,9 +137,10 @@ bench-floors:
 	$(GO) test -run '^$$' -bench Floor -benchtime 1x ./internal/gpusim ./internal/retard
 
 # Parser fuzzing: run each native fuzz target for a few seconds from its
-# seed corpus (the scenario catalog, the -alerts/-inject scripts above,
-# non-finite numbers, a JSONL trace with truncated and corrupt copies, and
-# a small checkpoint with crafted configs). No input may panic, and an
+# seed corpus (the scenario catalog, the -alerts/-inject scripts above and
+# README's, a rejected "mad=" rule option, non-finite numbers, a JSONL
+# trace with truncated and corrupt copies, and a small checkpoint with
+# crafted configs). No input may panic, and an
 # accepted input's canonical form (re-marshalled spec, Rule.Name,
 # Event.String, re-encoded trace lines, re-saved checkpoint) must parse
 # back to an equal value; the strict and lenient trace readers must agree.

@@ -15,7 +15,7 @@
 // telemetry over HTTP while the run advances: /metrics (Prometheus text
 // exposition), /snapshot.json, /healthz (step liveness + fleet device
 // states) and /debug/pprof. Traces feed the offline obstool analyzer
-// (summary, timeline, fleet, tree, predictor, diff).
+// (summary, fleet, tree, predictor, diff).
 //
 // Multi-device runs: -devices N (N > 1) runs the kernel on a fleet of N
 // simulated K40s (internal/fleet), one row-band per device, and -inject
@@ -27,12 +27,16 @@
 // The incident layer (see the Incidents & alerts section of README.md)
 // rides on the same observer: -alerts evaluates a per-step rule script
 // ("default" for the built-in set) over step time, predictor quality,
-// fleet health and the beam's physics invariants; -flight-depth sizes the
-// always-on flight recorder that retains the last N trace events even
-// when -trace is off; and -postmortem-dir makes critical alerts, stalls,
-// unrecovered device failures and run errors dump a self-contained
-// post-mortem bundle there (flight trace, metrics snapshot, alert log,
-// checkpoint, profiles) for offline triage with "obstool postmortem".
+// fleet health and the beam's physics invariants, e.g.
+//
+//	beamsim -alerts "fallback_rate>0.2:for=5;steptime>2;device_failed"
+//
+// and -postmortem-dir makes critical alerts, stalls, unrecovered device
+// failures and run errors dump a self-contained post-mortem bundle there
+// (flight trace, metrics snapshot, alert log, checkpoint, goroutine
+// stacks) for offline triage with "obstool postmortem". The flight trace
+// comes from a recorder that -postmortem-dir turns on: it keeps the last
+// flight.DefaultDepth trace events in memory even when -trace is off.
 //
 // "beamsim serve" switches from one-shot runs to the job control plane
 // (see the Serving section of README.md): simulations are submitted as
@@ -57,7 +61,6 @@ import (
 	"beamdyn/internal/obs/bundle"
 	"beamdyn/internal/obs/export"
 	"beamdyn/internal/obs/flight"
-	"beamdyn/internal/obs/runtimecol"
 )
 
 func main() {
@@ -88,15 +91,13 @@ func main() {
 
 		traceOut    = flag.String("trace", "", "write a JSONL span/event trace to this file")
 		node        = flag.String("node", "", "node label stamped as baggage on every traced span/event")
-		runtimeInt  = flag.Duration("runtime-interval", time.Second, "sample Go runtime telemetry (go_* gauges: heap, goroutines, GC pauses) at this period when telemetry is on (0 disables)")
 		metricsOut  = flag.String("metrics", "", "write an end-of-run metrics snapshot (JSON) to this file (\"-\" for stdout)")
 		obsInterval = flag.Int("obs-interval", 0, "print a predictor-quality summary every N steps (0 disables)")
 		httpAddr    = flag.String("http", "", "serve live telemetry on this address (e.g. :8080): /metrics, /snapshot.json, /healthz, /alerts, /debug/pprof")
 		staleAfter  = flag.Duration("stale-after", 30*time.Second, "with -http, /healthz reports stalled (503) when no step completes within this window; with -postmortem-dir, the stall watchdog dumps a bundle after it (0 disables both)")
 
-		alerts        = flag.String("alerts", "", "per-step alert rules, e.g. \"fallback_rate>0.2:for=5;steptime:mad=6;device_failed\" (\"default\" for the built-in set; empty disables alerting)")
-		flightDepth   = flag.Int("flight-depth", flight.DefaultDepth, "flight recorder depth: retain the last N trace events in memory even when -trace is off (0 disables)")
-		postmortemDir = flag.String("postmortem-dir", "", "dump post-mortem bundles under this directory on critical alerts, stalls, unrecovered device failures and run errors")
+		alerts        = flag.String("alerts", "", "per-step alert rules, e.g. \"fallback_rate>0.2:for=5;steptime>2;device_failed\" (\"default\" for the built-in set; empty disables alerting)")
+		postmortemDir = flag.String("postmortem-dir", "", "dump post-mortem bundles under this directory on critical alerts, stalls, unrecovered device failures and run errors; also keeps the last trace events in memory for them")
 	)
 	flag.Parse()
 
@@ -153,18 +154,20 @@ func main() {
 			// The sink owns the file: its Close flushes and closes it.
 			traceSink = obs.NewJSONLSink(f)
 		}
-		// The flight recorder sits in front of the (optional) trace file:
-		// it retains the last -flight-depth events in memory so an incident
-		// bundle has a trace even when -trace was never given.
-		var fwd obs.Sink
+		// With a bundle directory, the flight recorder sits in front of the
+		// (optional) trace file: the bundle writer is its only reader, and
+		// it gives an incident bundle a trace even when -trace was never
+		// given.
+		var sink obs.Sink
 		if traceSink != nil {
-			fwd = traceSink
+			sink = traceSink
 		}
-		if *flightDepth > 0 {
-			flightRec = flight.New(*flightDepth, fwd)
-			observer.Trace = obs.NewTracer(flightRec)
-		} else if fwd != nil {
-			observer.Trace = obs.NewTracer(fwd)
+		if *postmortemDir != "" {
+			flightRec = flight.New(flight.DefaultDepth, sink)
+			sink = flightRec
+		}
+		if sink != nil {
+			observer.Trace = obs.NewTracer(sink)
 		}
 		sim.Obs = observer
 	}
@@ -180,13 +183,6 @@ func main() {
 		}
 		runObs = observer.StartTrace(baggage...)
 		sim.Obs = runObs
-	}
-
-	// Runtime telemetry collector: go_* gauges and the GC-pause histogram,
-	// sampled on its own goroutine for the run's duration.
-	var rtc *runtimecol.Collector
-	if observer != nil && *runtimeInt > 0 {
-		rtc = runtimecol.Start(observer.Reg, *runtimeInt)
 	}
 
 	// The bundle writer is assigned after the alert engine below; the
@@ -378,9 +374,6 @@ func main() {
 	if watchStop != nil {
 		close(watchStop)
 	}
-	// Final runtime sample, then stop the collector before the snapshot is
-	// rendered so the go_* gauges reflect end-of-run state.
-	rtc.Stop()
 	// An unrecovered device failure is an incident even when no alert rule
 	// watched for it: if the run ends with failed devices and nothing else
 	// dumped a bundle, dump one now.

@@ -11,8 +11,6 @@ import (
 	"beamdyn/internal/jobs"
 	"beamdyn/internal/obs"
 	"beamdyn/internal/obs/export"
-	"beamdyn/internal/obs/flight"
-	"beamdyn/internal/obs/runtimecol"
 )
 
 // runServe is the "beamsim serve" mode: a long-running job control plane
@@ -33,15 +31,13 @@ func runServe(args []string) {
 		fs.PrintDefaults()
 	}
 	var (
-		httpAddr    = fs.String("http", ":8080", "serve the jobs API + telemetry on this address (empty disables HTTP; useful with -oneshot)")
-		workers     = fs.Int("workers", 2, "dispatch workers (jobs running concurrently)")
-		flightDepth = fs.Int("flight-depth", flight.DefaultDepth, "flight recorder depth (0 disables)")
-		traceOut    = fs.String("trace", "", "write the control plane's JSONL span/event trace to this file")
-		submit      = fs.String("submit", "", "comma-separated JobSpec files to submit at startup")
-		oneshot     = fs.Bool("oneshot", false, "exit after the -submit jobs finish (requires -submit)")
-		staleAfter  = fs.Duration("stale-after", 0*time.Second, "/healthz reports stalled (503) when no step completes within this window (0 disables)")
-		node        = fs.String("node", "", "node label stamped as baggage on every job's traced spans")
-		runtimeInt  = fs.Duration("runtime-interval", time.Second, "sample Go runtime telemetry (go_* gauges) at this period (0 disables)")
+		httpAddr   = fs.String("http", ":8080", "serve the jobs API + telemetry on this address (empty disables HTTP; useful with -oneshot)")
+		workers    = fs.Int("workers", 2, "dispatch workers (jobs running concurrently)")
+		traceOut   = fs.String("trace", "", "write the control plane's JSONL span/event trace to this file")
+		submit     = fs.String("submit", "", "comma-separated JobSpec files to submit at startup")
+		oneshot    = fs.Bool("oneshot", false, "exit after the -submit jobs finish (requires -submit)")
+		staleAfter = fs.Duration("stale-after", 0*time.Second, "/healthz reports stalled (503) when no step completes within this window (0 disables)")
+		node       = fs.String("node", "", "node label stamped as baggage on every job's traced spans")
 	)
 	fs.Parse(args)
 	if fs.NArg() > 0 {
@@ -62,20 +58,7 @@ func runServe(args []string) {
 			log.Fatal(err)
 		}
 		traceSink = obs.NewJSONLSink(f)
-	}
-	var fwd obs.Sink
-	if traceSink != nil {
-		fwd = traceSink
-	}
-	if *flightDepth > 0 {
-		observer.Trace = obs.NewTracer(flight.New(*flightDepth, fwd))
-	} else if fwd != nil {
-		observer.Trace = obs.NewTracer(fwd)
-	}
-
-	var rtc *runtimecol.Collector
-	if *runtimeInt > 0 {
-		rtc = runtimecol.Start(observer.Reg, *runtimeInt)
+		observer.Trace = obs.NewTracer(traceSink)
 	}
 
 	js := jobs.New(jobs.Config{Workers: *workers, Obs: observer, Node: *node})
@@ -127,7 +110,6 @@ func runServe(args []string) {
 		fmt.Println(line)
 	}
 	js.Close()
-	rtc.Stop()
 	if traceSink != nil {
 		if err := traceSink.Close(); err != nil {
 			log.Fatalf("trace sink: %v", err)

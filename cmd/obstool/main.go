@@ -9,12 +9,10 @@
 //	    the trace carries host reference solves, appends the rp solver
 //	    cache section (tile-scratch and radial-memo reuse rates).
 //
-//	obstool timeline trace.jsonl
-//	    Per-step span timeline with proportional duration bars.
-//
 //	obstool fleet trace.jsonl
 //	    Fleet scheduler accounting: bands dispatched/retried and
-//	    per-device busy time, mean utilization and lifecycle states.
+//	    per-device busy time, mean utilization and lifecycle states,
+//	    from the fleet/device point events (tree skips point events).
 //
 //	obstool tree trace.jsonl [-job ID]
 //	    Causal span-tree reconstruction from trace/span/parent IDs: per
@@ -57,7 +55,6 @@ func usage() {
 
 commands:
   summary   trace.jsonl                  per-span aggregation (count, mean, p50/p95/p99, max)
-  timeline  trace.jsonl                  per-step span timeline
   fleet     trace.jsonl                  per-device utilization and retry accounting
   tree      trace.jsonl                  causal span tree with self/total time and critical path
   predictor trace.jsonl                  predictor quality series + fallback spike detection
@@ -77,8 +74,6 @@ func main() {
 	switch cmd {
 	case "summary":
 		runSummary(args)
-	case "timeline":
-		runTimeline(args)
 	case "fleet":
 		runFleet(args)
 	case "tree":
@@ -178,17 +173,6 @@ func runSummary(args []string) {
 	if t := analysis.RPCacheTable(analysis.RPCache(events)); t != "" {
 		fmt.Print("\n" + t)
 	}
-}
-
-func runTimeline(args []string) {
-	fs := newFlagSet("timeline", "trace.jsonl")
-	job := jobFlag(fs)
-	path := parseMixed(fs, args, 1)[0]
-	events, err := analysis.ReadTraceFile(path)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Print(analysis.TimelineTable(analysis.Timeline(filterJob(events, *job))))
 }
 
 func runFleet(args []string) {

@@ -453,7 +453,7 @@ func (s *Server) histogram(name string) *obs.Histogram {
 }
 
 // event emits a jobs/* trace event through the job's scoped observer
-// (flight recorder and/or trace file): the scope's baggage supplies the
+// (to the trace file, when there is one): the scope's baggage supplies the
 // job/node attrs, so — unlike the old per-call append — the
 // disabled path allocates nothing.
 func (s *Server) event(j *Job, name string, step int, attrs ...obs.Attr) {

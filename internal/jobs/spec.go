@@ -19,8 +19,7 @@
 //   - Handler — the HTTP/JSON API (POST /jobs, GET /jobs/{id}, the event
 //     log, result fetch, DELETE) designed to be mounted onto the
 //     internal/obs/export server, with jobs_* metrics and per-job trace
-//     spans flowing into the same observer/flight recorder as everything
-//     else.
+//     spans flowing into the same observer as everything else.
 package jobs
 
 import (

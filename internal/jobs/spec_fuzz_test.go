@@ -25,7 +25,7 @@ func FuzzParseSpec(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte(`{"name":"x","beam":{"particles":1,"sigma_x_m":1,"sigma_y_m":1,"energy_ev":1},"grid":{"nx":2},"steps":1,` +
-		`"fleet":{"devices":4,"bands":8,"inject":"fail:dev=1,step=10,after=1"},"alerts":"device_failed:for=1;steptime:mad=8"}`))
+		`"fleet":{"devices":4,"bands":8,"inject":"fail:dev=1,step=10,after=1"},"alerts":"device_failed:for=1;steptime>60:sev=warn"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sp, err := ParseSpec(data)
 		if err != nil {

@@ -79,6 +79,7 @@ func TestValidateRejections(t *testing.T) {
 			sp.Fleet = &FleetSpec{Devices: 2, Bands: 4, Inject: "explode:dev=0"}
 		}, "unknown kind"},
 		{"bad alerts", func(sp *Spec) { sp.Alerts = "nonsense>1" }, "unknown signal"},
+		{"mad alerts", func(sp *Spec) { sp.Alerts = "steptime:mad=8" }, `unknown option "mad"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

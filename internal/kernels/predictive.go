@@ -116,44 +116,15 @@ type Predictive struct {
 	Mode PartitionMode
 	// Clustering selects the RP-CLUSTERING strategy.
 	Clustering ClusterMode
-	// Clusters is the cluster count m; 0 means max(NX, NY) as in the
-	// paper's implementation.
-	Clusters int
-	// Seed seeds k-means initialisation and cluster sampling.
-	Seed uint64
-	// ClusterSample caps the number of points used to fit the k-means
-	// centers (all points are still assigned); 0 means 4096. The paper
-	// runs scikit-learn k-means on all points on a multicore host; the
-	// subsample keeps host time proportionate on small machines without
-	// changing the cluster structure of the smooth pattern field.
-	ClusterSample int
-	// SafetyFactor scales predicted panel counts before partitioning
-	// (>= 1 trades a little extra work for fewer tolerance failures);
-	// 0 means 1.0.
-	SafetyFactor float64
 	// MergeQuantile is the per-subregion quantile of member pattern counts
 	// used for a block's merged partition: 1.0 covers every member
 	// (element-wise max, most extra work), lower values let the adaptive
 	// safety net catch the tail. 0 means 0.9.
 	MergeQuantile float64
-	// SpatialWeight adds the grid position (scaled to the typical pattern
-	// magnitude) to the clustering features, regularising clusters to be
-	// spatially compact so warps read adjacent stencils. 0 means 0.5;
-	// negative disables.
-	SpatialWeight float64
-	// BalanceSlack relaxes the per-cluster capacity used by the balanced
-	// assignment: capacity = slack * N/m (rounded up to whole warps).
-	// 1.0 forces exactly equal clusters (most warp-aligned, most spill);
-	// larger values keep more points in their nearest cluster. 0 means 1.0.
-	BalanceSlack float64
 	// SegmentCap bounds the segmented-clustering block size in threads;
 	// 0 means one warp (32), which keeps the merged partition tight where
 	// patterns vary quickly along a row.
 	SegmentCap int
-	// ThreadsPerBlock bounds the block size (default 256).
-	ThreadsPerBlock int
-	// PanelsPerSub seeds the bootstrap step before the model is trained.
-	PanelsPerSub int
 	// HostWorkers bounds the worker count of the host-side learning
 	// phases (PREDICT, RP-CLUSTERING, ONLINE-LEARNING); <= 0 means
 	// runtime.GOMAXPROCS. Every host loop partitions its index range
@@ -233,17 +204,36 @@ func (pr *Predictive) SetHostWorkers(n int) { pr.HostWorkers = n }
 // hostWorkers resolves the worker count used by this step's host phases.
 func (pr *Predictive) hostWorkers() int { return hostpar.Workers(pr.HostWorkers) }
 
+// The kernel's fixed settings. RP-CLUSTERING uses m = max(NX, NY)
+// clusters, the paper's choice, and the balanced k-means assignment caps
+// every cluster at N/m points (rounded up to whole warps).
+const (
+	// clusterSample caps the points k-means fits its centers on (a seeded
+	// subsample; all points are still assigned). The paper runs
+	// scikit-learn k-means on all points on a multicore host; the
+	// subsample keeps host time proportionate on small machines without
+	// changing the cluster structure of the smooth pattern field.
+	clusterSample = 4096
+	// spatialWeight scales the grid position (relative to the typical
+	// pattern magnitude) added to the k-means features, keeping clusters
+	// spatially compact so warps read adjacent stencils.
+	spatialWeight = 0.5
+	// blockThreads bounds the thread-block size.
+	blockThreads = 256
+	// bootstrapPanels is every subregion's panel count before the model
+	// is trained.
+	bootstrapPanels = 2
+)
+
 // NewPredictive returns the kernel configured as in the paper: 4-NN
 // prediction, uniform partition transform, pattern clustering with
 // m = max(NX, NY).
 func NewPredictive(dev *gpusim.Device) *Predictive {
 	return &Predictive{
-		Dev:             dev,
-		Pred:            NewKNNPredictor(4),
-		Mode:            UniformPartition,
-		Clustering:      ClusterByPattern,
-		ThreadsPerBlock: 256,
-		PanelsPerSub:    2,
+		Dev:        dev,
+		Pred:       NewKNNPredictor(4),
+		Mode:       UniformPartition,
+		Clustering: ClusterByPattern,
 	}
 }
 
@@ -322,7 +312,7 @@ func (pr *Predictive) Step(p *retard.Problem, target *grid.Grid, comp int) *Step
 
 	// Lines 18-24: adaptive safety net for panels above tolerance.
 	sp = pr.obs.Span("predictive/fallback", target.Step)
-	rm, launches := adaptivePhase(pr.Dev, st, p, points, entries, pr.threadsPerBlock(), false, "predictive/adaptive")
+	rm, launches := adaptivePhase(pr.Dev, st, p, points, entries, blockThreads, false, "predictive/adaptive")
 	res.Metrics.Add(rm)
 	res.Adaptive = rm
 	res.Launches += launches
@@ -389,10 +379,6 @@ func (pr *Predictive) predictPhase(p *retard.Problem, target *grid.Grid, points 
 		parts = hostpar.Resize(sc.parts, n)
 		sc.parts = parts
 	}
-	safety := pr.SafetyFactor
-	if safety == 0 {
-		safety = 1
-	}
 	// Model features are bunch-frame coordinates: the moment grid co-moves
 	// with the bunch, so positions relative to the grid centre are the
 	// stationary coordinates in which access patterns persist; lab-frame
@@ -413,11 +399,11 @@ func (pr *Predictive) predictPhase(p *retard.Problem, target *grid.Grid, points 
 					pr.Pred.Predict(wk.feat, wk.buf)
 				}
 				for j := range pat {
-					pat[j] = math.Max(wk.buf[j]*safety, 0)
+					pat[j] = math.Max(wk.buf[j], 0)
 				}
 			} else {
 				for j := range pat {
-					pat[j] = float64(pr.PanelsPerSub)
+					pat[j] = bootstrapPanels
 				}
 			}
 			patterns[i] = pat
@@ -454,13 +440,6 @@ func (pr *Predictive) trainPhase(points []Point, target *grid.Grid, workers int)
 	pr.Pred.Fit(sc.x, sc.y)
 }
 
-func (pr *Predictive) threadsPerBlock() int {
-	if pr.ThreadsPerBlock > 0 {
-		return pr.ThreadsPerBlock
-	}
-	return 256
-}
-
 // cluster implements RP-CLUSTERING plus the per-cluster MERGE-LISTS step
 // (lines 6 and 9-12): it returns the thread blocks (point index lists),
 // the merged partition each block walks, and the partition's simulated
@@ -476,17 +455,14 @@ func (pr *Predictive) cluster(p *retard.Problem, target *grid.Grid, points []Poi
 	case ClusterSpatial:
 		groups = tileBlocks(target.NX, target.NY, 32, 8)
 	case ClusterNone:
-		groups = rowMajorBlocks(len(points), pr.threadsPerBlock())
+		groups = rowMajorBlocks(len(points), blockThreads)
 	case ClusterKMeans:
 		groups = pr.patternClusters(target, patterns)
 	default:
 		groups = pr.segmentClusters(target, patterns)
 	}
 
-	maxTPB := pr.Dev.Config().MaxThreadsPerBlock
-	if tp := pr.threadsPerBlock(); tp < maxTPB {
-		maxTPB = tp
-	}
+	maxTPB := min(pr.Dev.Config().MaxThreadsPerBlock, blockThreads)
 	// "Each cluster is assigned to one or more thread blocks."
 	blocks = sc.blocks[:0]
 	for _, g := range groups {
@@ -560,13 +536,7 @@ func (pr *Predictive) cluster(p *retard.Problem, target *grid.Grid, points []Poi
 func (pr *Predictive) segmentClusters(target *grid.Grid, patterns []access.Pattern) [][]int {
 	sc := &pr.scratch
 	n := len(patterns)
-	m := pr.Clusters
-	if m <= 0 {
-		m = target.NX
-		if target.NY > m {
-			m = target.NY
-		}
-	}
+	m := max(target.NX, target.NY)
 	warp := pr.Dev.Config().WarpSize
 	capacity := (n + m - 1) / m
 	// Tight segments keep the merged partition close to every member's
@@ -673,27 +643,14 @@ func quantilePattern(patterns []access.Pattern, members []int, numSub int, q flo
 // feature regularises the clusters to be spatially compact, so the warps
 // formed from a cluster read adjacent integrand stencils.
 func (pr *Predictive) patternClusters(target *grid.Grid, patterns []access.Pattern) [][]int {
-	m := pr.Clusters
-	if m <= 0 {
-		m = target.NX
-		if target.NY > m {
-			m = target.NY
-		}
+	m := max(target.NX, target.NY)
+	// Scale positions to the typical pattern magnitude so neither
+	// dominates the k-means metric.
+	var norm float64
+	for i := range patterns {
+		norm += math.Sqrt(access.Distance2(patterns[i], nil))
 	}
-	sw := pr.SpatialWeight
-	if sw == 0 {
-		sw = 0.5
-	}
-	var posScale float64
-	if sw > 0 {
-		// Scale positions to the typical pattern magnitude so neither
-		// dominates the k-means metric.
-		var norm float64
-		for i := range patterns {
-			norm += math.Sqrt(access.Distance2(patterns[i], nil))
-		}
-		posScale = sw * norm / float64(len(patterns))
-	}
+	posScale := spatialWeight * norm / float64(len(patterns))
 	data := make([][]float64, len(patterns))
 	for i := range patterns {
 		if posScale > 0 {
@@ -709,22 +666,18 @@ func (pr *Predictive) patternClusters(target *grid.Grid, patterns []access.Patte
 			data[i] = patterns[i]
 		}
 	}
-	sample := pr.ClusterSample
-	if sample <= 0 {
-		sample = 4096
-	}
 	var centers [][]float64
-	if len(data) > sample && sample > m {
-		src := rng.New(pr.Seed ^ 0x5eed)
-		perm := src.Perm(len(data))[:sample]
-		sub := make([][]float64, sample)
+	if len(data) > clusterSample && clusterSample > m {
+		src := rng.New(0x5eed)
+		perm := src.Perm(len(data))[:clusterSample]
+		sub := make([][]float64, clusterSample)
 		for i, j := range perm {
 			sub[i] = data[j]
 		}
-		fit := kmeans.Cluster(sub, kmeans.Config{K: m, Seed: pr.Seed, MaxIters: 12})
+		fit := kmeans.Cluster(sub, kmeans.Config{K: m, MaxIters: 12})
 		centers = fit.Centers
 	} else {
-		fit := kmeans.Cluster(data, kmeans.Config{K: m, Seed: pr.Seed, MaxIters: 12})
+		fit := kmeans.Cluster(data, kmeans.Config{K: m, MaxIters: 12})
 		centers = fit.Centers
 	}
 	// Balanced assignment: k-means "prefers clusters of approximately
@@ -733,11 +686,7 @@ func (pr *Predictive) patternClusters(target *grid.Grid, patterns []access.Patte
 	// the slack lets most points stay in their nearest cluster. Capacity
 	// rounds up to a whole number of warps.
 	warp := pr.Dev.Config().WarpSize
-	slack := pr.BalanceSlack
-	if slack == 0 {
-		slack = 1
-	}
-	capacity := int(slack * float64(len(data)) / float64(m))
+	capacity := int(float64(len(data)) / float64(m))
 	if capacity < 1 {
 		capacity = 1
 	}

@@ -8,16 +8,13 @@
 //	rules := rule (";" rule)*
 //	rule  := signal [op number] [":" opt ("," opt)*]
 //	op    := ">" | ">=" | "<" | "<="
-//	opt   := "for=" int | "mad=" float | "sev=" ("warn" | "crit")
+//	opt   := "for=" int | "sev=" ("warn" | "crit")
 //
 // A rule without an explicit comparison fires when the signal is positive
-// (e.g. "device_failed:for=3"); "mad=K" replaces the fixed threshold with
-// an EWMA/MAD anomaly detector that fires when the value exceeds the
-// running mean by K mean-absolute-deviations (e.g. "steptime:mad=6").
-// "for=N" requires the condition to hold for N consecutive steps before
-// the alert fires; "sev=" picks the severity (critical by default —
-// critical alerts are what trigger post-mortem bundles). A threshold may
-// not be NaN, and K must be finite and positive.
+// (e.g. "device_failed:for=3"). "for=N" requires the condition to hold for
+// N consecutive steps before the alert fires; "sev=" picks the severity
+// (critical by default — critical alerts are what trigger post-mortem
+// bundles). A threshold may not be NaN.
 //
 // The paper's bet is a learned predictor inside the simulation loop, which
 // makes forecast accuracy and fallback behaviour runtime properties: this
@@ -57,7 +54,7 @@ func (s Severity) String() string {
 // Op is a rule's comparison operator.
 type Op int
 
-// The comparison operators; OpNone marks a bare or MAD-based rule.
+// The comparison operators; OpNone marks a bare rule.
 const (
 	OpNone Op = iota
 	OpGT
@@ -95,8 +92,8 @@ const (
 	SigErrMean = "err_mean"
 	SigErrP90  = "err_p90"
 	SigErrMax  = "err_max"
-	// SigStepTime is the step's host wall time in seconds, the usual
-	// target of the "steptime:mad=K" anomaly rule.
+	// SigStepTime is the step's host wall time in seconds, for fixed
+	// thresholds such as "steptime>2".
 	SigStepTime = "steptime"
 	// SigDeviceFailed and SigDeviceDegraded count fleet devices in the
 	// respective lifecycle states.
@@ -126,21 +123,16 @@ var knownSignals = map[string]bool{
 
 // DefaultRules is the stock rule set beamsim's "-alerts default" selects:
 // a sustained fallback-rate breach (the surrogate has stopped predicting
-// the access patterns), a step-time anomaly, any failed device, and
-// charge-conservation drift.
-const DefaultRules = "fallback_rate>0.25:for=3;steptime:mad=8,for=2;device_failed:for=1;charge_drift>0.01:for=2"
+// the access patterns), any failed device, and charge-conservation drift.
+const DefaultRules = "fallback_rate>0.25:for=3;device_failed:for=1;charge_drift>0.01:for=2"
 
 // Rule is one parsed alert rule.
 type Rule struct {
 	// Signal names the watched series (one of the Sig* constants).
 	Signal string
-	// Op and Threshold form the fixed condition; OpNone with MAD == 0
-	// means "signal > 0".
+	// Op and Threshold form the condition; OpNone means "signal > 0".
 	Op        Op
 	Threshold float64
-	// MAD, when > 0, replaces the fixed condition with the EWMA/MAD
-	// anomaly detector: fire when value > mean + MAD*deviation.
-	MAD float64
 	// For is the number of consecutive steps the condition must hold
 	// before the alert fires (>= 1).
 	For int
@@ -157,9 +149,6 @@ func (r Rule) Name() string {
 		fmt.Fprintf(&b, "%s%g", r.Op, r.Threshold)
 	}
 	var opts []string
-	if r.MAD > 0 {
-		opts = append(opts, fmt.Sprintf("mad=%g", r.MAD))
-	}
 	if r.For > 1 {
 		opts = append(opts, fmt.Sprintf("for=%d", r.For))
 	}
@@ -175,7 +164,7 @@ func (r Rule) Name() string {
 
 // ParseRules parses a ";"-separated rule script, e.g.
 //
-//	fallback_rate>0.2:for=5;steptime:mad=6;device_failed:for=3
+//	fallback_rate>0.2:for=5;steptime>2;device_failed:for=3
 func ParseRules(s string) ([]Rule, error) {
 	var out []Rule
 	for _, part := range strings.Split(s, ";") {
@@ -243,12 +232,6 @@ func parseRule(s string) (Rule, error) {
 					return Rule{}, fmt.Errorf("alert: rule %q: for= wants a positive integer, got %q", s, val)
 				}
 				r.For = n
-			case "mad":
-				k, err := strconv.ParseFloat(val, 64)
-				if err != nil || !(k > 0) || math.IsInf(k, 1) {
-					return Rule{}, fmt.Errorf("alert: rule %q: mad= wants a finite positive number, got %q", s, val)
-				}
-				r.MAD = k
 			case "sev":
 				switch val {
 				case "warn", "warning":
@@ -263,14 +246,11 @@ func parseRule(s string) (Rule, error) {
 			}
 		}
 	}
-	if r.MAD > 0 && r.Op != OpNone {
-		return Rule{}, fmt.Errorf("alert: rule %q: mad= and a fixed threshold are mutually exclusive", s)
-	}
 	return r, nil
 }
 
-// compare evaluates the rule's fixed condition (bare rules fire on
-// positive values).
+// compare evaluates the rule's condition (bare rules fire on positive
+// values).
 func (r Rule) compare(v float64) bool {
 	switch r.Op {
 	case OpGT:

@@ -3,20 +3,20 @@ package alert
 import "testing"
 
 // FuzzParseRules feeds arbitrary scripts to the alert-rule parser, seeded
-// with the default set, the scripts the Makefile and README run, and
-// non-finite numbers. No
-// input may panic, and every accepted rule's canonical form (Rule.Name)
-// must parse back to an equal rule.
+// with the default set, the scripts the Makefile and README run,
+// non-finite numbers and a "mad=" option the grammar rejects. No input may
+// panic, and every accepted rule's canonical form (Rule.Name) must parse
+// back to an equal rule.
 func FuzzParseRules(f *testing.F) {
 	for _, s := range []string{
 		DefaultRules,
-		"device_failed:for=1;steptime:mad=8",
-		"fallback_rate>0.2:for=5;steptime:mad=6;device_failed",
+		"device_failed:for=1;steptime>60:sev=warn",
+		"fallback_rate>0.2:for=5;steptime>2;device_failed",
 		"err_max>=8:sev=warn",
 		"charge_drift<=1e-3:for=2,sev=crit",
 		"fallback_rate>NaN",
-		"steptime:mad=NaN",
-		"err_p90<-Inf:mad=Inf",
+		"steptime:mad=8",
+		"err_p90<-Inf:for=2",
 	} {
 		f.Add(s)
 	}

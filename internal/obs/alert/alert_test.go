@@ -10,7 +10,7 @@ import (
 )
 
 func TestParseRulesGrammar(t *testing.T) {
-	rules, err := ParseRules("fallback_rate>0.2:for=5;steptime:mad=6;device_failed:for=3")
+	rules, err := ParseRules("fallback_rate>0.2:for=5;steptime>2;device_failed:for=3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,14 +25,14 @@ func TestParseRulesGrammar(t *testing.T) {
 		t.Fatalf("rule 0 name = %q", r.Name())
 	}
 	r = rules[1]
-	if r.Signal != SigStepTime || r.MAD != 6 || r.Op != OpNone || r.For != 1 {
+	if r.Signal != SigStepTime || r.Op != OpGT || r.Threshold != 2 || r.For != 1 {
 		t.Fatalf("rule 1 = %+v", r)
 	}
-	if r.Name() != "steptime:mad=6" {
+	if r.Name() != "steptime>2" {
 		t.Fatalf("rule 1 name = %q", r.Name())
 	}
 	r = rules[2]
-	if r.Signal != SigDeviceFailed || r.Op != OpNone || r.MAD != 0 || r.For != 3 {
+	if r.Signal != SigDeviceFailed || r.Op != OpNone || r.For != 3 {
 		t.Fatalf("rule 2 = %+v", r)
 	}
 }
@@ -57,7 +57,8 @@ func TestParseRulesOptionsAndErrors(t *testing.T) {
 		"bogus_signal>1",
 		"fallback_rate>",
 		"steptime:mad=0",
-		"steptime>1:mad=6", // fixed threshold and mad are exclusive
+		"steptime:mad=6",
+		"steptime>1:mad=6",
 		"device_failed:for=0",
 		"device_failed:sev=loud",
 		"device_failed:nope=1",
@@ -77,8 +78,8 @@ func TestDefaultRulesParse(t *testing.T) {
 
 func TestRuleNameRoundTrips(t *testing.T) {
 	for _, spec := range []string{
-		"fallback_rate>0.2:for=5", "steptime:mad=6", "device_failed:for=3",
-		"err_max>=8:sev=warn", "moment_drift>0.1:mad=0;device_degraded:for=2",
+		"fallback_rate>0.2:for=5", "steptime>2", "device_failed:for=3",
+		"err_max>=8:sev=warn", "moment_drift>0.1;device_degraded:for=2",
 	} {
 		rules, err := ParseRules(spec)
 		if err != nil {
@@ -140,27 +141,6 @@ func TestEngineFixedThresholdWithFor(t *testing.T) {
 	}
 	if len(st.Active) != 0 || st.StepsEvaluated != 8 {
 		t.Fatalf("status = %+v", st)
-	}
-}
-
-func TestEngineMADStepTimeAnomaly(t *testing.T) {
-	rules, _ := ParseRules("steptime:mad=6")
-	e := NewEngine(Config{Rules: rules})
-	// Steady baseline with mild noise: never fires, including during
-	// warm-up.
-	base := []float64{1.00, 1.02, 0.98, 1.01, 0.99, 1.00, 1.02, 0.99}
-	for i, v := range base {
-		if f := e.Eval(Input{Step: i, StepSeconds: v}); len(f) != 0 {
-			t.Fatalf("steady signal fired at step %d: %+v", i, f)
-		}
-	}
-	// A 3x spike is an anomaly.
-	fired := e.Eval(Input{Step: len(base), StepSeconds: 3.0})
-	if len(fired) != 1 {
-		t.Fatalf("spike did not fire: %+v", e.Status())
-	}
-	if fired[0].Value != 3.0 || fired[0].Threshold >= 3.0 {
-		t.Fatalf("alert = %+v", fired[0])
 	}
 }
 
@@ -226,7 +206,7 @@ func TestEngineEmitsMetricsAndTrace(t *testing.T) {
 }
 
 func TestEngineStatusConcurrentWithEval(t *testing.T) {
-	rules, _ := ParseRules("steptime:mad=6;device_failed:for=2")
+	rules, _ := ParseRules("steptime>2;device_failed:for=2")
 	e := NewEngine(Config{Rules: rules})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

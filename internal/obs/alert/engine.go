@@ -2,7 +2,6 @@ package alert
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"beamdyn/internal/obs"
@@ -77,7 +76,7 @@ type Alert struct {
 	// Step is the step the alert fired at.
 	Step int `json:"step"`
 	// Value is the signal value that fired the alert; Threshold the
-	// effective threshold (the running mean + K*MAD for anomaly rules).
+	// rule's threshold.
 	Value     float64 `json:"value"`
 	Threshold float64 `json:"threshold"`
 	// Message is the human-readable one-liner.
@@ -119,7 +118,6 @@ type ruleState struct {
 	run int
 	// active indexes the rule's open alert in the log (-1 when clear).
 	active int
-	det    madDetector
 }
 
 // NewEngine builds an engine over cfg.Rules.
@@ -160,15 +158,7 @@ func (e *Engine) Eval(in Input) []Alert {
 		r := &e.cfg.Rules[i]
 		st := &e.states[i]
 		v, ok := in.value(r.Signal)
-		cond := false
-		thresh := r.Threshold
-		if ok {
-			if r.MAD > 0 {
-				cond, thresh = st.det.check(v, r.MAD)
-			} else {
-				cond = r.compare(v)
-			}
-		}
+		cond := ok && r.compare(v)
 		if cond {
 			st.run++
 		} else {
@@ -182,10 +172,10 @@ func (e *Engine) Eval(in Input) []Alert {
 				Severity:  r.Severity.String(),
 				Step:      in.Step,
 				Value:     v,
-				Threshold: thresh,
+				Threshold: r.Threshold,
 				Active:    true,
 				Message: fmt.Sprintf("%s: %s=%.4g breached %.4g for %d step(s)",
-					r.Name(), r.Signal, v, thresh, r.For),
+					r.Name(), r.Signal, v, r.Threshold, r.For),
 			}
 			st.active = len(e.log)
 			e.log = append(e.log, a)
@@ -287,46 +277,4 @@ func (e *Engine) ActiveCount() (total, critical int) {
 		}
 	}
 	return total, critical
-}
-
-// madDetector is the EWMA/MAD step-anomaly detector behind "mad=K" rules:
-// it tracks an exponentially-weighted running mean and mean absolute
-// deviation of the signal and flags values exceeding mean + K*deviation.
-// The first few samples only warm the estimators up (a cold detector
-// never fires), and the deviation is floored at a small fraction of the
-// mean so a perfectly steady signal does not alert on its first wiggle.
-type madDetector struct {
-	n    int
-	mean float64
-	dev  float64
-}
-
-// Detector tuning: EWMA weight, warm-up sample count, and the deviation
-// floor relative to the running mean.
-const (
-	madAlpha    = 0.25
-	madWarmup   = 5
-	madDevFloor = 1e-3
-)
-
-// check tests v against the detector's current estimate, then folds v in.
-// The test runs before the update so an anomalous value is judged against
-// history that excludes it.
-func (d *madDetector) check(v, k float64) (anom bool, threshold float64) {
-	if d.n >= madWarmup {
-		dev := math.Max(d.dev, madDevFloor*math.Abs(d.mean))
-		if dev <= 0 {
-			dev = math.SmallestNonzeroFloat64
-		}
-		threshold = d.mean + k*dev
-		anom = v > threshold
-	}
-	if d.n == 0 {
-		d.mean = v
-	} else {
-		d.dev = (1-madAlpha)*d.dev + madAlpha*math.Abs(v-d.mean)
-		d.mean = (1-madAlpha)*d.mean + madAlpha*v
-	}
-	d.n++
-	return anom, threshold
 }

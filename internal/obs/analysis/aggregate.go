@@ -84,65 +84,3 @@ func SummaryTable(stats []SpanStats) string {
 	}
 	return b.String()
 }
-
-// TimelineRow is one span occurrence placed on the run's time axis.
-type TimelineRow struct {
-	Step     int
-	Name     string
-	StartSec float64 // span start, seconds since the tracer was created
-	DurSec   float64
-}
-
-// Timeline lists every span ordered by step, then start time — the flat
-// form of a per-step Gantt view. Span events are timestamped at End, so
-// the start is recovered as TS - Dur.
-func Timeline(events []obs.Event) []TimelineRow {
-	var rows []TimelineRow
-	for _, e := range events {
-		if e.Kind != "span" {
-			continue
-		}
-		rows = append(rows, TimelineRow{
-			Step:     e.Step,
-			Name:     e.Name,
-			StartSec: e.TS - e.Dur,
-			DurSec:   e.Dur,
-		})
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		if rows[i].Step != rows[j].Step {
-			return rows[i].Step < rows[j].Step
-		}
-		return rows[i].StartSec < rows[j].StartSec
-	})
-	return rows
-}
-
-// TimelineTable renders the timeline with a proportional bar per span
-// (scaled to the longest span in the trace).
-func TimelineTable(rows []TimelineRow) string {
-	var maxDur float64
-	for _, r := range rows {
-		if r.DurSec > maxDur {
-			maxDur = r.DurSec
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%5s %-28s %12s %10s\n", "step", "span", "start_s", "dur_ms")
-	lastStep, first := 0, true
-	for _, r := range rows {
-		if first || r.Step != lastStep {
-			if !first {
-				b.WriteByte('\n')
-			}
-			lastStep, first = r.Step, false
-		}
-		bar := ""
-		if maxDur > 0 {
-			n := int(math.Round(24 * r.DurSec / maxDur))
-			bar = strings.Repeat("#", n)
-		}
-		fmt.Fprintf(&b, "%5d %-28s %12.6f %10.3f %s\n", r.Step, r.Name, r.StartSec, r.DurSec*1e3, bar)
-	}
-	return b.String()
-}

@@ -95,30 +95,6 @@ func TestAggregateStats(t *testing.T) {
 	}
 }
 
-func TestTimelineOrdersByStepThenStart(t *testing.T) {
-	events := []obs.Event{
-		span("advance/push", 2, 0.01),
-		span("advance/deposit", 1, 0.02),
-		{TS: 1.5, Name: "advance/potentials", Kind: "span", Step: 1, Dur: 0.4},
-	}
-	rows := Timeline(events)
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	if rows[0].Step != 1 || rows[1].Step != 1 || rows[2].Step != 2 {
-		t.Fatalf("step order wrong: %+v", rows)
-	}
-	if rows[0].StartSec > rows[1].StartSec {
-		t.Fatalf("start order wrong within step: %+v", rows[:2])
-	}
-	if got := rows[1].StartSec; math.Abs(got-1.1) > 1e-12 {
-		t.Fatalf("start = TS - Dur: got %g, want 1.1", got)
-	}
-	if out := TimelineTable(rows); !strings.Contains(out, "advance/potentials") {
-		t.Fatalf("timeline table missing span:\n%s", out)
-	}
-}
-
 func fleetEvent(step, dev int, state string, busy, util float64) obs.Event {
 	return obs.Event{Name: "fleet/device", Kind: "event", Step: step, Attrs: map[string]any{
 		"device": float64(dev), "state": state,

@@ -1,10 +1,9 @@
 // Package analysis is the offline half of the observability stack: it
 // reads the JSONL span traces the obs.Tracer emits and turns them into
-// per-kernel/per-phase aggregates (with histogram-quantile latency
-// estimates), step timelines, causal span trees, fleet per-device
-// accounting, predictor fallback-spike detection, rp solver cache
-// statistics, cross-run diffs and post-mortem bundle triage. cmd/obstool
-// is the CLI over this package.
+// per-kernel/per-phase aggregates (with exact quantiles), causal span
+// trees, fleet per-device accounting, predictor fallback-spike detection,
+// rp solver cache statistics, cross-run diffs and post-mortem bundle
+// triage. cmd/obstool is the CLI over this package.
 package analysis
 
 import (
@@ -14,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"beamdyn/internal/obs"
 )
@@ -162,50 +160,6 @@ func TraceT0(events []obs.Event) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// AlignTraces re-bases the relative timestamps of a concatenated
-// multi-process trace stream onto a shared axis using the t0 headers:
-// each header starts a new segment whose events are offset by that
-// tracer's wall-clock start relative to the earliest t0 in the stream.
-// Headerless streams (or segments before the first header) are returned
-// unchanged — relative-only, exactly as written.
-func AlignTraces(events []obs.Event) []obs.Event {
-	// Pass 1: find the earliest t0.
-	var t0s []time.Time
-	for _, e := range events {
-		if e.Kind == "meta" && e.Name == obs.MetaT0 {
-			if s, ok := attrString(e, "t0"); ok {
-				if t, err := time.Parse(time.RFC3339Nano, s); err == nil {
-					t0s = append(t0s, t)
-				}
-			}
-		}
-	}
-	if len(t0s) == 0 {
-		return events
-	}
-	min := t0s[0]
-	for _, t := range t0s[1:] {
-		if t.Before(min) {
-			min = t
-		}
-	}
-	// Pass 2: offset each segment by its t0 - min.
-	out := make([]obs.Event, len(events))
-	offset := 0.0
-	for i, e := range events {
-		if e.Kind == "meta" && e.Name == obs.MetaT0 {
-			if s, ok := attrString(e, "t0"); ok {
-				if t, err := time.Parse(time.RFC3339Nano, s); err == nil {
-					offset = t.Sub(min).Seconds()
-				}
-			}
-		}
-		e.TS += offset
-		out[i] = e
-	}
-	return out
 }
 
 // attrFloat reads a numeric attribute (JSON numbers decode as float64;

@@ -172,7 +172,7 @@ func TestFilterJobKeepsMetaAndMatches(t *testing.T) {
 	}
 }
 
-func TestAlignTracesOffsetsSegments(t *testing.T) {
+func TestTraceT0ReadsFirstHeader(t *testing.T) {
 	h := func(t0 string) obs.Event {
 		return obs.Event{Name: obs.MetaT0, Kind: "meta", Attrs: map[string]any{"t0": t0}}
 	}
@@ -182,23 +182,10 @@ func TestAlignTracesOffsetsSegments(t *testing.T) {
 		h("2026-08-08T00:00:00Z"),
 		{TS: 1.0, Name: "b", Kind: "span"},
 	}
-	out := AlignTraces(events)
-	// Segment 1 starts 5s after the earliest t0: its event lands at 6.0.
-	if out[1].TS != 6.0 {
-		t.Fatalf("segment-1 TS = %v, want 6.0", out[1].TS)
-	}
-	if out[3].TS != 1.0 {
-		t.Fatalf("segment-2 TS = %v, want 1.0", out[3].TS)
-	}
-	// Headerless streams come back unchanged.
-	plain := []obs.Event{{TS: 3.0, Name: "x", Kind: "span"}}
-	if got := AlignTraces(plain); got[0].TS != 3.0 {
-		t.Fatalf("headerless stream changed: %v", got[0].TS)
-	}
-
 	if t0, ok := TraceT0(events); !ok || t0 != "2026-08-08T00:00:05Z" {
 		t.Fatalf("TraceT0 = %q ok=%v", t0, ok)
 	}
+	plain := []obs.Event{{TS: 3.0, Name: "x", Kind: "span"}}
 	if _, ok := TraceT0(plain); ok {
 		t.Fatal("TraceT0 on headerless stream should report !ok")
 	}

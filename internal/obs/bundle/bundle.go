@@ -9,9 +9,12 @@
 //	snapshot.json    the full obs.RunSnapshot (metrics + predictor series)
 //	alerts.json      the alert engine's rule set, log and active alerts
 //	checkpoint.gob   the latest simulation checkpoint (when a saver is wired)
-//	heap.pprof       Go heap profile at dump time
 //	goroutines.txt   goroutine dump (debug=1 text form)
-//	cpu.pprof        short CPU profile window (only when CPUProfile > 0)
+//
+// In a stall bundle (DumpLive from the stall watchdog) goroutines.txt is
+// the member that matters: spans are written when they end, so the flight
+// trace holds nothing of the stuck step, and only the goroutine stacks
+// show where it waits.
 //
 // cmd/obstool's "postmortem" subcommand summarizes a bundle; the
 // flight.jsonl member feeds every existing trace analyzer unchanged.
@@ -40,10 +43,12 @@ const (
 	SnapshotFile   = "snapshot.json"
 	AlertsFile     = "alerts.json"
 	CheckpointFile = "checkpoint.gob"
-	HeapFile       = "heap.pprof"
 	GoroutinesFile = "goroutines.txt"
-	CPUFile        = "cpu.pprof"
 )
+
+// MaxBundles caps how many bundles one Writer produces, so a flapping
+// alert cannot fill the disk.
+const MaxBundles = 4
 
 // Manifest is the bundle's index document, written last so a complete
 // manifest certifies a complete bundle.
@@ -83,14 +88,6 @@ type Config struct {
 	// It is only invoked by Dump (never DumpLive), because saving reads
 	// simulation state that a concurrently-running step owns.
 	Checkpoint func(io.Writer) error
-	// CPUProfile, when > 0, captures a CPU profile over that window
-	// during the dump (the dump blocks for the duration).
-	CPUProfile time.Duration
-	// MaxBundles caps how many bundles one Writer will produce
-	// (default 4) so a flapping alert cannot fill the disk.
-	MaxBundles int
-	// Clock stubs time in tests; nil means time.Now.
-	Clock func() time.Time
 }
 
 // Writer dumps post-mortem bundles. Safe for concurrent use (the stall
@@ -104,9 +101,6 @@ type Writer struct {
 
 // NewWriter returns a bundle writer for cfg.
 func NewWriter(cfg Config) *Writer {
-	if cfg.MaxBundles <= 0 {
-		cfg.MaxBundles = 4
-	}
 	return &Writer{cfg: cfg}
 }
 
@@ -134,9 +128,9 @@ func (w *Writer) DumpLive(reason string, step int, trigger *alert.Alert) (string
 func (w *Writer) dump(reason string, step int, trigger *alert.Alert, checkpoint bool) (string, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.written >= w.cfg.MaxBundles {
+	if w.written >= MaxBundles {
 		return "", fmt.Errorf("bundle: cap of %d bundles reached (dropping %q at step %d)",
-			w.cfg.MaxBundles, reason, step)
+			MaxBundles, reason, step)
 	}
 	seq := w.written
 	dir := filepath.Join(w.cfg.Dir,
@@ -148,7 +142,7 @@ func (w *Writer) dump(reason string, step int, trigger *alert.Alert, checkpoint 
 	m := Manifest{
 		Reason:      reason,
 		Step:        step,
-		CreatedUnix: w.now().Unix(),
+		CreatedUnix: time.Now().Unix(),
 		Trigger:     trigger,
 	}
 
@@ -191,30 +185,10 @@ func (w *Writer) dump(reason string, step int, trigger *alert.Alert, checkpoint 
 			return dir, err
 		}
 	}
-	if err := writeMember(dir, HeapFile, &m, func(f io.Writer) error {
-		return pprof.Lookup("heap").WriteTo(f, 0)
-	}); err != nil {
-		return dir, err
-	}
 	if err := writeMember(dir, GoroutinesFile, &m, func(f io.Writer) error {
 		return pprof.Lookup("goroutine").WriteTo(f, 1)
 	}); err != nil {
 		return dir, err
-	}
-	if w.cfg.CPUProfile > 0 {
-		// Best-effort: profiling fails when another CPU profile is already
-		// running; the bundle is still useful without it.
-		err := writeMember(dir, CPUFile, &m, func(f io.Writer) error {
-			if err := pprof.StartCPUProfile(f); err != nil {
-				return err
-			}
-			time.Sleep(w.cfg.CPUProfile)
-			pprof.StopCPUProfile()
-			return nil
-		})
-		if err != nil {
-			os.Remove(filepath.Join(dir, CPUFile))
-		}
 	}
 
 	// Manifest last: its presence marks the bundle complete.
@@ -228,13 +202,6 @@ func (w *Writer) dump(reason string, step int, trigger *alert.Alert, checkpoint 
 	}
 	w.written++
 	return dir, nil
-}
-
-func (w *Writer) now() time.Time {
-	if w.cfg.Clock != nil {
-		return w.cfg.Clock()
-	}
-	return time.Now()
 }
 
 // writeMember writes one bundle file and records it in the manifest's

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -62,8 +63,8 @@ func TestChaosRunDumpsPostmortemBundle(t *testing.T) {
 	sim.Algo = fl
 	sim.DeviceCounts = fl.Counts
 
-	// The always-on flight recorder is the only trace sink: no JSONL trace
-	// file is configured, as in a production run without -trace.
+	// The flight recorder is the only trace sink: no JSONL trace file is
+	// configured, as in a -postmortem-dir run without -trace.
 	o := obs.New()
 	rec := flight.New(512, nil)
 	o.Trace = obs.NewTracer(rec)
@@ -125,21 +126,18 @@ func TestChaosRunDumpsPostmortemBundle(t *testing.T) {
 	if m.Trigger == nil || m.Trigger.Rule != "device_failed" {
 		t.Fatalf("manifest trigger = %+v", m.Trigger)
 	}
-	for _, name := range []string{
+	// The inventory is exactly these members, in write order, and each
+	// is on disk.
+	members := []string{
 		bundle.FlightFile, bundle.SnapshotFile, bundle.AlertsFile,
-		bundle.CheckpointFile, bundle.HeapFile, bundle.GoroutinesFile,
-	} {
+		bundle.CheckpointFile, bundle.GoroutinesFile,
+	}
+	if !slices.Equal(m.Files, members) {
+		t.Errorf("manifest inventory = %v, want %v", m.Files, members)
+	}
+	for _, name := range members {
 		if _, err := os.Stat(filepath.Join(bdir, name)); err != nil {
 			t.Errorf("bundle member %s missing: %v", name, err)
-		}
-		found := false
-		for _, f := range m.Files {
-			if f == name {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("manifest inventory missing %s (got %v)", name, m.Files)
 		}
 	}
 
@@ -201,7 +199,7 @@ func TestWriterCapAndLiveDump(t *testing.T) {
 
 	checkpoints := 0
 	w := bundle.NewWriter(bundle.Config{
-		Dir: dir, Obs: o, Flight: rec, MaxBundles: 2,
+		Dir: dir, Obs: o, Flight: rec,
 		Checkpoint: func(io.Writer) error { checkpoints++; return nil },
 	})
 
@@ -226,17 +224,19 @@ func TestWriterCapAndLiveDump(t *testing.T) {
 		t.Fatalf("live manifest = %+v", m)
 	}
 
-	// A full Dump checkpoints; a third bundle is refused by the cap.
-	if _, err := w.Dump("alert", 4, nil); err != nil {
-		t.Fatal(err)
+	// Each full Dump checkpoints; the bundle after the cap is refused.
+	for i := 1; i < bundle.MaxBundles; i++ {
+		if _, err := w.Dump("alert", 3+i, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if checkpoints != 1 {
-		t.Fatalf("checkpoint saver ran %d times, want 1", checkpoints)
+	if checkpoints != bundle.MaxBundles-1 {
+		t.Fatalf("checkpoint saver ran %d times, want %d", checkpoints, bundle.MaxBundles-1)
 	}
-	if _, err := w.Dump("alert", 5, nil); err == nil {
+	if _, err := w.Dump("alert", 9, nil); err == nil {
 		t.Fatal("MaxBundles cap not enforced")
 	}
-	if w.Written() != 2 {
-		t.Fatalf("written = %d, want 2", w.Written())
+	if w.Written() != bundle.MaxBundles {
+		t.Fatalf("written = %d, want %d", w.Written(), bundle.MaxBundles)
 	}
 }

@@ -69,11 +69,6 @@ type Server struct {
 	// with HTTP 503. 0 disables the stall check (the probe still reports
 	// seconds_since_advance).
 	StaleAfter time.Duration
-	// OnServeError, when non-nil, receives the background listener's
-	// terminal error from Start (http.ErrServerClosed excluded). When nil
-	// the error is still surfaced as an export_serve_errors_total counter
-	// on the observer's registry.
-	OnServeError func(error)
 
 	// now stubs the clock in tests; nil means time.Now.
 	now func() time.Time
@@ -129,9 +124,8 @@ func (s *Server) Mount(pattern string, h http.Handler) {
 // Start listens on addr and serves in a background goroutine, returning
 // the bound address (useful with ":0") and a shutdown handle. A terminal
 // Serve error (other than the http.ErrServerClosed a clean shutdown
-// returns) goes to OnServeError, or failing that shows up as an
-// export_serve_errors_total counter so a scraper that suddenly loses the
-// endpoint has a trail.
+// returns) shows up as an export_serve_errors_total counter, so a scraper
+// that suddenly loses the endpoint has a trail.
 func (s *Server) Start(addr string) (*http.Server, net.Addr, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -145,19 +139,14 @@ func (s *Server) Start(addr string) (*http.Server, net.Addr, error) {
 	}
 	go func() {
 		if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
-			s.reportServeError(err)
+			s.reportServeError()
 		}
 	}()
 	return hs, ln.Addr(), nil
 }
 
-// reportServeError routes a background listener failure to the configured
-// callback, or counts it on the registry when no callback is set.
-func (s *Server) reportServeError(err error) {
-	if s.OnServeError != nil {
-		s.OnServeError(err)
-		return
-	}
+// reportServeError counts a background listener failure on the registry.
+func (s *Server) reportServeError() {
 	if s.Obs != nil && s.Obs.Reg != nil {
 		s.Obs.Reg.Counter("export_serve_errors_total").Inc()
 	}

@@ -1,10 +1,11 @@
-// Package flight is the always-on flight recorder of the telemetry layer:
-// a fixed-capacity ring buffer implementing obs.Sink that retains the last
+// Package flight is the flight recorder of the telemetry layer: a
+// fixed-capacity ring buffer implementing obs.Sink that retains the last
 // N span/point events of a run even when no trace file is being written.
-// When a run dies — a chaos-killed device fleet, a stalled step, a panic —
-// the recorder is drained into the post-mortem bundle (internal/obs/bundle)
-// so the incident ships with the exact trace that led up to it, instead of
-// requiring -trace to have been on from the start.
+// beamsim builds one whenever -postmortem-dir is set. When a run dies — a
+// chaos-killed device fleet, a stalled step, a panic — the bundle writer
+// drains the recorder into the post-mortem bundle (internal/obs/bundle),
+// so the incident ships with the exact trace that led up to it, instead
+// of requiring -trace to have been on from the start.
 //
 // The recorder is deliberately lock-light: one mutex guards a
 // pre-allocated ring of obs.Event values, Emit copies the event into the
@@ -15,8 +16,6 @@
 package flight
 
 import (
-	"encoding/json"
-	"io"
 	"sync"
 
 	"beamdyn/internal/obs"
@@ -70,14 +69,6 @@ func (r *Recorder) Emit(e obs.Event) error {
 	return nil
 }
 
-// Depth returns the ring capacity.
-func (r *Recorder) Depth() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.buf)
-}
-
 // Total returns how many events have been emitted over the recorder's
 // lifetime, including those the ring has since overwritten.
 func (r *Recorder) Total() uint64 {
@@ -122,17 +113,4 @@ func (r *Recorder) Events() []obs.Event {
 		return out
 	}
 	return append(out, r.buf[:r.next]...)
-}
-
-// WriteJSONL drains the retained events to w in the same JSON Lines
-// format obs.JSONLSink writes, so flight-recorder dumps feed the obstool
-// analyzers unchanged.
-func (r *Recorder) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, e := range r.Events() {
-		if err := enc.Encode(e); err != nil {
-			return err
-		}
-	}
-	return nil
 }

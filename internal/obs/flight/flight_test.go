@@ -1,13 +1,11 @@
 package flight_test
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"testing"
 
 	"beamdyn/internal/obs"
-	"beamdyn/internal/obs/analysis"
 	"beamdyn/internal/obs/flight"
 )
 
@@ -52,7 +50,7 @@ func TestRecorderBelowCapacity(t *testing.T) {
 
 // TestRecorderExactlyFull pins the boundary between the two drain paths:
 // after exactly depth emits the ring is full but has overwritten nothing,
-// and Events and WriteJSONL must return every event, oldest first.
+// and Events must return every event, oldest first.
 func TestRecorderExactlyFull(t *testing.T) {
 	for _, depth := range []int{1, 4, 8} {
 		r := flight.New(depth, nil)
@@ -67,17 +65,6 @@ func TestRecorderExactlyFull(t *testing.T) {
 			if e.Step != i {
 				t.Fatalf("depth %d: event %d has step %d, want %d (oldest-first order)", depth, i, e.Step, i)
 			}
-		}
-		var buf bytes.Buffer
-		if err := r.WriteJSONL(&buf); err != nil {
-			t.Fatal(err)
-		}
-		dumped, err := analysis.ReadTrace(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(dumped) != depth || dumped[0].Step != 0 || dumped[depth-1].Step != depth-1 {
-			t.Fatalf("depth %d: WriteJSONL dumped %+v, want steps 0..%d", depth, dumped, depth-1)
 		}
 		if r.Total() != uint64(depth) || r.Dropped() != 0 {
 			t.Fatalf("depth %d: total=%d dropped=%d, want %d/0", depth, r.Total(), r.Dropped(), depth)
@@ -116,29 +103,6 @@ func TestRecorderSurfacesForwardError(t *testing.T) {
 	}
 }
 
-func TestRecorderWriteJSONLFeedsAnalysis(t *testing.T) {
-	r := flight.New(16, nil)
-	o := &obs.Observer{Trace: obs.NewTracer(r)}
-	for step := 0; step < 3; step++ {
-		o.Span("advance", step).End()
-		o.Event("fleet/device", step, obs.I("device", 1), obs.S("state", "failed"))
-	}
-	var buf bytes.Buffer
-	if err := r.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	events, err := analysis.ReadTrace(&buf)
-	if err != nil {
-		t.Fatalf("flight dump not parseable by the trace analyzer: %v", err)
-	}
-	if len(events) != 7 {
-		t.Fatalf("round-tripped %d events, want 7 (t0 header + 6)", len(events))
-	}
-	if events[2].Attrs["state"] != "failed" {
-		t.Fatalf("attrs lost in round trip: %+v", events[2])
-	}
-}
-
 func TestRecorderConcurrentEmitAndDrain(t *testing.T) {
 	r := flight.New(64, nil)
 	var wg sync.WaitGroup
@@ -171,7 +135,7 @@ func TestNilRecorderIsInert(t *testing.T) {
 	if err := r.Emit(ev(0)); err != nil {
 		t.Fatal(err)
 	}
-	if r.Events() != nil || r.Depth() != 0 || r.Total() != 0 || r.Dropped() != 0 {
+	if r.Events() != nil || r.Total() != 0 || r.Dropped() != 0 {
 		t.Fatal("nil recorder not inert")
 	}
 }

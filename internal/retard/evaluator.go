@@ -321,31 +321,6 @@ func (e *Evaluator) bound(j int) *subEval {
 	return s
 }
 
-// window is ThetaWindow for the bound point, served from the geometry
-// bound caches; same branches, same arithmetic, same results.
-func (e *Evaluator) window(j int, r float64) (t0, t1 float64, ok bool) {
-	s := e.bound(j)
-	if s.empty || r < s.dmin || r > s.dmax {
-		return 0, 0, false
-	}
-	if s.fullAlways || r <= s.halfDiag {
-		return -math.Pi, math.Pi, true
-	}
-	sv := s.halfDiag / r
-	if sv > 1 {
-		sv = 1
-	}
-	half := math.Asin(sv) * 1.5
-	if half > math.Pi {
-		half = math.Pi
-	}
-	if !s.centerValid {
-		s.center = math.Atan2(s.cy-e.y, s.cx-e.x)
-		s.centerValid = true
-	}
-	return s.center - half, s.center + half, true
-}
-
 // Eval is the outer radial integrand at radius r for the bound point: the
 // closure path's arithmetic, flop accounting and load trace, without its
 // per-point closures, per-call weight tables or History lookups. The
@@ -400,7 +375,8 @@ func (e *Evaluator) MemoStats(reset bool) (hits, misses uint64) {
 // windowMemo is ThetaWindow for the bound point with the expensive
 // point-independent piece — the narrow-cone half angle asin(halfDiag/r) —
 // served from the radial memo while subregion j's support box generation
-// is unchanged. Same branches, same arithmetic, same results as window.
+// is unchanged. Same branches, same arithmetic, same results as
+// ThetaWindow.
 func (e *Evaluator) windowMemo(j int, r float64, ent *radialEntry) (t0, t1 float64, ok bool) {
 	s := e.bound(j)
 	if s.empty || r < s.dmin || r > s.dmax {
@@ -694,7 +670,7 @@ func (e *Evaluator) SolvePoint(x, y float64) PointResult {
 }
 
 // observedPattern is Problem.AppendObservedPattern for the bound point,
-// with the pattern drawn from the arena and the window test served from
+// with the pattern drawn from the arena and the annulus test served from
 // the cached geometry.
 func (e *Evaluator) observedPattern(partition []float64) access.Pattern {
 	n := e.p.NumSub()
@@ -712,9 +688,10 @@ func (e *Evaluator) observedPattern(partition []float64) access.Pattern {
 		j := e.p.subregionOf(mid)
 		pat[j]++
 		if !vis[j] {
-			if _, _, ok := e.window(j, mid); ok {
-				vis[j] = true
-			}
+			// The angular window is non-empty exactly when mid lies in the
+			// annulus of a non-empty support box (see ThetaWindow).
+			s := e.bound(j)
+			vis[j] = !(s.empty || mid < s.dmin || mid > s.dmax)
 		}
 	}
 	for j := range pat {

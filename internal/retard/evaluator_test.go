@@ -503,7 +503,7 @@ func splitSamples(e *Evaluator, points [][2]float64, radii []float64, subW float
 			r := rr * subW
 			j := e.p.subregionOf(r)
 			s := &e.sub[j]
-			t0, t1, ok := e.window(j, r)
+			t0, t1, ok := e.p.ThetaWindow(pt[0], pt[1], r, j)
 			if !ok || !s.ok {
 				continue
 			}

@@ -297,8 +297,12 @@ func (p *Problem) AppendObservedPattern(dst access.Pattern, x, y float64, partit
 			continue
 		}
 		pat[j]--
-		if _, _, ok := p.ThetaWindow(x, y, mid, j); ok {
-			pat[j] = -pat[j]
+		// The angular window is non-empty exactly when mid lies in the
+		// annulus of a non-empty support box (see ThetaWindow).
+		if b := p.support[j]; !b.empty {
+			if dmin, dmax := boxDistRange(x, y, b); !(mid < dmin || mid > dmax) {
+				pat[j] = -pat[j]
+			}
 		}
 	}
 	for j, v := range pat {
