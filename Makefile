@@ -92,9 +92,11 @@ bench-obs:
 
 # Host-phase microbenchmarks, per worker count (see internal/hostpar):
 # predict/cluster/train ns per step, and at the particles-1m shape (32x32,
-# 10^6 particles) the serial centroid, the serial deposit per scheme and
-# the force stage plus push per scheme (NGP, CIC) and worker count (rows
-# above the CPU count are skipped), each with allocations per step.
+# 10^6 particles) the serial centroid, the serial deposit per scheme, and
+# per worker count Advance's NGP deposit (pooled cell pass plus ordered
+# accumulation), its force stage from those cells, and the force stage
+# plus push per scheme (NGP, CIC) (rows above the CPU count are skipped),
+# each with allocations per step.
 bench-host:
 	$(GO) test -run '^$$' -bench 'BenchmarkPredictiveHostPhases' -benchtime 3x \
 		-benchmem ./internal/kernels

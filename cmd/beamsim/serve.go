@@ -6,7 +6,6 @@ import (
 	"log"
 	"os"
 	"strings"
-	"time"
 
 	"beamdyn/internal/jobs"
 	"beamdyn/internal/obs"
@@ -31,13 +30,12 @@ func runServe(args []string) {
 		fs.PrintDefaults()
 	}
 	var (
-		httpAddr   = fs.String("http", ":8080", "serve the jobs API + telemetry on this address (empty disables HTTP; useful with -oneshot)")
-		workers    = fs.Int("workers", 2, "dispatch workers (jobs running concurrently)")
-		traceOut   = fs.String("trace", "", "write the control plane's JSONL span/event trace to this file")
-		submit     = fs.String("submit", "", "comma-separated JobSpec files to submit at startup")
-		oneshot    = fs.Bool("oneshot", false, "exit after the -submit jobs finish (requires -submit)")
-		staleAfter = fs.Duration("stale-after", 0*time.Second, "/healthz reports stalled (503) when no step completes within this window (0 disables)")
-		node       = fs.String("node", "", "node label stamped as baggage on every job's traced spans")
+		httpAddr = fs.String("http", ":8080", "serve the jobs API + telemetry on this address (empty disables HTTP; useful with -oneshot)")
+		workers  = fs.Int("workers", 2, "dispatch workers (jobs running concurrently)")
+		traceOut = fs.String("trace", "", "write the control plane's JSONL span/event trace to this file")
+		submit   = fs.String("submit", "", "comma-separated JobSpec files to submit at startup")
+		oneshot  = fs.Bool("oneshot", false, "exit after the -submit jobs finish (requires -submit)")
+		node     = fs.String("node", "", "node label stamped as baggage on every job's traced spans")
 	)
 	fs.Parse(args)
 	if fs.NArg() > 0 {
@@ -64,7 +62,10 @@ func runServe(args []string) {
 	js := jobs.New(jobs.Config{Workers: *workers, Obs: observer, Node: *node})
 
 	if *httpAddr != "" {
-		srv := &export.Server{Obs: observer, StaleAfter: *staleAfter}
+		// No alert engine and no stall window: each job's alerts go to its
+		// event log, and the jobs share one sim_step gauge, so neither
+		// /alerts nor a step-liveness check would describe any one job.
+		srv := &export.Server{Obs: observer}
 		srv.Mount("/jobs", js.Handler())
 		srv.Mount("/jobs/", js.Handler())
 		_, addr, err := srv.Start(*httpAddr)

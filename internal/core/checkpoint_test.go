@@ -249,6 +249,9 @@ var badCheckpointConfigs = []struct {
 	{"kappa above the bound", func(c *Config) { c.Kappa = MaxKappa + 1 }, fmt.Sprintf("kappa %d outside", MaxKappa+1)},
 	{"tol NaN", func(c *Config) { c.Tol = math.NaN() }, "tol is NaN"},
 	{"unknown scheme", func(c *Config) { c.Scheme = 7 }, "unknown deposition scheme"},
+	// Each factor within its bound, the product above MaxMemoryBytes.
+	{"history above the memory bound", func(c *Config) { c.NX, c.NY, c.Kappa = 4096, 4096, 60 }, "more than the 8 GiB bound"},
+	{"particles above the memory bound", func(c *Config) { c.Beam.NumParticles = 1 << 28 }, "268435456 particles need about 16.1 GB"},
 }
 
 // TestLoadRejectsBadConfigs: a checkpoint whose config cannot run is an

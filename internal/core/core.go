@@ -80,9 +80,9 @@ type Config struct {
 	ForceScale float64
 	// HostWorkers bounds the worker count of every host-side parallel
 	// stage: the kernels' learning phases (predict, cluster, train), the
-	// host reference solver, and the particle force gather and push;
-	// <= 0 means GOMAXPROCS. Results are bitwise identical for any value
-	// (see internal/hostpar).
+	// host reference solver, and the particle cell search, force gather
+	// and push; <= 0 means GOMAXPROCS. Results are bitwise identical for
+	// any value (see internal/hostpar).
 	HostWorkers int
 }
 
@@ -123,6 +123,25 @@ const MaxKappa = 1024
 // int.
 const MaxGridCells = 1 << 24
 
+// MaxMemoryBytes bounds a configuration's memory estimate (Config's
+// memoryBytes): the history ring plus the per-particle buffers. Each of
+// MaxKappa, MaxGridCells and an uncapped particle count is harmless alone,
+// but their product is not: at the grid and kappa bounds the history
+// alone would take 1028 x 2^24 x 24 B, about 414 GB. The largest
+// configuration in this repository, the particles-1m benchmark (32x32,
+// kappa 6, 10^6 particles), estimates about 60 MB, two orders of
+// magnitude inside this 8 GiB cap.
+const MaxMemoryBytes = 8 << 30
+
+// memoryBytes estimates the bytes a simulation of c holds: κ+4 history
+// grids of NX·NY cells with grid.MomentComponents float64s each, and per
+// particle the particle itself (40 B), its force (16 B) and its NGP cell
+// (4 B). It is computed in float64, so no product of accepted factors can
+// overflow.
+func (c Config) memoryBytes() float64 {
+	return 24*float64(c.NX)*float64(c.NY)*float64(c.Kappa+4) + 60*float64(c.Beam.NumParticles)
+}
+
 // Validate reports why a simulation cannot run cfg, after the defaults New
 // fills in: it is the one place that decides which configurations run.
 // New panics with its error, Load returns it, and the job spec and beamsim
@@ -146,6 +165,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: unknown bunch shape %v", c.Shape)
 	case c.Continuum && c.Shape != particles.GaussianShape:
 		return fmt.Errorf("core: continuum mode supports only the Gaussian shape, not %v", c.Shape)
+	case c.memoryBytes() > MaxMemoryBytes:
+		return fmt.Errorf("core: grid %dx%d, kappa %d and %d particles need about %.3g GB, more than the %d GiB bound",
+			c.NX, c.NY, c.Kappa, c.Beam.NumParticles, c.memoryBytes()/1e9, MaxMemoryBytes>>30)
 	}
 	for _, f := range []struct {
 		name string
@@ -222,6 +244,11 @@ type Simulation struct {
 	// nil; its per-worker evaluators and arenas are reused across steps,
 	// so steady-state reference steps allocate nothing per point.
 	solver retard.GridSolver
+
+	// cells holds each particle's NGP cell on the current step's grid
+	// (grid.NGPCells), rewritten by every NGP particle deposit and read by
+	// the same step's force stage; it is reused across steps.
+	cells []int32
 }
 
 // New builds a simulation and samples the initial bunch. It panics with
@@ -254,8 +281,7 @@ func (s *Simulation) Center() (cx, cy float64) {
 	if s.Cfg.Continuum {
 		return s.cx, s.cy
 	}
-	st := s.Ensemble.Stats()
-	return st.MeanX, st.MeanY
+	return s.Ensemble.Mean()
 }
 
 // currentGrid builds a zeroed moment grid centred on the bunch centroid.
@@ -303,10 +329,17 @@ func (s *Simulation) Advance() int {
 	// 1) Particle deposition (or its noiseless continuum limit).
 	sp := ao.Span("advance/deposit", step)
 	g := s.currentGrid()
-	if s.Cfg.Continuum {
+	// cells stays nil unless this step found the NGP cells its force
+	// stage can reuse: nothing moves the particles before then.
+	var cells []int32
+	switch {
+	case s.Cfg.Continuum:
 		cx, cy := s.Center()
 		analytic.ContinuumDeposit(g, s.Cfg.Beam, cx, cy)
-	} else {
+	case s.Cfg.Scheme == grid.NGP:
+		s.dropped += s.depositNGP(g)
+		cells = s.cells
+	default:
 		s.dropped += grid.Deposit(g, s.Ensemble, s.Cfg.Scheme)
 	}
 	s.Hist.Push(g)
@@ -357,7 +390,7 @@ func (s *Simulation) Advance() int {
 
 		// 3) Compute self-forces by interpolating the potential gradient.
 		sp = ao.Span("advance/forces", step)
-		s.computeForces(pot)
+		s.computeForces(pot, cells)
 		sp.End()
 	} else {
 		s.Forces = hostpar.Resize(s.Forces, s.Ensemble.Len())
@@ -436,13 +469,31 @@ func relDrift(v, base float64) float64 {
 	return d / math.Abs(base)
 }
 
+// depositNGP deposits the ensemble on g under NGP in two passes and
+// returns the number dropped. The cell search is independent per
+// particle, so it runs over static hostpar ranges into s.cells; only the
+// accumulation, which must add the particles in ensemble order, stays
+// serial. The grid is bitwise grid.Deposit's for every worker count.
+func (s *Simulation) depositNGP(g *grid.Grid) (dropped int) {
+	ps := s.Ensemble.P
+	s.cells = hostpar.Resize(s.cells, len(ps))
+	cells := s.cells
+	hostpar.For(len(ps), s.Cfg.HostWorkers, func(_, lo, hi int) {
+		grid.NGPCells(g, ps[lo:hi], cells[lo:hi])
+	})
+	return grid.DepositCells(g, ps, cells)
+}
+
 // computeForces evaluates -grad(potential) on ForceGrid and gathers both
-// components at every particle into Forces with one grid.GatherForces call
-// per static hostpar range. Each force is bitwise that of two grid.Interp
-// calls and each worker writes only its own range, so the forces are
-// identical for every worker count. ForceGrid and Forces are reused
-// across steps.
-func (s *Simulation) computeForces(pot *grid.Grid) {
+// components at every particle into Forces, one gather call per static
+// hostpar range. A non-nil cells must be the particles' NGP cells on
+// pot's geometry at their current positions, as Advance's deposit found
+// them; the gather then reads the forces from them (grid.GatherCells)
+// instead of locating every particle again (grid.GatherForces). Either
+// way each force is bitwise that of two grid.Interp calls and each worker
+// writes only its own range, so the forces are identical for every worker
+// count. ForceGrid and Forces are reused across steps.
+func (s *Simulation) computeForces(pot *grid.Grid, cells []int32) {
 	fg := s.ForceGrid
 	if fg == nil || fg.NX != pot.NX || fg.NY != pot.NY {
 		fg = grid.New(pot.NX, pot.NY, 2, pot.X0, pot.Y0, pot.DX, pot.DY)
@@ -460,7 +511,11 @@ func (s *Simulation) computeForces(pot *grid.Grid) {
 	s.Forces = hostpar.Resize(s.Forces, len(ps))
 	forces, scheme := s.Forces, s.Cfg.Scheme
 	hostpar.For(len(ps), s.Cfg.HostWorkers, func(_, lo, hi int) {
-		grid.GatherForces(fg, ps[lo:hi], scheme, forces[lo:hi])
+		if cells != nil {
+			grid.GatherCells(fg, cells[lo:hi], forces[lo:hi])
+		} else {
+			grid.GatherForces(fg, ps[lo:hi], scheme, forces[lo:hi])
+		}
 	})
 }
 

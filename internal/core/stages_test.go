@@ -50,19 +50,24 @@ func sameFloatBits(a, b []float64) bool {
 	})
 }
 
-// TestParticleStagesWorkerCountDeterministic pins the pooled force gather
-// and push under NGP (the default scheme's weight-free gather) and CIC
-// (the weighted one): for every HostWorkers value the particles, forces,
-// force grid and potentials are bitwise identical, and the last step's
-// forces and push match the serial reference stages.
+// TestParticleStagesWorkerCountDeterministic pins the pooled particle
+// stages under NGP (the pooled cell search, the ordered accumulation and
+// the gather from the deposit's cells) and CIC (the serial weighted
+// deposit and the pooled weighted gather): for every HostWorkers value
+// the particles, forces, force grid and potentials are bitwise identical,
+// and the last step's deposited grid, forces and push match the serial
+// reference stages. The ensemble is reversed before that step, so every
+// particle's cell differs from the one found at its index a step earlier:
+// a force stage that read the previous step's cells would fail.
 func TestParticleStagesWorkerCountDeterministic(t *testing.T) {
 	type result struct {
-		p         []particles.Particle
-		forces    []particles.Force
-		fg, pot   []float64
-		refForces []particles.Force
-		refFG     []float64
-		refPushed []particles.Particle
+		p           []particles.Particle
+		forces      []particles.Force
+		fg, pot     []float64
+		dep, refDep []float64
+		refForces   []particles.Force
+		refFG       []float64
+		refPushed   []particles.Particle
 	}
 	for _, scheme := range []grid.Scheme{grid.NGP, grid.CIC} {
 		t.Run(scheme.String(), func(t *testing.T) {
@@ -73,8 +78,12 @@ func TestParticleStagesWorkerCountDeterministic(t *testing.T) {
 				s := New(cfg)
 				s.Warmup()
 				s.Run(2)
+				slices.Reverse(s.Ensemble.P)
 				pre := slices.Clone(s.Ensemble.P)
 				s.Advance()
+				dep := s.Hist.At(s.Hist.Latest())
+				refDep := grid.New(dep.NX, dep.NY, dep.Comp, dep.X0, dep.Y0, dep.DX, dep.DY)
+				grid.Deposit(refDep, &particles.Ensemble{P: pre}, s.Cfg.Scheme)
 				refFG, refForces := referenceForces(s.Potential, pre, s.Cfg.Scheme, s.Cfg.ForceScale)
 				e := particles.Ensemble{P: pre}
 				e.Push(s.Forces, s.Cfg.Dt)
@@ -83,6 +92,8 @@ func TestParticleStagesWorkerCountDeterministic(t *testing.T) {
 					forces:    slices.Clone(s.Forces),
 					fg:        slices.Clone(s.ForceGrid.Data),
 					pot:       slices.Clone(s.Potential.Data),
+					dep:       slices.Clone(dep.Data),
+					refDep:    refDep.Data,
 					refForces: refForces,
 					refFG:     refFG.Data,
 					refPushed: pre,
@@ -93,6 +104,9 @@ func TestParticleStagesWorkerCountDeterministic(t *testing.T) {
 				r := base
 				if w != 1 {
 					r = run(w)
+				}
+				if !sameFloatBits(r.dep, r.refDep) {
+					t.Errorf("workers=%d: deposited grid differs from a serial grid.Deposit", w)
 				}
 				if !slices.Equal(r.forces, r.refForces) {
 					t.Errorf("workers=%d: forces differ from the serial two-Interp force stage", w)
@@ -106,8 +120,8 @@ func TestParticleStagesWorkerCountDeterministic(t *testing.T) {
 				if !slices.Equal(r.p, base.p) || !slices.Equal(r.forces, base.forces) {
 					t.Errorf("workers=%d: particles or forces differ from workers=1", w)
 				}
-				if !sameFloatBits(r.fg, base.fg) || !sameFloatBits(r.pot, base.pot) {
-					t.Errorf("workers=%d: force grid or potentials differ from workers=1", w)
+				if !sameFloatBits(r.fg, base.fg) || !sameFloatBits(r.pot, base.pot) || !sameFloatBits(r.dep, base.dep) {
+					t.Errorf("workers=%d: force grid, potentials or deposit differ from workers=1", w)
 				}
 			}
 			nonzero := slices.ContainsFunc(base.forces, func(f particles.Force) bool { return f.AX != 0 || f.AY != 0 })
@@ -119,13 +133,14 @@ func TestParticleStagesWorkerCountDeterministic(t *testing.T) {
 }
 
 // TestParticleStagesReuseBuffers checks that steady-state steps overwrite
-// Forces and ForceGrid in place instead of reallocating them.
+// Forces, ForceGrid and the NGP cells in place instead of reallocating
+// them.
 func TestParticleStagesReuseBuffers(t *testing.T) {
 	s := New(dynamicConfig())
 	s.Cfg.HostWorkers = 2
 	s.Warmup()
 	s.Advance()
-	fg, forces, data := s.ForceGrid, &s.Forces[0], &s.ForceGrid.Data[0]
+	fg, forces, data, cells := s.ForceGrid, &s.Forces[0], &s.ForceGrid.Data[0], &s.cells[0]
 	for i := 0; i < 3; i++ {
 		s.Advance()
 		if s.ForceGrid != fg || &s.ForceGrid.Data[0] != data {
@@ -133,6 +148,9 @@ func TestParticleStagesReuseBuffers(t *testing.T) {
 		}
 		if &s.Forces[0] != forces || len(s.Forces) != s.Ensemble.Len() {
 			t.Fatalf("step %d: Forces reallocated or resized", s.Step-1)
+		}
+		if &s.cells[0] != cells || len(s.cells) != s.Ensemble.Len() {
+			t.Fatalf("step %d: cells reallocated or resized", s.Step-1)
 		}
 		if pot := s.Potential; fg.X0 != pot.X0 || fg.Y0 != pot.Y0 || fg.DX != pot.DX || fg.DY != pot.DY {
 			t.Fatalf("step %d: ForceGrid geometry not re-pointed to the potential's", s.Step-1)
@@ -146,11 +164,13 @@ var centroidSink float64
 
 // BenchmarkParticleStages times the particle stages at the particles-1m
 // benchmark workload's shape (32x32 grid, 10^6 particles, dynamic bunch):
-// the serial bunch centroid (Center), the serial deposit per scheme, and
-// the pooled force stage plus push per scheme and worker count, with
-// GOMAXPROCS raised to match. Each force-and-push iteration restores the
-// same pre-step particles, so every row does identical work. Run with
-// -benchmem for allocations.
+// the serial bunch centroid (Center), the serial grid.Deposit per scheme
+// (the reference), and per worker count, with GOMAXPROCS raised to match:
+// Advance's NGP deposit (the pooled cell search plus the ordered
+// accumulation), its force stage from those cells, and the pooled
+// position-based force stage plus push per scheme. Each force-and-push
+// iteration restores the same pre-step particles, so every row does
+// identical work. Run with -benchmem for allocations.
 func BenchmarkParticleStages(b *testing.B) {
 	cfg := dynamicConfig()
 	cfg.NX, cfg.NY = 32, 32
@@ -173,20 +193,42 @@ func BenchmarkParticleStages(b *testing.B) {
 			}
 		})
 	}
+	// pooled runs row's body at w workers, skipping rows above NumCPU.
+	pooled := func(row string, w int, body func(b *testing.B)) {
+		b.Run(fmt.Sprintf("%s/workers=%d", row, w), func(b *testing.B) {
+			if n := runtime.NumCPU(); n < w {
+				b.Skipf("%d workers need %d CPUs, have %d", w, w, n)
+			}
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
+			s.Cfg.HostWorkers = w
+			body(b)
+		})
+	}
+	for _, w := range []int{1, 2, 4} {
+		pooled("deposit/cells", w, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s.depositNGP(g)
+			}
+		})
+	}
+	// The cells of the rows above index the potential's 32x32 planes too.
+	for _, w := range []int{1, 2, 4} {
+		pooled("forces/cells", w, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s.computeForces(s.Potential, s.cells)
+			}
+		})
+	}
 	for _, scheme := range []grid.Scheme{grid.NGP, grid.CIC} {
 		for _, w := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("forces+push/scheme=%v/workers=%d", scheme, w), func(b *testing.B) {
-				if n := runtime.NumCPU(); n < w {
-					b.Skipf("%d workers need %d CPUs, have %d", w, w, n)
-				}
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
-				s.Cfg.HostWorkers, s.Cfg.Scheme = w, scheme
+			pooled(fmt.Sprintf("forces+push/scheme=%v", scheme), w, func(b *testing.B) {
+				s.Cfg.Scheme = scheme
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					copy(s.Ensemble.P, pre)
 					b.StartTimer()
-					s.computeForces(s.Potential)
+					s.computeForces(s.Potential, nil)
 					s.push()
 				}
 			})

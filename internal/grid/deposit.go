@@ -2,6 +2,7 @@ package grid
 
 import (
 	"fmt"
+	"math"
 
 	"beamdyn/internal/particles"
 )
@@ -52,11 +53,10 @@ func (s Scheme) support() int {
 // loops below use the point alone and never form a weight.
 func nearest(f float64) int {
 	t := f + 0.5
-	i := int(t)
 	if t < 0 {
-		i--
+		return int(t) - 1
 	}
-	return i
+	return int(t)
 }
 
 // weights1D fills w with the kernel weights along one axis for a particle
@@ -154,29 +154,93 @@ func Deposit(g *Grid, e *particles.Ensemble, s Scheme) (dropped int) {
 	return dropped
 }
 
+// ngpCell returns the flat index iy*nx+ix, within one plane, of the NGP
+// cell of the physical point (x, y) on a grid with origin (x0, y0) and
+// spacing (dx, dy), or -1 when that cell lies outside the nx x ny grid.
+// Every NGP path finds its cells here, so they all find the same ones.
+// uint(i) >= uint(n) is outside(i, 1, n) for n >= 1 in fewer operations,
+// which keeps this helper within the compiler's inlining budget.
+func ngpCell(x, y, x0, y0, dx, dy float64, nx, ny int) int {
+	ix, iy := nearest((x-x0)/dx), nearest((y-y0)/dy)
+	if uint(ix) >= uint(nx) || uint(iy) >= uint(ny) {
+		return -1
+	}
+	return iy*nx + ix
+}
+
+// addNGP adds particle p's NGP moments q, q*VX and q*VY to cell idx of the
+// three planes: the generic loop's q*w terms at w = 1.
+func addNGP(rho, jx, jy []float64, idx int, p *particles.Particle, cellArea float64) {
+	q := p.Charge / cellArea
+	rho[idx] += q
+	jx[idx] += q * p.VX
+	jy[idx] += q * p.VY
+}
+
+// momentPlanes returns g's charge and current-density planes.
+func momentPlanes(g *Grid) (rho, jx, jy []float64) {
+	plane := g.NX * g.NY
+	return g.Data[CompCharge*plane : (CompCharge+1)*plane],
+		g.Data[CompCurrentX*plane : (CompCurrentX+1)*plane],
+		g.Data[CompCurrentY*plane : (CompCurrentY+1)*plane]
+}
+
 // depositNGP is Deposit's nearest-grid-point loop: each in-bounds particle
-// adds q, q*VX and q*VY to one cell of the three planes, the generic
-// loop's q*w terms at w = 1.
+// adds its moments to one cell of the three planes.
 func depositNGP(g *Grid, ps []particles.Particle) (dropped int) {
-	nx, ny := g.NX, g.NY
-	plane := nx * ny
-	rho := g.Data[CompCharge*plane : (CompCharge+1)*plane]
-	jx := g.Data[CompCurrentX*plane : (CompCurrentX+1)*plane]
-	jy := g.Data[CompCurrentY*plane : (CompCurrentY+1)*plane]
-	x0, y0, dx, dy := g.X0, g.Y0, g.DX, g.DY
+	rho, jx, jy := momentPlanes(g)
+	x0, y0, dx, dy, nx, ny := g.X0, g.Y0, g.DX, g.DY, g.NX, g.NY
 	cellArea := dx * dy
 	for i := range ps {
 		p := &ps[i]
-		ix, iy := nearest((p.X-x0)/dx), nearest((p.Y-y0)/dy)
-		if outside(ix, 1, nx) || outside(iy, 1, ny) {
+		idx := ngpCell(p.X, p.Y, x0, y0, dx, dy, nx, ny)
+		if idx < 0 {
 			dropped++
 			continue
 		}
-		q := p.Charge / cellArea
-		idx := iy*nx + ix
-		rho[idx] += q
-		jx[idx] += q * p.VX
-		jy[idx] += q * p.VY
+		addNGP(rho, jx, jy, idx, p, cellArea)
+	}
+	return dropped
+}
+
+// NGPCells writes into cells the NGP cell of every particle of ps on g's
+// geometry: its flat index iy*NX+ix within one plane, or -1 when the
+// particle lies outside the grid. It writes only cells, so disjoint
+// ranges can be found concurrently; cells must have one entry per
+// particle, and the grid at most math.MaxInt32 cells per plane.
+// DepositCells and GatherCells take the result, and give the bits Deposit
+// and GatherForces give under NGP, on any grid of the same geometry for
+// as long as the particles stay where they were.
+func NGPCells(g *Grid, ps []particles.Particle, cells []int32) {
+	if len(cells) != len(ps) || g.NX > math.MaxInt32/g.NY {
+		panic(fmt.Sprintf("grid: NGPCells needs one cell per particle and at most %d cells, have %d cells for %d particles on %dx%d",
+			math.MaxInt32, len(cells), len(ps), g.NX, g.NY))
+	}
+	x0, y0, dx, dy, nx, ny := g.X0, g.Y0, g.DX, g.DY, g.NX, g.NY
+	for i := range ps {
+		cells[i] = int32(ngpCell(ps[i].X, ps[i].Y, x0, y0, dx, dy, nx, ny))
+	}
+}
+
+// DepositCells is Deposit(g, e, NGP) for the particles ps whose cells
+// NGPCells found on g's geometry: it zeroes g, adds the particles in
+// order, and returns the number dropped, all bitwise as Deposit does.
+// Only this accumulation keeps particle order; the cell search before it
+// is independent per particle.
+func DepositCells(g *Grid, ps []particles.Particle, cells []int32) (dropped int) {
+	if g.Comp < MomentComponents || len(cells) != len(ps) {
+		panic(fmt.Sprintf("grid: DepositCells needs %d components and one cell per particle, have %d components, %d cells for %d particles",
+			MomentComponents, g.Comp, len(cells), len(ps)))
+	}
+	g.Zero()
+	rho, jx, jy := momentPlanes(g)
+	cellArea := g.DX * g.DY
+	for i, c := range cells {
+		if c < 0 {
+			dropped++
+			continue
+		}
+		addNGP(rho, jx, jy, int(c), &ps[i], cellArea)
 	}
 	return dropped
 }
@@ -185,15 +249,15 @@ func depositNGP(g *Grid, ps []particles.Particle) (dropped int) {
 // same weighting scheme as deposition (the standard PIC requirement for
 // momentum conservation). Points outside the grid return 0.
 func Interp(g *Grid, x, y float64, c int, s Scheme) float64 {
-	fx, fy := g.Cell(x, y)
 	if s == NGP {
-		ix, iy := nearest(fx), nearest(fy)
-		if outside(ix, 1, g.NX) || outside(iy, 1, g.NY) {
+		idx := ngpCell(x, y, g.X0, g.Y0, g.DX, g.DY, g.NX, g.NY)
+		if idx < 0 {
 			return 0
 		}
 		// 0 + v is the weighted sum from 0 at w = 1: a -0 cell reads +0.
-		return 0 + g.At(ix, iy, c)
+		return 0 + g.Data[c*g.NX*g.NY+idx]
 	}
+	fx, fy := g.Cell(x, y)
 	sup := s.support()
 	var wx, wy [3]float64
 	ix0 := s.weights1D(fx, wx[:])
@@ -230,13 +294,7 @@ func GatherForces(fg *Grid, ps []particles.Particle, s Scheme, out []particles.F
 	if s == NGP {
 		x0, y0, dx, dy := fg.X0, fg.Y0, fg.DX, fg.DY
 		for i := range ps {
-			ix, iy := nearest((ps[i].X-x0)/dx), nearest((ps[i].Y-y0)/dy)
-			if outside(ix, 1, nx) || outside(iy, 1, ny) {
-				out[i] = particles.Force{}
-				continue
-			}
-			idx := iy*nx + ix
-			out[i] = particles.Force{AX: 0 + ax[idx], AY: 0 + ay[idx]}
+			out[i] = forceAt(ax, ay, ngpCell(ps[i].X, ps[i].Y, x0, y0, dx, dy, nx, ny))
 		}
 		return
 	}
@@ -259,6 +317,32 @@ func GatherForces(fg *Grid, ps []particles.Particle, s Scheme, out []particles.F
 		}
 		out[i] = f
 	}
+}
+
+// GatherCells is GatherForces(fg, ps, NGP, out) for the particles ps
+// whose cells NGPCells found on a grid of fg's geometry, without reading
+// ps: each force is bitwise Interp's pair at the particle, and a particle
+// outside the grid gets zero. It writes only out, so disjoint ranges can
+// be gathered concurrently.
+func GatherCells(fg *Grid, cells []int32, out []particles.Force) {
+	if fg.Comp < 2 || len(out) != len(cells) {
+		panic(fmt.Sprintf("grid: GatherCells needs 2 components and one force per cell, have %d components, %d forces for %d cells",
+			fg.Comp, len(out), len(cells)))
+	}
+	plane := fg.NX * fg.NY
+	ax, ay := fg.Data[:plane], fg.Data[plane:2*plane]
+	for i, c := range cells {
+		out[i] = forceAt(ax, ay, int(c))
+	}
+}
+
+// forceAt is the NGP force at cell idx of the planes ax, ay, zero for
+// idx < 0. 0 + v is the weighted sum from 0 at w = 1: a -0 cell reads +0.
+func forceAt(ax, ay []float64, idx int) particles.Force {
+	if idx < 0 {
+		return particles.Force{}
+	}
+	return particles.Force{AX: 0 + ax[idx], AY: 0 + ay[idx]}
 }
 
 // Gradient estimates the spatial gradient of component c at grid point

@@ -473,6 +473,38 @@ func sameForceBits(a, b particles.Force) bool {
 	return math.Float64bits(a.AX) == math.Float64bits(b.AX) && math.Float64bits(a.AY) == math.Float64bits(b.AY)
 }
 
+// cellsByRanges runs NGPCells over three unequal ranges of ps, as the
+// simulation's worker pool splits it, and returns the cells.
+func cellsByRanges(g *Grid, ps []particles.Particle) []int32 {
+	cells := make([]int32, len(ps))
+	for i := range cells {
+		cells[i] = 7 // stale cells must be overwritten
+	}
+	cuts := []int{0, len(ps) / 5, len(ps) / 2, len(ps)}
+	for r := 0; r < 3; r++ {
+		lo, hi := cuts[r], cuts[r+1]
+		NGPCells(g, ps[lo:hi], cells[lo:hi])
+	}
+	return cells
+}
+
+// depositByCells is the simulation's NGP deposit: the cell pass over
+// ranges, then the ordered accumulation.
+func depositByCells(g *Grid, ps []particles.Particle) (dropped int) {
+	return DepositCells(g, ps, cellsByRanges(g, ps))
+}
+
+// gatherByCells is the simulation's NGP force gather: the cell pass on
+// fg's geometry, then the gather from cells.
+func gatherByCells(fg *Grid, ps []particles.Particle) []particles.Force {
+	out := make([]particles.Force, len(ps))
+	for i := range out {
+		out[i] = particles.Force{AX: 1, AY: 1} // stale forces must be overwritten
+	}
+	GatherCells(fg, cellsByRanges(fg, ps), out)
+	return out
+}
+
 // ngpProbes are fractional grid coordinates along an axis of n points that
 // exercise the NGP cell rule: the low-edge band (f+0.5 in (-1, 0), where
 // truncation toward zero would give cell 0), f = k+0.5 exactly (ties round
@@ -491,7 +523,9 @@ func ngpProbes(n int) []float64 {
 // TestNGPDepositMatchesReference deposits each probe particle alone and
 // then all of them at once, on a unit-spaced grid (fractional coordinate =
 // position) and on a Gaussian bunch's grid with inexact spacing: the NGP
-// Deposit must reproduce the reference's grid bits and dropped count.
+// Deposit, and the cell pass followed by the ordered accumulation
+// (NGPCells, DepositCells), must reproduce the reference's grid bits and
+// dropped count.
 func TestNGPDepositMatchesReference(t *testing.T) {
 	const n = 8
 	probes := ngpProbes(n)
@@ -503,19 +537,24 @@ func TestNGPDepositMatchesReference(t *testing.T) {
 		}
 	}
 	g := New(n, n, MomentComponents, 0, 0, 1, 1)
+	gc := New(n, n, MomentComponents, 0, 0, 1, 1)
 	ref := New(n, n, MomentComponents, 0, 0, 1, 1)
 	for _, p := range all.P {
 		one := &particles.Ensemble{P: []particles.Particle{p}}
 		got := Deposit(g, one, NGP)
+		gotCells := depositByCells(gc, one.P)
 		var want int
 		if overflows(func() { want = refDeposit(ref, one, NGP) }) {
-			if got != 1 || g.MaxAbs(CompCharge) != 0 {
-				t.Errorf("particle at (%g, %g): reference overflows; dropped %d, want 1 and an empty grid", p.X, p.Y, got)
+			if got != 1 || g.MaxAbs(CompCharge) != 0 || gotCells != 1 || gc.MaxAbs(CompCharge) != 0 {
+				t.Errorf("particle at (%g, %g): reference overflows; dropped %d (by cells %d), want 1 and an empty grid", p.X, p.Y, got, gotCells)
 			}
 			continue
 		}
 		if got != want || !sameBits(g.Data, ref.Data) {
 			t.Errorf("particle at (%g, %g): dropped %d, grid differs=%t; reference dropped %d", p.X, p.Y, got, !sameBits(g.Data, ref.Data), want)
+		}
+		if gotCells != want || !sameBits(gc.Data, ref.Data) {
+			t.Errorf("particle at (%g, %g): by cells dropped %d, grid differs=%t; reference dropped %d", p.X, p.Y, gotCells, !sameBits(gc.Data, ref.Data), want)
 		}
 	}
 	var finite particles.Ensemble
@@ -527,6 +566,11 @@ func TestNGPDepositMatchesReference(t *testing.T) {
 	if got, want := Deposit(g, &finite, NGP), refDeposit(ref, &finite, NGP); got != want || !sameBits(g.Data, ref.Data) {
 		t.Errorf("all probes: dropped %d (reference %d), grids equal %t", got, want, sameBits(g.Data, ref.Data))
 	}
+	// All probes, -Inf included: the cell path drops those the reference
+	// overflows on, so it matches the reference's finite deposit plus them.
+	if got, want := depositByCells(gc, all.P), len(all.P)-len(finite.P)+refDeposit(ref, &finite, NGP); got != want || !sameBits(gc.Data, ref.Data) {
+		t.Errorf("all probes by cells: dropped %d (want %d), grids equal %t", got, want, sameBits(gc.Data, ref.Data))
+	}
 	if g.Total(CompCharge) == 0 || g.Total(CompCurrentX) == 0 {
 		t.Fatal("probe deposit left the grid empty")
 	}
@@ -537,16 +581,22 @@ func TestNGPDepositMatchesReference(t *testing.T) {
 		e.P[i].VY = -e.P[i].VX
 	}
 	g = New(24, 40, MomentComponents, -3e-4, -6e-4, 6e-4/23, 12e-4/39)
+	gc = New(24, 40, MomentComponents, -3e-4, -6e-4, 6e-4/23, 12e-4/39)
 	ref = New(24, 40, MomentComponents, -3e-4, -6e-4, 6e-4/23, 12e-4/39)
-	if got, want := Deposit(g, e, NGP), refDeposit(ref, e, NGP); got != want || want == 0 || !sameBits(g.Data, ref.Data) {
+	want := refDeposit(ref, e, NGP)
+	if got := Deposit(g, e, NGP); got != want || want == 0 || !sameBits(g.Data, ref.Data) {
 		t.Errorf("bunch: dropped %d (reference %d, want > 0), grids equal %t", got, want, sameBits(g.Data, ref.Data))
+	}
+	if got := depositByCells(gc, e.P); got != want || !sameBits(gc.Data, ref.Data) {
+		t.Errorf("bunch by cells: dropped %d (reference %d), grids equal %t", got, want, sameBits(gc.Data, ref.Data))
 	}
 }
 
 // TestNGPGatherMatchesReference gathers a field with -0, +0, negative and
-// positive cells at every probe point: NGP Interp, GatherForces and the
-// reference's Interp and InterpVec must agree bitwise (a -0 cell reads +0),
-// and a point the reference overflows on gets zero.
+// positive cells at every probe point: NGP Interp, GatherForces, the
+// gather from cells (NGPCells, GatherCells) and the reference's Interp and
+// InterpVec must agree bitwise (a -0 cell reads +0), and a point the
+// reference overflows on gets zero.
 func TestNGPGatherMatchesReference(t *testing.T) {
 	const n = 8
 	fg := New(n, n, 2, 0, 0, 1, 1)
@@ -571,6 +621,7 @@ func TestNGPGatherMatchesReference(t *testing.T) {
 		out[i] = particles.Force{AX: 1, AY: 1} // stale forces must be overwritten
 	}
 	GatherForces(fg, ps, NGP, out)
+	byCells := gatherByCells(fg, ps)
 	var negZero, plusZero int
 	for i, p := range ps {
 		var vec [2]float64
@@ -579,29 +630,30 @@ func TestNGPGatherMatchesReference(t *testing.T) {
 			refInterpVec(fg, p.X, p.Y, NGP, vec[:])
 			want = particles.Force{AX: refInterp(fg, p.X, p.Y, 0, NGP), AY: refInterp(fg, p.X, p.Y, 1, NGP)}
 		}) {
-			if out[i] != (particles.Force{}) || Interp(fg, p.X, p.Y, 0, NGP) != 0 {
-				t.Errorf("(%g, %g): reference overflows; GatherForces %v, want zero", p.X, p.Y, out[i])
+			if out[i] != (particles.Force{}) || byCells[i] != (particles.Force{}) || Interp(fg, p.X, p.Y, 0, NGP) != 0 {
+				t.Errorf("(%g, %g): reference overflows; GatherForces %v, by cells %v, want zero", p.X, p.Y, out[i], byCells[i])
 			}
 			continue
 		}
 		got := particles.Force{AX: Interp(fg, p.X, p.Y, 0, NGP), AY: Interp(fg, p.X, p.Y, 1, NGP)}
-		if !sameForceBits(got, want) || !sameForceBits(out[i], want) || !sameForceBits(want, particles.Force{AX: vec[0], AY: vec[1]}) {
-			t.Errorf("(%g, %g): Interp %v, GatherForces %v, reference Interp %v, InterpVec %v", p.X, p.Y, got, out[i], want, vec)
+		if !sameForceBits(got, want) || !sameForceBits(out[i], want) || !sameForceBits(byCells[i], want) || !sameForceBits(want, particles.Force{AX: vec[0], AY: vec[1]}) {
+			t.Errorf("(%g, %g): Interp %v, GatherForces %v, by cells %v, reference Interp %v, InterpVec %v", p.X, p.Y, got, out[i], byCells[i], want, vec)
 		}
 		ix, iy := nearest(p.X), nearest(p.Y)
 		if !outside(ix, 1, n) && !outside(iy, 1, n) && math.Float64bits(fg.At(ix, iy, 0)) == math.Float64bits(math.Copysign(0, -1)) {
 			negZero++
-			if math.Float64bits(out[i].AX) == 0 {
+			if math.Float64bits(out[i].AX) == 0 && math.Float64bits(byCells[i].AX) == 0 {
 				plusZero++
 			}
 		}
 	}
 	if negZero == 0 || plusZero != negZero {
-		t.Errorf("%d probes over -0 cells, %d read +0", negZero, plusZero)
+		t.Errorf("%d probes over -0 cells, %d read +0 on both paths", negZero, plusZero)
 	}
 }
 
-// TestNonFiniteCoordinatesDoNotPanic: every scheme drops a particle at
+// TestNonFiniteCoordinatesDoNotPanic: every scheme, and NGP's cell pass
+// with the accumulation and the gather from cells, drops a particle at
 // ±Inf or beyond the int range in either coordinate and gathers zero
 // there (a NaN coordinate's conversion is platform-defined, so only the
 // absence of a panic is checked for it).
@@ -614,14 +666,22 @@ func TestNonFiniteCoordinatesDoNotPanic(t *testing.T) {
 	for _, s := range []Scheme{NGP, CIC, TSC} {
 		for _, v := range []float64{math.Inf(1), math.Inf(-1), 1e300, -1e300, math.NaN()} {
 			for _, p := range []particles.Particle{{X: v, Y: 3, Charge: 1}, {X: 3, Y: v, Charge: 1}} {
-				dropped := Deposit(g, &particles.Ensemble{P: []particles.Particle{p}}, s)
+				one := []particles.Particle{p}
+				dropped := Deposit(g, &particles.Ensemble{P: one}, s)
 				f := make([]particles.Force, 1)
-				GatherForces(ones, []particles.Particle{p}, s, f)
+				GatherForces(ones, one, s, f)
+				droppedCells, fCells := 1, particles.Force{}
+				if s == NGP {
+					droppedCells, fCells = depositByCells(g, one), gatherByCells(ones, one)[0]
+				}
 				if math.IsNaN(v) {
 					continue
 				}
 				if dropped != 1 || f[0] != (particles.Force{}) || Interp(ones, p.X, p.Y, 0, s) != 0 {
 					t.Errorf("%v at (%g, %g): dropped %d, force %v", s, p.X, p.Y, dropped, f[0])
+				}
+				if droppedCells != 1 || fCells != (particles.Force{}) {
+					t.Errorf("%v at (%g, %g) by cells: dropped %d, force %v", s, p.X, p.Y, droppedCells, fCells)
 				}
 			}
 		}

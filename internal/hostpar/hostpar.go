@@ -1,7 +1,7 @@
 // Package hostpar is the deterministic host-side worker pool used by the
 // kernels' learning stages (PREDICT, RP-CLUSTERING, ONLINE-LEARNING), the
-// shared per-point host loops, the simulation's particle force gather and
-// push, and the host reference solve.
+// shared per-point host loops, the simulation's particle cell search,
+// force gather and push, and the host reference solve.
 //
 // The paper runs its host-side ML (k-means, kNN fits) on a multicore host
 // precisely so the learning stages stay cheap relative to the GPU kernel;

@@ -69,6 +69,10 @@ func TestValidateRejections(t *testing.T) {
 		{"shape", func(sp *Spec) { sp.Beam.Shape = "banana" }, "unknown beam shape"},
 		{"negative kappa", func(sp *Spec) { sp.Kappa = -1 }, "kappa -1 outside"},
 		{"kappa above the bound", func(sp *Spec) { sp.Kappa = core.MaxKappa + 1 }, "outside [1, 1024]"},
+		{"history above the memory bound", func(sp *Spec) {
+			sp.Grid.NX, sp.Grid.NY, sp.Kappa = 4096, 4096, core.MaxKappa
+		}, "more than the 8 GiB bound"},
+		{"particles above the memory bound", func(sp *Spec) { sp.Beam.Particles = 1 << 28 }, "more than the 8 GiB bound"},
 		{"negative tol", func(sp *Spec) { sp.Tol = -1e-8 }, "tol is -1e-08"},
 		{"negative pad sigma", func(sp *Spec) { sp.Grid.PadSigma = -5 }, "pad sigma is -5"},
 		{"reference fleet", func(sp *Spec) {

@@ -25,12 +25,6 @@ import (
 // spills into adaptive refinement rounds.
 type Heuristic struct {
 	Dev *gpusim.Device
-	// ThreadsPerBlock is the launch block size (default 256).
-	ThreadsPerBlock int
-	// TileW, TileH are the spatial tile dimensions (default 32x8).
-	TileW, TileH int
-	// PanelsPerSub seeds the first step's partition (default 2).
-	PanelsPerSub int
 	// HostWorkers bounds the host-side worker count (<= 0: GOMAXPROCS).
 	HostWorkers int
 
@@ -52,11 +46,22 @@ func (h *Heuristic) SetObserver(o *obs.Observer) { h.obs = o }
 // SetHostWorkers implements HostParallel.
 func (h *Heuristic) SetHostWorkers(n int) { h.HostWorkers = n }
 
-// NewHeuristic returns the kernel with the configuration of [10]: 32x4
-// spatial tiles (fine enough for SM load balance, wide enough for warp
-// coalescing).
+// The Heuristic kernel's configuration, that of [10].
+const (
+	// heuristicThreadsPerBlock is the refinement launches' block size.
+	heuristicThreadsPerBlock = 256
+	// heuristicTileW x heuristicTileH grid points make one reuse-phase
+	// block: fine enough for SM load balance, wide enough for warp
+	// coalescing.
+	heuristicTileW, heuristicTileH = 32, 4
+	// heuristicPanelsPerSub seeds the first step's partition.
+	heuristicPanelsPerSub = 2
+)
+
+// NewHeuristic returns the kernel on dev; its configuration is fixed, so
+// a bare &Heuristic{Dev: dev} is the same kernel.
 func NewHeuristic(dev *gpusim.Device) *Heuristic {
-	return &Heuristic{Dev: dev, ThreadsPerBlock: 256, TileW: 32, TileH: 4, PanelsPerSub: 2}
+	return &Heuristic{Dev: dev}
 }
 
 // Name implements Algorithm.
@@ -93,7 +98,7 @@ func (h *Heuristic) Step(p *retard.Problem, target *grid.Grid, comp int) *StepRe
 		h.partBuf = make([][]float64, workers)
 	}
 	numSub, subW := p.NumSub(), p.SubWidth()
-	coarse := st.coarsePattern(numSub, h.PanelsPerSub)
+	coarse := st.coarsePattern(numSub, heuristicPanelsPerSub)
 	hostpar.For(len(points), workers, func(w, lo, hi int) {
 		arena, buf := &h.arenas[w], h.partBuf[w]
 		arena.Reset()
@@ -113,7 +118,7 @@ func (h *Heuristic) Step(p *retard.Problem, target *grid.Grid, comp int) *StepRe
 		cursor += uintptr(len(parts[i])) * 8
 	}
 
-	nx, ny, tw, th := target.NX, target.NY, h.TileW, h.TileH
+	nx, ny, tw, th := target.NX, target.NY, heuristicTileW, heuristicTileH
 	spec := fixedPhaseSpec{
 		name:            "heuristic/reuse",
 		blocks:          st.blocks.get([4]int{nx, ny, tw, th}, func() [][]int { return tileBlocks(nx, ny, tw, th) }),
@@ -131,7 +136,7 @@ func (h *Heuristic) Step(p *retard.Problem, target *grid.Grid, comp int) *StepRe
 	sp.End(obs.I("fallback_entries", len(entries)), obs.F("sim_sec", m.Time))
 
 	sp = h.obs.Span("heuristic/refine", target.Step)
-	rm, launches := adaptivePhase(h.Dev, st, p, points, entries, h.ThreadsPerBlock, true, "heuristic/refine")
+	rm, launches := adaptivePhase(h.Dev, st, p, points, entries, heuristicThreadsPerBlock, true, "heuristic/refine")
 	res.Metrics.Add(rm)
 	res.Adaptive = rm
 	res.Launches += launches

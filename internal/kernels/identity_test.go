@@ -104,19 +104,39 @@ func TestKernelIdentityHashes(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("digests recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
 	}
-	p, target := fixture(8, 24)
 	for name, mk := range identityKernels() {
-		t.Run(name, func(t *testing.T) {
-			algo := mk()
-			for step, want := range identityWant[name] {
-				g := target.Clone()
-				res := algo.Step(p, g, 0)
-				if got := stepDigests(g.Data, res); got != want {
-					t.Errorf("step %d digests\n got  {%q, %q, %q, %q},\n want {%q, %q, %q, %q},",
-						step, got.grid, got.metrics, got.points, got.phases,
-						want.grid, want.metrics, want.points, want.phases)
-				}
-			}
-		})
+		t.Run(name, func(t *testing.T) { checkIdentity(t, mk(), identityWant[name]) })
+	}
+}
+
+// TestBareKernelsMatchIdentity: Two-Phase-RP and Heuristic-RP have no
+// settings besides the device and the host worker count, so a bare struct
+// literal is the constructor's kernel and must reproduce its pinned
+// digests.
+func TestBareKernelsMatchIdentity(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digests recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
+	}
+	t.Run("twophase", func(t *testing.T) {
+		checkIdentity(t, &TwoPhase{Dev: gpusim.New(gpusim.KeplerK40())}, identityWant["twophase"])
+	})
+	t.Run("heuristic", func(t *testing.T) {
+		checkIdentity(t, &Heuristic{Dev: gpusim.New(gpusim.KeplerK40())}, identityWant["heuristic"])
+	})
+}
+
+// checkIdentity runs algo for three steps on the identity fixture and
+// compares each step's digests with want.
+func checkIdentity(t *testing.T, algo Algorithm, want [3]identityDigests) {
+	t.Helper()
+	p, target := fixture(8, 24)
+	for step, want := range want {
+		g := target.Clone()
+		res := algo.Step(p, g, 0)
+		if got := stepDigests(g.Data, res); got != want {
+			t.Errorf("step %d digests\n got  {%q, %q, %q, %q},\n want {%q, %q, %q, %q},",
+				step, got.grid, got.metrics, got.points, got.phases,
+				want.grid, want.metrics, want.points, want.phases)
+		}
 	}
 }

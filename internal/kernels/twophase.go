@@ -21,10 +21,6 @@ import (
 // the inefficiencies [10] and this paper address.
 type TwoPhase struct {
 	Dev *gpusim.Device
-	// ThreadsPerBlock is the launch block size (default 256).
-	ThreadsPerBlock int
-	// PanelsPerSub is the phase-1 panels per radial subregion (default 1).
-	PanelsPerSub int
 	// HostWorkers bounds the host-side worker count (<= 0: GOMAXPROCS).
 	HostWorkers int
 
@@ -32,15 +28,24 @@ type TwoPhase struct {
 	store stepStore
 }
 
+// The Two-Phase kernel's launch configuration, that of [9].
+const (
+	// twoPhaseThreadsPerBlock is the launch block size of both phases.
+	twoPhaseThreadsPerBlock = 256
+	// twoPhasePanelsPerSub is the phase-1 panels per radial subregion.
+	twoPhasePanelsPerSub = 1
+)
+
 // SetObserver implements Observable.
 func (t *TwoPhase) SetObserver(o *obs.Observer) { t.obs = o }
 
 // SetHostWorkers implements HostParallel.
 func (t *TwoPhase) SetHostWorkers(n int) { t.HostWorkers = n }
 
-// NewTwoPhase returns the kernel with the launch configuration of [9].
+// NewTwoPhase returns the kernel on dev; its launch configuration is
+// fixed, so a bare &TwoPhase{Dev: dev} is the same kernel.
 func NewTwoPhase(dev *gpusim.Device) *TwoPhase {
-	return &TwoPhase{Dev: dev, ThreadsPerBlock: 256, PanelsPerSub: 1}
+	return &TwoPhase{Dev: dev}
 }
 
 // Name implements Algorithm.
@@ -58,9 +63,9 @@ func (t *TwoPhase) Step(p *retard.Problem, target *grid.Grid, comp int) *StepRes
 	st.begin(t.Dev, p, len(points))
 	res := &StepResult{}
 	// Phase 1 partitions are computed per lane, into the SM's scratch.
-	coarse := st.coarsePattern(p.NumSub(), t.PanelsPerSub)
+	coarse := st.coarsePattern(p.NumSub(), twoPhasePanelsPerSub)
 	subW := p.SubWidth()
-	n, tpb := len(points), t.ThreadsPerBlock
+	n, tpb := len(points), twoPhaseThreadsPerBlock
 	spec := fixedPhaseSpec{
 		name:            "twophase/uniform",
 		blocks:          st.blocks.get([4]int{n, tpb}, func() [][]int { return rowMajorBlocks(n, tpb) }),
@@ -112,7 +117,7 @@ func (t *TwoPhase) Step(p *retard.Problem, target *grid.Grid, comp int) *StepRes
 func (t *TwoPhase) refineRounds(st *stepStore, p *retard.Problem, points []Point, entries []workEntry) (gpusim.Metrics, int) {
 	var total gpusim.Metrics
 	launches := 0
-	tpb := t.ThreadsPerBlock
+	const tpb = twoPhaseThreadsPerBlock
 	for depth := 0; len(entries) > 0 && depth < p.MaxDepth; depth++ {
 		st.results = hostpar.Resize(st.results, len(entries))
 		results := st.results

@@ -48,7 +48,8 @@ type HealthReport struct {
 //	/metrics        Prometheus text exposition of the registry
 //	/snapshot.json  the full run snapshot (metrics + predictor series)
 //	/healthz        step liveness + fleet device states (503 when stalled)
-//	/alerts         the alert engine's rules, active alerts and firing log
+//	/alerts         the alert engine's rules, active alerts and firing log,
+//	                only when the server has an engine
 //	/debug/pprof/   the standard Go profiling handlers
 //
 // Every endpoint reads point-in-time snapshots, so scraping mid-step is
@@ -61,8 +62,9 @@ type Server struct {
 	// from fleet.Fleet.Health on multi-device runs).
 	Devices func() []DeviceHealth
 	// Alerts optionally serves /alerts and folds active alerts into the
-	// /healthz status (nil engines are inert, so wiring it unconditionally
-	// is safe).
+	// /healthz status. Without an engine /alerts answers 404: a server
+	// reports no alerts it does not evaluate. Set it before the first
+	// Handler, Mount or Start call, which build the route table.
 	Alerts *alert.Engine
 	// StaleAfter is the step-liveness window: when > 0 and the step
 	// counter has not advanced for longer, /healthz reports "stalled"
@@ -94,7 +96,9 @@ func (s *Server) initMux() {
 		mux.HandleFunc("/metrics", s.handleMetrics)
 		mux.HandleFunc("/snapshot.json", s.handleSnapshot)
 		mux.HandleFunc("/healthz", s.handleHealthz)
-		mux.HandleFunc("/alerts", s.handleAlerts)
+		if s.Alerts != nil {
+			mux.HandleFunc("/alerts", s.handleAlerts)
+		}
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -158,7 +162,11 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprint(w, "beamdyn telemetry\n\n/metrics\n/snapshot.json\n/healthz\n/alerts\n/debug/pprof/\n")
+	alerts := ""
+	if s.Alerts != nil {
+		alerts = "/alerts\n"
+	}
+	fmt.Fprintf(w, "beamdyn telemetry\n\n/metrics\n/snapshot.json\n/healthz\n%s/debug/pprof/\n", alerts)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

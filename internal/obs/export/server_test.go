@@ -264,6 +264,9 @@ func TestAlertsEndpointAndDegradedStatus(t *testing.T) {
 	if len(st.Rules) != 1 || st.Rules[0] != "device_failed" || len(st.Active) != 0 {
 		t.Fatalf("quiet status = %+v", st)
 	}
+	if _, index, _ := get(t, ts.URL+"/"); !strings.Contains(index, "/alerts") {
+		t.Errorf("index with an engine lacks /alerts:\n%s", index)
+	}
 	_, body, _ = get(t, ts.URL+"/healthz")
 	var rep HealthReport
 	json.Unmarshal([]byte(body), &rep)
@@ -304,15 +307,16 @@ func TestAlertsEndpointAndDegradedStatus(t *testing.T) {
 	}
 }
 
-func TestZeroServerServesEmptyAlerts(t *testing.T) {
-	ts := testServer(t, &Server{})
-	code, body, _ := get(t, ts.URL+"/alerts")
-	if code != http.StatusOK {
-		t.Fatalf("empty /alerts = %d", code)
+// TestServerWithoutEngineHasNoAlerts: a server with no alert engine (beamsim
+// serve, or a run without -alerts) answers 404 on /alerts and leaves it
+// off the index, rather than serve an always-empty document.
+func TestServerWithoutEngineHasNoAlerts(t *testing.T) {
+	ts := testServer(t, &Server{Obs: obs.New()})
+	if code, body, _ := get(t, ts.URL+"/alerts"); code != http.StatusNotFound {
+		t.Fatalf("/alerts without an engine = %d, want 404: %s", code, body)
 	}
-	var st alert.Status
-	if err := json.Unmarshal([]byte(body), &st); err != nil {
-		t.Fatalf("empty /alerts not valid JSON: %v\n%s", err, body)
+	if code, body, _ := get(t, ts.URL+"/"); code != http.StatusOK || strings.Contains(body, "/alerts") || !strings.Contains(body, "/healthz") {
+		t.Fatalf("index without an engine: code=%d\n%s", code, body)
 	}
 }
 

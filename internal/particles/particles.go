@@ -95,6 +95,18 @@ func (e *Ensemble) Stats() Stats {
 	return st
 }
 
+// Mean returns the ensemble centroid, bitwise Stats' MeanX and MeanY: the
+// same recurrence in the same order, without the second moments and the
+// charge.
+func (e *Ensemble) Mean() (mx, my float64) {
+	for i, p := range e.P {
+		n := float64(i + 1)
+		mx += (p.X - mx) / n
+		my += (p.Y - my) / n
+	}
+	return mx, my
+}
+
 // Force is the self-force (electric field times charge, per unit mass as
 // an acceleration) acting on one particle, produced by step 3 of the
 // simulation loop.

@@ -177,3 +177,29 @@ func TestEmittanceSampling(t *testing.T) {
 		}
 	}
 }
+
+// TestMeanMatchesStats: Mean is Stats' centroid recurrence without the
+// second moments, so its result must equal Stats' MeanX and MeanY bit for
+// bit, on sampled bunches of every shape (moved off the origin so the
+// recurrence's steps are not all tiny) and on the empty ensemble.
+func TestMeanMatchesStats(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	var empty Ensemble
+	if mx, my := empty.Mean(); !same(mx, 0) || !same(my, 0) {
+		t.Errorf("empty ensemble: Mean = (%g, %g), want (0, 0)", mx, my)
+	}
+	for _, shape := range []Shape{GaussianShape, FlatTopShape, DoubleGaussianShape, ParabolicShape} {
+		for seed, n := range []int{1, 2, 997, 10007} {
+			e := NewShaped(beam(n), shape, uint64(seed+11))
+			for i := range e.P {
+				e.P[i].X += 3e-3
+				e.P[i].Y -= 7e-2
+			}
+			st := e.Stats()
+			if mx, my := e.Mean(); !same(mx, st.MeanX) || !same(my, st.MeanY) {
+				t.Errorf("%v, %d particles: Mean = (%x, %x), Stats = (%x, %x)", shape, n,
+					math.Float64bits(mx), math.Float64bits(my), math.Float64bits(st.MeanX), math.Float64bits(st.MeanY))
+			}
+		}
+	}
+}
