@@ -1,10 +1,10 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: ci fmt vet build test race test-fleet-race test-alert-race test-jobs-race test-trace-race test-rp-race test-gpu-race bench-obs bench-host bench-floors test-advbench fuzz
+.PHONY: ci fmt vet build test race test-alert-race test-jobs-race test-trace-race test-rp-race test-gpu-race bench-obs bench-host bench-floors test-advbench fuzz
 
 # The full local CI gate: what a PR must pass.
-ci: fmt vet build race test-fleet-race test-alert-race test-jobs-race test-trace-race test-rp-race test-gpu-race bench-obs bench-host bench-floors test-advbench fuzz
+ci: fmt vet build race test-alert-race test-jobs-race test-trace-race test-rp-race test-gpu-race bench-obs bench-host bench-floors test-advbench fuzz
 
 # Formatting gate: fail (and list the offenders) if any file needs gofmt.
 fmt:
@@ -30,30 +30,23 @@ test-advbench:
 race:
 	$(GO) test -race ./...
 
-# Fault-injection paths are concurrency-heavy: race-check the fleet
-# package and run a short chaos pass on every PR that drives the stateful
-# Predictive-RP kernel through a mid-step failure and a slowdown.
-test-fleet-race:
-	$(GO) test -race -count=1 ./internal/fleet/...
-	$(GO) run ./cmd/beamsim -n 5000 -grid 32 -steps 2 -kernel predictive \
-		-devices 3 -inject "fail:dev=1,step=10,after=1;slow:dev=2,step=9,factor=3"
-
 # Incident-layer race gate: the alert engine, flight recorder, bundle
 # writer and export server are all crossed by concurrent goroutines
 # (watchdogs, scrapers, the step loop), so race-check them directly, then
-# run a scripted-chaos pass with alerting and post-mortem dumping enabled
-# and triage the resulting bundle with obstool — the full incident chain,
-# end to end, on every PR. The device failure is the critical alert that
-# dumps the bundle; the steptime rule runs the step-time signal end to end
-# as a warning, which dumps nothing. This gate, test-jobs-race and
+# run a two-device fleet with alerting and post-mortem dumping enabled and
+# triage the resulting bundle with obstool — the full incident chain, end
+# to end, on every PR. The trigger is one the simulation makes itself:
+# Two-Phase-RP refines panels on every step, so the critical
+# "fallback_rate>0" rule fires at the first potentials step (step 2) and
+# dumps postmortem-00-step2-alert; the steptime rule runs the step-time
+# signal end to end as a warning, which dumps nothing. This gate, test-jobs-race and
 # test-trace-race write under a fresh mktemp -d directory (it honours
 # TMPDIR) and remove it on exit.
 test-alert-race:
 	$(GO) test -race -count=1 ./internal/obs/...
 	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) run ./cmd/beamsim -n 5000 -grid 32 -steps 4 -kernel twophase \
-		-devices 2 -inject "fail:dev=1,step=9" \
-		-alerts "device_failed:for=1;steptime>60:sev=warn" \
+		-devices 2 -alerts "fallback_rate>0:for=1;steptime>60:sev=warn" \
 		-postmortem-dir "$$dir" && \
 	$(GO) run ./cmd/obstool postmortem "$$dir"/postmortem-00-*
 
@@ -83,7 +76,7 @@ test-trace-race:
 
 # Telemetry-overhead check: the disabled path must stay within 5% of the
 # uninstrumented kernel step, and the full incident layer (flight recorder
-# + default alert rules — fallback rate, failed devices, charge drift —
+# + default alert rules — fallback rate, charge drift —
 # + invariant gauges) within 5% of the bare simulation step (compare the
 # Benchmark lines by hand, or with benchstat when available).
 bench-obs:
@@ -107,7 +100,9 @@ bench-host:
 # goroutines with per-SM scratch. gpusim's A/B matrices drive the streaming
 # engine and the test-side oracle across resident windows, SM counts and
 # partial warps; the committed identity digests of kernels and fleet then
-# drive the replay under the fleet's per-device goroutines.
+# drive the replay under the fleet's per-device goroutines. The rest of
+# the fleet package (placement, concurrency, a device panic reaching the
+# caller) is race-checked by the race target.
 test-gpu-race:
 	$(GO) test -race -count=1 ./internal/gpusim/...
 	$(GO) test -race -count=1 -run 'IdentityHashes' ./internal/kernels/... ./internal/fleet/...
@@ -139,13 +134,13 @@ bench-floors:
 	$(GO) test -run '^$$' -bench Floor -benchtime 1x ./internal/gpusim ./internal/retard
 
 # Parser fuzzing: run each native fuzz target for a few seconds from its
-# seed corpus (the scenario catalog, the -alerts/-inject scripts above and
-# README's, a rejected "mad=" rule option, non-finite numbers, a JSONL
-# trace with truncated and corrupt copies, and a small checkpoint with
-# crafted configs). No input may panic, and an
-# accepted input's canonical form (re-marshalled spec, Rule.Name,
-# Event.String, re-encoded trace lines, re-saved checkpoint) must parse
-# back to an equal value; the strict and lenient trace readers must agree.
+# seed corpus (the scenario catalog, specs past the step, band and device
+# bounds or carrying a removed fault script, the -alerts scripts above and
+# README's, a rejected "mad=" rule option and device signal, non-finite
+# numbers, a JSONL trace with truncated and corrupt copies, and a small
+# checkpoint with crafted configs). No input may panic, and an accepted
+# input's canonical form (re-marshalled spec, Rule.Name, re-encoded trace
+# lines, re-saved checkpoint) must parse back to an equal value; the strict and lenient trace readers must agree.
 # A failing input is saved under the package's testdata/fuzz and replays
 # in every go test run from then on. FuzzLoad's inputs are ~3 KB gob
 # streams, and minimizing a new one ran the whole default 60 s budget
@@ -158,7 +153,6 @@ bench-floors:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 5s ./internal/jobs
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime 5s ./internal/obs/alert
-	$(GO) test -run '^$$' -fuzz '^FuzzParseEvents$$' -fuzztime 5s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 5s ./internal/obs/analysis
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzEvaluatorMatchesClosure$$' -fuzztime 5s ./internal/retard

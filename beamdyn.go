@@ -145,7 +145,7 @@ func NewMultiGPU(k Kernel, devices int) Algorithm {
 		devs[d].SetLabel(fmt.Sprintf("dev%d", d))
 	}
 	return fleet.New(fleet.Config{
-		Manager: fleet.NewFixed(devs),
+		Devices: devs,
 		MakeKernel: func(id int, dev *Device) kernels.Algorithm {
 			return NewKernelOn(k, dev)
 		},

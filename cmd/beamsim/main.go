@@ -13,36 +13,35 @@
 // per-step predictor-quality series ("-metrics -" prints it to stdout),
 // and a periodic one-line summary. Adding "-http :8080" serves the live
 // telemetry over HTTP while the run advances: /metrics (Prometheus text
-// exposition), /snapshot.json, /healthz (step liveness + fleet device
-// states) and /debug/pprof. Traces feed the offline obstool analyzer
+// exposition), /snapshot.json, /healthz (step liveness and active
+// alerts) and /debug/pprof. Traces feed the offline obstool analyzer
 // (summary, fleet, tree, predictor, diff).
 //
-// Multi-device runs: -devices N (N > 1) runs the kernel on a fleet of N
-// simulated K40s (internal/fleet), one row-band per device, and -inject
-// scripts health events against it; the bands of a device that fails
-// mid-step are re-placed on the survivors:
+// Multi-device runs: -devices N (N > 1, at most fleet.MaxDevices) runs the
+// kernel on a fleet of N simulated K40s (internal/fleet), one row-band per
+// device:
 //
-//	beamsim -devices 4 -inject "fail:dev=1,step=9,after=1" -steps 6
+//	beamsim -devices 4 -steps 6
 //
 // The incident layer (see the Incidents & alerts section of README.md)
 // rides on the same observer: -alerts evaluates a per-step rule script
-// ("default" for the built-in set) over step time, predictor quality,
-// fleet health and the beam's physics invariants, e.g.
+// ("default" for the built-in set) over step time, predictor quality and
+// the beam's physics invariants, e.g.
 //
-//	beamsim -alerts "fallback_rate>0.2:for=5;steptime>2;device_failed"
+//	beamsim -alerts "fallback_rate>0.2:for=5;steptime>2;charge_drift>0.01"
 //
-// and -postmortem-dir makes critical alerts, stalls, unrecovered device
-// failures and run errors dump a self-contained post-mortem bundle there
-// (flight trace, metrics snapshot, alert log, checkpoint, goroutine
-// stacks) for offline triage with "obstool postmortem". The flight trace
-// comes from a recorder that -postmortem-dir turns on: it keeps the last
-// flight.DefaultDepth trace events in memory even when -trace is off.
+// and -postmortem-dir makes critical alerts, stalls and run errors dump a
+// self-contained post-mortem bundle there (flight trace, metrics
+// snapshot, alert log, checkpoint, goroutine stacks) for offline triage
+// with "obstool postmortem". The flight trace comes from a recorder that
+// -postmortem-dir turns on: it keeps the last flight.DefaultDepth trace
+// events in memory even when -trace is off.
 //
 // "beamsim serve" switches from one-shot runs to the job control plane
 // (see the Serving section of README.md): simulations are submitted as
 // JobSpec documents over HTTP (POST /jobs), queued in submission order,
 // dispatched onto a worker pool, checkpointed every step and resumed
-// after device failures.
+// from the latest checkpoint after a kernel panic.
 package main
 
 import (
@@ -86,8 +85,7 @@ func main() {
 
 		hostWorkers = flag.Int("host-workers", 0, "host-side worker count for the kernels' predict/cluster/train phases, the reference solver and the particle force gather and push (0 = GOMAXPROCS; results are identical for any value)")
 
-		devices = flag.Int("devices", 1, "number of simulated devices; more than one runs the kernel on a device fleet, one row-band per device")
-		inject  = flag.String("inject", "", "scripted fleet health events, e.g. \"fail:dev=1,step=9,after=1;slow:dev=2,step=8,factor=3,until=12\" (runs the fleet even at -devices 1)")
+		devices = flag.Int("devices", 1, fmt.Sprintf("number of simulated devices (at most %d); more than one runs the kernel on a device fleet, one row-band per device", fleet.MaxDevices))
 
 		traceOut    = flag.String("trace", "", "write a JSONL span/event trace to this file")
 		node        = flag.String("node", "", "node label stamped as baggage on every traced span/event")
@@ -96,10 +94,13 @@ func main() {
 		httpAddr    = flag.String("http", "", "serve live telemetry on this address (e.g. :8080): /metrics, /snapshot.json, /healthz, /alerts, /debug/pprof")
 		staleAfter  = flag.Duration("stale-after", 30*time.Second, "with -http, /healthz reports stalled (503) when no step completes within this window; with -postmortem-dir, the stall watchdog dumps a bundle after it (0 disables both)")
 
-		alerts        = flag.String("alerts", "", "per-step alert rules, e.g. \"fallback_rate>0.2:for=5;steptime>2;device_failed\" (\"default\" for the built-in set; empty disables alerting)")
-		postmortemDir = flag.String("postmortem-dir", "", "dump post-mortem bundles under this directory on critical alerts, stalls, unrecovered device failures and run errors; also keeps the last trace events in memory for them")
+		alerts        = flag.String("alerts", "", "per-step alert rules, e.g. \"fallback_rate>0.2:for=5;steptime>2;charge_drift>0.01\" (\"default\" for the built-in set; empty disables alerting)")
+		postmortemDir = flag.String("postmortem-dir", "", "dump post-mortem bundles under this directory on critical alerts, stalls and run errors; also keeps the last trace events in memory for them")
 	)
 	flag.Parse()
+	if err := checkDevices(*devices); err != nil {
+		log.Fatalf("invalid flags: %v", err)
+	}
 
 	var sim *beamdyn.Simulation
 	if *load != "" {
@@ -127,17 +128,14 @@ func main() {
 		sim = beamdyn.New(cfg)
 	}
 	sim.Cfg.HostWorkers = *hostWorkers
-	fleetMode := *devices > 1 || *inject != ""
-	if *devices < 1 {
-		log.Fatalf("-devices %d: need at least one device", *devices)
-	}
+	fleetMode := *devices > 1
 	prof := gpusim.NewProfiler()
 
 	// Telemetry: one observer feeds the trace sink, the metrics registry
 	// (including the simulated-GPU counters via the device recorder) and
 	// the predictor-quality series. Fleet runs always get an observer so
 	// the end-of-run snapshot table carries the fleet counters (bands
-	// dispatched/retried, device state transitions).
+	// dispatched, per-device busy time and utilization).
 	var (
 		observer  *obs.Observer
 		traceSink *obs.JSONLSink
@@ -228,7 +226,7 @@ func main() {
 		ksel = beamdyn.PredictiveRP
 	case "reference":
 		if fleetMode {
-			log.Fatal("-kernel reference runs on the host; it cannot drive -devices or -inject")
+			log.Fatal("-kernel reference runs on the host; it cannot drive -devices")
 		}
 	default:
 		log.Printf("unknown kernel %q", *kernel)
@@ -249,32 +247,22 @@ func main() {
 	}
 
 	var fl *fleet.Fleet
-	var mgr fleet.Manager
+	var devs []*gpusim.Device
 	switch {
 	case *kernel == "reference":
 		// Host reference solver: sim.Algo stays nil.
 	case fleetMode:
-		devs := make([]*gpusim.Device, *devices)
+		devs = make([]*gpusim.Device, *devices)
 		for d := range devs {
 			devs[d] = newDevice(d)
 		}
-		if *inject != "" {
-			events, err := fleet.ParseEvents(*inject)
-			if err != nil {
-				log.Fatal(err)
-			}
-			mgr = fleet.NewInjectable(devs, events)
-		} else {
-			mgr = fleet.NewFixed(devs)
-		}
 		fl = fleet.New(fleet.Config{
-			Manager: mgr,
+			Devices: devs,
 			MakeKernel: func(id int, dev *gpusim.Device) beamdyn.Algorithm {
 				return beamdyn.NewKernelOn(ksel, dev)
 			},
 		})
 		sim.Algo = fl
-		sim.DeviceCounts = fl.Counts
 	default:
 		sim.Algo = beamdyn.NewKernelOn(ksel, newDevice(0))
 	}
@@ -291,22 +279,6 @@ func main() {
 
 	if *httpAddr != "" {
 		srv := &export.Server{Obs: observer, Alerts: engine, StaleAfter: *staleAfter}
-		if fl != nil {
-			srv.Devices = func() []export.DeviceHealth {
-				hs := fl.Health()
-				out := make([]export.DeviceHealth, len(hs))
-				for i, h := range hs {
-					out[i] = export.DeviceHealth{
-						Device:      h.Label,
-						State:       h.State,
-						Slowdown:    h.Slowdown,
-						BusySec:     h.BusySec,
-						Utilization: h.Utilization,
-					}
-				}
-				return out
-			}
-		}
 		_, addr, err := srv.Start(*httpAddr)
 		if err != nil {
 			log.Fatal(err)
@@ -374,18 +346,6 @@ func main() {
 	if watchStop != nil {
 		close(watchStop)
 	}
-	// An unrecovered device failure is an incident even when no alert rule
-	// watched for it: if the run ends with failed devices and nothing else
-	// dumped a bundle, dump one now.
-	if bundleW != nil && fl != nil {
-		if failed, _ := fl.Counts(); failed > 0 && bundleW.Written() == 0 {
-			if dir, err := bundleW.Dump("device-failure", sim.Step, nil); err != nil {
-				log.Printf("post-mortem: %v", err)
-			} else {
-				fmt.Printf("post-mortem bundle (unrecovered device failure) at %s\n", dir)
-			}
-		}
-	}
 	if dropped := sim.Dropped(); dropped > 0 {
 		fmt.Printf("warning: %d particle depositions fell outside the grid\n", dropped)
 	}
@@ -395,19 +355,10 @@ func main() {
 	}
 	if fl != nil {
 		st := fl.LastStats()
-		fmt.Printf("\nfleet summary (last step): bands=%d retried=%d\n",
-			st.Bands, st.Retried)
-		for d := 0; d < mgr.NumDevices(); d++ {
-			fmt.Printf("  %-6s state=%-8s slowdown=%.3g busy=%.4gs util=%.0f%%\n",
-				mgr.Device(d).Label(), mgr.State(d), mgr.Slowdown(d),
-				st.Busy[d], 100*st.Utilization(d))
-		}
-		if trans := mgr.Transitions(); len(trans) > 0 {
-			fmt.Println("  state transitions:")
-			for _, tr := range trans {
-				fmt.Printf("    step %3d: dev%d %s -> %s (%s)\n",
-					tr.Step, tr.Device, tr.From, tr.To, tr.Reason)
-			}
+		fmt.Printf("\nfleet summary (last step): bands=%d\n", st.Bands)
+		for d, dev := range devs {
+			fmt.Printf("  %-6s busy=%.4gs util=%.0f%%\n",
+				dev.Label(), st.Busy[d], 100*st.Utilization(d))
 		}
 	}
 	if observer != nil {
@@ -454,6 +405,14 @@ func main() {
 		f.Close()
 		fmt.Printf("checkpoint written to %s (step %d)\n", *save, sim.Step)
 	}
+}
+
+// checkDevices reports why -devices n cannot run.
+func checkDevices(n int) error {
+	if n < 1 || n > fleet.MaxDevices {
+		return fmt.Errorf("-devices %d: want 1 to %d devices", n, fleet.MaxDevices)
+	}
+	return nil
 }
 
 // runGuarded runs body and, on panic, dumps a "run-error" bundle and

@@ -14,8 +14,8 @@ import (
 
 // runServe is the "beamsim serve" mode: a long-running job control plane
 // serving the jobs API alongside the telemetry endpoints. Jobs run in
-// submission order, checkpointed at every step and resumed after device
-// failures.
+// submission order, checkpointed at every step and resumed from the
+// latest checkpoint after a kernel panic.
 //
 //	beamsim serve -http :8080 -workers 2
 //	beamsim serve -oneshot -submit a.json,b.json -trace serve.jsonl

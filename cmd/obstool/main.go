@@ -10,9 +10,9 @@
 //	    cache section (tile-scratch and radial-memo reuse rates).
 //
 //	obstool fleet trace.jsonl
-//	    Fleet scheduler accounting: bands dispatched/retried and
-//	    per-device busy time, mean utilization and lifecycle states,
-//	    from the fleet/device point events (tree skips point events).
+//	    Fleet accounting: steps and bands dispatched, and per-device
+//	    busy time and mean utilization, from the fleet/device point
+//	    events (tree skips point events).
 //
 //	obstool tree trace.jsonl [-job ID]
 //	    Causal span-tree reconstruction from trace/span/parent IDs: per
@@ -55,7 +55,7 @@ func usage() {
 
 commands:
   summary   trace.jsonl                  per-span aggregation (count, mean, p50/p95/p99, max)
-  fleet     trace.jsonl                  per-device utilization and retry accounting
+  fleet     trace.jsonl                  per-device busy time and utilization
   tree      trace.jsonl                  causal span tree with self/total time and critical path
   predictor trace.jsonl                  predictor quality series + fallback spike detection
   diff      old.jsonl new.jsonl          compare two runs per span name

@@ -10,7 +10,7 @@ import (
 
 // benchAdvance measures the full simulation step with the incident layer
 // off (the bare production path) and on (flight recorder + default alert
-// rules + device counts + physics-invariant gauges). Comparing the two
+// rules + physics-invariant gauges). Comparing the two
 // Benchmark lines bounds the alerting overhead; the acceptance budget is
 // < 5% over the bare step (make bench-obs).
 func benchAdvance(b *testing.B, incident bool) {
@@ -26,7 +26,6 @@ func benchAdvance(b *testing.B, incident bool) {
 			b.Fatal(err)
 		}
 		s.Alerts = alert.NewEngine(alert.Config{Rules: rules, Obs: o})
-		s.DeviceCounts = func() (failed, degraded int) { return 0, 0 }
 	}
 	s.Warmup()
 	b.ResetTimer()

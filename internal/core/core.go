@@ -218,15 +218,10 @@ type Simulation struct {
 	Obs *obs.Observer
 	// Alerts, when non-nil, is evaluated once at the end of every Advance
 	// with the step's runtime signals: wall time, the kernel's fallback
-	// behaviour, predictor forecast quality, fleet device health (via
-	// DeviceCounts) and the physics invariants computed from
-	// diagnostics.Analyze. Firing alerts surface through the observer's
-	// registry and trace; nil costs one pointer test per step.
+	// behaviour, predictor forecast quality and the physics invariants
+	// computed from diagnostics.Analyze. Firing alerts surface through the
+	// observer's registry and trace; nil costs one pointer test per step.
 	Alerts *alert.Engine
-	// DeviceCounts optionally reports (failed, degraded) device counts for
-	// the alert engine's device_failed/device_degraded signals (wired from
-	// fleet.Fleet.Counts by beamsim).
-	DeviceCounts func() (failed, degraded int)
 
 	// cx, cy track the exact bunch centre in continuum mode.
 	cx, cy  float64
@@ -417,8 +412,8 @@ func (s *Simulation) Advance() int {
 }
 
 // evalAlerts assembles the step's alert-engine input — kernel fallback
-// behaviour, predictor quality, device health, and the physics-invariant
-// drifts — and evaluates the rule set. The invariant gauges are only
+// behaviour, predictor quality and the physics-invariant drifts — and
+// evaluates the rule set. The invariant gauges are only
 // computed here, so runs without an alert engine pay nothing for them.
 func (s *Simulation) evalAlerts(step int, wallSec float64) {
 	in := alert.Input{Step: step, StepSeconds: wallSec}
@@ -434,10 +429,6 @@ func (s *Simulation) evalAlerts(step int, wallSec float64) {
 			in.FallbackEntries = float64(smp.FallbackEntries)
 			in.ErrMean, in.ErrP90, in.ErrMax = smp.ErrMean, smp.ErrP90, smp.ErrMax
 		}
-	}
-	if s.DeviceCounts != nil {
-		in.HasDevices = true
-		in.DeviceFailed, in.DeviceDegraded = s.DeviceCounts()
 	}
 	if s.Ensemble.Len() > 0 {
 		sum := diagnostics.Analyze(s.Ensemble)

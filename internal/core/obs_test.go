@@ -88,7 +88,7 @@ func TestAdvanceWithoutObserverMatchesObserved(t *testing.T) {
 
 func TestAdvanceWithIncidentLayerBitwiseIdentical(t *testing.T) {
 	// The full incident layer — flight recorder, alert engine over the
-	// default rules, device counts, physics-invariant gauges — must leave
+	// default rules, physics-invariant gauges — must leave
 	// the simulation output bitwise identical to a bare run.
 	plain := New(testConfig())
 	armed := New(testConfig())
@@ -102,7 +102,6 @@ func TestAdvanceWithIncidentLayerBitwiseIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	armed.Alerts = alert.NewEngine(alert.Config{Rules: rules, Obs: o})
-	armed.DeviceCounts = func() (int, int) { return 0, 0 }
 
 	plain.Warmup()
 	armed.Warmup()

@@ -45,7 +45,7 @@ func Scaling(name KernelName, counts []int, scale Scale, seed uint64) *ScalingRe
 			devs[i] = gpusim.New(gpusim.KeplerK40())
 		}
 		algo := fleet.New(fleet.Config{
-			Manager: fleet.NewFixed(devs),
+			Devices: devs,
 			MakeKernel: func(_ int, dev *gpusim.Device) kernels.Algorithm {
 				return newAlgorithmOn(name, dev)
 			},

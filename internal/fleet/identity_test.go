@@ -31,7 +31,7 @@ func TestFleetIdentityHashes(t *testing.T) {
 		t.Skipf("digests recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
 	}
 	p, target := fixture(8, 16)
-	f := newTwoPhaseFleet(NewFixed([]*gpusim.Device{gpusim.New(gpusim.KeplerK40())}), 4)
+	f := newTwoPhaseFleet(1, 4)
 	res := f.Step(p, target, 0)
 
 	g := sha256.New()
@@ -102,7 +102,7 @@ func stepDigests(data []float64, res *kernels.StepResult) identityDigests {
 }
 
 // TestFleetMultiGPUIdentityHashes runs each two-device row for three
-// steps through fleet.New over two fixed K40s with Bands unset and
+// steps through fleet.New over two K40s with Bands unset and
 // compares every step's digests with the committed constants.
 func TestFleetMultiGPUIdentityHashes(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
@@ -115,7 +115,7 @@ func TestFleetMultiGPUIdentityHashes(t *testing.T) {
 	p, target := fixture(8, 24)
 	for name, want := range multiGPUWant {
 		t.Run(name, func(t *testing.T) {
-			fl := newKernelFleet(NewFixed(testDevices(2)), 0, kernelsOf[name])
+			fl := newKernelFleet(2, 0, kernelsOf[name])
 			for step, w := range want {
 				g := target.Clone()
 				res := fl.Step(p, g, 0)

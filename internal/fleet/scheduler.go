@@ -15,15 +15,16 @@ import (
 
 // Config configures a Fleet.
 type Config struct {
-	// Manager is the device registry the scheduler runs against.
-	Manager Manager
+	// Devices are the simulated GPUs the fleet runs on, one kernel and
+	// one band queue each.
+	Devices []*gpusim.Device
 	// MakeKernel builds the per-device kernel bound to device id's
-	// handle; it is invoked once per registered device.
+	// handle; it is invoked once per device.
 	MakeKernel func(id int, dev *gpusim.Device) kernels.Algorithm
 	// Bands fixes the total row-band count. 0 means one band per device,
 	// the static split of the multi-GPU predecessor [10]. Holding Bands
 	// constant across device counts makes the per-band numerics identical,
-	// which is what the bitwise fault-tolerance tests rely on.
+	// which is what the bitwise tests rely on.
 	Bands int
 }
 
@@ -31,59 +32,45 @@ type Config struct {
 type Stats struct {
 	// Bands is the number of bands dispatched.
 	Bands int
-	// Retried counts bands re-placed after their device failed or became
-	// unavailable mid-step: the band in flight and every band still
-	// queued behind it.
-	Retried int
-	// Busy is the per-device simulated busy time (band kernel time scaled
-	// by the device's slowdown factor), including doomed attempts.
+	// Busy is the per-device simulated busy time: the sum of its bands'
+	// kernel time.
 	Busy []float64
 }
 
 // Utilization returns device d's busy time as a fraction of the busiest
 // device's (0 when the step did no work).
 func (s Stats) Utilization(d int) float64 {
-	var max float64
-	for _, b := range s.Busy {
-		if b > max {
-			max = b
-		}
-	}
+	max := maxOf(s.Busy)
 	if max == 0 {
 		return 0
 	}
 	return s.Busy[d] / max
 }
 
-// Fleet runs a compute-potentials kernel across a managed device fleet.
-// It implements kernels.Algorithm, so it drops into core.Simulation, the
+// Fleet runs a compute-potentials kernel across several devices. It
+// implements kernels.Algorithm, so it drops into core.Simulation, the
 // benches and the experiments harness wherever a single-device kernel
 // would.
 type Fleet struct {
 	cfg   Config
-	mgr   Manager
 	algos []kernels.Algorithm
 	obs   *obs.Observer
-
-	// seen counts manager transitions already mirrored into the registry.
-	seen int
 
 	mu   sync.Mutex
 	last Stats
 }
 
-// New builds a Fleet over cfg.Manager's devices.
+// New builds a Fleet over cfg.Devices.
 func New(cfg Config) *Fleet {
-	if cfg.Manager == nil {
-		panic("fleet: Config.Manager is nil")
+	if len(cfg.Devices) == 0 {
+		panic("fleet: Config.Devices is empty")
 	}
 	if cfg.MakeKernel == nil {
 		panic("fleet: Config.MakeKernel is nil")
 	}
-	n := cfg.Manager.NumDevices()
-	f := &Fleet{cfg: cfg, mgr: cfg.Manager}
-	for id := 0; id < n; id++ {
-		f.algos = append(f.algos, cfg.MakeKernel(id, cfg.Manager.Device(id)))
+	f := &Fleet{cfg: cfg}
+	for id, dev := range cfg.Devices {
+		f.algos = append(f.algos, cfg.MakeKernel(id, dev))
 	}
 	return f
 }
@@ -142,15 +129,18 @@ type bandTask struct {
 }
 
 // Step implements kernels.Algorithm: split the target into row-bands,
-// place them on the schedulable devices, run every device's queue on its
-// own goroutine, re-place the bands of devices that failed over the
-// survivors until none is left, and reassemble. Placement depends only on
-// band rows and device slowdowns, and each device runs its queue in
-// order, so the output depends only on the inputs and the manager's
-// health script.
+// place them on the devices, run every device's queue on its own
+// goroutine, and reassemble. Placement depends only on band rows, and
+// each device runs its queue in order, so the output depends only on the
+// inputs.
+//
+// A kernel panic does not kill the process from a device goroutine:
+// every other queue finishes, and Step then re-panics on the caller's
+// goroutine with the panic value of the lowest device index that
+// panicked, so callers can recover it. The fleet's kernels keep whatever
+// state the failed step left, so a recovered fleet should be discarded.
 func (f *Fleet) Step(p *retard.Problem, target *grid.Grid, comp int) *kernels.StepResult {
-	n := f.mgr.NumDevices()
-	f.mgr.BeginStep(target.Step)
+	n := len(f.algos)
 	sp := f.obs.Span("fleet/step", target.Step)
 	scope := sp.Scope()
 
@@ -164,55 +154,41 @@ func (f *Fleet) Step(p *retard.Problem, target *grid.Grid, comp int) *kernels.St
 		tasks[i] = &bandTask{index: i, lo: b[0], hi: b[1], band: bandGrid(target, b[0], b[1])}
 	}
 
-	live := make([]bool, n)
-	for d := range live {
-		live[d] = f.mgr.State(d).Schedulable()
-	}
 	busy := make([]float64, n)
-	left := make([][]*bandTask, n)
-	retried := 0
-	for pending := tasks; len(pending) > 0; {
-		queues := f.place(pending, live, target.Step)
-		var wg sync.WaitGroup
-		for d, q := range queues {
-			if len(q) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(d int, q []*bandTask) {
-				defer wg.Done()
-				left[d] = f.runQueue(scope, d, q, p, target, comp, &busy[d])
-			}(d, q)
+	panicked := make([]any, n)
+	var wg sync.WaitGroup
+	for d, q := range place(tasks, n) {
+		if len(q) == 0 {
+			continue
 		}
-		wg.Wait()
-		pending = nil
-		for d, l := range left {
-			if len(l) > 0 {
-				live[d] = false
-				pending = append(pending, l...)
-				left[d] = nil
-			}
+		wg.Add(1)
+		go func(d int, q []*bandTask) {
+			defer wg.Done()
+			defer func() { panicked[d] = recover() }()
+			busy[d] = f.runQueue(scope, d, q, p, target, comp)
+		}(d, q)
+	}
+	wg.Wait()
+	for _, r := range panicked {
+		if r != nil {
+			panic(r)
 		}
-		retried += len(pending)
 	}
 
 	agg := reassemble(target, comp, tasks, busy)
 
 	f.mu.Lock()
-	f.last = Stats{Bands: len(tasks), Retried: retried, Busy: busy}
+	f.last = Stats{Bands: len(tasks), Busy: busy}
 	f.mu.Unlock()
-	f.record(target.Step, len(tasks), retried, busy)
-	sp.End(obs.I("bands", len(tasks)), obs.I("retried", retried),
-		obs.F("sim_sec", agg.Metrics.Time))
+	f.record(target.Step, len(tasks), busy)
+	sp.End(obs.I("bands", len(tasks)), obs.F("sim_sec", agg.Metrics.Time))
 	return agg
 }
 
-// place assigns one round's bands to the live devices
-// longest-processing-time-first: the tallest band first (lower band index
-// on ties) onto the device whose completion, its queued rows times its
-// slowdown, is earliest (lower device index on ties). Every survivor is
-// idle when a round starts, so each round places from zero load.
-func (f *Fleet) place(bands []*bandTask, live []bool, step int) [][]*bandTask {
+// place assigns the bands to n devices longest-processing-time-first:
+// the tallest band first (lower band index on ties) onto the device with
+// the fewest queued rows (lower device index on ties).
+func place(bands []*bandTask, n int) [][]*bandTask {
 	order := append([]*bandTask(nil), bands...)
 	sort.Slice(order, func(i, j int) bool {
 		hi, hj := order[i].hi-order[i].lo, order[j].hi-order[j].lo
@@ -221,33 +197,26 @@ func (f *Fleet) place(bands []*bandTask, live []bool, step int) [][]*bandTask {
 		}
 		return order[i].index < order[j].index
 	})
-	queues := make([][]*bandTask, len(live))
-	load := make([]float64, len(live))
+	queues := make([][]*bandTask, n)
+	load := make([]int, n)
 	for _, t := range order {
-		best, bestDone := -1, 0.0
-		for d, ok := range live {
-			if !ok {
-				continue
-			}
-			done := load[d] + float64(t.hi-t.lo)*f.mgr.Slowdown(d)
-			if best < 0 || done < bestDone {
-				best, bestDone = d, done
+		best := 0
+		for d := 1; d < n; d++ {
+			if load[d] < load[best] {
+				best = d
 			}
 		}
-		if best < 0 {
-			panic(fmt.Sprintf("fleet: band %d unplaced at step %d: no schedulable devices", t.index, step))
-		}
-		load[best] = bestDone
+		load[best] += t.hi - t.lo
 		queues[best] = append(queues[best], t)
 	}
 	return queues
 }
 
-// runQueue runs device d's bands in order. When the device fails it
-// returns the band in flight, rebuilt clean, followed by the bands still
-// queued behind it; nil means the queue finished.
-func (f *Fleet) runQueue(scope *obs.Observer, d int, q []*bandTask, p *retard.Problem, target *grid.Grid, comp int, busy *float64) []*bandTask {
-	for i, t := range q {
+// runQueue runs device d's bands in order and returns the device's
+// simulated busy time.
+func (f *Fleet) runQueue(scope *obs.Observer, d int, q []*bandTask, p *retard.Problem, target *grid.Grid, comp int) float64 {
+	var busy float64
+	for _, t := range q {
 		// Each band executes under its own child span of fleet/step; the
 		// per-device kernel is re-scoped so its sub-phase spans parent
 		// under the band. Only this goroutine touches f.algos[d], so the
@@ -256,25 +225,12 @@ func (f *Fleet) runQueue(scope *obs.Observer, d int, q []*bandTask, p *retard.Pr
 		if ob, ok := f.algos[d].(kernels.Observable); ok {
 			ob.SetObserver(bsp.Scope())
 		}
-		var res *kernels.StepResult
-		err := f.mgr.ExecBand(d, func(dev *gpusim.Device) {
-			res = f.algos[d].Step(p, t.band, comp)
-		})
-		if res != nil {
-			// Even a doomed attempt kept the device busy until it died.
-			*busy += res.Metrics.Time * f.mgr.Slowdown(d)
-		}
-		if err != nil {
-			t.band = bandGrid(target, t.lo, t.hi)
-			bsp.End(obs.I("device", d), obs.I("band", t.index),
-				obs.I("rows", t.hi-t.lo), obs.S("outcome", "failed"))
-			return q[i:]
-		}
-		t.res = res
+		t.res = f.algos[d].Step(p, t.band, comp)
+		busy += t.res.Metrics.Time
 		bsp.End(obs.I("device", d), obs.I("band", t.index),
-			obs.I("rows", t.hi-t.lo), obs.F("sim_sec", res.Metrics.Time))
+			obs.I("rows", t.hi-t.lo), obs.F("sim_sec", t.res.Metrics.Time))
 	}
-	return nil
+	return busy
 }
 
 // reassemble copies every band's potentials into the target and
@@ -301,64 +257,55 @@ func reassemble(target *grid.Grid, comp int, tasks []*bandTask, busy []float64) 
 	}
 	// Devices run concurrently: the step finishes when the busiest one
 	// does.
-	var maxBusy float64
-	for _, b := range busy {
-		if b > maxBusy {
-			maxBusy = b
-		}
-	}
-	agg.Metrics.Time = maxBusy
+	agg.Metrics.Time = maxOf(busy)
 	return agg
 }
 
 // record mirrors the step's fleet behaviour into the metrics registry
 // and, when a trace sink is attached, emits one "fleet/device" event per
 // device so offline trace analysis (obstool fleet) can reconstruct
-// per-device utilization and state without the registry snapshot.
-func (f *Fleet) record(step, bands, retried int, busy []float64) {
+// per-device utilization without the registry snapshot.
+func (f *Fleet) record(step, bands int, busy []float64) {
 	if f.obs == nil {
 		return
 	}
-	var maxBusy float64
-	for _, b := range busy {
-		if b > maxBusy {
-			maxBusy = b
+	maxBusy := maxOf(busy)
+	util := func(d int) float64 {
+		if maxBusy == 0 {
+			return 0
 		}
+		return busy[d] / maxBusy
 	}
 	if reg := f.obs.Reg; reg != nil {
 		reg.Counter("fleet_steps_total").Inc()
 		reg.Counter("fleet_bands_dispatched_total").Add(uint64(bands))
-		reg.Counter("fleet_bands_retried_total").Add(uint64(retried))
 		for d := range busy {
 			lbl := obs.Label{Key: "device", Value: strconv.Itoa(d)}
 			reg.Gauge("fleet_device_busy_sim_seconds", lbl).Add(busy[d])
 			if maxBusy > 0 {
-				reg.Gauge("fleet_device_utilization", lbl).Set(busy[d] / maxBusy)
+				reg.Gauge("fleet_device_utilization", lbl).Set(util(d))
 			}
-			reg.Gauge("fleet_device_state", lbl).Set(float64(f.mgr.State(d)))
 		}
-		trans := f.mgr.Transitions()
-		for _, tr := range trans[f.seen:] {
-			reg.Counter("fleet_device_state_transitions_total",
-				obs.Label{Key: "device", Value: strconv.Itoa(tr.Device)},
-				obs.Label{Key: "to", Value: tr.To.String()}).Inc()
-		}
-		f.seen = len(trans)
 	}
 	if f.obs.TraceEnabled() {
 		for d := range busy {
-			util := 0.0
-			if maxBusy > 0 {
-				util = busy[d] / maxBusy
-			}
 			f.obs.Event("fleet/device", step,
 				obs.I("device", d),
-				obs.S("state", f.mgr.State(d).String()),
-				obs.F("slowdown", f.mgr.Slowdown(d)),
 				obs.F("busy_sim_sec", busy[d]),
-				obs.F("utilization", util))
+				obs.F("utilization", util(d)))
 		}
 	}
+}
+
+// maxOf returns the largest value of vs (0 for none).
+func maxOf(vs []float64) float64 {
+	var m float64
+	for _, v := range vs {
+		if v > m {
+			m = v
+		}
+	}
+	return m
 }
 
 // BandSplit splits ny rows into at most want contiguous bands of at least

@@ -12,6 +12,7 @@ import (
 	"beamdyn/internal/grid"
 	"beamdyn/internal/kernels"
 	"beamdyn/internal/obs"
+	"beamdyn/internal/obs/flight"
 	"beamdyn/internal/phys"
 	"beamdyn/internal/retard"
 )
@@ -47,21 +48,29 @@ func fixture(steps, nx int) (*retard.Problem, *grid.Grid) {
 	return p, target
 }
 
-// newKernelFleet builds a Fleet over mgr running mk's kernel on every
-// device; bands 0 means one band per device.
-func newKernelFleet(mgr Manager, bands int, mk func(dev *gpusim.Device) kernels.Algorithm) *Fleet {
+func testDevices(n int) []*gpusim.Device {
+	devs := make([]*gpusim.Device, n)
+	for i := range devs {
+		devs[i] = gpusim.New(gpusim.KeplerK40())
+	}
+	return devs
+}
+
+// newKernelFleet builds a Fleet over devices fresh K40s running mk's
+// kernel on every device; bands 0 means one band per device.
+func newKernelFleet(devices, bands int, mk func(dev *gpusim.Device) kernels.Algorithm) *Fleet {
 	return New(Config{
-		Manager:    mgr,
+		Devices:    testDevices(devices),
 		MakeKernel: func(id int, dev *gpusim.Device) kernels.Algorithm { return mk(dev) },
 		Bands:      bands,
 	})
 }
 
-// newTwoPhaseFleet builds a Fleet of TwoPhase kernels over mgr. TwoPhase
-// carries no cross-step state, so per-band results depend only on the band
+// newTwoPhaseFleet builds a Fleet of TwoPhase kernels. TwoPhase carries
+// no cross-step state, so per-band results depend only on the band
 // geometry — the property the bitwise tests rely on.
-func newTwoPhaseFleet(mgr Manager, bands int) *Fleet {
-	return newKernelFleet(mgr, bands, newTwoPhase)
+func newTwoPhaseFleet(devices, bands int) *Fleet {
+	return newKernelFleet(devices, bands, newTwoPhase)
 }
 
 func newTwoPhase(dev *gpusim.Device) kernels.Algorithm   { return kernels.NewTwoPhase(dev) }
@@ -101,7 +110,7 @@ func TestFleetMatchesReference(t *testing.T) {
 	ref := target.Clone()
 	p.SolveGrid(ref, 0)
 
-	fl := newTwoPhaseFleet(NewFixed(testDevices(2)), 0)
+	fl := newTwoPhaseFleet(2, 0)
 	out := target.Clone()
 	res := fl.Step(p, out, 0)
 
@@ -127,7 +136,7 @@ func TestFleetPredictiveMatchesReference(t *testing.T) {
 	ref := target.Clone()
 	p.SolveGrid(ref, 0)
 
-	fl := newKernelFleet(NewFixed(testDevices(4)), 0, newPredictive)
+	fl := newKernelFleet(4, 0, newPredictive)
 	fl.Step(p, target.Clone(), 0) // bootstrap
 	out := target.Clone()
 	res := fl.Step(p, out, 0)
@@ -148,7 +157,7 @@ func TestFleetPredictiveMatchesReference(t *testing.T) {
 func TestFleetScales(t *testing.T) {
 	p, target := fixture(8, 48)
 	time := func(devices int) float64 {
-		fl := newKernelFleet(NewFixed(testDevices(devices)), 0, newPredictive)
+		fl := newKernelFleet(devices, 0, newPredictive)
 		fl.Step(p, target.Clone(), 0)
 		return fl.Step(p, target.Clone(), 0).Metrics.Time
 	}
@@ -165,7 +174,7 @@ func TestFleetScales(t *testing.T) {
 
 func TestFleetForwardsObserver(t *testing.T) {
 	p, target := fixture(8, 24)
-	fl := newKernelFleet(NewFixed(testDevices(2)), 0, newPredictive)
+	fl := newKernelFleet(2, 0, newPredictive)
 	o := obs.New()
 	fl.SetObserver(o)
 	fl.Step(p, target.Clone(), 0)
@@ -174,30 +183,21 @@ func TestFleetForwardsObserver(t *testing.T) {
 	}
 }
 
-// TestFleetChaos is the acceptance scenario: one of four devices scripted
-// to fail mid-step. The fleet must complete the step, the potential grid
-// must be bitwise identical to a single-device run with the same band
-// decomposition, and the retried-band / state-transition counters must
-// appear in the obs metrics.
-func TestFleetChaos(t *testing.T) {
+// TestFleetBitwiseAcrossDeviceCounts holds the band count fixed and
+// varies the device count: four devices must produce a potential grid
+// bitwise identical to one device running the same eight bands, and the
+// dispatch counter must appear in the obs metrics.
+func TestFleetBitwiseAcrossDeviceCounts(t *testing.T) {
 	p, target := fixture(8, 24)
 	const bands = 8
 
-	// Single-device baseline with the same explicit decomposition.
-	single := newTwoPhaseFleet(NewFixed(testDevices(1)), bands)
+	single := newTwoPhaseFleet(1, bands)
 	baseline := target.Clone()
 	single.Step(p, baseline, 0)
 
-	// Four devices, device 1 dies during its first band of step 0.
-	events, err := ParseEvents("fail:dev=1,step=0,after=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr := NewInjectable(testDevices(4), events)
-	fl := newTwoPhaseFleet(mgr, bands)
+	fl := newTwoPhaseFleet(4, bands)
 	observer := obs.New()
 	fl.SetObserver(observer)
-
 	out := target.Clone()
 	fl.Step(p, out, 0)
 
@@ -207,80 +207,46 @@ func TestFleetChaos(t *testing.T) {
 				i, out.Data[i], baseline.Data[i])
 		}
 	}
-
-	// Device 1 held bands 1 and 5: the one in flight and the one queued
-	// behind it are both re-placed.
-	st := fl.LastStats()
-	if st.Retried != 2 {
-		t.Fatalf("retried = %d, want 2 (the band in flight and the one queued behind it)", st.Retried)
-	}
-	if mgr.State(1) != Failed {
-		t.Fatalf("device 1 state = %v, want Failed", mgr.State(1))
-	}
-	trans := mgr.Transitions()
-	if len(trans) != 1 || trans[0].Device != 1 || trans[0].From != Healthy || trans[0].To != Failed {
-		t.Fatalf("transitions = %+v, want one Healthy->Failed on device 1", trans)
-	}
-
 	snap := observer.Reg.Snapshot()
-	if got := counterValue(t, snap, "fleet_bands_retried_total", nil); got != 2 {
-		t.Fatalf("fleet_bands_retried_total = %d, want 2", got)
-	}
-	if got := counterValue(t, snap, "fleet_device_state_transitions_total",
-		map[string]string{"device": "1", "to": "failed"}); got != 1 {
-		t.Fatalf("fleet_device_state_transitions_total{device=1,to=failed} = %d, want 1", got)
-	}
 	if got := counterValue(t, snap, "fleet_bands_dispatched_total", nil); got != bands {
 		t.Fatalf("fleet_bands_dispatched_total = %d, want %d", got, bands)
 	}
+	if got := counterValue(t, snap, "fleet_steps_total", nil); got != 1 {
+		t.Fatalf("fleet_steps_total = %d, want 1", got)
+	}
 }
 
-// TestFleetDeterministic repeats scripted chaos runs and requires every
-// repeat to be identical: the output grid bitwise, the Metrics printed
-// with %#v, the Stats and the state-transition log, after every step.
-// The Predictive-RP case is the strict one: each device's model trains
-// on the bands it ran, so any change in placement or queue order between
-// repeats shows up in the grid.
+// TestFleetDeterministic repeats fleet runs and requires every repeat to
+// be identical: the output grid bitwise, the Metrics printed with %#v and
+// the Stats, after every step. The Predictive-RP case is the strict one:
+// each device's model trains on the bands it ran, so any change in
+// placement or queue order between repeats shows up in the grid.
 func TestFleetDeterministic(t *testing.T) {
 	cases := []struct {
-		name           string
-		mk             func(dev *gpusim.Device) kernels.Algorithm
-		script         string
-		bands, steps   int
-		repeats        int
-		wantRetriedSum int
+		name         string
+		mk           func(dev *gpusim.Device) kernels.Algorithm
+		bands, steps int
+		repeats      int
 	}{
-		{"twophase", newTwoPhase, "fail:dev=2,step=0,after=1;slow:dev=0,step=0,factor=2", 6, 1, 2, 2},
-		{"predictive", newPredictive,
-			"fail:dev=2,step=1,after=1;slow:dev=0,step=0,factor=2", 6, 3, 6, 2},
+		{"twophase", newTwoPhase, 6, 1, 2},
+		{"predictive", newPredictive, 6, 3, 6},
 	}
 	p, target := fixture(8, 24)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func() []string {
-				events, err := ParseEvents(tc.script)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mgr := NewInjectable(testDevices(3), events)
-				fl := newKernelFleet(mgr, tc.bands, tc.mk)
+				fl := newKernelFleet(3, tc.bands, tc.mk)
 				var out []string
-				retried := 0
 				for step := 0; step < tc.steps; step++ {
 					g := target.Clone()
 					g.Step = step
 					res := fl.Step(p, g, 0)
-					st := fl.LastStats()
-					retried += st.Retried
 					bits := make([]uint64, len(g.Data))
 					for i, v := range g.Data {
 						bits[i] = math.Float64bits(v)
 					}
-					out = append(out, fmt.Sprintf("step %d\n%v\n%#v\n%+v\n%+v",
-						step, bits, res.Metrics, st, mgr.Transitions()))
-				}
-				if retried != tc.wantRetriedSum {
-					t.Fatalf("retried %d bands over the run, want %d", retried, tc.wantRetriedSum)
+					out = append(out, fmt.Sprintf("step %d\n%v\n%#v\n%+v",
+						step, bits, res.Metrics, fl.LastStats()))
 				}
 				return out
 			}
@@ -301,9 +267,11 @@ func TestFleetDeterministic(t *testing.T) {
 // stubAlgo is a scripted kernels.Algorithm for scheduler-only tests: it
 // writes a row sentinel (so reassembly coverage is checkable), reports a
 // preset simulated time (1 when unset), can sleep to make host-side
-// concurrency observable, and counts its calls and concurrent Steps.
+// concurrency observable, can panic, and counts its calls and concurrent
+// Steps.
 type stubAlgo struct {
 	simTime float64
+	panics  any // when non-nil, every Step panics with it
 	sleep   time.Duration
 	calls   *atomic.Int32
 	running *atomic.Int32 // current concurrent Step calls
@@ -330,6 +298,9 @@ func (s *stubAlgo) Step(p *retard.Problem, target *grid.Grid, comp int) *kernels
 	if s.sleep > 0 {
 		time.Sleep(s.sleep)
 	}
+	if s.panics != nil {
+		panic(s.panics)
+	}
 	for iy := 0; iy < target.NY; iy++ {
 		for ix := 0; ix < target.NX; ix++ {
 			target.Set(ix, iy, comp, target.Y0+float64(iy)*target.DY)
@@ -343,11 +314,12 @@ func (s *stubAlgo) Step(p *retard.Problem, target *grid.Grid, comp int) *kernels
 	return res
 }
 
-// newStubFleet builds a Fleet of stubs over a sentinel-friendly grid
-// (Y0=0, DY=1, so the expected row value is exactly float64(row)).
-func newStubFleet(mgr Manager, bands int, mk func(id int) *stubAlgo) *Fleet {
+// newStubFleet builds a Fleet of stubs over devices fresh K40s, for a
+// sentinel-friendly grid (Y0=0, DY=1, so the expected row value is
+// exactly float64(row)).
+func newStubFleet(devices, bands int, mk func(id int) *stubAlgo) *Fleet {
 	return New(Config{
-		Manager: mgr,
+		Devices: testDevices(devices),
 		MakeKernel: func(id int, dev *gpusim.Device) kernels.Algorithm {
 			return mk(id)
 		},
@@ -371,19 +343,25 @@ func TestFleetBandEdgeCases(t *testing.T) {
 		name             string
 		ny, devices      int
 		bands, wantBands int
+		calls            []int32 // bands run per device, when set
 	}{
-		{"fewer rows than devices", 3, 4, 0, 1},
-		{"rows not divisible by devices", 7, 3, 0, 3},
-		{"rows not divisible by bands", 7, 2, 3, 3},
-		{"two-row minimum caps bands", 5, 3, 0, 2},
-		{"single device degenerate", 12, 1, 0, 1},
-		{"even split", 16, 4, 0, 4},
-		{"more bands than rows allow", 8, 2, 100, 4},
+		{"fewer rows than devices", 3, 4, 0, 1, nil},
+		{"rows not divisible by devices", 7, 3, 0, 3, nil},
+		{"rows not divisible by bands", 7, 2, 3, 3, nil},
+		{"two-row minimum caps bands", 5, 3, 0, 2, nil},
+		{"single device degenerate", 12, 1, 0, 1, nil},
+		{"even split", 16, 4, 0, 4, nil},
+		{"more bands than rows allow", 8, 2, 100, 4, nil},
+		// Heights 3,3,2,2,2,2,2: the two tall bands open devices 0 and 1,
+		// then each short band joins the least-loaded device (rows 2, 5,
+		// 5, 4 before bands 3-6), so device 2 runs three.
+		{"7 bands on 3 devices", 16, 3, 7, 7, []int32{2, 2, 3}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			fl := newStubFleet(NewFixed(testDevices(tc.devices)), tc.bands,
-				func(int) *stubAlgo { return &stubAlgo{} })
+			calls := make([]atomic.Int32, tc.devices)
+			fl := newStubFleet(tc.devices, tc.bands,
+				func(id int) *stubAlgo { return &stubAlgo{calls: &calls[id]} })
 			target := grid.New(4, tc.ny, 1, 0, 0, 1, 1)
 			res := fl.Step(nil, target, 0)
 			assertFullTarget(t, target)
@@ -392,6 +370,11 @@ func TestFleetBandEdgeCases(t *testing.T) {
 			}
 			if got := fl.LastStats().Bands; got != tc.wantBands {
 				t.Fatalf("bands = %d, want %d", got, tc.wantBands)
+			}
+			for d, want := range tc.calls {
+				if got := calls[d].Load(); got != want {
+					t.Fatalf("device %d ran %d bands, want %d", d, got, want)
+				}
 			}
 		})
 	}
@@ -453,7 +436,7 @@ func TestBandSplit(t *testing.T) {
 }
 
 func TestFleetTimeIsMaxNotSum(t *testing.T) {
-	fl := newStubFleet(NewFixed(testDevices(4)), 0, func(d int) *stubAlgo {
+	fl := newStubFleet(4, 0, func(d int) *stubAlgo {
 		return &stubAlgo{simTime: float64(d + 1)}
 	})
 	target := grid.New(8, 16, 1, 0, 0, 1, 1)
@@ -469,7 +452,7 @@ func TestFleetTimeIsMaxNotSum(t *testing.T) {
 func TestFleetStepsRunConcurrently(t *testing.T) {
 	var running, peak atomic.Int32
 	const devices = 4
-	fl := newStubFleet(NewFixed(testDevices(devices)), 0, func(d int) *stubAlgo {
+	fl := newStubFleet(devices, 0, func(d int) *stubAlgo {
 		return &stubAlgo{sleep: 50 * time.Millisecond, running: &running, peak: &peak}
 	})
 	target := grid.New(8, 16, 1, 0, 0, 1, 1)
@@ -486,97 +469,77 @@ func TestFleetStepsRunConcurrently(t *testing.T) {
 	assertFullTarget(t, target)
 }
 
-func TestFleetSkipsUnschedulableDevices(t *testing.T) {
-	mgr := NewFixed(testDevices(3))
-	mgr.SetState(2, Draining, "maintenance")
-	var calls [3]atomic.Int32
-	fl := newStubFleet(mgr, 6, func(id int) *stubAlgo {
-		return &stubAlgo{calls: &calls[id]}
-	})
-	target := grid.New(4, 12, 1, 0, 0, 1, 1)
-	fl.Step(nil, target, 0)
-	assertFullTarget(t, target)
-	if calls[2].Load() != 0 {
-		t.Fatalf("draining device executed %d bands, want 0", calls[2].Load())
-	}
-	if calls[0].Load() != 3 || calls[1].Load() != 3 {
-		t.Fatalf("surviving devices ran %d+%d bands, want 3+3", calls[0].Load(), calls[1].Load())
-	}
-}
-
-func TestFleetDegradedDeviceGetsLessWork(t *testing.T) {
-	// The placement charges the 4x-degraded device four times each band's
-	// rows: of 8 two-row bands it takes one (completion 8 against the
-	// healthy device's 14; a second band would finish at 16).
-	mgr := NewFixed(testDevices(2))
-	mgr.SetState(1, Degraded, "thermal throttling")
-	mgr.SetSlowdown(1, 4)
-	var calls [2]atomic.Int32
-	fl := newStubFleet(mgr, 8, func(id int) *stubAlgo {
-		return &stubAlgo{calls: &calls[id]}
-	})
-	target := grid.New(4, 16, 1, 0, 0, 1, 1)
-	fl.Step(nil, target, 0)
-	assertFullTarget(t, target)
-	if calls[0].Load() != 7 || calls[1].Load() != 1 {
-		t.Fatalf("healthy/degraded devices ran %d/%d bands, want 7/1",
-			calls[0].Load(), calls[1].Load())
-	}
-	st := fl.LastStats()
-	if st.Busy[1] != float64(calls[1].Load())*4 {
-		t.Fatalf("degraded busy time %g, want %d bands x 4", st.Busy[1], calls[1].Load())
-	}
-}
-
-// TestFleetRetriesInRounds kills a device in the first round and its
-// first replacement in the second: every band still lands, and each
-// failed device's in-flight and queued bands count as retried.
-func TestFleetRetriesInRounds(t *testing.T) {
-	events, err := ParseEvents("fail:dev=0,step=3,after=1;fail:dev=1,step=3,after=3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr := NewInjectable(testDevices(3), events)
-	var calls [3]atomic.Int32
-	fl := newStubFleet(mgr, 6, func(id int) *stubAlgo {
-		return &stubAlgo{calls: &calls[id]}
-	})
-	target := grid.New(4, 12, 1, 0, 0, 1, 1)
-	target.Step = 3
-	fl.Step(nil, target, 0)
-	assertFullTarget(t, target)
-
-	// Round 1: bands {0,3} {1,4} {2,5}; device 0 dies in band 0 and
-	// leaves 0 and 3. Round 2: band 0 to device 1, band 3 to device 2;
-	// device 1 dies in band 0 (its third). Round 3: band 0 to device 2.
-	st := fl.LastStats()
-	if st.Retried != 3 {
-		t.Fatalf("retried = %d, want 3 (2 from device 0, 1 from device 1)", st.Retried)
-	}
-	if got := [3]int32{calls[0].Load(), calls[1].Load(), calls[2].Load()}; got != [3]int32{1, 3, 4} {
-		t.Fatalf("band attempts per device = %v, want [1 3 4]", got)
-	}
-	if mgr.State(0) != Failed || mgr.State(1) != Failed || mgr.State(2) != Healthy {
-		t.Fatalf("states = %v/%v/%v, want failed/failed/healthy", mgr.State(0), mgr.State(1), mgr.State(2))
-	}
-}
-
 func TestFleetNameAndReset(t *testing.T) {
-	fl := newTwoPhaseFleet(NewFixed(testDevices(3)), 0)
+	fl := newTwoPhaseFleet(3, 0)
 	if fl.Name() != "Fleet[Two-Phase-RP x3]" {
 		t.Fatalf("name = %q", fl.Name())
 	}
 	fl.Reset() // must not panic
 }
 
-func TestFleetPanicsWhenNoDevicesSchedulable(t *testing.T) {
-	mgr := NewFixed(testDevices(1))
-	mgr.SetState(0, Failed, "dead on arrival")
-	fl := newStubFleet(mgr, 2, func(int) *stubAlgo { return &stubAlgo{} })
+func TestNewPanicsWithoutDevices(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("scheduling onto an all-failed fleet did not panic")
+			t.Fatal("a fleet over no devices did not panic")
 		}
 	}()
-	fl.Step(nil, grid.New(4, 8, 1, 0, 0, 1, 1), 0)
+	New(Config{MakeKernel: func(int, *gpusim.Device) kernels.Algorithm { return &stubAlgo{} }})
+}
+
+// TestFleetStepRepanicsOnCaller: a kernel panic on a device goroutine
+// must reach Step's caller instead of killing the process, after every
+// other queue has finished, with the lowest panicking device's value.
+func TestFleetStepRepanicsOnCaller(t *testing.T) {
+	var calls [3]atomic.Int32
+	fl := newStubFleet(3, 6, func(id int) *stubAlgo {
+		s := &stubAlgo{calls: &calls[id]}
+		if id > 0 {
+			s.panics = fmt.Sprintf("device %d lost", id)
+		}
+		return s
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != "device 1 lost" {
+				t.Fatalf("Step panicked with %v, want device 1's value", r)
+			}
+		}()
+		fl.Step(nil, grid.New(4, 12, 1, 0, 0, 1, 1), 0)
+	}()
+	if got := calls[0].Load(); got != 2 {
+		t.Fatalf("healthy device ran %d of its 2 bands before the re-panic", got)
+	}
+}
+
+func TestFleetEmitsPerDeviceTraceEvents(t *testing.T) {
+	sink := flight.New(0, nil)
+	o := &obs.Observer{Trace: obs.NewTracer(sink), Reg: obs.NewRegistry()}
+	fl := newStubFleet(2, 4, func(id int) *stubAlgo { return &stubAlgo{} })
+	fl.SetObserver(o)
+
+	target := grid.New(4, 8, 1, 0, 0, 1, 1)
+	target.Step = 9
+	fl.Step(nil, target, 0)
+
+	var devEvents int
+	for _, e := range sink.Events() {
+		if e.Name != "fleet/device" {
+			continue
+		}
+		devEvents++
+		if e.Step != 9 || e.Kind != "event" {
+			t.Fatalf("fleet/device event wrong: %+v", e)
+		}
+		for _, key := range []string{"device", "busy_sim_sec", "utilization"} {
+			if _, ok := e.Attrs[key]; !ok {
+				t.Fatalf("fleet/device event missing %q: %+v", key, e.Attrs)
+			}
+		}
+		if e.Attrs["utilization"] != 1.0 {
+			t.Fatalf("equal queues: utilization = %v, want 1", e.Attrs["utilization"])
+		}
+	}
+	if devEvents != 2 {
+		t.Fatalf("fleet/device events = %d, want one per device", devEvents)
+	}
 }

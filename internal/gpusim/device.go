@@ -51,8 +51,8 @@ type Device struct {
 	lineShift int
 }
 
-// SetLabel names the device for diagnostics (fleet registries label
-// devices "dev0", "dev1", ... so failures and metrics identify hardware).
+// SetLabel names the device for diagnostics (beamsim's fleet summary
+// prints its devices as "dev0", "dev1", ...).
 func (d *Device) SetLabel(label string) { d.label = label }
 
 // Label returns the diagnostic name set with SetLabel ("" if unset).

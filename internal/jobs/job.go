@@ -128,8 +128,7 @@ type Status struct {
 }
 
 // Job is one managed simulation run. Its mutable state is guarded by mu,
-// except the queue's seq and avoid; the Spec and ID are immutable after
-// creation.
+// except the queue's seq; the Spec and ID are immutable after creation.
 type Job struct {
 	// ID is the control plane's job identifier ("j-000001").
 	ID string
@@ -146,12 +145,10 @@ type Job struct {
 	runSec    float64
 
 	// seq is the queue's FIFO order, assigned at first enqueue and kept
-	// across resumes so a resumed job does not lose its place. avoid is
-	// the worker id that must not pick this job up (the one whose device
-	// pool just failed); -1 means any worker may. Both are written only
-	// while the job is out of the queue and read under the queue's lock.
+	// across resumes so a resumed job does not lose its place. It is
+	// written only while the job is out of the queue and read under the
+	// queue's lock.
 	seq      int
-	avoid    int
 	attempts int
 	workers  []int
 
@@ -187,7 +184,6 @@ func newJob(id string, sp Spec, now time.Time) *Job {
 		Spec:      sp,
 		state:     StatePending,
 		submitted: now,
-		avoid:     -1,
 		done:      make(chan struct{}),
 	}
 }

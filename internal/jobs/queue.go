@@ -44,22 +44,19 @@ func (q *queue) push(j *Job) error {
 	return nil
 }
 
-// pop blocks until a job is available for the given worker and returns the
-// one admitted first, or returns nil when the queue closes. A job marked to
-// avoid this worker (its device pool just failed there) is skipped unless
-// the worker is the only one (soleWorker), so single-worker deployments
-// still drain resumes.
-func (q *queue) pop(worker int, soleWorker bool) *Job {
+// pop blocks until a job is available and returns the one admitted first,
+// or returns nil when the queue closes.
+func (q *queue) pop() *Job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for !q.closed {
-		best := -1
-		for i, j := range q.items {
-			if (soleWorker || j.avoid != worker) && (best < 0 || j.seq < q.items[best].seq) {
-				best = i
+		if len(q.items) > 0 {
+			best := 0
+			for i, j := range q.items {
+				if j.seq < q.items[best].seq {
+					best = i
+				}
 			}
-		}
-		if best >= 0 {
 			j := q.items[best]
 			q.items = slices.Delete(q.items, best, best+1)
 			return j

@@ -34,45 +34,10 @@ func TestQueueFIFO(t *testing.T) {
 		}
 	}
 	for i, w := range want {
-		got := q.pop(0, true)
+		got := q.pop()
 		if got != w {
 			t.Fatalf("pop %d = %s, want %s (submission order)", i, got.ID, w.ID)
 		}
-	}
-}
-
-func TestQueueAvoidWorker(t *testing.T) {
-	q := newQueue()
-	now := time.Now()
-	j := newJob("resumed", testSpec("resumed"), now)
-	j.avoid = 0
-	other := newJob("other", testSpec("other"), now)
-	if err := q.push(j); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.push(other); err != nil {
-		t.Fatal(err)
-	}
-	// Worker 0 must skip the job avoiding it and take the other one.
-	if got := q.pop(0, false); got != other {
-		t.Fatalf("worker 0 popped %s, want %s", got.ID, other.ID)
-	}
-	// Worker 1 may take it.
-	if got := q.pop(1, false); got != j {
-		t.Fatalf("worker 1 popped %s, want %s", got.ID, j.ID)
-	}
-}
-
-func TestQueueAvoidSoleWorker(t *testing.T) {
-	q := newQueue()
-	j := newJob("resumed", testSpec("resumed"), time.Now())
-	j.avoid = 0
-	if err := q.push(j); err != nil {
-		t.Fatal(err)
-	}
-	// A single-worker deployment must still drain the resume.
-	if got := q.pop(0, true); got != j {
-		t.Fatalf("sole worker popped %v, want the avoided job", got)
 	}
 }
 
@@ -87,7 +52,7 @@ func TestQueueResumeKeepsFIFOPlace(t *testing.T) {
 	if err := q.push(second); err != nil {
 		t.Fatal(err)
 	}
-	got := q.pop(0, true)
+	got := q.pop()
 	if got != first {
 		t.Fatalf("pop = %s, want first", got.ID)
 	}
@@ -95,7 +60,7 @@ func TestQueueResumeKeepsFIFOPlace(t *testing.T) {
 	if err := q.push(first); err != nil {
 		t.Fatal(err)
 	}
-	if got := q.pop(1, true); got != first {
+	if got := q.pop(); got != first {
 		t.Fatalf("resume lost its FIFO place: pop = %s", got.ID)
 	}
 }
@@ -103,7 +68,7 @@ func TestQueueResumeKeepsFIFOPlace(t *testing.T) {
 func TestQueueDrainWakesBlockedPop(t *testing.T) {
 	q := newQueue()
 	done := make(chan *Job, 1)
-	go func() { done <- q.pop(0, true) }()
+	go func() { done <- q.pop() }()
 	time.Sleep(10 * time.Millisecond) // let the pop block
 	q.drain()
 	select {
@@ -132,7 +97,7 @@ func TestQueueCancellationRaces(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			for {
-				j := q.pop(id, false)
+				j := q.pop()
 				if j == nil {
 					return
 				}

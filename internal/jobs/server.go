@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"beamdyn/internal/core"
-	"beamdyn/internal/fleet"
 	"beamdyn/internal/gpusim"
 	"beamdyn/internal/obs"
 	"beamdyn/internal/obs/alert"
@@ -16,7 +15,7 @@ import (
 // Config configures a control-plane Server.
 type Config struct {
 	// Workers is the dispatch pool size (default 2): how many jobs run
-	// concurrently, each on its own per-job device fleet.
+	// concurrently, each on devices built for its attempt.
 	Workers int
 	// Obs receives the jobs_* metrics and the per-job trace spans/events
 	// (jobs/queue-wait, jobs/run, jobs/state, ...); nil disables
@@ -200,9 +199,8 @@ func (s *Server) endJob(j *Job) {
 
 // worker is one dispatch loop: pop, run, repeat until the queue closes.
 func (s *Server) worker(id int) {
-	sole := s.cfg.Workers == 1
 	for {
-		j := s.q.pop(id, sole)
+		j := s.q.pop()
 		if j == nil {
 			return
 		}
@@ -232,8 +230,8 @@ func (s *Server) endWait(j *Job) {
 
 // runJob executes one RUNNING episode of j on worker w: build (or
 // restore) the simulation, advance to the target step with periodic
-// checkpoints, and finish — or checkpoint and re-queue when the job's
-// device fleet degrades under it.
+// checkpoints, and finish — or re-queue from the latest checkpoint when
+// the attempt panics.
 func (s *Server) runJob(w int, j *Job) {
 	s.endWait(j)
 	j.transition(time.Now(), StateRunning, w, fmt.Sprintf("attempt %d on worker %d", j.Attempts()+1, w))
@@ -255,7 +253,6 @@ func (s *Server) runJob(w int, j *Job) {
 	switch outcome {
 	case "requeue":
 		j.mu.Lock()
-		j.avoid = w
 		j.waitSpan = j.scope.Span("jobs/queue-wait", 0)
 		j.mu.Unlock()
 		s.counter("jobs_resumes_total").Inc()
@@ -287,7 +284,7 @@ func (s *Server) runJob(w int, j *Job) {
 
 // runAttempt runs the simulation loop of one episode. It returns the
 // outcome ("done", "failed", "cancelled", "requeue") and a detail message.
-// Kernel panics (a fleet that loses its last device panics by contract)
+// Kernel panics (a fleet re-raises a device's panic on this goroutine)
 // are recovered: with a checkpoint and resume budget left they convert to
 // a requeue, otherwise to a failure.
 func (s *Server) runAttempt(w int, j *Job, attempt int, ro *obs.Observer) (outcome, msg string) {
@@ -301,7 +298,7 @@ func (s *Server) runAttempt(w int, j *Job, attempt int, ro *obs.Observer) (outco
 		}
 	}()
 
-	sim, fl, err := s.buildSim(j, attempt, ro)
+	sim, err := s.buildSim(j, attempt, ro)
 	if err != nil {
 		return "failed", err.Error()
 	}
@@ -315,23 +312,6 @@ func (s *Server) runAttempt(w int, j *Job, attempt int, ro *obs.Observer) (outco
 		st := sim.Ensemble.Stats()
 		j.progress(time.Now(), step, w, st.SigmaX, st.SigmaY)
 		ro.Event("jobs/progress", step, obs.I("of", target))
-		failedDevs := 0
-		if fl != nil {
-			failedDevs, _ = fl.Counts()
-		}
-		if failedDevs > 0 {
-			// The fleet finished the step on the survivors (bands retried,
-			// results bitwise-intact), but the placement has lost hardware:
-			// checkpoint at this boundary and hand the job back to the
-			// queue for a fresh worker with a healthy pool.
-			if err := s.checkpoint(j, sim, w, "device failure"); err != nil {
-				return "failed", fmt.Sprintf("checkpoint after device failure: %v", err)
-			}
-			if attempt > maxResumes {
-				return "failed", fmt.Sprintf("device failure at step %d: resume budget exhausted", step)
-			}
-			return "requeue", fmt.Sprintf("device failure at step %d", step)
-		}
 		if step < target {
 			if err := s.checkpoint(j, sim, w, "periodic"); err != nil {
 				return "failed", fmt.Sprintf("checkpoint: %v", err)
@@ -361,43 +341,33 @@ func (s *Server) runAttempt(w int, j *Job, attempt int, ro *obs.Observer) (outco
 
 // buildSim constructs the episode's simulation: from the latest
 // checkpoint when one exists, from the spec otherwise; then attaches the
-// kernel (and fleet) plus the per-job alert engine. The run-scoped
-// observer ro becomes the simulation's Obs, so Advance-stage spans (and
-// the per-job devices' gpu_* metrics) land in the job's trace; telemetry
-// never touches the physics, so the result stays bitwise-identical to an
-// untraced run.
-func (s *Server) buildSim(j *Job, attempt int, ro *obs.Observer) (*core.Simulation, *fleet.Fleet, error) {
+// kernel, on devices built for this attempt, plus the per-job alert
+// engine. The run-scoped observer ro becomes the simulation's Obs, so
+// Advance-stage spans (and the per-job devices' gpu_* metrics) land in
+// the job's trace; telemetry never touches the physics, so the result
+// stays bitwise-identical to an untraced run.
+func (s *Server) buildSim(j *Job, attempt int, ro *obs.Observer) (*core.Simulation, error) {
 	var sim *core.Simulation
 	data, ckStep := j.checkpointData()
 	if data != nil {
 		var err error
 		sim, err = core.Load(bytes.NewReader(data))
 		if err != nil {
-			return nil, nil, fmt.Errorf("jobs: restoring %s from step-%d checkpoint: %w", j.ID, ckStep, err)
+			return nil, fmt.Errorf("jobs: restoring %s from step-%d checkpoint: %w", j.ID, ckStep, err)
 		}
 		j.event(time.Now(), "resume", ckStep, -1, fmt.Sprintf("restored from step-%d checkpoint", ckStep))
 	} else {
 		sim = core.New(j.Spec.CoreConfig())
 	}
-	// First attempt iff we built from the spec: any episode starting from a
-	// checkpoint is a resume and gets a fresh, healthy pool (the injection
-	// script models the original hardware, not the job).
-	algo, fl, err := j.Spec.BuildAlgo(func(id int) *gpusim.Device {
+	sim.Algo = j.Spec.BuildAlgo(func(id int) *gpusim.Device {
 		dev := gpusim.New(gpusim.KeplerK40())
 		dev.SetLabel(fmt.Sprintf("%s-a%d-dev%d", j.ID, attempt, id))
 		if s.obs != nil {
 			dev.AttachRecorder(ro.GPURecorder())
 		}
 		return dev
-	}, data == nil)
-	if err != nil {
-		return nil, nil, err
-	}
+	})
 	sim.Obs = ro
-	sim.Algo = algo
-	if fl != nil {
-		sim.DeviceCounts = fl.Counts
-	}
 	if rules := j.Spec.AlertRules(); rules != nil {
 		sim.Alerts = alert.NewEngine(alert.Config{
 			Rules: rules,
@@ -408,7 +378,7 @@ func (s *Server) buildSim(j *Job, attempt int, ro *obs.Observer) (*core.Simulati
 			},
 		})
 	}
-	return sim, fl, nil
+	return sim, nil
 }
 
 // checkpoint saves the simulation at its current step boundary into the

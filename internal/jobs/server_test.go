@@ -1,10 +1,16 @@
 package jobs
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"beamdyn/internal/gpusim"
+	"beamdyn/internal/grid"
+	"beamdyn/internal/kernels"
 	"beamdyn/internal/obs"
+	"beamdyn/internal/retard"
 )
 
 // smallSpec is a fast single-device job for dispatcher tests.
@@ -25,9 +31,8 @@ func smallSpec(name string) Spec {
 	return sp
 }
 
-// fleetSpec is a two-device fleet job with 8 pinned bands; inject scripts
-// health events against the first attempt's pool.
-func fleetSpec(name, inject string) Spec {
+// fleetSpec is a two-device Two-Phase-RP fleet job with 8 pinned bands.
+func fleetSpec(name string) Spec {
 	sp := Spec{
 		Name:   name,
 		Beam:   BeamSpec{Particles: 2000, ChargeC: 1e-9, SigmaX: 1e-4, SigmaY: 5e-5, EnergyEV: 4.3e9},
@@ -36,13 +41,32 @@ func fleetSpec(name, inject string) Spec {
 		Kernel: "twophase",
 		Kappa:  4,
 		Seed:   7,
-		Fleet:  &FleetSpec{Devices: 2, Bands: 8, Inject: inject},
+		Fleet:  &FleetSpec{Devices: 2, Bands: 8},
 	}
 	sp.Normalize()
 	if err := sp.Validate(); err != nil {
 		panic(err)
 	}
 	return sp
+}
+
+// panicOnce is Two-Phase-RP that panics on its first band of step
+// panicStep when armed. The resume test arms only device 1 of a job's
+// first attempt (buildSim labels devices <job>-a<attempt>-dev<id>), so
+// the resumed attempt runs the plain kernel.
+type panicOnce struct {
+	*kernels.TwoPhase
+	armed bool
+}
+
+const panicStep = 8
+
+func (k *panicOnce) Step(p *retard.Problem, target *grid.Grid, comp int) *kernels.StepResult {
+	if k.armed && target.Step == panicStep {
+		k.armed = false
+		panic(fmt.Sprintf("test kernel panic at step %d", target.Step))
+	}
+	return k.TwoPhase.Step(p, target, comp)
 }
 
 // waitRunning waits until j has been popped off the queue.
@@ -135,21 +159,27 @@ func TestServerRunsJobToDone(t *testing.T) {
 }
 
 // TestChaosResumeBitwiseIdentical is the E2E recovery guarantee: a job
-// whose fleet loses a device mid-run is checkpointed, re-queued, resumed
-// by a different worker on a healthy pool — and its final potential grid
-// is bitwise-identical to the same job run without the failure. It runs
-// with pinned bands and with bands unset (one band per device), since a
-// resumed attempt keeps the spec's device count either way.
+// whose kernel panics on one fleet device mid-run is re-queued and
+// resumed from its latest checkpoint on fresh devices — and its final
+// potential grid is bitwise-identical to the same job run without the
+// panic. It runs with pinned bands and with bands unset (one band per
+// device), since a resumed attempt keeps the spec's device count either
+// way.
 func TestChaosResumeBitwiseIdentical(t *testing.T) {
+	const kernel = "twophase-panic-once"
+	kernelNames[kernel] = func(d *gpusim.Device) kernels.Algorithm {
+		return &panicOnce{TwoPhase: kernels.NewTwoPhase(d), armed: strings.HasSuffix(d.Label(), "-a1-dev1")}
+	}
+	t.Cleanup(func() { delete(kernelNames, kernel) })
 	for _, tc := range []struct {
 		name  string
 		bands int
 	}{{"pinned bands", 8}, {"bands unset", 0}} {
 		t.Run(tc.name, func(t *testing.T) {
-			// Baseline: the same physics with no injected failure.
+			// Baseline: the same physics with the plain kernel.
 			obsBase := obs.New()
 			base := New(Config{Workers: 2, Obs: obsBase})
-			bsp := fleetSpec("baseline", "")
+			bsp := fleetSpec("baseline")
 			bsp.Fleet.Bands = tc.bands
 			bj, err := base.Submit(bsp)
 			if err != nil {
@@ -162,26 +192,28 @@ func TestChaosResumeBitwiseIdentical(t *testing.T) {
 			}
 			baseRes := bj.Result()
 
-			// Chaos: device 1 dies during its first band of step 7 (mid-run:
-			// target step is 10), so the job checkpoints at step 8 and resumes.
+			// Chaos: device 1 panics in its first band of step 8 (mid-run:
+			// target step is 10), so the job resumes from its step-8
+			// checkpoint.
 			observer := obs.New()
 			s := New(Config{Workers: 2, Obs: observer})
 			defer s.Close()
-			csp := fleetSpec("chaos", "fail:dev=1,step=7,after=1")
+			csp := fleetSpec("chaos")
+			csp.Kernel = kernel
 			csp.Fleet.Bands = tc.bands
+			if err := csp.Validate(); err != nil {
+				t.Fatal(err)
+			}
 			j, err := s.Submit(csp)
 			if err != nil {
 				t.Fatal(err)
 			}
 			st := waitDone(t, j)
 			if st.State != StateDone {
-				t.Fatalf("chaos job state = %s (err %q), want DONE despite the failure", st.State, st.Error)
+				t.Fatalf("chaos job state = %s (err %q), want DONE despite the panic", st.State, st.Error)
 			}
-			if st.Attempts != 2 {
-				t.Fatalf("attempts = %d, want 2 (one failure, one resume)", st.Attempts)
-			}
-			if len(st.Workers) != 2 || st.Workers[0] == st.Workers[1] {
-				t.Fatalf("workers = %v, want the resume on a different worker", st.Workers)
+			if st.Attempts != 2 || len(st.Workers) != 2 {
+				t.Fatalf("attempts = %d on workers %v, want 2 (one panic, one resume)", st.Attempts, st.Workers)
 			}
 
 			res := j.Result()

@@ -5,17 +5,17 @@
 // The pieces, front to back:
 //
 //   - Spec — a declarative JSON job payload (beam, grid, steps, kernel,
-//     fleet topology, injection script, alert rules). It doubles as the
-//     scenario format of the catalog under examples/scenarios.
+//     fleet topology, alert rules). It doubles as the scenario format of
+//     the catalog under examples/scenarios.
 //   - Queue — one FIFO in admission order, with cancellation of queued
 //     jobs; a resumed job keeps its place.
 //   - Server — the dispatcher: a pool of workers, each running one job at
-//     a time on a per-job device fleet (internal/fleet over
+//     a time on devices built for the attempt (internal/fleet over
 //     internal/gpusim, host phases on internal/hostpar). Running jobs
 //     checkpoint at every step boundary through the core gob machinery; a
-//     job whose fleet loses a device is checkpointed, re-queued and
-//     resumed on a fresh worker with a healthy device pool,
-//     bitwise-identically to an uninterrupted run.
+//     job whose attempt panics is re-queued and resumed from its latest
+//     checkpoint on fresh devices, bitwise-identically to an
+//     uninterrupted run.
 //   - Handler — the HTTP/JSON API (POST /jobs, GET /jobs/{id}, the event
 //     log, result fetch, DELETE) designed to be mounted onto the
 //     internal/obs/export server, with jobs_* metrics and per-job trace
@@ -26,6 +26,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 
 	"beamdyn/internal/core"
@@ -67,7 +68,8 @@ type GridSpec struct {
 
 // FleetSpec is the JSON shape of the device topology a job runs on.
 type FleetSpec struct {
-	// Devices is the simulated-device count of the job's fleet (default 1).
+	// Devices is the simulated-device count of the job's fleet (default
+	// 1, at most fleet.MaxDevices).
 	Devices int `json:"devices,omitempty"`
 	// Bands fixes the fleet's row-band count; 0 means one band per
 	// device. Either way the band count is a function of the spec, and a
@@ -75,11 +77,6 @@ type FleetSpec struct {
 	// the per-band numerics it started with (the bitwise recovery
 	// guarantee).
 	Bands int `json:"bands,omitempty"`
-	// Inject scripts health events against the job's first placement, in
-	// the fleet.ParseEvents grammar ("fail:dev=1,step=9,after=1;...").
-	// Resumed attempts get a fresh, healthy pool: the script models the
-	// original hardware, not the job.
-	Inject string `json:"inject,omitempty"`
 }
 
 // LatticeSpec is the JSON shape of the bend geometry (default: LCLS bend).
@@ -228,13 +225,11 @@ func (sp *Spec) Validate() error {
 		if sp.Kernel == "reference" {
 			return fmt.Errorf("jobs: spec %q: the reference kernel runs on the host; it cannot drive a fleet", sp.Name)
 		}
-		if sp.Fleet.Devices < 1 {
-			return fmt.Errorf("jobs: spec %q: fleet.devices must be >= 1", sp.Name)
+		if sp.Fleet.Devices < 1 || sp.Fleet.Devices > fleet.MaxDevices {
+			return fmt.Errorf("jobs: spec %q: fleet.devices must be in [1, %d]", sp.Name, fleet.MaxDevices)
 		}
-		if sp.Fleet.Inject != "" {
-			if _, err := fleet.ParseEvents(sp.Fleet.Inject); err != nil {
-				return fmt.Errorf("jobs: spec %q: %w", sp.Name, err)
-			}
+		if sp.Fleet.Bands < 0 {
+			return fmt.Errorf("jobs: spec %q: fleet.bands must be >= 0", sp.Name)
 		}
 	}
 	if sp.Alerts != "" && sp.Alerts != "default" {
@@ -244,6 +239,11 @@ func (sp *Spec) Validate() error {
 	}
 	if err := sp.CoreConfig().Validate(); err != nil {
 		return fmt.Errorf("jobs: spec %q: %w", sp.Name, err)
+	}
+	// core.Config.Validate has bounded Kappa, so this check cannot
+	// overflow itself.
+	if sp.Steps > math.MaxInt-3-sp.Kappa {
+		return fmt.Errorf("jobs: spec %q: kappa + 3 + steps overflows the step counter", sp.Name)
 	}
 	return nil
 }
@@ -285,47 +285,26 @@ func (sp *Spec) CoreConfig() core.Config {
 // Only meaningful on a normalized spec.
 func (sp *Spec) TargetStep() int { return sp.Kappa + 3 + sp.Steps }
 
-// Devices returns the job's device count (1 when no fleet block is given).
-func (sp *Spec) Devices() int {
-	if sp.Fleet == nil {
-		return 1
-	}
-	return sp.Fleet.Devices
-}
-
 // BuildAlgo constructs the compute-potentials algorithm of one job attempt
 // on freshly made devices. newDev builds device id (labelled and wired to
-// telemetry by the caller). The injection script is applied only when
-// firstAttempt: a resumed job runs on a fresh, healthy pool. The returned
-// fleet handle is nil for reference and bare single-device kernels.
-func (sp *Spec) BuildAlgo(newDev func(id int) *gpusim.Device, firstAttempt bool) (kernels.Algorithm, *fleet.Fleet, error) {
+// telemetry by the caller). It returns nil for the host reference.
+func (sp *Spec) BuildAlgo(newDev func(id int) *gpusim.Device) kernels.Algorithm {
 	mk := kernelNames[sp.Kernel]
 	if mk == nil { // host reference
-		return nil, nil, nil
+		return nil
 	}
 	if sp.Fleet == nil {
-		return mk(newDev(0)), nil, nil
+		return mk(newDev(0))
 	}
 	devs := make([]*gpusim.Device, sp.Fleet.Devices)
 	for d := range devs {
 		devs[d] = newDev(d)
 	}
-	var mgr fleet.Manager
-	if sp.Fleet.Inject != "" && firstAttempt {
-		events, err := fleet.ParseEvents(sp.Fleet.Inject)
-		if err != nil {
-			return nil, nil, err
-		}
-		mgr = fleet.NewInjectable(devs, events)
-	} else {
-		mgr = fleet.NewFixed(devs)
-	}
-	fl := fleet.New(fleet.Config{
-		Manager:    mgr,
+	return fleet.New(fleet.Config{
+		Devices:    devs,
 		MakeKernel: func(id int, dev *gpusim.Device) kernels.Algorithm { return mk(dev) },
 		Bands:      sp.Fleet.Bands,
 	})
-	return fl, fl, nil
 }
 
 // AlertRules parses the spec's alert script ("" -> nil, "default" -> the

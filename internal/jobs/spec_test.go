@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"encoding/json"
+	"math"
 	"math/bits"
 	"path/filepath"
 	"strings"
@@ -42,9 +43,10 @@ func TestParseSpecDefaults(t *testing.T) {
 }
 
 // TestParseSpecRejectsUnknownFields: a key the spec does not define is
-// an error, a typo and a scheduling key alike.
+// an error, a typo, a scheduling key and a fault script alike.
 func TestParseSpecRejectsUnknownFields(t *testing.T) {
-	for _, field := range []string{`"stpes": 3`, `"tenant": "a"`, `"priority": 1`, `"deadline_sec": 5`} {
+	for _, field := range []string{`"stpes": 3`, `"tenant": "a"`, `"priority": 1`, `"deadline_sec": 5`,
+		`"fleet": {"devices": 2, "inject": "fail:dev=1,step=9"}`} {
 		bad := strings.Replace(minimalSpec(), `"steps": 2,`, `"steps": 2, `+field+`,`, 1)
 		if _, err := ParseSpec([]byte(bad)); err == nil {
 			t.Errorf("unknown field %s accepted", field)
@@ -61,6 +63,7 @@ func TestValidateRejections(t *testing.T) {
 		{"bad name", func(sp *Spec) { sp.Name = "Has Spaces" }, "[a-z0-9-]"},
 		{"empty name", func(sp *Spec) { sp.Name = "" }, "missing name"},
 		{"steps", func(sp *Spec) { sp.Steps = 0 }, "steps"},
+		{"steps overflow the step counter", func(sp *Spec) { sp.Steps = math.MaxInt }, "overflows"},
 		{"grid", func(sp *Spec) { sp.Grid.NX, sp.Grid.NY = 1, 1 }, "too small"},
 		{"grid cells wrap int", func(sp *Spec) { sp.Grid.NX = 1 << (bits.UintSize / 2) }, "has more than 16777216 cells"},
 		{"grid cells above the bound", func(sp *Spec) { sp.Grid.NX, sp.Grid.NY = 4097, 4096 }, "4097x4096 has more than"},
@@ -79,9 +82,12 @@ func TestValidateRejections(t *testing.T) {
 			sp.Kernel = "reference"
 			sp.Fleet = &FleetSpec{Devices: 2, Bands: 4}
 		}, "cannot drive a fleet"},
-		{"bad inject", func(sp *Spec) {
-			sp.Fleet = &FleetSpec{Devices: 2, Bands: 4, Inject: "explode:dev=0"}
-		}, "unknown kind"},
+		{"negative bands", func(sp *Spec) {
+			sp.Fleet = &FleetSpec{Devices: 2, Bands: -3}
+		}, "fleet.bands must be >= 0"},
+		{"devices above the bound", func(sp *Spec) {
+			sp.Fleet = &FleetSpec{Devices: 100000000}
+		}, "fleet.devices must be in [1, 64]"},
 		{"bad alerts", func(sp *Spec) { sp.Alerts = "nonsense>1" }, "unknown signal"},
 		{"mad alerts", func(sp *Spec) { sp.Alerts = "steptime:mad=8" }, `unknown option "mad"`},
 	}

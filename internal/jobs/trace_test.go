@@ -37,7 +37,7 @@ func TestJobTraceTreeEndToEnd(t *testing.T) {
 	observer.Trace = obs.NewTracer(ms)
 	s := New(Config{Workers: 2, Obs: observer, Node: "test-node"})
 
-	specs := []Spec{smallSpec("kernel-job"), fleetSpec("fleet-job", ""), referenceSpec("ref-job")}
+	specs := []Spec{smallSpec("kernel-job"), fleetSpec("fleet-job"), referenceSpec("ref-job")}
 	jobsByID := map[string]string{} // id -> spec name
 	var submitted []*Job
 	for _, sp := range specs {

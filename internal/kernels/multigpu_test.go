@@ -22,7 +22,7 @@ func newMultiGPU(devices int, mk func(dev *gpusim.Device) kernels.Algorithm) *fl
 		devs[d] = gpusim.New(gpusim.KeplerK40())
 	}
 	return fleet.New(fleet.Config{
-		Manager:    fleet.NewFixed(devs),
+		Devices:    devs,
 		MakeKernel: func(_ int, dev *gpusim.Device) kernels.Algorithm { return mk(dev) },
 	})
 }

@@ -1,9 +1,8 @@
 // Package alert is the in-process alert engine of the observability
 // stack: a per-step rule evaluator over the run's live telemetry — step
-// wall time, predictor quality, fleet device health, and the physics
-// invariants (charge/moment drift) the core computes from
-// diagnostics.Analyze — with a parseable rule grammar mirroring the fleet
-// injection grammar:
+// wall time, predictor quality, and the physics invariants (charge/moment
+// drift) the core computes from diagnostics.Analyze — with a parseable
+// rule grammar:
 //
 //	rules := rule (";" rule)*
 //	rule  := signal [op number] [":" opt ("," opt)*]
@@ -11,7 +10,7 @@
 //	opt   := "for=" int | "sev=" ("warn" | "crit")
 //
 // A rule without an explicit comparison fires when the signal is positive
-// (e.g. "device_failed:for=3"). "for=N" requires the condition to hold for
+// (e.g. "fallback_entries:for=3"). "for=N" requires the condition to hold for
 // N consecutive steps before the alert fires; "sev=" picks the severity
 // (critical by default — critical alerts are what trigger post-mortem
 // bundles). A threshold may not be NaN.
@@ -79,8 +78,8 @@ func (o Op) String() string {
 }
 
 // The signals a rule can watch. Which signals carry data each step depends
-// on the run: predictor signals need a kernel with a forecast, device
-// signals a fleet, physics signals a particle ensemble.
+// on the run: predictor signals need a simulated-GPU kernel, physics
+// signals a particle ensemble.
 const (
 	// SigFallbackRate is the predicted-phase fallback rate (entries per
 	// grid point) of the step's kernel run.
@@ -95,10 +94,6 @@ const (
 	// SigStepTime is the step's host wall time in seconds, for fixed
 	// thresholds such as "steptime>2".
 	SigStepTime = "steptime"
-	// SigDeviceFailed and SigDeviceDegraded count fleet devices in the
-	// respective lifecycle states.
-	SigDeviceFailed   = "device_failed"
-	SigDeviceDegraded = "device_degraded"
 	// SigChargeDrift is the relative drift of the ensemble's total charge
 	// from its baseline (first evaluated step); SigMomentDrift the larger
 	// of the two RMS-size relative drifts. Charge is conserved exactly by
@@ -115,16 +110,14 @@ var knownSignals = map[string]bool{
 	SigErrP90:          true,
 	SigErrMax:          true,
 	SigStepTime:        true,
-	SigDeviceFailed:    true,
-	SigDeviceDegraded:  true,
 	SigChargeDrift:     true,
 	SigMomentDrift:     true,
 }
 
 // DefaultRules is the stock rule set beamsim's "-alerts default" selects:
 // a sustained fallback-rate breach (the surrogate has stopped predicting
-// the access patterns), any failed device, and charge-conservation drift.
-const DefaultRules = "fallback_rate>0.25:for=3;device_failed:for=1;charge_drift>0.01:for=2"
+// the access patterns) and charge-conservation drift.
+const DefaultRules = "fallback_rate>0.25:for=3;charge_drift>0.01:for=2"
 
 // Rule is one parsed alert rule.
 type Rule struct {
@@ -164,7 +157,7 @@ func (r Rule) Name() string {
 
 // ParseRules parses a ";"-separated rule script, e.g.
 //
-//	fallback_rate>0.2:for=5;steptime>2;device_failed:for=3
+//	fallback_rate>0.2:for=5;steptime>2;fallback_entries:for=3
 func ParseRules(s string) ([]Rule, error) {
 	var out []Rule
 	for _, part := range strings.Split(s, ";") {

@@ -10,7 +10,7 @@ import (
 )
 
 func TestParseRulesGrammar(t *testing.T) {
-	rules, err := ParseRules("fallback_rate>0.2:for=5;steptime>2;device_failed:for=3")
+	rules, err := ParseRules("fallback_rate>0.2:for=5;steptime>2;fallback_entries:for=3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestParseRulesGrammar(t *testing.T) {
 		t.Fatalf("rule 1 name = %q", r.Name())
 	}
 	r = rules[2]
-	if r.Signal != SigDeviceFailed || r.Op != OpNone || r.For != 3 {
+	if r.Signal != SigFallbackEntries || r.Op != OpNone || r.For != 3 {
 		t.Fatalf("rule 2 = %+v", r)
 	}
 }
@@ -59,9 +59,12 @@ func TestParseRulesOptionsAndErrors(t *testing.T) {
 		"steptime:mad=0",
 		"steptime:mad=6",
 		"steptime>1:mad=6",
-		"device_failed:for=0",
-		"device_failed:sev=loud",
-		"device_failed:nope=1",
+		"fallback_entries:for=0",
+		"fallback_entries:sev=loud",
+		"fallback_entries:nope=1",
+		// The device lifecycle signals went with the simulated faults.
+		"device_failed:for=1",
+		"device_degraded",
 	}
 	for _, s := range bad {
 		if _, err := ParseRules(s); err == nil {
@@ -78,8 +81,8 @@ func TestDefaultRulesParse(t *testing.T) {
 
 func TestRuleNameRoundTrips(t *testing.T) {
 	for _, spec := range []string{
-		"fallback_rate>0.2:for=5", "steptime>2", "device_failed:for=3",
-		"err_max>=8:sev=warn", "moment_drift>0.1;device_degraded:for=2",
+		"fallback_rate>0.2:for=5", "steptime>2", "fallback_entries:for=3",
+		"err_max>=8:sev=warn", "moment_drift>0.1;err_mean>1:for=2",
 	} {
 		rules, err := ParseRules(spec)
 		if err != nil {
@@ -145,21 +148,20 @@ func TestEngineFixedThresholdWithFor(t *testing.T) {
 }
 
 func TestEngineAbsentSignalsNeverFire(t *testing.T) {
-	rules, _ := ParseRules("device_failed:for=1;fallback_rate>0:for=1;charge_drift>0:for=1")
+	rules, _ := ParseRules("fallback_rate>0:for=1;charge_drift>0:for=1")
 	e := NewEngine(Config{Rules: rules})
-	// No devices, no predictor, no physics: nothing can fire even though
-	// every zero value would satisfy "device_failed > 0" is false... use
-	// values that WOULD breach if the groups were present.
-	in := Input{Step: 0, DeviceFailed: 2, FallbackRate: 1, ChargeDrift: 1}
+	// No predictor, no physics: nothing may fire, even on values that
+	// would breach if their groups were present.
+	in := Input{Step: 0, FallbackRate: 1, ChargeDrift: 1}
 	for step := 0; step < 3; step++ {
 		in.Step = step
 		if f := e.Eval(in); len(f) != 0 {
 			t.Fatalf("absent signal group fired: %+v", f)
 		}
 	}
-	in.HasDevices = true
-	if f := e.Eval(in); len(f) != 1 || f[0].Signal != SigDeviceFailed {
-		t.Fatalf("device signal did not fire once present: %+v", f)
+	in.HasPredictor = true
+	if f := e.Eval(in); len(f) != 1 || f[0].Signal != SigFallbackRate {
+		t.Fatalf("predictor signal did not fire once present: %+v", f)
 	}
 }
 
@@ -167,13 +169,13 @@ func TestEngineEmitsMetricsAndTrace(t *testing.T) {
 	o := obs.New()
 	sink := flight.New(0, nil)
 	o.Trace = obs.NewTracer(sink)
-	rules, _ := ParseRules("device_failed:for=1")
+	rules, _ := ParseRules("fallback_entries:for=1")
 	var cb []Alert
 	e := NewEngine(Config{Rules: rules, Obs: o, OnAlert: func(a Alert) { cb = append(cb, a) }})
 
 	// The canonical name omits the for=1 default; it is the metrics label.
 	name := rules[0].Name()
-	if name != "device_failed" {
+	if name != "fallback_entries" {
 		t.Fatalf("canonical name = %q", name)
 	}
 	// Registered at construction: the gauge appears in snapshots before
@@ -181,7 +183,7 @@ func TestEngineEmitsMetricsAndTrace(t *testing.T) {
 	if snap := o.Reg.Snapshot(); len(snap.Gauges) != 1 || snap.Gauges[0].Name != "alert_active" {
 		t.Fatalf("alert_active gauge not pre-registered: %+v", snap.Gauges)
 	}
-	e.Eval(Input{Step: 9, HasDevices: true, DeviceFailed: 1})
+	e.Eval(Input{Step: 9, HasPredictor: true, FallbackEntries: 1})
 	if len(cb) != 1 || cb[0].Step != 9 {
 		t.Fatalf("OnAlert callback = %+v", cb)
 	}
@@ -192,7 +194,7 @@ func TestEngineEmitsMetricsAndTrace(t *testing.T) {
 	if g := o.Reg.Gauge("alert_active", rl); g.Value() != 1 {
 		t.Fatal("alert_active not set on fire")
 	}
-	e.Eval(Input{Step: 10, HasDevices: true, DeviceFailed: 0})
+	e.Eval(Input{Step: 10, HasPredictor: true, FallbackEntries: 0})
 	if g := o.Reg.Gauge("alert_active", rl); g.Value() != 0 {
 		t.Fatal("alert_active not cleared on resolve")
 	}
@@ -206,7 +208,7 @@ func TestEngineEmitsMetricsAndTrace(t *testing.T) {
 }
 
 func TestEngineStatusConcurrentWithEval(t *testing.T) {
-	rules, _ := ParseRules("steptime>2;device_failed:for=2")
+	rules, _ := ParseRules("steptime>2;fallback_entries:for=2")
 	e := NewEngine(Config{Rules: rules})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -218,7 +220,7 @@ func TestEngineStatusConcurrentWithEval(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				e.Eval(Input{Step: i, StepSeconds: 1, HasDevices: true, DeviceFailed: i % 3})
+				e.Eval(Input{Step: i, StepSeconds: 1, HasPredictor: true, FallbackEntries: float64(i % 3)})
 			}
 		}
 	}()

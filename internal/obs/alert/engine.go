@@ -24,11 +24,6 @@ type Input struct {
 	ErrP90          float64
 	ErrMax          float64
 
-	// HasDevices gates the fleet lifecycle signals.
-	HasDevices     bool
-	DeviceFailed   int
-	DeviceDegraded int
-
 	// HasPhysics gates the invariant-drift signals.
 	HasPhysics  bool
 	ChargeDrift float64
@@ -51,10 +46,6 @@ func (in Input) value(signal string) (v float64, ok bool) {
 		return in.ErrP90, in.HasPredictor
 	case SigErrMax:
 		return in.ErrMax, in.HasPredictor
-	case SigDeviceFailed:
-		return float64(in.DeviceFailed), in.HasDevices
-	case SigDeviceDegraded:
-		return float64(in.DeviceDegraded), in.HasDevices
 	case SigChargeDrift:
 		return in.ChargeDrift, in.HasPhysics
 	case SigMomentDrift:

@@ -95,40 +95,39 @@ func TestAggregateStats(t *testing.T) {
 	}
 }
 
-func fleetEvent(step, dev int, state string, busy, util float64) obs.Event {
+func fleetEvent(step, dev int, busy, util float64) obs.Event {
 	return obs.Event{Name: "fleet/device", Kind: "event", Step: step, Attrs: map[string]any{
-		"device": float64(dev), "state": state,
-		"busy_sim_sec": busy, "utilization": util, "slowdown": 1.0,
+		"device": float64(dev), "busy_sim_sec": busy, "utilization": util,
 	}}
 }
 
 func TestFleetStats(t *testing.T) {
 	events := []obs.Event{
 		{Name: "fleet/step", Kind: "span", Step: 1, Dur: 0.1,
-			Attrs: map[string]any{"bands": 8.0, "retried": 2.0}},
+			Attrs: map[string]any{"bands": 8.0}},
 		{Name: "fleet/step", Kind: "span", Step: 2, Dur: 0.1,
-			Attrs: map[string]any{"bands": 8.0, "retried": 0.0}},
-		fleetEvent(1, 0, "healthy", 1.0, 1.0),
-		fleetEvent(2, 0, "healthy", 1.0, 1.0),
-		fleetEvent(1, 1, "healthy", 0.5, 0.5),
-		fleetEvent(2, 1, "failed", 0.0, 0.0),
+			Attrs: map[string]any{"bands": 8.0}},
+		fleetEvent(1, 0, 1.0, 1.0),
+		fleetEvent(2, 0, 1.0, 1.0),
+		fleetEvent(1, 1, 0.5, 0.5),
+		fleetEvent(2, 1, 0.0, 0.0),
 	}
 	rep := FleetStats(events)
-	if rep.Steps != 2 || rep.Bands != 16 || rep.Retried != 2 {
+	if rep.Steps != 2 || rep.Bands != 16 {
 		t.Fatalf("totals wrong: %+v", rep)
 	}
 	if len(rep.Devices) != 2 {
 		t.Fatalf("devices = %d", len(rep.Devices))
 	}
 	d0, d1 := rep.Devices[0], rep.Devices[1]
-	if d0.BusySec != 2 || d0.Utilization != 1 || d0.LastState != "healthy" {
+	if d0.BusySec != 2 || d0.Utilization != 1 || d0.Steps != 2 {
 		t.Fatalf("dev0 wrong: %+v", d0)
 	}
-	if d1.Utilization != 0.25 || d1.LastState != "failed" || d1.States["healthy"] != 1 || d1.States["failed"] != 1 {
+	if d1.BusySec != 0.5 || d1.Utilization != 0.25 || d1.Steps != 2 {
 		t.Fatalf("dev1 wrong: %+v", d1)
 	}
 	out := rep.Table()
-	for _, want := range []string{"retried=2", "dev0", "failed"} {
+	for _, want := range []string{"bands=16", "dev0", "dev1", "25%"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("fleet table missing %q:\n%s", want, out)
 		}

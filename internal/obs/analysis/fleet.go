@@ -12,20 +12,18 @@ import (
 // the per-step "fleet/device" events the scheduler emits.
 type FleetDevice struct {
 	Device      int
-	BusySec     float64        // total simulated busy time
-	Utilization float64        // mean per-step utilization
-	Steps       int            // steps the device appears in
-	States      map[string]int // steps spent per lifecycle state
-	LastState   string
+	BusySec     float64 // total simulated busy time
+	Utilization float64 // mean per-step utilization
+	Steps       int     // steps the device appears in
 }
 
 // FleetReport summarises a traced fleet run.
 type FleetReport struct {
-	// Steps is the number of fleet/step spans (scheduler rounds).
+	// Steps is the number of fleet/step spans.
 	Steps int
-	// Bands and Retried total the scheduler's accounting across the run,
-	// from the fleet/step span attributes.
-	Bands, Retried int
+	// Bands totals the bands dispatched across the run, from the
+	// fleet/step span attributes.
+	Bands int
 	// Devices is the per-device aggregation, ordered by device index.
 	Devices []FleetDevice
 }
@@ -45,9 +43,6 @@ func FleetStats(events []obs.Event) FleetReport {
 			if v, ok := attrFloat(e, "bands"); ok {
 				rep.Bands += int(v)
 			}
-			if v, ok := attrFloat(e, "retried"); ok {
-				rep.Retried += int(v)
-			}
 		case "fleet/device":
 			id, ok := attrFloat(e, "device")
 			if !ok {
@@ -55,7 +50,7 @@ func FleetStats(events []obs.Event) FleetReport {
 			}
 			d := byDev[int(id)]
 			if d == nil {
-				d = &FleetDevice{Device: int(id), States: make(map[string]int)}
+				d = &FleetDevice{Device: int(id)}
 				byDev[int(id)] = d
 			}
 			d.Steps++
@@ -64,10 +59,6 @@ func FleetStats(events []obs.Event) FleetReport {
 			}
 			if v, ok := attrFloat(e, "utilization"); ok {
 				d.Utilization += v
-			}
-			if s, ok := attrString(e, "state"); ok {
-				d.States[s]++
-				d.LastState = s
 			}
 		}
 	}
@@ -84,21 +75,14 @@ func FleetStats(events []obs.Event) FleetReport {
 // Table renders the report for the obstool fleet subcommand.
 func (r FleetReport) Table() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "fleet: steps=%d bands=%d retried=%d\n",
-		r.Steps, r.Bands, r.Retried)
+	fmt.Fprintf(&b, "fleet: steps=%d bands=%d\n", r.Steps, r.Bands)
 	if len(r.Devices) == 0 {
 		b.WriteString("no fleet/device events in trace (run beamsim with -devices N -trace)\n")
 		return b.String()
 	}
-	fmt.Fprintf(&b, "%-8s %12s %10s %-10s %s\n", "device", "busy_sim_s", "mean_util", "state", "states_seen")
+	fmt.Fprintf(&b, "%-8s %12s %10s\n", "device", "busy_sim_s", "mean_util")
 	for _, d := range r.Devices {
-		states := make([]string, 0, len(d.States))
-		for s, n := range d.States {
-			states = append(states, fmt.Sprintf("%s:%d", s, n))
-		}
-		sort.Strings(states)
-		fmt.Fprintf(&b, "dev%-5d %12.4f %9.0f%% %-10s %s\n",
-			d.Device, d.BusySec, 100*d.Utilization, d.LastState, strings.Join(states, " "))
+		fmt.Fprintf(&b, "dev%-5d %12.4f %9.0f%%\n", d.Device, d.BusySec, 100*d.Utilization)
 	}
 	return b.String()
 }

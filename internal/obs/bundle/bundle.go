@@ -1,7 +1,6 @@
 // Package bundle writes and reads post-mortem bundles: the self-contained
 // incident directory a run dumps when something goes wrong — a critical
-// alert fires, a device failure goes unrecovered, the step loop stalls, or
-// the run errors out. A bundle preserves the evidence a later debugging
+// alert fires, the step loop stalls, or the run errors out. A bundle preserves the evidence a later debugging
 // session needs without -trace having been on:
 //
 //	manifest.json    what happened (reason, step, trigger alert, inventory)
@@ -53,8 +52,7 @@ const MaxBundles = 4
 // Manifest is the bundle's index document, written last so a complete
 // manifest certifies a complete bundle.
 type Manifest struct {
-	// Reason is the dump cause ("alert", "device-failure", "stall",
-	// "run-error", ...).
+	// Reason is the dump cause ("alert", "stall", "run-error", ...).
 	Reason string `json:"reason"`
 	// Step is the simulation step at dump time.
 	Step int `json:"step"`

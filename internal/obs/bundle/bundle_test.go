@@ -1,7 +1,6 @@
 package bundle_test
 
 import (
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -40,28 +39,24 @@ func testConfig() core.Config {
 }
 
 // TestChaosRunDumpsPostmortemBundle is the incident layer's end-to-end
-// acceptance test: a fleet run with a scripted, unrecovered device failure
-// and alerting enabled must dump a post-mortem bundle whose flight trace
-// contains the failing step's spans and whose alert log names the fired
-// rule — the exact chain beamsim wires with -inject/-alerts/-postmortem-dir.
+// acceptance test: a fleet run with alerting enabled must dump a
+// post-mortem bundle when a critical alert fires, whose flight trace
+// contains the alerting step's spans and whose alert log names the fired
+// rule — the exact chain beamsim wires with -alerts/-postmortem-dir. The
+// trigger is one the simulation makes itself: Two-Phase-RP sends panels
+// to its refine phase on every step, so "fallback_rate>0" fires on the
+// first step that computes potentials.
 func TestChaosRunDumpsPostmortemBundle(t *testing.T) {
 	sim := core.New(testConfig())
 
-	// Two devices; device 1 fails at failStep and never recovers.
-	const failStep = 9
-	devs := []*gpusim.Device{gpusim.New(gpusim.KeplerK40()), gpusim.New(gpusim.KeplerK40())}
-	events, err := fleet.ParseEvents(fmt.Sprintf("fail:dev=1,step=%d", failStep))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl := fleet.New(fleet.Config{
-		Manager: fleet.NewInjectable(devs, events),
+	// The history holds three grids from step 2 on (core.Simulation.Ready).
+	const alertStep = 2
+	sim.Algo = fleet.New(fleet.Config{
+		Devices: []*gpusim.Device{gpusim.New(gpusim.KeplerK40()), gpusim.New(gpusim.KeplerK40())},
 		MakeKernel: func(id int, dev *gpusim.Device) kernels.Algorithm {
 			return kernels.NewTwoPhase(dev)
 		},
 	})
-	sim.Algo = fl
-	sim.DeviceCounts = fl.Counts
 
 	// The flight recorder is the only trace sink: no JSONL trace file is
 	// configured, as in a -postmortem-dir run without -trace.
@@ -72,7 +67,7 @@ func TestChaosRunDumpsPostmortemBundle(t *testing.T) {
 
 	dir := t.TempDir()
 	var w *bundle.Writer
-	rules, err := alert.ParseRules("device_failed:for=1")
+	rules, err := alert.ParseRules("fallback_rate>0:for=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,12 +93,8 @@ func TestChaosRunDumpsPostmortemBundle(t *testing.T) {
 		Checkpoint: sim.Save,
 	})
 
-	sim.Warmup()
-	if sim.Step > failStep {
-		t.Fatalf("warm-up ran past the scripted failure (step %d)", sim.Step)
-	}
-	for sim.Step <= failStep+1 {
-		sim.Advance() // the run survives the failure: dev0 absorbs the bands
+	for sim.Step <= alertStep+1 {
+		sim.Advance() // the alert stays active: no second bundle
 	}
 
 	if w.Written() != 1 {
@@ -120,10 +111,10 @@ func TestChaosRunDumpsPostmortemBundle(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := pm.Manifest
-	if m.Reason != "alert" || m.Step != failStep {
+	if m.Reason != "alert" || m.Step != alertStep {
 		t.Fatalf("manifest = %+v", m)
 	}
-	if m.Trigger == nil || m.Trigger.Rule != "device_failed" {
+	if m.Trigger == nil || m.Trigger.Rule != "fallback_rate>0" {
 		t.Fatalf("manifest trigger = %+v", m.Trigger)
 	}
 	// The inventory is exactly these members, in write order, and each
@@ -142,18 +133,18 @@ func TestChaosRunDumpsPostmortemBundle(t *testing.T) {
 	}
 
 	// The alert log names the fired rule.
-	if len(pm.Alerts.Log) != 1 || pm.Alerts.Log[0].Rule != "device_failed" {
+	if len(pm.Alerts.Log) != 1 || pm.Alerts.Log[0].Rule != "fallback_rate>0" {
 		t.Fatalf("alert log = %+v", pm.Alerts.Log)
 	}
-	if pm.Alerts.Log[0].Step != failStep || !pm.Alerts.Log[0].Active {
+	if pm.Alerts.Log[0].Step != alertStep || !pm.Alerts.Log[0].Active {
 		t.Fatalf("alert log entry = %+v", pm.Alerts.Log[0])
 	}
 
-	// The flight trace covers the failing step: the fleet's scheduling
+	// The flight trace covers the alerting step: the fleet's scheduling
 	// span, the simulation's advance span, and the alert event itself.
 	want := map[string]bool{"fleet/step": false, "advance": false, "alert": false}
 	for _, e := range pm.Trace {
-		if e.Step == failStep {
+		if e.Step == alertStep {
 			if _, ok := want[e.Name]; ok {
 				want[e.Name] = true
 			}
@@ -161,7 +152,7 @@ func TestChaosRunDumpsPostmortemBundle(t *testing.T) {
 	}
 	for name, seen := range want {
 		if !seen {
-			t.Errorf("flight trace has no %q record at failing step %d", name, failStep)
+			t.Errorf("flight trace has no %q record at alerting step %d", name, alertStep)
 		}
 	}
 
@@ -175,13 +166,13 @@ func TestChaosRunDumpsPostmortemBundle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("bundle checkpoint does not load: %v", err)
 	}
-	if restored.Step != failStep+1 {
-		t.Fatalf("checkpoint at step %d, want %d", restored.Step, failStep+1)
+	if restored.Step != alertStep+1 {
+		t.Fatalf("checkpoint at step %d, want %d", restored.Step, alertStep+1)
 	}
 
 	// And the triage report names the essentials.
 	rep := pm.Report()
-	for _, needle := range []string{"reason:  alert", "device_failed", "fleet/step"} {
+	for _, needle := range []string{"reason:  alert", "fallback_rate>0", "fleet/step"} {
 		if !strings.Contains(rep, needle) {
 			t.Errorf("postmortem report missing %q:\n%s", needle, rep)
 		}

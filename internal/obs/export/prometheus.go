@@ -1,7 +1,8 @@
 // Package export is the serving half of the telemetry layer: it turns an
 // obs.Registry snapshot into the Prometheus text exposition format and
 // serves it — together with the full JSON run snapshot, a step-liveness
-// health probe, and the Go pprof handlers — from an embedded HTTP server
+// health probe that active alerts degrade, the alert engine's state when
+// one is attached, and the Go pprof handlers — from an embedded HTTP server
 // that beamsim starts with -http. Everything here reads point-in-time
 // snapshots, so scraping mid-step never blocks the kernel hot path
 // beyond the registry's brief snapshot lock, and a simulation run with

@@ -24,7 +24,7 @@ func fixtureRegistry() *obs.Registry {
 	r.Counter("sim_steps_total").Add(7)
 	r.Counter("gpu_launches_total", obs.Label{Key: "kernel", Value: "predictive"}).Add(42)
 	r.Counter("gpu_launches_total", obs.Label{Key: "kernel", Value: "heuristic"}).Add(9)
-	r.Counter("fleet_bands_retried_total", obs.Label{Key: "device", Value: "0"}).Add(3)
+	r.Counter("fleet_bands_dispatched_total", obs.Label{Key: "device", Value: "0"}).Add(3)
 	r.Gauge("predictor_fallback_rate", obs.Label{Key: "kernel", Value: "predictive"}).Set(0.03125)
 	r.Gauge("escape_check", obs.Label{Key: "path", Value: "a\\b\"c\nd"}).Set(1)
 	r.Gauge("sim_step").Set(12)

@@ -13,22 +13,11 @@ import (
 	"beamdyn/internal/obs/alert"
 )
 
-// DeviceHealth is one fleet device's state as reported by /healthz. The
-// fleet package produces the equivalent record; cmd/beamsim adapts it so
-// this package stays independent of the scheduler.
-type DeviceHealth struct {
-	Device      string  `json:"device"`
-	State       string  `json:"state"`
-	Slowdown    float64 `json:"slowdown,omitempty"`
-	BusySec     float64 `json:"busy_sim_seconds,omitempty"`
-	Utilization float64 `json:"utilization,omitempty"`
-}
-
 // HealthReport is the /healthz response body.
 type HealthReport struct {
-	// Status is "ok", "degraded" (devices failed or degraded but the run
-	// advances) or "stalled" (no step progress within StaleAfter; the
-	// only status served with HTTP 503).
+	// Status is "ok", "degraded" (alerts are active but the run advances)
+	// or "stalled" (no step progress within StaleAfter; the only status
+	// served with HTTP 503).
 	Status string `json:"status"`
 	// Step is the simulation's current step (the sim_step gauge).
 	Step int `json:"step"`
@@ -39,15 +28,13 @@ type HealthReport struct {
 	// alert engine is attached; any active alert degrades the status.
 	AlertsActive   int `json:"alerts_active,omitempty"`
 	AlertsCritical int `json:"alerts_critical,omitempty"`
-	// Devices lists fleet device states when a fleet is attached.
-	Devices []DeviceHealth `json:"devices,omitempty"`
 }
 
 // Server serves one observer's telemetry over HTTP:
 //
 //	/metrics        Prometheus text exposition of the registry
 //	/snapshot.json  the full run snapshot (metrics + predictor series)
-//	/healthz        step liveness + fleet device states (503 when stalled)
+//	/healthz        step liveness and active alerts (503 when stalled)
 //	/alerts         the alert engine's rules, active alerts and firing log,
 //	                only when the server has an engine
 //	/debug/pprof/   the standard Go profiling handlers
@@ -58,9 +45,6 @@ type HealthReport struct {
 type Server struct {
 	// Obs is the observer being served; nil serves empty snapshots.
 	Obs *obs.Observer
-	// Devices optionally reports fleet device health (wired by beamsim
-	// from fleet.Fleet.Health on multi-device runs).
-	Devices func() []DeviceHealth
 	// Alerts optionally serves /alerts and folds active alerts into the
 	// /healthz status. Without an engine /alerts answers 404: a server
 	// reports no alerts it does not evaluate. Set it before the first
@@ -212,15 +196,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Status:              "ok",
 		Step:                int(step),
 		SecondsSinceAdvance: since.Seconds(),
-	}
-	if s.Devices != nil {
-		rep.Devices = s.Devices()
-		for _, d := range rep.Devices {
-			if d.State != "healthy" {
-				rep.Status = "degraded"
-				break
-			}
-		}
 	}
 	if total, crit := s.Alerts.ActiveCount(); total > 0 {
 		rep.Status = "degraded"

@@ -164,28 +164,6 @@ func TestHealthzLiveness(t *testing.T) {
 	}
 }
 
-func TestHealthzFleetDevices(t *testing.T) {
-	o := obs.New()
-	s := &Server{Obs: o, Devices: func() []DeviceHealth {
-		return []DeviceHealth{
-			{Device: "dev0", State: "healthy", Utilization: 1},
-			{Device: "dev1", State: "failed"},
-		}
-	}}
-	ts := testServer(t, s)
-	code, body, _ := get(t, ts.URL+"/healthz")
-	if code != http.StatusOK {
-		t.Fatalf("degraded fleet must stay 200 (run advances): %d", code)
-	}
-	var rep HealthReport
-	if err := json.Unmarshal([]byte(body), &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Status != "degraded" || len(rep.Devices) != 2 || rep.Devices[1].State != "failed" {
-		t.Fatalf("report = %+v", rep)
-	}
-}
-
 func TestSnapshotEndpointNilObserver(t *testing.T) {
 	// Regression: a server probed before the run wires its observer must
 	// serve the empty RunSnapshot document, not fail the request.
@@ -208,18 +186,22 @@ func TestSnapshotEndpointNilObserver(t *testing.T) {
 
 func TestHealthzStalledWinsOverDegraded(t *testing.T) {
 	// Precedence: a stall is strictly worse than degradation — a stalled
-	// run with failed devices must report "stalled" (503), not "degraded".
+	// run with an active alert must report "stalled" (503), not
+	// "degraded".
 	o := obs.New()
 	o.Reg.Gauge("sim_step").Set(1)
+	rules, err := alert.ParseRules("steptime>1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := alert.NewEngine(alert.Config{Rules: rules, Obs: o})
+	eng.Eval(alert.Input{Step: 1, StepSeconds: 2})
 	clock := time.Unix(1000, 0)
-	s := &Server{Obs: o, StaleAfter: 10 * time.Second,
-		now: func() time.Time { return clock },
-		Devices: func() []DeviceHealth {
-			return []DeviceHealth{{Device: "dev0", State: "failed"}}
-		}}
+	s := &Server{Obs: o, Alerts: eng, StaleAfter: 10 * time.Second,
+		now: func() time.Time { return clock }}
 	ts := testServer(t, s)
 
-	// First probe: degraded (devices down, step fresh).
+	// First probe: degraded (alert active, step fresh).
 	_, body, _ := get(t, ts.URL+"/healthz")
 	var rep HealthReport
 	if err := json.Unmarshal([]byte(body), &rep); err != nil {
@@ -245,7 +227,7 @@ func TestHealthzStalledWinsOverDegraded(t *testing.T) {
 
 func TestAlertsEndpointAndDegradedStatus(t *testing.T) {
 	o := obs.New()
-	rules, err := alert.ParseRules("device_failed:for=1")
+	rules, err := alert.ParseRules("fallback_rate>0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +243,7 @@ func TestAlertsEndpointAndDegradedStatus(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Rules) != 1 || st.Rules[0] != "device_failed" || len(st.Active) != 0 {
+	if len(st.Rules) != 1 || st.Rules[0] != "fallback_rate>0" || len(st.Active) != 0 {
 		t.Fatalf("quiet status = %+v", st)
 	}
 	if _, index, _ := get(t, ts.URL+"/"); !strings.Contains(index, "/alerts") {
@@ -275,7 +257,7 @@ func TestAlertsEndpointAndDegradedStatus(t *testing.T) {
 	}
 
 	// Fire an alert: /alerts shows it active, /healthz degrades (200).
-	eng.Eval(alert.Input{Step: 7, HasDevices: true, DeviceFailed: 1})
+	eng.Eval(alert.Input{Step: 7, HasPredictor: true, FallbackRate: 0.5})
 	code, body, _ := get(t, ts.URL+"/alerts")
 	if code != http.StatusOK {
 		t.Fatalf("GET /alerts = %d", code)
@@ -283,7 +265,7 @@ func TestAlertsEndpointAndDegradedStatus(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Active) != 1 || st.Active[0].Rule != "device_failed" || st.Active[0].Step != 7 {
+	if len(st.Active) != 1 || st.Active[0].Rule != "fallback_rate>0" || st.Active[0].Step != 7 {
 		t.Fatalf("firing status = %+v", st)
 	}
 	code, body, _ = get(t, ts.URL+"/healthz")
@@ -296,7 +278,7 @@ func TestAlertsEndpointAndDegradedStatus(t *testing.T) {
 
 	// Resolution clears it (fresh struct: omitted zero fields must not
 	// inherit the previous decode's values).
-	eng.Eval(alert.Input{Step: 8, HasDevices: true, DeviceFailed: 0})
+	eng.Eval(alert.Input{Step: 8, HasPredictor: true, FallbackRate: 0})
 	_, body, _ = get(t, ts.URL+"/healthz")
 	var resolved HealthReport
 	if err := json.Unmarshal([]byte(body), &resolved); err != nil {

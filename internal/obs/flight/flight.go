@@ -1,8 +1,8 @@
 // Package flight is the flight recorder of the telemetry layer: a
 // fixed-capacity ring buffer implementing obs.Sink that retains the last
 // N span/point events of a run even when no trace file is being written.
-// beamsim builds one whenever -postmortem-dir is set. When a run dies — a
-// chaos-killed device fleet, a stalled step, a panic — the bundle writer
+// beamsim builds one whenever -postmortem-dir is set. When a run goes
+// wrong — a critical alert, a stalled step, a panic — the bundle writer
 // drains the recorder into the post-mortem bundle (internal/obs/bundle),
 // so the incident ships with the exact trace that led up to it, instead
 // of requiring -trace to have been on from the start.
