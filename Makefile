@@ -36,16 +36,18 @@ race:
 # run a two-device fleet with alerting and post-mortem dumping enabled and
 # triage the resulting bundle with obstool — the full incident chain, end
 # to end, on every PR. The trigger is one the simulation makes itself:
-# Two-Phase-RP refines panels on every step, so the critical
-# "fallback_rate>0" rule fires at the first potentials step (step 2) and
-# dumps postmortem-00-step2-alert; the steptime rule runs the step-time
-# signal end to end as a warning, which dumps nothing. This gate, test-jobs-race and
+# Predictive-RP's safety net refines some panels on every step, and the
+# predictor signals start at the first step planned from a trained
+# forecast, so the critical "fallback_rate>0" rule fires at step 8 (the
+# subregion count grows until kappa = 6 at step 7) and dumps
+# postmortem-00-step8-alert; the steptime rule runs the step-time signal
+# end to end as a warning, which dumps nothing. This gate, test-jobs-race and
 # test-trace-race write under a fresh mktemp -d directory (it honours
 # TMPDIR) and remove it on exit.
 test-alert-race:
 	$(GO) test -race -count=1 ./internal/obs/...
 	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
-	$(GO) run ./cmd/beamsim -n 5000 -grid 32 -steps 4 -kernel twophase \
+	$(GO) run ./cmd/beamsim -n 5000 -grid 32 -steps 4 -kernel predictive \
 		-devices 2 -alerts "fallback_rate>0:for=1;steptime>60:sev=warn" \
 		-postmortem-dir "$$dir" && \
 	$(GO) run ./cmd/obstool postmortem "$$dir"/postmortem-00-*

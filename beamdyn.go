@@ -39,21 +39,16 @@ import (
 	"beamdyn/internal/roofline"
 )
 
-// Config describes a simulation run: beam, lattice, grid resolution,
-// retardation depth and tolerance.
+// Config describes a simulation run: beam, grid resolution, retardation
+// depth and tolerance.
 type Config = core.Config
 
 // Simulation is a running beam-dynamics simulation (the four-step loop of
 // the paper's Figure 1).
 type Simulation = core.Simulation
 
-// Beam and Lattice describe the physical scenario.
-type (
-	// Beam holds the bunch parameters (N, Q, sigmas, energy).
-	Beam = phys.Beam
-	// Lattice holds the bending-magnet parameters.
-	Lattice = phys.Lattice
-)
+// Beam holds the bunch parameters (N, Q, sigmas, energy).
+type Beam = phys.Beam
 
 // Algorithm is a compute-retarded-potentials kernel running on the
 // simulated GPU.
@@ -174,8 +169,10 @@ func New(cfg Config) *Simulation { return core.New(cfg) }
 func LoadCheckpoint(r io.Reader) (*Simulation, error) { return core.Load(r) }
 
 // DefaultConfig returns the paper's baseline scenario: a 1 nC Gaussian
-// bunch with LCLS-bend-like parameters, 1e5 macro-particles on a 64x64
-// grid, rigid-bunch mode.
+// bunch of the LCLS validation beam (50 um long, 4.3 GeV), 1e5
+// macro-particles on a 64x64 grid, rigid-bunch mode. The 2-D co-moving
+// model has no bend geometry, so the paper's LCLS bend (R0 = 25.13 m,
+// 11.4 degrees) enters no computation; only its beam is reproduced.
 func DefaultConfig() Config {
 	return Config{
 		Beam: Beam{
@@ -185,17 +182,13 @@ func DefaultConfig() Config {
 			SigmaY:       50e-6,
 			Energy:       4.3e9,
 		},
-		Lattice: phys.LCLSBend(),
-		NX:      64, NY: 64,
+		NX: 64, NY: 64,
 		Kappa: 6,
 		Tol:   1e-8,
 		Seed:  1,
 		Rigid: true,
 	}
 }
-
-// LCLSBend returns the validation lattice of the paper's Figure 2.
-func LCLSBend() Lattice { return phys.LCLSBend() }
 
 // Roofline builds the roofline model (the paper's Figure 4 chart) for a
 // device configuration; add measured kernels with AddKernel.

@@ -87,7 +87,7 @@ func TestDefaultConfigIsPaperScenario(t *testing.T) {
 	if cfg.Beam.TotalCharge != 1e-9 {
 		t.Fatal("bunch charge must be the paper's 1 nC")
 	}
-	if cfg.Lattice.BendRadius != 25.13 {
-		t.Fatal("lattice must be the LCLS bend")
+	if cfg.Beam.SigmaY != 50e-6 {
+		t.Fatal("bunch length must be the paper's 50 um")
 	}
 }

@@ -13,7 +13,6 @@ import (
 
 func main() {
 	cfg := beamdyn.DefaultConfig()
-	cfg.Lattice = beamdyn.LCLSBend()
 	cfg.Beam.NumParticles = 100000
 	cfg.NX, cfg.NY = 64, 64
 

@@ -249,6 +249,8 @@ var badCheckpointConfigs = []struct {
 	{"kappa above the bound", func(c *Config) { c.Kappa = MaxKappa + 1 }, fmt.Sprintf("kappa %d outside", MaxKappa+1)},
 	{"tol NaN", func(c *Config) { c.Tol = math.NaN() }, "tol is NaN"},
 	{"unknown scheme", func(c *Config) { c.Scheme = 7 }, "unknown deposition scheme"},
+	// The first value past CIC, the last scheme.
+	{"scheme 2", func(c *Config) { c.Scheme = 2 }, "unknown deposition scheme Scheme(2)"},
 	// Each factor within its bound, the product above MaxMemoryBytes.
 	{"history above the memory bound", func(c *Config) { c.NX, c.NY, c.Kappa = 4096, 4096, 60 }, "more than the 8 GiB bound"},
 	{"particles above the memory bound", func(c *Config) { c.Beam.NumParticles = 1 << 28 }, "268435456 particles need about 16.1 GB"},

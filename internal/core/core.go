@@ -34,9 +34,8 @@ import (
 
 // Config describes a simulation run.
 type Config struct {
-	// Beam and Lattice give the physical scenario.
-	Beam    phys.Beam
-	Lattice phys.Lattice
+	// Beam gives the physical scenario.
+	Beam phys.Beam
 	// NX, NY is the moment-grid resolution.
 	NX, NY int
 	// PadSigma is the half-extent of the grid in units of the beam sigmas
@@ -159,7 +158,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: beam of %d particles, want at least 1", c.Beam.NumParticles)
 	case c.Inner < quadrature.Trapezoid || c.Inner > quadrature.Boole:
 		return fmt.Errorf("core: unknown inner Newton-Cotes rule %d", c.Inner)
-	case c.Scheme < grid.NGP || c.Scheme > grid.TSC:
+	case c.Scheme < grid.NGP || c.Scheme > grid.CIC:
 		return fmt.Errorf("core: unknown deposition scheme %v", c.Scheme)
 	case c.Shape < particles.GaussianShape || c.Shape > particles.ParabolicShape:
 		return fmt.Errorf("core: unknown bunch shape %v", c.Shape)
@@ -413,22 +412,19 @@ func (s *Simulation) Advance() int {
 
 // evalAlerts assembles the step's alert-engine input — kernel fallback
 // behaviour, predictor quality and the physics-invariant drifts — and
-// evaluates the rule set. The invariant gauges are only
-// computed here, so runs without an alert engine pay nothing for them.
+// evaluates the rule set. The predictor signals come from the step result
+// the caller sees (for a fleet, all bands in band order), and only from a
+// step its kernel planned from a trained forecast: Two-Phase-RP, warm-up
+// and bootstrap steps refine a uniform seed, which says nothing about a
+// forecast. The invariant gauges are only computed here, so runs without
+// an alert engine pay nothing for them.
 func (s *Simulation) evalAlerts(step int, wallSec float64) {
 	in := alert.Input{Step: step, StepSeconds: wallSec}
-	if s.Last != nil && len(s.Last.Points) > 0 {
+	if r := s.Last; r != nil && r.Forecast && len(r.Points) > 0 {
 		in.HasPredictor = true
-		in.FallbackEntries = float64(s.Last.FallbackEntries)
-		in.FallbackRate = in.FallbackEntries / float64(len(s.Last.Points))
-	}
-	if s.Obs != nil {
-		if smp, ok := s.Obs.Pred.Last(); ok && smp.Step == step {
-			in.HasPredictor = true
-			in.FallbackRate = smp.FallbackRate
-			in.FallbackEntries = float64(smp.FallbackEntries)
-			in.ErrMean, in.ErrP90, in.ErrMax = smp.ErrMean, smp.ErrP90, smp.ErrMax
-		}
+		in.FallbackEntries = float64(r.FallbackEntries)
+		in.FallbackRate = in.FallbackEntries / float64(len(r.Points))
+		in.ErrMean, _, in.ErrP90, in.ErrMax = obs.SummarizeErrors(r.ForecastErr)
 	}
 	if s.Ensemble.Len() > 0 {
 		sum := diagnostics.Analyze(s.Ensemble)

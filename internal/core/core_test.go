@@ -21,8 +21,7 @@ func testConfig() Config {
 			SigmaY:       50e-6,
 			Energy:       4.3e9,
 		},
-		Lattice: phys.LCLSBend(),
-		NX:      24, NY: 24,
+		NX: 24, NY: 24,
 		Kappa: 4,
 		Tol:   1e-8,
 		Seed:  42,

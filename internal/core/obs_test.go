@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
+	"beamdyn/internal/fleet"
 	"beamdyn/internal/gpusim"
 	"beamdyn/internal/kernels"
 	"beamdyn/internal/obs"
@@ -135,6 +137,83 @@ func TestAdvanceWithIncidentLayerBitwiseIdentical(t *testing.T) {
 		}
 		if !found {
 			t.Fatalf("invariant gauge %s not published", g)
+		}
+	}
+}
+
+// TestDefaultRulesQuietOnHealthyRuns: the stock rules watch the forecast
+// and the charge, so a healthy run of every kernel fires nothing, with or
+// without an observer. This is beamsim's "-alerts default -n 5000 -grid
+// 32" run through warm-up and three steps; Two-Phase-RP, which refines a
+// uniform seed on every step, and the warm-up steps of the other two,
+// whose subregion count grows every step, feed no predictor signal.
+func TestDefaultRulesQuietOnHealthyRuns(t *testing.T) {
+	makers := map[string]func(*gpusim.Device) kernels.Algorithm{
+		"twophase":   func(d *gpusim.Device) kernels.Algorithm { return kernels.NewTwoPhase(d) },
+		"heuristic":  func(d *gpusim.Device) kernels.Algorithm { return kernels.NewHeuristic(d) },
+		"predictive": func(d *gpusim.Device) kernels.Algorithm { return kernels.NewPredictive(d) },
+	}
+	rules, err := alert.ParseRules(alert.DefaultRules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"twophase", "heuristic", "predictive"} {
+		for _, observed := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/observed=%v", name, observed), func(t *testing.T) {
+				cfg := testConfig()
+				cfg.NX, cfg.NY, cfg.Kappa, cfg.Beam.NumParticles = 32, 32, 6, 5000
+				s := New(cfg)
+				s.Algo = makers[name](gpusim.New(gpusim.KeplerK40()))
+				if observed {
+					s.Obs = obs.New()
+				}
+				s.Alerts = alert.NewEngine(alert.Config{Rules: rules, Obs: s.Obs})
+				s.Warmup()
+				s.Run(3)
+				if st := s.Alerts.Status(); len(st.Log) > 0 || st.StepsEvaluated != s.Step {
+					t.Fatalf("%d steps evaluated, alerts %+v", st.StepsEvaluated, st.Log)
+				}
+			})
+		}
+	}
+}
+
+// TestFleetFallbackRateIsTheStepsRate: on a two-device Predictive-RP
+// fleet whose bands fall back at different rates, the fallback_rate the
+// alert engine evaluates is the reassembled step's FallbackEntries per
+// point, not whichever band recorded its predictor sample last.
+func TestFleetFallbackRateIsTheStepsRate(t *testing.T) {
+	s := New(testConfig())
+	s.Algo = fleet.New(fleet.Config{
+		Devices: []*gpusim.Device{gpusim.New(gpusim.KeplerK40()), gpusim.New(gpusim.KeplerK40())},
+		MakeKernel: func(_ int, d *gpusim.Device) kernels.Algorithm {
+			return kernels.NewPredictive(d)
+		},
+	})
+	s.Obs = obs.New()
+	rules, err := alert.ParseRules("fallback_rate>=0:for=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Warmup()
+	for i := 0; i < 3; i++ {
+		// A fresh engine per step: the rule fires on every step the
+		// engine has a predictor signal for, and records its value.
+		s.Alerts = alert.NewEngine(alert.Config{Rules: rules})
+		step := s.Advance()
+		var bands []float64
+		for _, smp := range s.Obs.Pred.Samples() {
+			if smp.Step == step {
+				bands = append(bands, smp.FallbackRate)
+			}
+		}
+		if len(bands) != 2 || bands[0] == bands[1] {
+			t.Fatalf("step %d: band fallback rates %v, want two that differ", step, bands)
+		}
+		log := s.Alerts.Status().Log
+		want := float64(s.Last.FallbackEntries) / float64(len(s.Last.Points))
+		if len(log) != 1 || log[0].Value != want {
+			t.Fatalf("step %d: engine evaluated %+v, want fallback_rate %g (bands %v)", step, log, want, bands)
 		}
 	}
 }

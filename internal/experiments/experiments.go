@@ -44,8 +44,7 @@ func baseConfig(n, nx int, seed uint64) core.Config {
 			SigmaY:       50e-6,
 			Energy:       4.3e9,
 		},
-		Lattice: phys.LCLSBend(),
-		NX:      nx, NY: nx,
+		NX: nx, NY: nx,
 		Kappa: 6,
 		Tol:   1e-8,
 		Seed:  seed,

@@ -234,9 +234,10 @@ func (f *Fleet) runQueue(scope *obs.Observer, d int, q []*bandTask, p *retard.Pr
 }
 
 // reassemble copies every band's potentials into the target and
-// aggregates the per-band step results in band order.
+// aggregates the per-band step results in band order. The step was
+// planned from a forecast only if every band's was.
 func reassemble(target *grid.Grid, comp int, tasks []*bandTask, busy []float64) *kernels.StepResult {
-	agg := &kernels.StepResult{}
+	agg := &kernels.StepResult{Forecast: true}
 	agg.Points = make([]kernels.Point, target.NX*target.NY)
 	for _, t := range tasks {
 		band, res := t.band, t.res
@@ -254,6 +255,11 @@ func reassemble(target *grid.Grid, comp int, tasks []*bandTask, busy []float64) 
 		agg.Host.Train += res.Host.Train
 		agg.FallbackEntries += res.FallbackEntries
 		agg.Launches += res.Launches
+		agg.Forecast = agg.Forecast && res.Forecast
+		agg.ForecastErr = append(agg.ForecastErr, res.ForecastErr...)
+	}
+	if !agg.Forecast {
+		agg.ForecastErr = nil
 	}
 	// Devices run concurrently: the step finishes when the busiest one
 	// does.

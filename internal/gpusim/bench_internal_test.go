@@ -76,7 +76,7 @@ func floorLaunches() []Launch {
 // Metrics must be ==-equal on the warm-up launch. Reps interleave the two
 // engines so machine noise hits both alike, with GC off.
 func replayWalls(b *testing.B, l Launch, reps int) (oracleSec, streamSec float64) {
-	oracle := New(KeplerK40())
+	oracle := newOracle(KeplerK40())
 	stream := New(KeplerK40())
 	if mo, ms := runOracle(oracle, l), stream.Run(l); mo != ms {
 		b.Fatalf("%s: engines disagree on warm-up launch\noracle:    %+v\nstreaming: %+v", l.Name, mo, ms)

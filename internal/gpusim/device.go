@@ -18,12 +18,9 @@ type Launch struct {
 	Name string
 	// Blocks and ThreadsPerBlock define the launch grid.
 	Blocks, ThreadsPerBlock int
-	// Kernel is the lane body.
+	// Kernel is the lane body. Caches stay warm across launches of a
+	// pipeline, as they do between dependent kernels on real hardware.
 	Kernel Kernel
-	// ColdCaches, when set, resets the cache hierarchy before the launch.
-	// By default caches stay warm across launches of a pipeline, as they
-	// do between dependent kernels on real hardware.
-	ColdCaches bool
 }
 
 // Device is a simulated GPU. A Device is safe for sequential use; a single
@@ -132,14 +129,11 @@ type smState struct {
 	l1, l2 *cache
 	m      Metrics
 	lanes  []*Lane
-	// scratch for coalescing (<= WarpSize entries per warp instruction)
-	addrs []uintptr
-	lines []uintptr
-	// l1Slots[k] is the L1 slot (set*ways+way) the k-th unique line of
-	// the last walked load instruction landed in; fpLines is the second
-	// line buffer of a footprint group, which keeps the previous
-	// instruction's lines for the repeat test (see replayFootprint).
-	l1Slots []int
+	// scratch for coalescing (<= WarpSize entries per warp instruction);
+	// fpLines is the second line buffer of a footprint group, which keeps
+	// the previous instruction's lines for the repeat test (see
+	// replayFootprint).
+	lines   []uintptr
 	fpLines []uintptr
 	// scratch for divergent-kind grouping (<= WarpSize distinct kinds):
 	// members collects the lanes alive at step t, group one kind's subset
@@ -196,9 +190,7 @@ func New(cfg Config) *Device {
 			l1:       newCache(cfg.L1Bytes, cfg.L1LineBytes, cfg.L1Ways),
 			l2:       newCache(l2PerSM, cfg.L2LineBytes, cfg.L2Ways),
 			lanes:    make([]*Lane, cfg.WarpSize*cfg.ResidentWarps),
-			addrs:    make([]uintptr, 0, cfg.WarpSize),
 			lines:    make([]uintptr, 0, cfg.WarpSize),
-			l1Slots:  make([]int, cfg.WarpSize),
 			fpLines:  make([]uintptr, 0, cfg.WarpSize),
 			kinds:    make([]uint16, 0, cfg.WarpSize),
 			members:  make([]*Lane, 0, cfg.WarpSize),
@@ -222,14 +214,6 @@ func New(cfg Config) *Device {
 // Config returns the device configuration.
 func (d *Device) Config() Config { return d.cfg }
 
-// ResetCaches clears the cache hierarchy (between independent experiments).
-func (d *Device) ResetCaches() {
-	for _, sm := range d.sms {
-		sm.l1.reset()
-		sm.l2.reset()
-	}
-}
-
 // Run executes the launch and returns its metrics. Thread blocks are
 // distributed round-robin over SMs (approximating the hardware block
 // scheduler); each SM replays its blocks warp by warp through its private
@@ -248,9 +232,6 @@ func (d *Device) Run(l Launch) Metrics {
 	if l.ThreadsPerBlock > d.cfg.MaxThreadsPerBlock {
 		panic(fmt.Sprintf("gpusim: launch %q requests %d threads per block (max %d)",
 			l.Name, l.ThreadsPerBlock, d.cfg.MaxThreadsPerBlock))
-	}
-	if l.ColdCaches {
-		d.ResetCaches()
 	}
 	statsBefore := d.ReplayStats()
 	d.launch = l
@@ -380,7 +361,7 @@ func (d *Device) runBlock(sm *smState, l Launch, block int) {
 			lanes := sm.lanes[(w-w0)*ws : (w-w0)*ws+n]
 			for i := 0; i < n; i++ {
 				lane := lanes[i]
-				lane.reset(warpStart+i, block)
+				lane.reset()
 				l.Kernel(lane, block, warpStart+i)
 				lane.closeUnit()
 				if len(lane.units) > maxUnits {
@@ -576,8 +557,10 @@ func (d *Device) replayFootprintLoads(sm *smState, members []*Lane, loadSl [][]u
 // modulo sets), so the previous walk left each one resident as its set's
 // most recently used way, and no other L1 lookup came between. The
 // per-instruction walk would then hit each line on its first probe and
-// touch no L2; touchMRU performs exactly those transitions on the slots
-// the previous walk noted, and the counters advance as walkLines would.
+// touch no L2. Such hits change neither the tags, nor the recency order,
+// nor the last-line state (the previous walk ended on the same last
+// line), so only the MRU-hit count and the counters advance, as
+// walkLines would advance them.
 func (d *Device) replayFootprint(sm *smState, loadSl [][]uintptr, fpSl [][]footprint, i int) bool {
 	lineBytes := uintptr(d.cfg.L1LineBytes)
 	runs := sm.runs[:0]
@@ -655,7 +638,7 @@ func (d *Device) replayFootprint(sm *smState, loadSl [][]uintptr, fpSl [][]footp
 		}
 		m.LoadReqBytes += 8 * uint64(active)
 		if n := len(uniq); n > 0 && uniq[n-1]-uniq[0] < uintptr(l1.sets) && slices.Equal(uniq, prev) {
-			l1.touchMRU(sm.l1Slots[:n], uniq[n-1]+1)
+			l1.mruHits += uint64(n)
 			m.L1TransferBytes += uint64(n) * uint64(d.cfg.L1LineBytes)
 			m.L1Accesses += uint64(n)
 			m.L1Hits += uint64(n)
@@ -759,11 +742,9 @@ func (d *Device) walkLines(sm *smState, lines []uintptr, same, sorted, isLoad bo
 	m := &sm.m
 	if isLoad {
 		m.L1TransferBytes += uint64(len(uniq)) * uint64(d.cfg.L1LineBytes)
-		for k, ln := range uniq {
+		for _, ln := range uniq {
 			m.L1Accesses++
-			hit := sm.l1.access(ln)
-			sm.l1Slots[k] = sm.l1.lastIdx
-			if hit {
+			if sm.l1.access(ln) {
 				m.L1Hits++
 				continue
 			}

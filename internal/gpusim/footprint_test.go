@@ -149,28 +149,27 @@ func fpConfig(warp, sms, resident, l1Line int) Config {
 	return cfg
 }
 
-// cacheState renders a cache's contents and counters: tags, LRU stamps,
-// tick and hit/miss counts, plus, with lookup set, the streaming lookup's
-// recency order, last-line state and MRU-hit count (which the oracle's
-// scan-only lookup does not maintain).
-func cacheState(c *cache, lookup bool) string {
-	s := fmt.Sprint(c.tags, c.stamp, c.tick, c.hits, c.misses)
-	if lookup {
-		s += fmt.Sprint(c.order, c.lastTag, c.lastIdx, c.mruHits)
+// cacheState renders a streaming cache's state: tags, recency order and
+// last-line state, plus, with mru set, its MRU-hit count (which the
+// oracle's scan cache does not keep).
+func cacheState(c *cache, mru bool) string {
+	s := fmt.Sprint(c.tags, c.order, c.lastTag)
+	if mru {
+		s += fmt.Sprint(" ", c.mruHits)
 	}
 	return s
 }
 
-// sameCaches fails unless every SM's L1 and L2 of a and b are in the same
-// state, as cacheState renders it.
-func sameCaches(t *testing.T, tag string, a, b *Device, lookup bool) {
+// sameCaches fails unless every SM's L1 and L2 of the streaming devices a
+// and b are in the same state, MRU-hit counts included.
+func sameCaches(t *testing.T, tag string, a, b *Device) {
 	t.Helper()
 	for i := range a.sms {
 		for _, c := range []struct {
 			name   string
 			ca, cb *cache
 		}{{"L1", a.sms[i].l1, b.sms[i].l1}, {"L2", a.sms[i].l2, b.sms[i].l2}} {
-			if sa, sb := cacheState(c.ca, lookup), cacheState(c.cb, lookup); sa != sb {
+			if sa, sb := cacheState(c.ca, true), cacheState(c.cb, true); sa != sb {
 				t.Fatalf("%s: SM %d %s state differs\n%s\n%s", tag, i, c.name, sa, sb)
 			}
 		}
@@ -193,10 +192,11 @@ func repeats(d *Device) uint64 {
 // to the same trace recorded as nine single loads, under both the
 // streaming engine and the oracle, launch after launch on warm devices.
 // After every launch the caches must be in the same state too: the
-// Load3x3 device's L1 and L2 (tags, stamps, recency order, last-line
-// state) equal the single-load device's, and their tags and stamps equal
-// the oracle's; so must the replay statistics the footprint path does not
-// change by design (everything but SortFallbacks).
+// Load3x3 device's L1 and L2 (tags, recency order, last-line state, MRU
+// hits) equal the single-load device's, and their tags, recency order and
+// last-line state equal the oracle's; so must the replay statistics the
+// footprint path does not change by design (everything but
+// SortFallbacks).
 func TestFootprintABMatrix(t *testing.T) {
 	for _, ws := range []int{4, 32} {
 		for _, res := range []int{1, 8} {
@@ -208,7 +208,7 @@ func TestFootprintABMatrix(t *testing.T) {
 						t.Run(name, func(t *testing.T) {
 							fpStream := New(cfg)
 							loadStream := New(cfg)
-							fpOracle := New(cfg)
+							fpOracle := newOracle(cfg)
 							for _, sh := range fpShapes {
 								l := Launch{Name: sh.name, Blocks: 3, ThreadsPerBlock: tpb}
 								l.Kernel = sh.k((*Lane).Load3x3)
@@ -222,8 +222,8 @@ func TestFootprintABMatrix(t *testing.T) {
 								if mf != mo {
 									t.Fatalf("%s: streaming diverges from oracle\nstreaming: %+v\noracle:    %+v", sh.name, mf, mo)
 								}
-								sameCaches(t, sh.name+" Load3x3 vs Load", fpStream, loadStream, true)
-								sameCaches(t, sh.name+" Load3x3 vs oracle", fpStream, fpOracle, false)
+								sameCaches(t, sh.name+" Load3x3 vs Load", fpStream, loadStream)
+								sameAsOracle(t, sh.name+" Load3x3 vs oracle", fpStream, fpOracle)
 								sf, sl := fpStream.ReplayStats(), loadStream.ReplayStats()
 								sf.SortFallbacks, sl.SortFallbacks = 0, 0
 								if sf != sl {
@@ -272,12 +272,12 @@ func TestFootprintGroupSortsOnce(t *testing.T) {
 func TestLoad3x3RecordsNineLoads(t *testing.T) {
 	const stale = 0xdead
 	var a, b Lane
-	a.reset(0, 0)
+	a.reset()
 	for i := 0; i < 16; i++ {
 		a.Load(stale)
 	}
-	a.reset(0, 0)
-	b.reset(0, 0)
+	a.reset()
+	b.reset()
 	a.Begin(0)
 	b.Begin(0)
 	a.Load(3)

@@ -232,20 +232,6 @@ func TestMetricsAdd(t *testing.T) {
 	}
 }
 
-func TestColdCachesReset(t *testing.T) {
-	d := New(testConfig())
-	k := func(l *Lane, b, th int) { l.Begin(0); l.Load(0x40) }
-	d.Run(Launch{Name: "warm", Blocks: 1, ThreadsPerBlock: 1, Kernel: k})
-	m := d.Run(Launch{Name: "cold", Blocks: 1, ThreadsPerBlock: 1, Kernel: k, ColdCaches: true})
-	if m.L1Hits != 0 {
-		t.Fatal("ColdCaches did not reset the hierarchy")
-	}
-	m2 := d.Run(Launch{Name: "warm2", Blocks: 1, ThreadsPerBlock: 1, Kernel: k})
-	if m2.L1Hits != 1 {
-		t.Fatal("warm launch after cold run must hit")
-	}
-}
-
 func TestLaunchValidation(t *testing.T) {
 	d := New(testConfig())
 	for i, l := range []Launch{
@@ -311,7 +297,7 @@ func TestCachePropertyHitsNeverExceedAccesses(t *testing.T) {
 
 func TestLaneAccounting(t *testing.T) {
 	var l Lane
-	l.reset(0, 0)
+	l.reset()
 	l.Begin(1)
 	l.Flops(3)
 	l.Load(0x10)

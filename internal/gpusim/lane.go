@@ -14,10 +14,6 @@ import "slices"
 // All global-memory accesses are 8 bytes (double precision), matching the
 // simulation's data, so Load/Store take only an address.
 type Lane struct {
-	// ThreadID is the lane's thread index within its block; BlockID the
-	// block index within the launch.
-	ThreadID, BlockID int
-
 	units  []unit
 	loads  []uintptr
 	stores []uintptr
@@ -158,8 +154,7 @@ func (l *Lane) LaneFlops() uint64 {
 }
 
 // reset clears the trace for reuse, keeping capacity.
-func (l *Lane) reset(threadID, blockID int) {
-	l.ThreadID, l.BlockID = threadID, blockID
+func (l *Lane) reset() {
 	l.units = l.units[:0]
 	l.loads = l.loads[:0]
 	l.stores = l.stores[:0]

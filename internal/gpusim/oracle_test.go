@@ -1,34 +1,66 @@
 package gpusim
 
 import (
+	"fmt"
 	"sort"
 	"sync"
+	"testing"
 )
 
 // This file preserves the pre-streaming replay engine verbatim as the
 // equivalence oracle; runOracle replays a launch with it. It materializes
 // each resident window's traces before replaying, allocates kind/member
 // slices per warp step, orders kinds and coalesced lines with sort.Slice,
-// and consults the caches through the plain associative scan — exactly
-// the engine the streaming path replaced. The A/B suite (TestEngineABMatrix
-// and TestFootprintABMatrix) proves both engines produce ==-equal Metrics
-// for every kernel, divergence shape, warp size and resident-window
-// configuration, and BenchmarkReplayFloor holds the streaming engine's
-// speedup against it. Above this package, the committed identity digests
-// of the kernels and fleet packages pin outputs the oracle reproduces.
-// The oracle reads every load from Lane.loads; Load3x3 only reserves its
-// slots there, so runOracle fills them (expandFootprints) as each lane's
-// trace completes, before anything replays it.
+// and consults caches of its own (scanCache) through the plain
+// associative scan over LRU stamps — exactly the engine the streaming
+// path replaced. The A/B suite (TestEngineABMatrix and
+// TestFootprintABMatrix) proves both engines produce ==-equal Metrics and
+// the same cache state for every kernel, divergence shape, warp size and
+// resident-window configuration, and BenchmarkReplayFloor holds the
+// streaming engine's speedup against it. Above this package, the
+// committed identity digests of the kernels and fleet packages pin
+// outputs the oracle reproduces. The oracle reads every load from
+// Lane.loads; Load3x3 only reserves its slots there, so runOracle fills
+// them (expandFootprints) as each lane's trace completes, before anything
+// replays it.
+
+// oracle is a device replayed by the oracle engine. The Device supplies
+// the lane arenas, per-SM metrics and the time model; each SM's caches
+// are the oracle's scan caches, which shadow the Device's streaming ones.
+type oracle struct {
+	d   *Device
+	sms []*oracleSM
+}
+
+// oracleSM is one SM's replay state under the oracle engine.
+type oracleSM struct {
+	*smState
+	l1, l2 *scanCache
+	addrs  []uintptr
+}
+
+// newOracle builds an oracle device for cfg, with caches sized as New
+// sizes the streaming ones.
+func newOracle(cfg Config) *oracle {
+	d := New(cfg)
+	cfg = d.cfg
+	l2PerSM := max(cfg.L2Bytes/cfg.NumSMs, cfg.L2LineBytes*cfg.L2Ways)
+	o := &oracle{d: d}
+	for _, sm := range d.sms {
+		o.sms = append(o.sms, &oracleSM{
+			smState: sm,
+			l1:      newScanCache(cfg.L1Bytes, cfg.L1LineBytes, cfg.L1Ways),
+			l2:      newScanCache(l2PerSM, cfg.L2LineBytes, cfg.L2Ways),
+		})
+	}
+	return o
+}
 
 // runOracle is Device.Run with the oracle engine: it fans the SMs out on
 // goroutines as Run does, replays each SM's blocks with runBlockOracle,
-// and aggregates through the same time model, profiler and recorder. The
-// oracle lookup advances LRU stamps without maintaining the streaming
-// lookup's recency order, so a device replayed here must not then be Run.
-func runOracle(d *Device, l Launch) Metrics {
-	if l.ColdCaches {
-		d.ResetCaches()
-	}
+// and aggregates through the same time model, profiler and recorder.
+func runOracle(o *oracle, l Launch) Metrics {
+	d := o.d
 	kernel := l.Kernel
 	l.Kernel = func(lane *Lane, block, thread int) {
 		kernel(lane, block, thread)
@@ -36,7 +68,7 @@ func runOracle(d *Device, l Launch) Metrics {
 	}
 	statsBefore := d.ReplayStats()
 	var wg sync.WaitGroup
-	for smID, sm := range d.sms {
+	for smID, sm := range o.sms {
 		sm.m = Metrics{warpSize: d.cfg.WarpSize}
 		wg.Add(1)
 		go func() {
@@ -48,6 +80,25 @@ func runOracle(d *Device, l Launch) Metrics {
 	}
 	wg.Wait()
 	return d.aggregate(l.Name, statsBefore)
+}
+
+// sameAsOracle fails unless every SM's L1 and L2 of the streaming device
+// d are in the state of o's: the same tags, the recency order o's stamps
+// give, and the same last-line state.
+func sameAsOracle(t *testing.T, tag string, d *Device, o *oracle) {
+	t.Helper()
+	for i, sm := range d.sms {
+		osm := o.sms[i]
+		for _, c := range []struct {
+			name string
+			c    *cache
+			sc   *scanCache
+		}{{"L1", sm.l1, osm.l1}, {"L2", sm.l2, osm.l2}} {
+			if sa, so := cacheState(c.c, false), c.sc.state(); sa != so {
+				t.Fatalf("%s: SM %d %s state differs from the oracle's\n%s\n%s", tag, i, c.name, sa, so)
+			}
+		}
+	}
 }
 
 // expandFootprints writes the nine addresses of each of a traced lane's
@@ -69,7 +120,7 @@ func expandFootprints(lane *Lane) {
 // processed in windows of ResidentWarps whose unit execution interleaves
 // round-robin, so the window's combined working set contends for the SM's
 // caches the way concurrently resident warps do on hardware.
-func (d *Device) runBlockOracle(sm *smState, l Launch, block int) {
+func (d *Device) runBlockOracle(sm *oracleSM, l Launch, block int) {
 	ws := d.cfg.WarpSize
 	window := d.cfg.ResidentWarps
 	warps := (l.ThreadsPerBlock + ws - 1) / ws
@@ -89,7 +140,7 @@ func (d *Device) runBlockOracle(sm *smState, l Launch, block int) {
 			lanes := sm.lanes[(w-w0)*ws : (w-w0)*ws+n]
 			for i := 0; i < n; i++ {
 				lane := lanes[i]
-				lane.reset(warpStart+i, block)
+				lane.reset()
 				l.Kernel(lane, block, warpStart+i)
 				lane.closeUnit()
 			}
@@ -114,7 +165,7 @@ func (d *Device) runBlockOracle(sm *smState, l Launch, block int) {
 
 // replayWarpStepOracle replays unit step t of one warp in SIMT lockstep,
 // charging instruction issue, divergence, coalescing, caches and DRAM.
-func (d *Device) replayWarpStepOracle(sm *smState, lanes []*Lane, t int) {
+func (d *Device) replayWarpStepOracle(sm *oracleSM, lanes []*Lane, t int) {
 	var kinds []uint16
 	var members []*Lane
 	for _, lane := range lanes {
@@ -151,7 +202,7 @@ func (d *Device) replayWarpStepOracle(sm *smState, lanes []*Lane, t int) {
 
 // replayGroupOracle issues the t-th unit of the member lanes as one
 // lockstep group.
-func (d *Device) replayGroupOracle(sm *smState, members []*Lane, t int) {
+func (d *Device) replayGroupOracle(sm *oracleSM, members []*Lane, t int) {
 	m := &sm.m
 	var maxInsts, maxFlops, maxLoads, maxStores uint64
 	for _, lane := range members {
@@ -209,7 +260,7 @@ func (d *Device) replayGroupOracle(sm *smState, members []*Lane, t int) {
 // hierarchy. Loads consult L1 then L2 then DRAM; stores write through to
 // DRAM at line granularity (non-allocating, like Kepler's global store
 // path).
-func (d *Device) accessLinesOracle(sm *smState, addrs []uintptr, isLoad bool) {
+func (d *Device) accessLinesOracle(sm *oracleSM, addrs []uintptr, isLoad bool) {
 	if len(addrs) == 0 {
 		return
 	}
@@ -230,12 +281,12 @@ func (d *Device) accessLinesOracle(sm *smState, addrs []uintptr, isLoad bool) {
 		m.L1TransferBytes += uint64(len(uniq)) * uint64(d.cfg.L1LineBytes)
 		for _, ln := range uniq {
 			m.L1Accesses++
-			if sm.l1.accessScan(ln) {
+			if sm.l1.access(ln) {
 				m.L1Hits++
 				continue
 			}
 			m.L2Accesses++
-			if sm.l2.accessScan(ln) {
+			if sm.l2.access(ln) {
 				m.L2Hits++
 				continue
 			}
@@ -246,17 +297,39 @@ func (d *Device) accessLinesOracle(sm *smState, addrs []uintptr, isLoad bool) {
 	}
 }
 
-// accessScan is the pre-streaming lookup: one pass over the set's ways,
-// hit check and LRU victim tracking interleaved. The oracle replay engine
-// uses it so the A/B baseline carries none of the fast-path machinery.
-// It invalidates the last-line short-circuit rather than maintaining it,
-// so mixing entry points on one cache stays correct.
-func (c *cache) accessScan(line uintptr) bool {
+// scanCache is the pre-streaming cache: a set-associative LRU cache whose
+// LRU state is a timestamp per way, written on every lookup, with tick,
+// hit and miss counters. It also notes the tag of its latest lookup, so
+// its state compares with a streaming cache's last-line state.
+type scanCache struct {
+	sets, ways   int
+	tags         []uintptr
+	stamp        []uint64
+	tick         uint64
+	hits, misses uint64
+	lastTag      uintptr
+}
+
+// newScanCache sizes a scan cache as newCache sizes a streaming one.
+func newScanCache(totalBytes, lineBytes, ways int) *scanCache {
+	sets := max(totalBytes/lineBytes/ways, 1)
+	return &scanCache{
+		sets:  sets,
+		ways:  ways,
+		tags:  make([]uintptr, sets*ways),
+		stamp: make([]uint64, sets*ways),
+	}
+}
+
+// access is the pre-streaming lookup: one pass over the set's ways, hit
+// check and LRU victim tracking interleaved, the first way with the
+// lowest stamp the victim.
+func (c *scanCache) access(line uintptr) bool {
 	c.tick++
-	c.lastTag = 0
 	set := int(line % uintptr(c.sets))
 	base := set * c.ways
 	tag := line + 1
+	c.lastTag = tag
 	var victim int
 	oldest := ^uint64(0)
 	for w := 0; w < c.ways; w++ {
@@ -276,3 +349,30 @@ func (c *cache) accessScan(line uintptr) bool {
 	c.stamp[victim] = c.tick
 	return false
 }
+
+// order returns the recency order the stamps give, laid out as the
+// streaming cache's order: per set, ways by decreasing stamp, and ways
+// never touched (stamp 0) last by decreasing index, so the tail is the
+// way the stamp scan evicts next.
+func (c *scanCache) order() []uint8 {
+	ord := make([]uint8, len(c.stamp))
+	for set := 0; set < c.sets; set++ {
+		base := set * c.ways
+		o := ord[base : base+c.ways]
+		for w := range o {
+			o[w] = uint8(w)
+		}
+		sort.Slice(o, func(i, j int) bool {
+			si, sj := c.stamp[base+int(o[i])], c.stamp[base+int(o[j])]
+			if si != sj {
+				return si > sj
+			}
+			return o[i] > o[j]
+		})
+	}
+	return ord
+}
+
+// state renders the scan cache as cacheState renders a streaming cache:
+// tags, recency order and last-line state.
+func (c *scanCache) state() string { return fmt.Sprint(c.tags, c.order(), c.lastTag) }

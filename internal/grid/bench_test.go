@@ -19,7 +19,7 @@ func benchEnsemble(n int) *particles.Ensemble {
 func BenchmarkDeposit(b *testing.B) {
 	e := benchEnsemble(100000)
 	g := New(128, 128, MomentComponents, -8e-4, -16e-4, 16e-4/127, 32e-4/127)
-	for _, s := range []Scheme{NGP, CIC, TSC} {
+	for _, s := range []Scheme{NGP, CIC} {
 		s := s
 		b.Run(s.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

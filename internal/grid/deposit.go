@@ -10,7 +10,7 @@ import (
 // Scheme selects the particle-in-cell weighting function used for both
 // deposition (scatter) and interpolation (gather). The paper cites the
 // standard PIC references [11]-[13]; cloud-in-cell is the scheme used by
-// the original code, with NGP and TSC provided for convergence studies.
+// the original code, and NGP is the library's default.
 type Scheme int
 
 const (
@@ -18,8 +18,6 @@ const (
 	NGP Scheme = iota
 	// CIC is cloud-in-cell (linear) weighting, the paper's default.
 	CIC
-	// TSC is triangular-shaped-cloud (quadratic) weighting.
-	TSC
 )
 
 // String returns the scheme's conventional abbreviation.
@@ -29,20 +27,15 @@ func (s Scheme) String() string {
 		return "NGP"
 	case CIC:
 		return "CIC"
-	case TSC:
-		return "TSC"
 	}
 	return fmt.Sprintf("Scheme(%d)", int(s))
 }
 
 // support returns the number of grid points the kernel of a weighted
-// scheme (CIC or TSC) touches along one axis.
+// scheme (CIC) touches along one axis.
 func (s Scheme) support() int {
-	switch s {
-	case CIC:
+	if s == CIC {
 		return 2
-	case TSC:
-		return 3
 	}
 	panic("grid: unknown scheme")
 }
@@ -60,33 +53,21 @@ func nearest(f float64) int {
 }
 
 // weights1D fills w with the kernel weights along one axis for a particle
-// at fractional grid coordinate f under a weighted scheme (CIC or TSC), and
+// at fractional grid coordinate f under a weighted scheme (CIC), and
 // returns the index of the first grid point touched. w must have length >=
 // the scheme's support.
 func (s Scheme) weights1D(f float64, w []float64) int {
-	switch s {
-	case CIC:
-		i := int(f)
-		if f < 0 {
-			i-- // floor toward the lower cell for negative coordinates
-		}
-		d := f - float64(i)
-		w[0] = 1 - d
-		w[1] = d
-		return i
-	case TSC:
-		t := f + 0.5
-		i := int(t)
-		if t < 0 {
-			i--
-		}
-		d := f - float64(i)
-		w[0] = 0.5 * (0.5 - d) * (0.5 - d)
-		w[1] = 0.75 - d*d
-		w[2] = 0.5 * (0.5 + d) * (0.5 + d)
-		return i - 1
+	if s != CIC {
+		panic("grid: unknown scheme")
 	}
-	panic("grid: unknown scheme")
+	i := int(f)
+	if f < 0 {
+		i-- // floor toward the lower cell for negative coordinates
+	}
+	d := f - float64(i)
+	w[0] = 1 - d
+	w[1] = d
+	return i
 }
 
 // Moments identifies the component layout produced by Deposit: charge
@@ -127,7 +108,7 @@ func Deposit(g *Grid, e *particles.Ensemble, s Scheme) (dropped int) {
 		return depositNGP(g, e.P)
 	}
 	sup := s.support()
-	var wx, wy [3]float64
+	var wx, wy [2]float64
 	cellArea := g.DX * g.DY
 	for i := range e.P {
 		p := &e.P[i]
@@ -259,7 +240,7 @@ func Interp(g *Grid, x, y float64, c int, s Scheme) float64 {
 	}
 	fx, fy := g.Cell(x, y)
 	sup := s.support()
-	var wx, wy [3]float64
+	var wx, wy [2]float64
 	ix0 := s.weights1D(fx, wx[:])
 	iy0 := s.weights1D(fy, wy[:])
 	if outside(ix0, sup, g.NX) || outside(iy0, sup, g.NY) {
@@ -299,7 +280,7 @@ func GatherForces(fg *Grid, ps []particles.Particle, s Scheme, out []particles.F
 		return
 	}
 	sup := s.support()
-	var wx, wy [3]float64
+	var wx, wy [2]float64
 	for i := range ps {
 		fx, fy := fg.Cell(ps[i].X, ps[i].Y)
 		ix0 := s.weights1D(fx, wx[:])

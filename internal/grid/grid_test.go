@@ -83,7 +83,7 @@ func TestCloneAndZero(t *testing.T) {
 }
 
 func TestDepositConservesCharge(t *testing.T) {
-	for _, s := range []Scheme{NGP, CIC, TSC} {
+	for _, s := range []Scheme{NGP, CIC} {
 		e := particles.NewGaussian(testBeam(5000), 1)
 		g := New(64, 64, MomentComponents, -8e-4, -16e-4, 16e-4/63*2, 32e-4/63*2)
 		dropped := Deposit(g, e, s)
@@ -120,7 +120,7 @@ func TestDepositCurrentMoments(t *testing.T) {
 func TestInterpReproducesDeposit(t *testing.T) {
 	// Interpolating the deposited field of a single particle at the
 	// particle position must return a positive density for every scheme.
-	for _, s := range []Scheme{NGP, CIC, TSC} {
+	for _, s := range []Scheme{NGP, CIC} {
 		e := &particles.Ensemble{P: []particles.Particle{{X: 4.3, Y: 4.7, Charge: 1}}}
 		g := New(9, 9, MomentComponents, 0, 0, 1, 1)
 		Deposit(g, e, s)
@@ -143,7 +143,7 @@ func TestOutsideEdgesMirror(t *testing.T) {
 		ones.Data[i] = 1
 	}
 	mid := float64(n-1) / 2
-	for _, s := range []Scheme{NGP, CIC, TSC} {
+	for _, s := range []Scheme{NGP, CIC} {
 		for axis := 0; axis < 2; axis++ {
 			for _, d := range []float64{0.3, 0.7, 1.2} {
 				probe := func(c float64) (dropped bool, interp float64) {
@@ -208,7 +208,7 @@ func TestGatherForcesMatchesInterp(t *testing.T) {
 	for i := range fg.Data {
 		fg.Data[i] = math.Sin(float64(i)) * 1e3
 	}
-	for _, s := range []Scheme{NGP, CIC, TSC} {
+	for _, s := range []Scheme{NGP, CIC} {
 		out := make([]particles.Force, len(e.P))
 		for i := range out {
 			out[i] = particles.Force{AX: 1, AY: 1} // stale forces must be overwritten
@@ -243,7 +243,7 @@ func TestGradientLinearField(t *testing.T) {
 }
 
 func TestSchemeStrings(t *testing.T) {
-	if NGP.String() != "NGP" || CIC.String() != "CIC" || TSC.String() != "TSC" {
+	if NGP.String() != "NGP" || CIC.String() != "CIC" || Scheme(2).String() != "Scheme(2)" {
 		t.Fatal("scheme names wrong")
 	}
 	if Scheme(42).String() == "" {
@@ -332,8 +332,6 @@ func refSupport(s Scheme) int {
 		return 1
 	case CIC:
 		return 2
-	case TSC:
-		return 3
 	}
 	panic("grid: unknown scheme")
 }
@@ -357,17 +355,6 @@ func refWeights1D(s Scheme, f float64, w []float64) int {
 		w[0] = 1 - d
 		w[1] = d
 		return i
-	case TSC:
-		t := f + 0.5
-		i := int(t)
-		if t < 0 {
-			i--
-		}
-		d := f - float64(i)
-		w[0] = 0.5 * (0.5 - d) * (0.5 - d)
-		w[1] = 0.75 - d*d
-		w[2] = 0.5 * (0.5 + d) * (0.5 + d)
-		return i - 1
 	}
 	panic("grid: unknown scheme")
 }
@@ -375,7 +362,7 @@ func refWeights1D(s Scheme, f float64, w []float64) int {
 func refDeposit(g *Grid, e *particles.Ensemble, s Scheme) (dropped int) {
 	g.Zero()
 	sup := refSupport(s)
-	var wx, wy [3]float64
+	var wx, wy [2]float64
 	cellArea := g.DX * g.DY
 	for i := range e.P {
 		p := &e.P[i]
@@ -404,7 +391,7 @@ func refDeposit(g *Grid, e *particles.Ensemble, s Scheme) (dropped int) {
 
 func refInterp(g *Grid, x, y float64, c int, s Scheme) float64 {
 	sup := refSupport(s)
-	var wx, wy [3]float64
+	var wx, wy [2]float64
 	fx, fy := g.Cell(x, y)
 	ix0 := refWeights1D(s, fx, wx[:])
 	iy0 := refWeights1D(s, fy, wy[:])
@@ -427,7 +414,7 @@ func refInterpVec(g *Grid, x, y float64, s Scheme, out []float64) {
 		out[i] = 0
 	}
 	sup := refSupport(s)
-	var wx, wy [3]float64
+	var wx, wy [2]float64
 	fx, fy := g.Cell(x, y)
 	ix0 := refWeights1D(s, fx, wx[:])
 	iy0 := refWeights1D(s, fy, wy[:])
@@ -663,7 +650,7 @@ func TestNonFiniteCoordinatesDoNotPanic(t *testing.T) {
 	for i := range ones.Data {
 		ones.Data[i] = 1
 	}
-	for _, s := range []Scheme{NGP, CIC, TSC} {
+	for _, s := range []Scheme{NGP, CIC} {
 		for _, v := range []float64{math.Inf(1), math.Inf(-1), 1e300, -1e300, math.NaN()} {
 			for _, p := range []particles.Particle{{X: v, Y: 3, Charge: 1}, {X: 3, Y: v, Charge: 1}} {
 				one := []particles.Particle{p}

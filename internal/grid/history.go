@@ -48,9 +48,6 @@ func NewHistory(capacity int) *History {
 	}
 }
 
-// Cap returns the number of time steps the history retains.
-func (h *History) Cap() int { return h.cap }
-
 // Len returns the number of grids currently stored.
 func (h *History) Len() int { return h.count }
 

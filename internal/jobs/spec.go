@@ -79,12 +79,6 @@ type FleetSpec struct {
 	Bands int `json:"bands,omitempty"`
 }
 
-// LatticeSpec is the JSON shape of the bend geometry (default: LCLS bend).
-type LatticeSpec struct {
-	BendRadiusM  float64 `json:"bend_radius_m"`
-	BendAngleDeg float64 `json:"bend_angle_deg"`
-}
-
 // Spec is the declarative job payload: everything needed to run one
 // simulation as a managed job. The zero values of the optional fields are
 // filled by Normalize; Validate rejects payloads the dispatcher could not
@@ -94,9 +88,8 @@ type Spec struct {
 	// Name labels the job (required; [a-z0-9-] only).
 	Name string `json:"name"`
 
-	Beam    BeamSpec     `json:"beam"`
-	Grid    GridSpec     `json:"grid"`
-	Lattice *LatticeSpec `json:"lattice,omitempty"`
+	Beam BeamSpec `json:"beam"`
+	Grid GridSpec `json:"grid"`
 	// Steps is the number of time steps after the retardation history has
 	// filled (the same count beamsim -steps runs).
 	Steps int `json:"steps"`
@@ -250,13 +243,6 @@ func (sp *Spec) Validate() error {
 
 // CoreConfig translates the spec into a core simulation configuration.
 func (sp *Spec) CoreConfig() core.Config {
-	lat := phys.LCLSBend()
-	if sp.Lattice != nil {
-		lat = phys.Lattice{
-			BendRadius: sp.Lattice.BendRadiusM,
-			BendAngle:  phys.Degrees(sp.Lattice.BendAngleDeg),
-		}
-	}
 	return core.Config{
 		Beam: phys.Beam{
 			NumParticles: sp.Beam.Particles,
@@ -266,7 +252,6 @@ func (sp *Spec) CoreConfig() core.Config {
 			Energy:       sp.Beam.EnergyEV,
 			Emittance:    sp.Beam.EmittanceM,
 		},
-		Lattice:     lat,
 		NX:          sp.Grid.NX,
 		NY:          sp.Grid.NY,
 		PadSigma:    sp.Grid.PadSigma,

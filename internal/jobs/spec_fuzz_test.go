@@ -10,9 +10,9 @@ import (
 
 // FuzzParseSpec feeds arbitrary bytes to the job-spec parser, seeded with
 // the scenario catalog, a small fleet spec with alerts, and inputs
-// Validate rejects: a fault-injection script, a step count that overflows
-// kappa + 3 + steps, negative bands and a device count above
-// fleet.MaxDevices. No input may panic, and an accepted spec's canonical
+// ParseSpec or Validate rejects: a fault-injection script, a lattice
+// block, a step count that overflows kappa + 3 + steps, negative bands
+// and a device count above fleet.MaxDevices. No input may panic, and an accepted spec's canonical
 // form — the re-marshalled JSON — must parse back to an equal spec.
 func FuzzParseSpec(f *testing.F) {
 	paths, err := filepath.Glob("../../examples/scenarios/*.json")
@@ -30,6 +30,7 @@ func FuzzParseSpec(f *testing.F) {
 	for _, tail := range []string{
 		`"steps":1,"fleet":{"devices":4,"bands":8},"alerts":"fallback_rate>0:for=1;steptime>60:sev=warn"}`,
 		`"steps":1,"fleet":{"devices":4,"bands":8,"inject":"fail:dev=1,step=10,after=1"}}`,
+		`"steps":1,"lattice":{"bend_radius_m":10,"bend_angle_deg":2.77}}`,
 		`"steps":9223372036854775807,"kappa":4}`,
 		`"steps":1,"fleet":{"devices":2,"bands":-3}}`,
 		`"steps":1,"fleet":{"devices":100000000}}`,

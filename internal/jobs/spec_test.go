@@ -46,7 +46,8 @@ func TestParseSpecDefaults(t *testing.T) {
 // an error, a typo, a scheduling key and a fault script alike.
 func TestParseSpecRejectsUnknownFields(t *testing.T) {
 	for _, field := range []string{`"stpes": 3`, `"tenant": "a"`, `"priority": 1`, `"deadline_sec": 5`,
-		`"fleet": {"devices": 2, "inject": "fail:dev=1,step=9"}`} {
+		`"fleet": {"devices": 2, "inject": "fail:dev=1,step=9"}`,
+		`"lattice": {"bend_radius_m": 10.0, "bend_angle_deg": 2.77}`} {
 		bad := strings.Replace(minimalSpec(), `"steps": 2,`, `"steps": 2, `+field+`,`, 1)
 		if _, err := ParseSpec([]byte(bad)); err == nil {
 			t.Errorf("unknown field %s accepted", field)
@@ -200,7 +201,7 @@ func TestCoreConfigTranslation(t *testing.T) {
 	if cfg.Beam.NumParticles != sp.Beam.Particles || cfg.NX != sp.Grid.NX {
 		t.Errorf("config does not mirror the spec: n=%d nx=%d", cfg.Beam.NumParticles, cfg.NX)
 	}
-	if cfg.Lattice.BendRadius != 10.0 {
-		t.Errorf("lattice bend radius = %g, want the spec's 10.0", cfg.Lattice.BendRadius)
+	if cfg.Beam.Emittance != sp.Beam.EmittanceM {
+		t.Errorf("beam emittance = %g, want the spec's %g", cfg.Beam.Emittance, sp.Beam.EmittanceM)
 	}
 }

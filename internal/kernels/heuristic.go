@@ -20,9 +20,14 @@ import (
 //  2. Workload balance — refinement intervals are sorted by estimated cost
 //     so warps process similarly sized work items.
 //
-// Unlike the Predictive kernel it has no forecast of how patterns evolve:
-// when the bunch moves, stale partitions fail the tolerance and the work
-// spills into adaptive refinement rounds.
+// Its forecast is persistence: each point's pattern from the previous
+// step. On the co-moving lattice Predictive-RP's 4-NN forecast reproduces
+// that same pattern too, so the two kernels reuse the same observation
+// and differ in what they build from it: per-point partitions at
+// per-point addresses here, against RP-CLUSTERING and one merged
+// partition per block there. When patterns change from one step to the
+// next, stale partitions fail the tolerance and the work spills into
+// adaptive refinement.
 type Heuristic struct {
 	Dev *gpusim.Device
 	// HostWorkers bounds the host-side worker count (<= 0: GOMAXPROCS).
@@ -36,7 +41,6 @@ type Heuristic struct {
 	arenas    []hostpar.Arena[float64] // per worker: this step's parts
 	partBuf   [][]float64              // per worker: partition append scratch
 	obs       *obs.Observer
-	errBuf    []float64
 	store     stepStore
 }
 
@@ -99,12 +103,16 @@ func (h *Heuristic) Step(p *retard.Problem, target *grid.Grid, comp int) *StepRe
 	}
 	numSub, subW := p.NumSub(), p.SubWidth()
 	coarse := st.coarsePattern(numSub, heuristicPanelsPerSub)
+	// Patterns all have the step's subregion count, so either every point
+	// reuses its previous pattern or every point runs the seed.
+	reuse := len(h.prevPat) > 0 && len(h.prevPat[0]) == numSub
+	res.Forecast = reuse
 	hostpar.For(len(points), workers, func(w, lo, hi int) {
 		arena, buf := &h.arenas[w], h.partBuf[w]
 		arena.Reset()
 		for i := lo; i < hi; i++ {
 			pat := coarse
-			if h.prevPat != nil && len(h.prevPat[i]) == numSub {
+			if reuse {
 				pat = h.prevPat[i]
 			}
 			buf = pat.AppendUniformPartition(buf[:0], subW, points[i].R)
@@ -149,19 +157,16 @@ func (h *Heuristic) Step(p *retard.Problem, target *grid.Grid, comp int) *StepRe
 	// too: record its error against the observed patterns, so Heuristic-RP
 	// and Predictive-RP quality series are directly comparable.
 	if h.obs.PredictorEnabled() {
-		trained := h.prevPat != nil
-		var errs []float64
-		if trained {
-			h.errBuf = forecastErrors(h.prevPat, points, h.errBuf)
-			errs = h.errBuf
+		if res.Forecast {
+			res.ForecastErr = forecastErrors(h.prevPat, points)
 		}
 		h.obs.RecordPredictor(obs.StepSample{
 			Step:            target.Step,
 			Kernel:          h.Name(),
-			Trained:         trained,
+			Trained:         res.Forecast,
 			Points:          len(points),
 			FallbackEntries: res.FallbackEntries,
-		}, errs)
+		}, res.ForecastErr)
 	}
 
 	h.prevPat = hostpar.Resize(h.prevPat, len(points))

@@ -115,6 +115,17 @@ type StepResult struct {
 	// FallbackEntries counts the subregions that failed the tolerance in
 	// the predicted/fixed phase and went to adaptive refinement.
 	FallbackEntries int
+	// Forecast reports whether the kernel planned the step from a trained
+	// forecast: Predictive-RP's model trained at the step's subregion
+	// count, or Heuristic-RP's previous-step patterns of that length.
+	// Two-Phase-RP has no forecast, and warm-up and bootstrap steps run
+	// the uniform seed; only a forecast step's fallback measures the
+	// forecast.
+	Forecast bool
+	// ForecastErr holds the per-point forecast errors (pattern distance,
+	// in panels) of a Forecast step whose kernel had a live observer, in
+	// no particular order; nil otherwise.
+	ForecastErr []float64
 	// Launches is the number of simulated kernel launches.
 	Launches int
 	// Fixed and Adaptive break Metrics down by phase: the fixed-partition

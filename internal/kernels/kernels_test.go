@@ -273,16 +273,16 @@ func TestQuantilePattern(t *testing.T) {
 		{4, 40},
 	}
 	members := []int{0, 1, 2, 3}
-	maxPat := quantilePattern(patterns, members, 2, 1.0)
+	maxPat, _ := quantilePatternInto(nil, nil, patterns, members, 2, 1.0)
 	if maxPat[0] != 4 || maxPat[1] != 40 {
 		t.Fatalf("q=1 pattern %v, want element-wise max", maxPat)
 	}
-	med := quantilePattern(patterns, members, 2, 0.5)
+	med, _ := quantilePatternInto(nil, nil, patterns, members, 2, 0.5)
 	if med[0] != 2 || med[1] != 20 {
 		t.Fatalf("median pattern %v", med)
 	}
 	// Pattern shorter than numSub zero-fills.
-	short := quantilePattern([]access.Pattern{{5}}, []int{0}, 3, 1.0)
+	short, _ := quantilePatternInto(nil, nil, []access.Pattern{{5}}, []int{0}, 3, 1.0)
 	if short[1] != 0 || short[2] != 0 {
 		t.Fatalf("short pattern quantile %v", short)
 	}

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"strings"
 	"testing"
 
 	"beamdyn/internal/gpusim"
@@ -75,31 +76,56 @@ func TestPredictiveEmitsSubPhaseSpansAndSample(t *testing.T) {
 	}
 }
 
+// TestHeuristicAndTwoPhaseRecordSamples: Heuristic-RP records a sample
+// per step, trained once it reuses patterns of the step's length, and its
+// step result says the same; Two-Phase-RP, which has no forecast, records
+// no sample and registers no predictor series.
 func TestHeuristicAndTwoPhaseRecordSamples(t *testing.T) {
 	p, target := fixture(8, 24)
 	o := obs.New()
 
 	h := NewHeuristic(gpusim.New(gpusim.KeplerK40()))
 	h.SetObserver(o)
-	h.Step(p, target.Clone(), 0)
-	h.Step(p, target.Clone(), 0)
+	r0 := h.Step(p, target.Clone(), 0)
+	r1 := h.Step(p, target.Clone(), 0)
 	hs := o.Pred.Samples()
 	if len(hs) != 2 || hs[0].Trained || !hs[1].Trained {
 		t.Fatalf("heuristic samples wrong: %+v", hs)
+	}
+	if r0.Forecast || r0.ForecastErr != nil || !r1.Forecast || len(r1.ForecastErr) != 24*24 {
+		t.Fatalf("heuristic step results: forecast %v/%v with %d/%d errors",
+			r0.Forecast, r1.Forecast, len(r0.ForecastErr), len(r1.ForecastErr))
 	}
 	if hs[1].ErrMean <= 0 && hs[1].ErrMax <= 0 {
 		t.Log("persistence forecast exact on static problem (acceptable)")
 	}
 
+	o = obs.New()
 	tp := NewTwoPhase(gpusim.New(gpusim.KeplerK40()))
 	tp.SetObserver(o)
-	tp.Step(p, target.Clone(), 0)
-	s, _ := o.Pred.Last()
-	if s.Kernel != "Two-Phase-RP" || s.Trained {
-		t.Fatalf("twophase sample wrong: %+v", s)
+	res := tp.Step(p, target.Clone(), 0)
+	if res.FallbackEntries == 0 || res.Forecast {
+		t.Fatalf("twophase step: %d fallback entries, forecast %v; want refinement and no forecast",
+			res.FallbackEntries, res.Forecast)
 	}
-	if s.FallbackRate <= 0 {
-		t.Fatal("twophase coarse phase should spill to refinement")
+	if s, ok := o.Pred.Last(); ok {
+		t.Fatalf("twophase recorded a predictor sample: %+v", s)
+	}
+	snap := o.Reg.Snapshot()
+	var names []string
+	for _, c := range snap.Counters {
+		names = append(names, c.Name)
+	}
+	for _, g := range snap.Gauges {
+		names = append(names, g.Name)
+	}
+	for _, hs := range snap.Histograms {
+		names = append(names, hs.Name)
+	}
+	for _, n := range names {
+		if strings.HasPrefix(n, "predictor_") {
+			t.Fatalf("twophase registered the %s series", n)
+		}
 	}
 }
 

@@ -17,14 +17,11 @@ type Observable interface {
 
 // forecastErrors computes the per-point forecast error — the Euclidean
 // distance between the pattern predicted before the step and the pattern
-// actually observed during it (Algorithm 1 line 20) — reusing errs'
-// backing array when it is large enough. It is only called when the
-// observer is live, so the untraced hot path never pays for it.
-func forecastErrors(predicted []access.Pattern, points []Point, errs []float64) []float64 {
-	if cap(errs) < len(points) {
-		errs = make([]float64, len(points))
-	}
-	errs = errs[:len(points)]
+// actually observed during it (Algorithm 1 line 20) — into a fresh slice
+// the step result can own. It is only called when the observer is live,
+// so the untraced hot path never pays for it.
+func forecastErrors(predicted []access.Pattern, points []Point) []float64 {
+	errs := make([]float64, len(points))
 	for i := range points {
 		errs[i] = math.Sqrt(access.Distance2(predicted[i], points[i].Pattern))
 	}

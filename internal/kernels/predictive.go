@@ -136,7 +136,6 @@ type Predictive struct {
 	prevNX    int
 	prevNY    int
 	obs       *obs.Observer
-	errBuf    []float64
 	scratch   predScratch
 	store     stepStore
 }
@@ -276,6 +275,7 @@ func (pr *Predictive) Step(p *retard.Problem, target *grid.Grid, comp int) *Step
 	t0 := time.Now()
 	patterns, parts, trained := pr.predictPhase(p, target, points, workers)
 	res.Host.Predict = time.Since(t0).Seconds()
+	res.Forecast = trained
 	sp.End(obs.I("points", len(points)), obs.Attr{Key: "trained", Value: trained},
 		obs.HostWorkers(workers))
 
@@ -331,7 +331,10 @@ func (pr *Predictive) Step(p *retard.Problem, target *grid.Grid, comp int) *Step
 	// Predictor-quality sample: how far the forecast was from the patterns
 	// actually observed, and how much work leaked to the safety net.
 	if pr.obs.PredictorEnabled() {
-		pr.errBuf = forecastErrors(patterns, points, pr.errBuf)
+		errs := forecastErrors(patterns, points)
+		if trained {
+			res.ForecastErr = errs
+		}
 		pr.obs.RecordPredictor(obs.StepSample{
 			Step:            target.Step,
 			Kernel:          pr.Name(),
@@ -341,7 +344,7 @@ func (pr *Predictive) Step(p *retard.Problem, target *grid.Grid, comp int) *Step
 			PredictSec:      res.Host.Predict,
 			ClusterSec:      res.Host.Clustering,
 			TrainSec:        res.Host.Train,
-		}, pr.errBuf)
+		}, errs)
 	}
 
 	pr.prevParts = hostpar.Resize(pr.prevParts, len(points))
@@ -628,13 +631,6 @@ func quantilePatternInto(dst access.Pattern, vals []float64, patterns []access.P
 		dst[j] = vals[idx]
 	}
 	return dst, vals
-}
-
-// quantilePattern is the allocating convenience form of
-// quantilePatternInto.
-func quantilePattern(patterns []access.Pattern, members []int, numSub int, q float64) access.Pattern {
-	out, _ := quantilePatternInto(nil, nil, patterns, members, numSub, q)
-	return out
 }
 
 // patternClusters runs k-means on the predicted patterns with

@@ -41,7 +41,6 @@ type TrendPredictor struct {
 
 	cur, prev Predictor
 	make      func() Predictor
-	fits      int
 }
 
 // NewTrendPredictor wraps predictors produced by mk (one per retained
@@ -60,7 +59,7 @@ func (p *TrendPredictor) Trained() bool { return p.cur != nil && p.cur.Trained()
 // between the last two steps can be extrapolated.
 func (p *TrendPredictor) Fit(x, y [][]float64) {
 	if len(x) == 0 {
-		p.cur, p.prev, p.fits = nil, nil, 0
+		p.cur, p.prev = nil, nil
 		return
 	}
 	// Rotate: the old current model becomes the previous one; build a
@@ -68,7 +67,6 @@ func (p *TrendPredictor) Fit(x, y [][]float64) {
 	p.prev = p.cur
 	p.cur = p.make()
 	p.cur.Fit(x, y)
-	p.fits++
 }
 
 // Predict implements Predictor with trend extrapolation; before two

@@ -92,16 +92,6 @@ func (t *TwoPhase) Step(p *retard.Problem, target *grid.Grid, comp int) *StepRes
 
 	st.finish(p, points, workers)
 	storeResults(points, target, comp, workers)
-	// No forecast model: the sample still tracks the fallback series so
-	// kernels are comparable on the same dashboard.
-	if t.obs.PredictorEnabled() {
-		t.obs.RecordPredictor(obs.StepSample{
-			Step:            target.Step,
-			Kernel:          t.Name(),
-			Points:          len(points),
-			FallbackEntries: res.FallbackEntries,
-		}, nil)
-	}
 	res.Points = points
 	return res
 }

@@ -29,8 +29,7 @@ func testConfig() core.Config {
 			SigmaY:       50e-6,
 			Energy:       4.3e9,
 		},
-		Lattice: phys.LCLSBend(),
-		NX:      24, NY: 24,
+		NX: 24, NY: 24,
 		Kappa: 4,
 		Tol:   1e-8,
 		Seed:  42,
@@ -43,18 +42,20 @@ func testConfig() core.Config {
 // post-mortem bundle when a critical alert fires, whose flight trace
 // contains the alerting step's spans and whose alert log names the fired
 // rule — the exact chain beamsim wires with -alerts/-postmortem-dir. The
-// trigger is one the simulation makes itself: Two-Phase-RP sends panels
-// to its refine phase on every step, so "fallback_rate>0" fires on the
-// first step that computes potentials.
+// trigger is one the simulation makes itself: Predictive-RP's safety net
+// refines some panels on every step, and "fallback_rate>0" fires on the
+// first step planned from a trained forecast.
 func TestChaosRunDumpsPostmortemBundle(t *testing.T) {
 	sim := core.New(testConfig())
 
-	// The history holds three grids from step 2 on (core.Simulation.Ready).
-	const alertStep = 2
+	// The subregion count grows by one per step from step 2 (the first
+	// potentials step) until it reaches kappa = 4 at step 5; the model
+	// trained on step 5 forecasts step 6 at that count.
+	const alertStep = 6
 	sim.Algo = fleet.New(fleet.Config{
 		Devices: []*gpusim.Device{gpusim.New(gpusim.KeplerK40()), gpusim.New(gpusim.KeplerK40())},
 		MakeKernel: func(id int, dev *gpusim.Device) kernels.Algorithm {
-			return kernels.NewTwoPhase(dev)
+			return kernels.NewPredictive(dev)
 		},
 	})
 

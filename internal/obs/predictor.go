@@ -141,15 +141,7 @@ func (o *Observer) RecordPredictor(sample StepSample, errs []float64) {
 		bounds = o.Pred.ErrBounds
 	}
 	if len(errs) > 0 {
-		sort.Float64s(errs)
-		var sum float64
-		for _, e := range errs {
-			sum += e
-		}
-		sample.ErrMean = sum / float64(len(errs))
-		sample.ErrP50 = quantile(errs, 0.5)
-		sample.ErrP90 = quantile(errs, 0.9)
-		sample.ErrMax = errs[len(errs)-1]
+		sample.ErrMean, sample.ErrP50, sample.ErrP90, sample.ErrMax = SummarizeErrors(errs)
 		sample.ErrBuckets = bucketize(errs, bounds)
 	}
 	o.Pred.Record(sample)
@@ -178,6 +170,22 @@ func (o *Observer) RecordPredictor(sample StepSample, errs []float64) {
 			F("train_sec", sample.TrainSec),
 		})
 	}
+}
+
+// SummarizeErrors sorts per-point forecast errors in place and returns
+// their mean, nearest-rank median and 90th percentile, and maximum (zeros
+// for no errors): the statistics a StepSample and the alert engine's
+// err_* signals report.
+func SummarizeErrors(errs []float64) (mean, p50, p90, maxErr float64) {
+	if len(errs) == 0 {
+		return 0, 0, 0, 0
+	}
+	sort.Float64s(errs)
+	var sum float64
+	for _, e := range errs {
+		sum += e
+	}
+	return sum / float64(len(errs)), quantile(errs, 0.5), quantile(errs, 0.9), errs[len(errs)-1]
 }
 
 // quantile returns the q-quantile of sorted values (nearest rank).

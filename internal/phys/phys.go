@@ -76,42 +76,3 @@ func (b Beam) Beta() float64 {
 	g := b.Gamma()
 	return math.Sqrt(1 - 1/(g*g))
 }
-
-// Lattice describes the bending-magnet lattice segment on which the bunch
-// travels. The paper validates against the LCLS bend: R0 = 25.13 m,
-// theta = 11.4 degrees.
-type Lattice struct {
-	// BendRadius is the bending radius R0 in metres.
-	BendRadius float64
-	// BendAngle is the total bend angle in radians.
-	BendAngle float64
-}
-
-// ArcLength returns the total path length through the bend.
-func (l Lattice) ArcLength() float64 { return l.BendRadius * l.BendAngle }
-
-// LCLSBend returns the lattice of the LCLS bend used in the paper's
-// validation experiment (Fig. 2).
-func LCLSBend() Lattice {
-	return Lattice{BendRadius: 25.13, BendAngle: 11.4 * math.Pi / 180}
-}
-
-// LCLSBeam returns the beam parameters of the paper's validation experiment
-// (Fig. 2): N = 1e6 particles, Q = 1 nC, sigma_z = 50 um, emittance 1 nm.
-// The transverse size is derived from the emittance at a nominal beta
-// function of 10 m, which reproduces the aspect ratio used in [9].
-func LCLSBeam() Beam {
-	const emittance = 1e-9 // m rad
-	const betaFunc = 10.0  // m
-	return Beam{
-		NumParticles: 1000000,
-		TotalCharge:  1e-9,
-		SigmaX:       math.Sqrt(emittance * betaFunc),
-		SigmaY:       50e-6,
-		Energy:       4.3e9, // LCLS BC2 region energy scale
-		Emittance:    emittance,
-	}
-}
-
-// Degrees converts an angle in degrees to radians.
-func Degrees(deg float64) float64 { return deg * math.Pi / 180 }

@@ -32,33 +32,6 @@ func TestGammaBetaRelation(t *testing.T) {
 	}
 }
 
-func TestLCLSBendParameters(t *testing.T) {
-	l := LCLSBend()
-	if l.BendRadius != 25.13 {
-		t.Fatalf("bend radius %g", l.BendRadius)
-	}
-	if math.Abs(l.BendAngle-11.4*math.Pi/180) > 1e-12 {
-		t.Fatalf("bend angle %g", l.BendAngle)
-	}
-	want := 25.13 * 11.4 * math.Pi / 180
-	if math.Abs(l.ArcLength()-want) > 1e-12 {
-		t.Fatalf("arc length %g", l.ArcLength())
-	}
-}
-
-func TestLCLSBeamMatchesPaper(t *testing.T) {
-	b := LCLSBeam()
-	if b.NumParticles != 1000000 || b.TotalCharge != 1e-9 {
-		t.Fatal("N or Q off the paper's values")
-	}
-	if b.SigmaY != 50e-6 {
-		t.Fatalf("sigma_s %g, want 50 um", b.SigmaY)
-	}
-	if b.Emittance != 1e-9 {
-		t.Fatalf("emittance %g, want 1 nm", b.Emittance)
-	}
-}
-
 func TestSigmaXPrime(t *testing.T) {
 	b := Beam{SigmaX: 1e-4, Emittance: 1e-9}
 	if got := b.SigmaXPrime(); math.Abs(got-1e-5) > 1e-18 {
@@ -67,11 +40,5 @@ func TestSigmaXPrime(t *testing.T) {
 	var cold Beam
 	if cold.SigmaXPrime() != 0 {
 		t.Fatal("cold beam divergence not zero")
-	}
-}
-
-func TestDegrees(t *testing.T) {
-	if math.Abs(Degrees(180)-math.Pi) > 1e-15 {
-		t.Fatal("Degrees broken")
 	}
 }

@@ -5,13 +5,7 @@ import (
 	"math"
 )
 
-// asFrame is one pending interval of the explicit-stack adaptive Simpson.
-type asFrame struct {
-	a, b, tol float64
-	depth     int
-}
-
-// asrFrame is one pending interval of the panel-value-reusing variant: it
+// asrFrame is one pending interval of the iterative adaptive Simpson: it
 // carries the integrand values at the interval's endpoints and midpoint,
 // which the parent panel has already computed.
 type asrFrame struct {
@@ -26,45 +20,7 @@ type asrFrame struct {
 // zero value is ready to use. A workspace is not safe for concurrent use —
 // give each worker its own.
 type AdaptiveWorkspace struct {
-	stack  []asFrame
 	rstack []asrFrame
-}
-
-// IntegrateInto integrates f over [a, b] exactly as AdaptiveSimpson does —
-// same estimates, same integrand-evaluation order, same panel partition,
-// bit for bit — but iteratively, the recursion replaced by the workspace's
-// explicit stack (children push right-then-left, so intervals pop in the
-// recursion's depth-first pre-order). Each accepted panel appends its
-// right breakpoint to part (the caller seeds the left endpoint), which is
-// returned alongside the estimate so callers can accumulate a whole
-// multi-subregion partition without intermediate slices.
-func (w *AdaptiveWorkspace) IntegrateInto(f Func, a, b, tol float64, maxDepth int, part []float64) (Estimate, []float64) {
-	if b < a || math.IsNaN(a) || math.IsNaN(b) || math.IsInf(a, 0) || math.IsInf(b, 0) {
-		panic(fmt.Sprintf("quadrature: invalid interval [%g, %g]", a, b))
-	}
-	var est Estimate
-	if a == b {
-		return est, append(part, b)
-	}
-	stack := append(w.stack[:0], asFrame{a: a, b: b, tol: tol})
-	for len(stack) > 0 {
-		fr := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		e := SimpsonRule(f, fr.a, fr.b)
-		est.Evals += e.Evals
-		if e.Err <= fr.tol || fr.depth >= maxDepth {
-			est.I += e.I
-			est.Err += e.Err
-			part = append(part, fr.b)
-			continue
-		}
-		m := 0.5 * (fr.a + fr.b)
-		stack = append(stack,
-			asFrame{a: m, b: fr.b, tol: fr.tol / 2, depth: fr.depth + 1},
-			asFrame{a: fr.a, b: m, tol: fr.tol / 2, depth: fr.depth + 1})
-	}
-	w.stack = stack[:0]
-	return est, part
 }
 
 // Known is an integrand value the caller already holds: F is f(X). It
@@ -75,13 +31,17 @@ type Known struct {
 	OK   bool
 }
 
-// IntegrateReuse integrates f over [a, b] with the same adaptive Simpson
-// scheme as IntegrateInto — identical estimates, error sums, reported
-// evaluation counts and panel partition, bit for bit — but reuses panel
-// values across refinement levels: every frame carries the integrand
-// values at its endpoints and midpoint, which its parent panel already
-// computed, so a refined panel costs two new integrand evaluations (its
-// quarter points) instead of five. Each Estimate still reports five Evals
+// IntegrateReuse integrates f over [a, b] exactly as AdaptiveSimpson does —
+// identical estimates, error sums, reported evaluation counts and panel
+// partition, bit for bit — but iteratively, the recursion replaced by the
+// workspace's explicit stack, and it reuses panel values across refinement
+// levels: every frame carries the integrand values at its endpoints and
+// midpoint, which its parent panel already computed, so a refined panel
+// costs two new integrand evaluations (its quarter points) instead of
+// five. Each accepted panel appends its right breakpoint to part (the
+// caller seeds the left endpoint), which is returned alongside the
+// estimate so callers can accumulate a whole multi-subregion partition
+// without intermediate slices. Each Estimate still reports five Evals
 // per panel, exactly as the non-reusing path counts them, because Evals is
 // the quadrature's nominal evaluation count — the quantity the paper's
 // access-pattern model is built on — not a call tally.
@@ -94,9 +54,11 @@ type Known struct {
 //
 // The reuse is only sound for a deterministic, side-effect-free integrand:
 // f(x) must return the identical float64 every time it is called with the
-// same x within one integration. Integrands that record simulated-lane
-// loads/flops per call must use IntegrateInto, whose call sequence matches
-// the recursive reference exactly.
+// same x within one integration. f is called at the recursion's abscissae
+// in the order it first reaches each, once per abscissa, not in the
+// recursion's call sequence; the simulated kernels, whose integrands
+// record lane loads and flops per call, run their own depth-first search
+// instead.
 func (w *AdaptiveWorkspace) IntegrateReuse(f Func, a, b, tol float64, maxDepth int, fa Known, part []float64) (Estimate, Known, []float64) {
 	if b < a || math.IsNaN(a) || math.IsNaN(b) || math.IsInf(a, 0) || math.IsInf(b, 0) {
 		panic(fmt.Sprintf("quadrature: invalid interval [%g, %g]", a, b))

@@ -461,7 +461,7 @@ func lanesMatchClosure(t *testing.T, p *Problem, e *Evaluator, points [][2]float
 		vals := make([]float64, len(points)*len(radii))
 		flops := make([]uint64, len(vals))
 		m := dev.Run(gpusim.Launch{
-			Name: "probe", Blocks: 1, ThreadsPerBlock: len(points), ColdCaches: true,
+			Name: "probe", Blocks: 1, ThreadsPerBlock: len(points),
 			Kernel: func(lane *gpusim.Lane, b, th int) {
 				lane.Begin(0)
 				f := mk(lane, points[th][0], points[th][1])

@@ -80,8 +80,6 @@ type Problem struct {
 	support []bbox
 	subW    float64
 	r0      float64
-	// alphaLoads is the stencil loads per integrand sample (27).
-	alphaLoads int
 	// wmode selects the exp/log-free Weight fast path for the fixed CSR
 	// exponents (set once by NewProblem).
 	wmode weightMode
@@ -114,11 +112,10 @@ func NewProblem(hist *grid.History, params Params) *Problem {
 		panic("retard: empty history")
 	}
 	p := &Problem{
-		Params:     params,
-		Hist:       hist,
-		Step:       step,
-		subW:       phys.C * params.Dt,
-		alphaLoads: StencilLoads,
+		Params: params,
+		Hist:   hist,
+		Step:   step,
+		subW:   phys.C * params.Dt,
 	}
 	p.r0 = 0.05 * p.subW // regularises the integrable kernel singularity at r=0
 	p.support = make([]bbox, p.maxSub())

@@ -114,7 +114,7 @@ func TestSampleRecordsStencilLoads(t *testing.T) {
 		},
 	})
 	m := dev.Run(gpusim.Launch{
-		Name: "stencil2", Blocks: 1, ThreadsPerBlock: 1, ColdCaches: true,
+		Name: "stencil2", Blocks: 1, ThreadsPerBlock: 1,
 		Kernel: func(l *gpusim.Lane, b, th int) {
 			l.Begin(0)
 			p.Sample(cx, cy, 0.5*p.SubWidth(), -math.Pi/2, l)
