@@ -148,14 +148,14 @@ func NewMultiGPU(k Kernel, devices int) Algorithm {
 }
 
 // Observer is the unified telemetry layer: a span tracer over the
-// four-step loop and the kernels' predict/verify/fallback sub-phases, a
-// metrics registry, and a predictor-quality monitor. Assign one to
-// Simulation.Obs; a nil observer disables all instrumentation at
-// near-zero cost.
+// four-step loop and the kernels' predict/verify/fallback sub-phases and
+// a metrics registry, into which Advance records one predictor-quality
+// sample per forecast step. Assign one to Simulation.Obs; a nil observer
+// disables all instrumentation at near-zero cost.
 type Observer = obs.Observer
 
-// NewObserver returns a telemetry layer with a live metrics registry and
-// predictor monitor; attach a trace sink via Observer.Trace.
+// NewObserver returns a telemetry layer with a live metrics registry;
+// attach a trace sink via Observer.Trace.
 func NewObserver() *Observer { return obs.New() }
 
 // New builds a simulation and samples the initial bunch. The compute-

@@ -9,13 +9,15 @@
 //
 // The -trace/-metrics/-obs-interval flags enable the telemetry layer (see
 // the Observability section of README.md): a JSONL span trace of every
-// loop stage and kernel sub-phase, an end-of-run metrics snapshot with the
-// per-step predictor-quality series ("-metrics -" prints it to stdout),
-// and a periodic one-line summary. Adding "-http :8080" serves the live
-// telemetry over HTTP while the run advances: /metrics (Prometheus text
-// exposition), /snapshot.json, /healthz (step liveness and active
-// alerts) and /debug/pprof. Traces feed the offline obstool analyzer
-// (summary, fleet, tree, predictor, diff).
+// loop stage and kernel sub-phase, carrying one "predictor" event per
+// forecast step (the per-step predictor-quality series), an end-of-run
+// registry snapshot as a {"metrics": …} document ("-metrics -" prints it
+// to stdout), and every N steps a one-line forecast-quality summary of
+// the latest step, read from its step result. Adding "-http :8080" serves
+// the live telemetry over HTTP while the run advances: /metrics
+// (Prometheus text exposition), /snapshot.json, /healthz (step liveness
+// and active alerts) and /debug/pprof. Traces feed the offline obstool
+// analyzer (summary, fleet, tree, predictor, diff).
 //
 // Multi-device runs: -devices N (N > 1, at most fleet.MaxDevices) runs the
 // kernel on a fleet of N simulated K40s (internal/fleet), one row-band per
@@ -335,11 +337,9 @@ func main() {
 				fmt.Printf("          |%s|\n", yprof.Sparkline())
 			}
 			if observer != nil && *obsInterval > 0 && (i+1)%*obsInterval == 0 {
-				if s, ok := observer.Pred.Last(); ok {
-					fmt.Printf("          obs: kernel=%s trained=%t fallback-rate=%.4f err(mean/p90/max)=%.3g/%.3g/%.3g train=%.3gs\n",
-						s.Kernel, s.Trained, s.FallbackRate, s.ErrMean, s.ErrP90, s.ErrMax, s.TrainSec)
+				if fs := forecastSummary(sim); fs != "" {
+					fmt.Printf("          obs: %s\n", fs)
 				}
-				observer.Event("obs/interval", step, obs.I("interval", *obsInterval))
 			}
 		}
 	})
@@ -364,9 +364,8 @@ func main() {
 	if observer != nil {
 		fmt.Println("\ntelemetry snapshot:")
 		fmt.Print(observer.Reg.Snapshot().Table())
-		if s, ok := observer.Pred.Last(); ok {
-			fmt.Printf("predictor (last step %d): fallback-rate=%.4f err-mean=%.3g err-max=%.3g samples=%d\n",
-				s.Step, s.FallbackRate, s.ErrMean, s.ErrMax, len(observer.Pred.Samples()))
+		if fs := forecastSummary(sim); fs != "" {
+			fmt.Printf("predictor (last step %d): %s\n", sim.Step-1, fs)
 		}
 	}
 	if *metricsOut == "-" {
@@ -413,6 +412,20 @@ func checkDevices(n int) error {
 		return fmt.Errorf("-devices %d: want 1 to %d devices", n, fleet.MaxDevices)
 	}
 	return nil
+}
+
+// forecastSummary formats the forecast quality of the latest step from
+// sim.Last: the kernel, its fallback rate and forecast-error summary (in
+// panels) and the ONLINE-LEARNING time. It returns "" unless the kernel
+// planned that step from a trained forecast.
+func forecastSummary(sim *beamdyn.Simulation) string {
+	r := sim.Last
+	if r == nil || !r.Forecast || len(r.Points) == 0 {
+		return ""
+	}
+	mean, _, p90, maxErr := obs.SummarizeErrors(r.ForecastErr)
+	return fmt.Sprintf("kernel=%s fallback-rate=%.4f err(mean/p90/max)=%.3g/%.3g/%.3g train=%.3gs",
+		sim.Algo.Name(), float64(r.FallbackEntries)/float64(len(r.Points)), mean, p90, maxErr, r.Host.Train)
 }
 
 // runGuarded runs body and, on panic, dumps a "run-error" bundle and

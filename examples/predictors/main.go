@@ -1,7 +1,7 @@
 // Prediction-model comparison (the paper's Section III.B.1 study, plus
-// its future-work models): run the Predictive-RP kernel with kNN, linear
-// regression, a regression tree, and the online model selector, and
-// compare forecast quality through the safety-net fallback volume.
+// its future-work regression tree): run the Predictive-RP kernel with
+// kNN, linear regression and a regression tree, and compare forecast
+// quality through the safety-net fallback volume.
 package main
 
 import (
@@ -19,7 +19,6 @@ func main() {
 		{"kNN k=4 (paper)", kernels.NewKNNPredictor(4)},
 		{"linear regression", kernels.NewLinregPredictor()},
 		{"regression tree", kernels.NewTreePredictor()},
-		{"online selector", kernels.DefaultSelector()},
 	}
 
 	fmt.Printf("%-22s %12s %10s %10s\n", "model", "gpu time(s)", "fallback", "WEE%")
@@ -38,28 +37,5 @@ func main() {
 		fmt.Printf("%-22s %12.4g %10d %10.1f\n",
 			m.name, sim.Last.Metrics.Time, sim.Last.FallbackEntries,
 			100*sim.Last.Metrics.WarpExecutionEfficiency())
-		if sel, ok := m.pred.(*kernels.SelectorPredictor); ok {
-			fmt.Println("  selector held-out scores:")
-			for _, line := range splitLines(sel.Report()) {
-				fmt.Println("   ", line)
-			}
-		}
 	}
-}
-
-func splitLines(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	if start < len(s) {
-		out = append(out, s[start:])
-	}
-	return out
 }

@@ -39,20 +39,6 @@ func (p Pattern) TotalPanels() float64 {
 	return s
 }
 
-// References returns the number of memory references the pattern implies to
-// the moment grid D_{k-i}: alpha*(n_i + n_{i-1} + n_{i-2}), the formula from
-// Section III.A, where alpha is the per-panel reference count of the inner
-// Newton-Cotes rule.
-func (p Pattern) References(alpha, i int) float64 {
-	var s float64
-	for _, j := range [3]int{i, i - 1, i - 2} {
-		if j >= 0 && j < len(p) {
-			s += p[j]
-		}
-	}
-	return float64(alpha) * s
-}
-
 // Distance2 returns the squared Euclidean distance between two patterns,
 // zero-padding the shorter one. It is the dissimilarity used by both the
 // kNN regressor's output space and RP-CLUSTERING's objective.
@@ -74,49 +60,6 @@ func Distance2(a, b Pattern) float64 {
 		d += diff * diff
 	}
 	return d
-}
-
-// Merge combines two observed patterns into one that covers both, taking
-// the element-wise maximum (a panel set covering both partitions needs at
-// least the finer count in every subregion). It implements the
-// MERGE-LISTS application to access patterns in line 20 of Algorithm 1.
-func Merge(a, b Pattern) Pattern {
-	n := len(a)
-	if len(b) > n {
-		n = len(b)
-	}
-	out := make(Pattern, n)
-	for i := range out {
-		var av, bv float64
-		if i < len(a) {
-			av = a[i]
-		}
-		if i < len(b) {
-			bv = b[i]
-		}
-		out[i] = math.Max(av, bv)
-	}
-	return out
-}
-
-// Add returns the element-wise sum of two patterns (used when accumulating
-// extra panels discovered by the adaptive safety net into the observed
-// pattern for training).
-func Add(a, b Pattern) Pattern {
-	n := len(a)
-	if len(b) > n {
-		n = len(b)
-	}
-	out := make(Pattern, n)
-	for i := range out {
-		if i < len(a) {
-			out[i] += a[i]
-		}
-		if i < len(b) {
-			out[i] += b[i]
-		}
-	}
-	return out
 }
 
 // FromPartition derives the access pattern of a partition: panel j of the

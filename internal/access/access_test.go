@@ -8,21 +8,6 @@ import (
 	"beamdyn/internal/quadrature"
 )
 
-func TestReferencesFormula(t *testing.T) {
-	// References to D_{k-i} = alpha*(n_i + n_{i-1} + n_{i-2}).
-	p := Pattern{2, 3, 5, 7}
-	if got := p.References(4, 2); got != 4*(5+3+2) {
-		t.Fatalf("References(4,2) = %g, want %d", got, 4*(5+3+2))
-	}
-	// Out-of-range subregions contribute zero.
-	if got := p.References(4, 0); got != 4*2 {
-		t.Fatalf("References(4,0) = %g, want 8", got)
-	}
-	if got := p.References(4, 5); got != 4*7 {
-		t.Fatalf("References(4,5) = %g, want 28", got)
-	}
-}
-
 func TestDistance2(t *testing.T) {
 	a := Pattern{1, 2}
 	b := Pattern{1, 2, 3}
@@ -41,40 +26,6 @@ func TestDistance2Symmetric(t *testing.T) {
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMergeCoversBoth(t *testing.T) {
-	check := func(a, b []float64) bool {
-		pa, pb := Pattern(clean(a)), Pattern(clean(b))
-		m := Merge(pa, pb)
-		for i := range m {
-			var av, bv float64
-			if i < len(pa) {
-				av = pa[i]
-			}
-			if i < len(pb) {
-				bv = pb[i]
-			}
-			if m[i] < av || m[i] < bv {
-				return false
-			}
-			if m[i] != math.Max(av, bv) {
-				return false
-			}
-		}
-		return len(m) >= len(pa) && len(m) >= len(pb)
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAdd(t *testing.T) {
-	s := Add(Pattern{1, 2}, Pattern{3, 4, 5})
-	want := Pattern{4, 6, 5}
-	if len(s) != 3 || s[0] != want[0] || s[1] != want[1] || s[2] != want[2] {
-		t.Fatalf("Add = %v, want %v", s, want)
 	}
 }
 

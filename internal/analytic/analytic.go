@@ -11,12 +11,11 @@
 //     differs from it only by Monte-Carlo noise, whose mean-square error
 //     scales as 1/N (Figure 3).
 //
-//   - SteadyStateWake and TransverseWake evaluate the classical 1-D
-//     steady-state CSR wake integrals for a Gaussian line density (the
-//     (s-s')^(-1/3) kernel acting on the density slope, and the
-//     (s-s')^(-2/3) kernel acting on the density), which ground the shape
-//     of the model's longitudinal and transverse forces in accelerator
-//     physics.
+//   - SteadyStateWakeTruncated evaluates the classical 1-D steady-state
+//     CSR wake integral for a Gaussian line density (the (s-s')^(-1/3)
+//     kernel acting on the density slope), cut off at the simulation's
+//     retardation horizon, which grounds the shape of the model's
+//     longitudinal force in accelerator physics.
 package analytic
 
 import (
@@ -59,26 +58,20 @@ func GaussianLineDensitySlope(s, sigma float64) float64 {
 	return -s / (sigma * sigma) * GaussianLineDensity(s, sigma)
 }
 
-// SteadyStateWake evaluates the classical steady-state CSR longitudinal
-// wake shape for a Gaussian bunch,
+// SteadyStateWakeTruncated evaluates the classical steady-state CSR
+// longitudinal wake shape for a Gaussian bunch,
 //
-//	W(s) = ∫₀^∞ u^(−1/3) · λ′(s − u) du,
+//	W(s) = ∫₀^horizon u^(−1/3) · λ′(s − u) du,
 //
 // the convolution that appears (up to the physical prefactor
 // −2/(3^{1/3} R^{2/3} 4πε₀) N e²) in the 1-D rigid-bunch solution the
-// paper validates against. s is the position within the bunch (head at
+// paper validates against, with the retarded interaction cut off at the
+// finite horizon: the shape a simulation with retardation depth kappa
+// (horizon = kappa·c·dt) actually computes; an infinite horizon gives the
+// steady-state wake itself. s is the position within the bunch (head at
 // positive s) and sigma the RMS bunch length. The integrable u^(−1/3)
 // singularity is removed by the substitution u = t^(3/2), which makes the
 // integrand smooth for adaptive Simpson quadrature.
-func SteadyStateWake(s, sigma float64) float64 {
-	return SteadyStateWakeTruncated(s, sigma, math.Inf(1))
-}
-
-// SteadyStateWakeTruncated evaluates the longitudinal wake with the
-// retarded interaction cut off at the finite horizon
-// (∫₀^horizon instead of ∫₀^∞) — the shape a simulation with retardation
-// depth kappa (horizon = kappa·c·dt) actually computes. The substitution
-// u = t^(3/2) removes the integrable u^(−1/3) singularity.
 func SteadyStateWakeTruncated(s, sigma, horizon float64) float64 {
 	// The retarded support needs s-u within ~8 sigma of the bunch, i.e.
 	// u <= s + 8*sigma; behind the bunch (s <= -8 sigma) the wake is zero.
@@ -93,23 +86,6 @@ func SteadyStateWakeTruncated(s, sigma, horizon float64) float64 {
 	res := quadrature.AdaptiveSimpson(func(t float64) float64 {
 		u := math.Pow(t, 1.5)
 		return 1.5 * GaussianLineDensitySlope(s-u, sigma)
-	}, 0, upper, 1e-10, 30)
-	return res.I
-}
-
-// TransverseWake evaluates the transverse steady-state kernel shape,
-//
-//	W_t(s) = ∫₀^∞ u^(−2/3) · λ(s − u) du,
-//
-// with the substitution u = t³ removing the singularity.
-func TransverseWake(s, sigma float64) float64 {
-	if s+8*sigma <= 0 {
-		return 0
-	}
-	upper := math.Cbrt(s + 8*sigma)
-	res := quadrature.AdaptiveSimpson(func(t float64) float64 {
-		u := t * t * t
-		return 3 * GaussianLineDensity(s-u, sigma)
 	}, 0, upper, 1e-10, 30)
 	return res.I
 }

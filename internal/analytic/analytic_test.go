@@ -96,38 +96,20 @@ func TestSteadyStateWakeShape(t *testing.T) {
 	// core (the physical prefactor carries the overall minus sign) — with
 	// the extrema inside a few sigma and decay behind the bunch.
 	const sigma = 1.0
-	head := SteadyStateWake(2*sigma, sigma)
-	core := SteadyStateWake(-0.5*sigma, sigma)
+	inf := math.Inf(1) // no horizon: the steady-state wake itself
+	head := SteadyStateWakeTruncated(2*sigma, sigma, inf)
+	core := SteadyStateWakeTruncated(-0.5*sigma, sigma, inf)
 	if head*core >= 0 {
 		t.Fatalf("wake does not change sign across the bunch: head %g core %g", head, core)
 	}
 	// Strict decay behind the bunch (retarded support vanishes there).
-	behind := math.Abs(SteadyStateWake(-12*sigma, sigma))
+	behind := math.Abs(SteadyStateWakeTruncated(-12*sigma, sigma, inf))
 	if behind > 1e-9 {
 		t.Fatalf("wake does not vanish behind the bunch: %g", behind)
 	}
 	// The long u^(-1/3) tail ahead decays monotonically but slowly.
-	if a, b := math.Abs(SteadyStateWake(6*sigma, sigma)), math.Abs(SteadyStateWake(12*sigma, sigma)); b >= a {
+	if a, b := math.Abs(SteadyStateWakeTruncated(6*sigma, sigma, inf)), math.Abs(SteadyStateWakeTruncated(12*sigma, sigma, inf)); b >= a {
 		t.Fatalf("wake tail not decaying ahead: |W(6s)|=%g |W(12s)|=%g", a, b)
-	}
-}
-
-func TestTransverseWakePositiveAndPeaked(t *testing.T) {
-	const sigma = 1.0
-	centre := TransverseWake(0, sigma)
-	if centre <= 0 {
-		t.Fatalf("transverse wake at centre = %g", centre)
-	}
-	if ahead := TransverseWake(15*sigma, sigma); ahead >= centre {
-		t.Fatalf("transverse wake not peaked near the bunch: W(15s)=%g W(0)=%g", ahead, centre)
-	}
-	if behind := math.Abs(TransverseWake(-12*sigma, sigma)); behind > 1e-9 {
-		t.Fatalf("transverse wake does not vanish behind the bunch: %g", behind)
-	}
-	for _, s := range []float64{-2, -1, 0, 1, 2, 5} {
-		if TransverseWake(s*sigma, sigma) < 0 {
-			t.Fatalf("transverse wake negative at %g sigma", s)
-		}
 	}
 }
 
@@ -137,8 +119,9 @@ func TestWakeScaleInvariance(t *testing.T) {
 	// contributes a^(2/3)).
 	const sigma = 1.0
 	const a = 2.0
-	w1 := SteadyStateWake(0.7, sigma)
-	w2 := SteadyStateWake(0.7*a, sigma*a)
+	inf := math.Inf(1)
+	w1 := SteadyStateWakeTruncated(0.7, sigma, inf)
+	w2 := SteadyStateWakeTruncated(0.7*a, sigma*a, inf)
 	if math.Abs(w2-math.Pow(a, -4.0/3)*w1) > 1e-6*math.Abs(w1) {
 		t.Fatalf("scale invariance violated: %g vs %g", w2, math.Pow(a, -4.0/3)*w1)
 	}

@@ -12,6 +12,7 @@ import (
 	"beamdyn/internal/gpusim"
 	"beamdyn/internal/kernels"
 	"beamdyn/internal/obs"
+	"beamdyn/internal/obs/flight"
 )
 
 func TestCheckpointRoundTrip(t *testing.T) {
@@ -189,18 +190,31 @@ func TestCheckpointPreservesStepAndHistoryDepth(t *testing.T) {
 	}
 
 	// Telemetry attached after a restore continues the original step
-	// numbering (samples and spans are stamped with Simulation.Step).
+	// numbering (samples and spans are stamped with Simulation.Step). The
+	// fresh kernel bootstraps on the first restored step, so the first
+	// predictor sample is the second step's.
 	o := obs.New()
+	sink := flight.New(0, nil)
+	o.Trace = obs.NewTracer(sink)
 	restored.Obs = o
 	restored.Algo = kernels.NewPredictive(gpusim.New(gpusim.KeplerK40()))
 	before := restored.Step
 	restored.Advance()
-	s, ok := o.Pred.Last()
-	if !ok {
-		t.Fatal("no predictor sample after restored Advance")
+	restored.Advance()
+	var advance, predictor []int
+	for _, e := range sink.Events() {
+		switch e.Name {
+		case "advance":
+			advance = append(advance, e.Step)
+		case "predictor":
+			predictor = append(predictor, e.Step)
+		}
 	}
-	if s.Step != before {
-		t.Fatalf("sample step %d, want %d", s.Step, before)
+	if len(advance) != 2 || advance[0] != before || advance[1] != before+1 {
+		t.Fatalf("advance span steps %v, want [%d %d]", advance, before, before+1)
+	}
+	if len(predictor) != 1 || predictor[0] != before+1 {
+		t.Fatalf("predictor sample steps %v, want [%d]", predictor, before+1)
 	}
 }
 

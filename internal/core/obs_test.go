@@ -2,14 +2,17 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
+	"beamdyn/internal/diagnostics"
 	"beamdyn/internal/fleet"
 	"beamdyn/internal/gpusim"
 	"beamdyn/internal/kernels"
 	"beamdyn/internal/obs"
 	"beamdyn/internal/obs/alert"
 	"beamdyn/internal/obs/flight"
+	"beamdyn/internal/retard"
 )
 
 func TestAdvanceEmitsStageSpans(t *testing.T) {
@@ -49,12 +52,13 @@ func TestAdvanceEmitsStageSpans(t *testing.T) {
 	if names["advance/potentials"] != names["advance/forces"] {
 		t.Fatalf("potentials/forces spans out of sync: %v", names)
 	}
-	// The observer is forwarded to the kernel: predictive sub-spans and
-	// quality samples appear without any explicit SetObserver call.
+	// The observer is forwarded to the kernel: predictive sub-spans appear
+	// without any explicit SetObserver call, and Advance records the
+	// forecast steps' predictor samples.
 	if names["predictive/predict"] == 0 {
 		t.Fatal("observer not forwarded to the kernel")
 	}
-	if len(o.Pred.Samples()) == 0 {
+	if names["predictor"] == 0 {
 		t.Fatal("no predictor samples recorded through Advance")
 	}
 	if got := o.Reg.Counter("sim_steps_total").Value(); got != uint64(s.Step) {
@@ -178,10 +182,99 @@ func TestDefaultRulesQuietOnHealthyRuns(t *testing.T) {
 	}
 }
 
-// TestFleetFallbackRateIsTheStepsRate: on a two-device Predictive-RP
-// fleet whose bands fall back at different rates, the fallback_rate the
-// alert engine evaluates is the reassembled step's FallbackEntries per
-// point, not whichever band recorded its predictor sample last.
+// predictorEvents counts the "predictor" trace events rec retained.
+func predictorEvents(rec *flight.Recorder) int {
+	n := 0
+	for _, e := range rec.Events() {
+		if e.Name == "predictor" {
+			n++
+		}
+	}
+	return n
+}
+
+// predictorSeries lists the predictor_* series in reg.
+func predictorSeries(reg *obs.Registry) []string {
+	snap := reg.Snapshot()
+	var out []string
+	add := func(name string) {
+		if strings.HasPrefix(name, "predictor_") {
+			out = append(out, name)
+		}
+	}
+	for _, c := range snap.Counters {
+		add(c.Name)
+	}
+	for _, g := range snap.Gauges {
+		add(g.Name)
+	}
+	for _, h := range snap.Histograms {
+		add(h.Name)
+	}
+	return out
+}
+
+// TestAdvanceRecordsOneSamplePerForecastStep: Advance records one
+// predictor sample per step its kernel planned from a trained forecast,
+// labelled with the kernel's name, and none on warm-up, bootstrap or
+// Two-Phase-RP steps. The forecast-error histogram holds one observation
+// per point of those steps only: Predictive-RP's 2-panel bootstrap seed
+// must not reach it.
+func TestAdvanceRecordsOneSamplePerForecastStep(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mk   func(*gpusim.Device) kernels.Algorithm
+	}{
+		{"predictive", func(d *gpusim.Device) kernels.Algorithm { return kernels.NewPredictive(d) }},
+		{"heuristic", func(d *gpusim.Device) kernels.Algorithm { return kernels.NewHeuristic(d) }},
+		{"twophase", func(d *gpusim.Device) kernels.Algorithm { return kernels.NewTwoPhase(d) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(testConfig())
+			s.Algo = tc.mk(gpusim.New(gpusim.KeplerK40()))
+			rec := flight.New(0, nil)
+			s.Obs = &obs.Observer{Trace: obs.NewTracer(rec), Reg: obs.NewRegistry()}
+			var steps, points int
+			for i := 0; i < 10; i++ {
+				s.Advance()
+				if s.Last != nil && s.Last.Forecast {
+					steps++
+					points += len(s.Last.Points)
+				}
+			}
+			if tc.name == "twophase" {
+				if steps != 0 || predictorEvents(rec) != 0 {
+					t.Fatalf("Two-Phase-RP: %d forecast steps, %d predictor events; want none", steps, predictorEvents(rec))
+				}
+				if series := predictorSeries(s.Obs.Reg); len(series) != 0 {
+					t.Fatalf("Two-Phase-RP registered predictor series %v", series)
+				}
+				return
+			}
+			kl := obs.Label{Key: "kernel", Value: s.Algo.Name()}
+			if steps == 0 || steps == s.Step-2 {
+				t.Fatalf("%d forecast steps of %d kernel steps: the run must hold both kinds", steps, s.Step-2)
+			}
+			if got := s.Obs.Reg.Counter("predictor_steps_total", kl).Value(); got != uint64(steps) {
+				t.Fatalf("predictor_steps_total = %d, want %d forecast steps", got, steps)
+			}
+			if got := predictorEvents(rec); got != steps {
+				t.Fatalf("%d predictor events, want %d forecast steps", got, steps)
+			}
+			if got := s.Obs.Reg.Histogram("predictor_forecast_error", obs.DefaultErrBounds, kl).Count(); got != uint64(points) {
+				t.Fatalf("predictor_forecast_error holds %d observations, want %d (the forecast steps' points)", got, points)
+			}
+		})
+	}
+}
+
+// TestFleetFallbackRateIsTheStepsRate: a two-device Predictive-RP fleet
+// records one predictor sample per fleet step, labelled by the fleet, and
+// on a step whose bands fall back at different rates the
+// predictor_fallback_rate gauge and the fallback_rate the alert engine
+// evaluates are both the reassembled step's FallbackEntries per point,
+// not whichever band finished last. The band rates come from the band
+// kernels' predictive/verify spans.
 func TestFleetFallbackRateIsTheStepsRate(t *testing.T) {
 	s := New(testConfig())
 	s.Algo = fleet.New(fleet.Config{
@@ -190,30 +283,115 @@ func TestFleetFallbackRateIsTheStepsRate(t *testing.T) {
 			return kernels.NewPredictive(d)
 		},
 	})
-	s.Obs = obs.New()
+	rec := flight.New(0, nil)
+	s.Obs = &obs.Observer{Trace: obs.NewTracer(rec), Reg: obs.NewRegistry()}
+	kl := obs.Label{Key: "kernel", Value: s.Algo.Name()}
 	rules, err := alert.ParseRules("fallback_rate>=0:for=1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Warmup()
-	for i := 0; i < 3; i++ {
+	bandPoints := s.Cfg.NX * s.Cfg.NY / 2
+	var steps, differ int
+	for i := 0; i < 10; i++ {
 		// A fresh engine per step: the rule fires on every step the
 		// engine has a predictor signal for, and records its value.
 		s.Alerts = alert.NewEngine(alert.Config{Rules: rules})
 		step := s.Advance()
+		log := s.Alerts.Status().Log
+		if s.Last == nil || !s.Last.Forecast {
+			if len(log) != 0 {
+				t.Fatalf("step %d: engine evaluated %+v without a forecast", step, log)
+			}
+			continue
+		}
+		steps++
 		var bands []float64
-		for _, smp := range s.Obs.Pred.Samples() {
-			if smp.Step == step {
-				bands = append(bands, smp.FallbackRate)
+		for _, e := range rec.Events() {
+			if e.Name == "predictive/verify" && e.Step == step {
+				bands = append(bands, float64(e.Attrs["fallback_entries"].(int))/float64(bandPoints))
 			}
 		}
-		if len(bands) != 2 || bands[0] == bands[1] {
-			t.Fatalf("step %d: band fallback rates %v, want two that differ", step, bands)
+		if len(bands) != 2 {
+			t.Fatalf("step %d: %d band verify spans, want 2", step, len(bands))
 		}
-		log := s.Alerts.Status().Log
+		if bands[0] != bands[1] {
+			differ++
+		}
 		want := float64(s.Last.FallbackEntries) / float64(len(s.Last.Points))
+		if got := s.Obs.Reg.Gauge("predictor_fallback_rate", kl).Value(); got != want {
+			t.Fatalf("step %d: predictor_fallback_rate = %g, want the step's %g (bands %v)", step, got, want, bands)
+		}
 		if len(log) != 1 || log[0].Value != want {
 			t.Fatalf("step %d: engine evaluated %+v, want fallback_rate %g (bands %v)", step, log, want, bands)
 		}
+	}
+	if steps == 0 || differ == 0 {
+		t.Fatalf("%d forecast steps, %d with differing band rates: the test needs both", steps, differ)
+	}
+	if got := s.Obs.Reg.Counter("predictor_steps_total", kl).Value(); got != uint64(steps) {
+		t.Fatalf("predictor_steps_total = %d, want %d fleet forecast steps", got, steps)
+	}
+	if got := predictorEvents(rec); got != steps {
+		t.Fatalf("%d predictor events, want %d fleet forecast steps", got, steps)
+	}
+}
+
+// TestAdvancePublishesSolveStats: on the host reference Advance publishes
+// each solve's LastStats as the rp_* series, counters summed over steps.
+func TestAdvancePublishesSolveStats(t *testing.T) {
+	s := New(testConfig())
+	s.Obs = obs.New()
+	var sum retard.SolveStats
+	var fallbacks uint64
+	for i := 0; i < 6; i++ {
+		s.Advance()
+		if !s.Ready() {
+			continue
+		}
+		st := s.solver.LastStats()
+		sum.TileHits += st.TileHits
+		sum.TileSolves += st.TileSolves
+		sum.MemoHits += st.MemoHits
+		sum.MemoProbes += st.MemoProbes
+		sum.TileW, sum.TileH = st.TileW, st.TileH
+		if !st.Tiled {
+			fallbacks++
+		}
+	}
+	reg := s.Obs.Reg
+	for name, want := range map[string]uint64{
+		"rp_tile_hits_total":     sum.TileHits,
+		"rp_tile_solves_total":   sum.TileSolves,
+		"rp_memo_reuse_total":    sum.MemoHits,
+		"rp_memo_probe_total":    sum.MemoProbes,
+		"rp_tile_fallback_total": fallbacks,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Fatalf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if sum.MemoProbes == 0 {
+		t.Fatal("no solve statistics collected")
+	}
+	if w, h := reg.Gauge("rp_tile_w").Value(), reg.Gauge("rp_tile_h").Value(); w != float64(sum.TileW) || h != float64(sum.TileH) {
+		t.Fatalf("tile-shape gauges = %gx%g, want %dx%d", w, h, sum.TileW, sum.TileH)
+	}
+}
+
+// TestBeamInvariantsMatchAnalyze: the alert signals' charge and RMS sizes
+// are bitwise diagnostics.Analyze's, for a fresh bunch and one that has
+// responded to its self-forces.
+func TestBeamInvariantsMatchAnalyze(t *testing.T) {
+	cfg := testConfig()
+	cfg.Rigid = false
+	s := New(cfg)
+	for step := 0; step < 8; step++ {
+		sum := diagnostics.Analyze(s.Ensemble)
+		charge, sigX, sigY := beamInvariants(s.Ensemble.P)
+		if charge != sum.TotalCharge || sigX != sum.SigmaX || sigY != sum.SigmaY {
+			t.Fatalf("step %d: invariants (%v, %v, %v), Analyze (%v, %v, %v)",
+				step, charge, sigX, sigY, sum.TotalCharge, sum.SigmaX, sum.SigmaY)
+		}
+		s.Advance()
 	}
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -172,14 +173,38 @@ func TestFleetScales(t *testing.T) {
 	}
 }
 
+// TestFleetForwardsObserver: the fleet hands its observer to every band's
+// kernel, so each band's Predictive-RP emits its sub-phase spans, and each
+// parents under the band span of the device that ran it.
 func TestFleetForwardsObserver(t *testing.T) {
 	p, target := fixture(8, 24)
 	fl := newKernelFleet(2, 0, newPredictive)
-	o := obs.New()
-	fl.SetObserver(o)
+	sink := flight.New(0, nil)
+	fl.SetObserver(&obs.Observer{Trace: obs.NewTracer(sink), Reg: obs.NewRegistry()})
 	fl.Step(p, target.Clone(), 0)
-	if len(o.Pred.Samples()) != 2 {
-		t.Fatalf("per-band samples = %d, want 2", len(o.Pred.Samples()))
+
+	bandSpans := map[string]bool{}
+	names := map[string]int{}
+	for _, e := range sink.Events() {
+		if e.Name == "fleet/band" {
+			bandSpans[e.Span] = true
+		}
+	}
+	for _, e := range sink.Events() {
+		if strings.HasPrefix(e.Name, "predictive/") {
+			if !bandSpans[e.Parent] {
+				t.Fatalf("%s span parents under %q, not a band span", e.Name, e.Parent)
+			}
+			names[e.Name]++
+		}
+	}
+	if len(bandSpans) != 2 {
+		t.Fatalf("band spans = %d, want 2", len(bandSpans))
+	}
+	for _, want := range []string{"predictive/predict", "predictive/cluster", "predictive/verify", "predictive/fallback", "predictive/train"} {
+		if names[want] != 2 {
+			t.Fatalf("span %q seen %d times, want one per band (names: %v)", want, names[want], names)
+		}
 	}
 }
 

@@ -154,19 +154,10 @@ func (h *Heuristic) Step(p *retard.Problem, target *grid.Grid, comp int) *StepRe
 	storeResults(points, target, comp, workers)
 
 	// The persistence forecast (reuse of last step's pattern) is a model
-	// too: record its error against the observed patterns, so Heuristic-RP
-	// and Predictive-RP quality series are directly comparable.
-	if h.obs.PredictorEnabled() {
-		if res.Forecast {
-			res.ForecastErr = forecastErrors(h.prevPat, points)
-		}
-		h.obs.RecordPredictor(obs.StepSample{
-			Step:            target.Step,
-			Kernel:          h.Name(),
-			Trained:         res.Forecast,
-			Points:          len(points),
-			FallbackEntries: res.FallbackEntries,
-		}, res.ForecastErr)
+	// too: its error against the observed patterns makes the Heuristic-RP
+	// and Predictive-RP quality series directly comparable.
+	if res.Forecast && h.obs.Enabled() {
+		res.ForecastErr = forecastErrors(h.prevPat, points)
 	}
 
 	h.prevPat = hostpar.Resize(h.prevPat, len(points))

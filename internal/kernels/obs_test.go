@@ -17,6 +17,33 @@ func observedNames(sink *flight.Recorder) map[string]int {
 	return names
 }
 
+// predictorSeries lists the predictor_* series in o's registry.
+func predictorSeries(o *obs.Observer) []string {
+	snap := o.Reg.Snapshot()
+	var out []string
+	add := func(name string) {
+		if strings.HasPrefix(name, "predictor_") {
+			out = append(out, name)
+		}
+	}
+	for _, c := range snap.Counters {
+		add(c.Name)
+	}
+	for _, g := range snap.Gauges {
+		add(g.Name)
+	}
+	for _, h := range snap.Histograms {
+		add(h.Name)
+	}
+	return out
+}
+
+// TestPredictiveEmitsSubPhaseSpansAndSample: with an observer attached,
+// Predictive-RP emits its sub-phase spans on every step and hands the
+// forecast step's sample data (Forecast, per-point ForecastErr, fallback
+// entries) to its caller in the step result. Recording the sample is the
+// caller's (core.Advance), so the kernel emits no "predictor" event and
+// registers no predictor series.
 func TestPredictiveEmitsSubPhaseSpansAndSample(t *testing.T) {
 	p, target := fixture(8, 24)
 	pr := NewPredictive(gpusim.New(gpusim.KeplerK40()))
@@ -25,61 +52,54 @@ func TestPredictiveEmitsSubPhaseSpansAndSample(t *testing.T) {
 	o.Trace = obs.NewTracer(sink)
 	pr.SetObserver(o)
 
-	pr.Step(p, target.Clone(), 0) // bootstrap
-	pr.Step(p, target.Clone(), 0) // trained
+	r0 := pr.Step(p, target.Clone(), 0) // bootstrap
+	r1 := pr.Step(p, target.Clone(), 0) // trained
 
 	names := observedNames(sink)
 	for _, want := range []string{
 		"predictive/predict", "predictive/cluster", "predictive/verify",
-		"predictive/fallback", "predictive/train", "predictor",
+		"predictive/fallback", "predictive/train",
 	} {
 		if names[want] != 2 {
 			t.Fatalf("span %q seen %d times, want 2 (names: %v)", want, names[want], names)
 		}
 	}
+	if names["predictor"] != 0 {
+		t.Fatalf("kernel emitted %d predictor events, want 0", names["predictor"])
+	}
+	if series := predictorSeries(o); len(series) != 0 {
+		t.Fatalf("kernel registered predictor series %v", series)
+	}
 
-	samples := o.Pred.Samples()
-	if len(samples) != 2 {
-		t.Fatalf("samples = %d, want 2", len(samples))
+	if r0.Forecast || r0.ForecastErr != nil {
+		t.Fatalf("bootstrap step: forecast %v with %d errors, want none", r0.Forecast, len(r0.ForecastErr))
 	}
-	if samples[0].Trained {
-		t.Fatal("bootstrap step marked trained")
+	if !r1.Forecast || len(r1.ForecastErr) != 24*24 || len(r1.Points) != 24*24 {
+		t.Fatalf("trained step: forecast %v with %d errors over %d points, want %d",
+			r1.Forecast, len(r1.ForecastErr), len(r1.Points), 24*24)
 	}
-	if !samples[1].Trained {
-		t.Fatal("second step not marked trained")
-	}
-	if samples[1].Points != 24*24 {
-		t.Fatalf("points = %d", samples[1].Points)
-	}
-	for i, s := range samples {
-		if s.ErrMax < s.ErrP90 || s.ErrP90 < s.ErrP50 {
-			t.Fatalf("sample %d quantiles out of order: %+v", i, s)
-		}
-		var n uint64
-		for _, b := range s.ErrBuckets {
-			n += b
-		}
-		if n != uint64(s.Points) {
-			t.Fatalf("sample %d buckets cover %d of %d points", i, n, s.Points)
-		}
-		if s.FallbackRate < 0 || s.FallbackRate > 1 {
-			t.Fatalf("sample %d fallback rate %g out of range", i, s.FallbackRate)
+	for i, e := range r1.ForecastErr {
+		if !(e >= 0) {
+			t.Fatalf("forecast error %d = %g, want finite and non-negative", i, e)
 		}
 	}
-	// Registry mirrors the series.
-	kl := obs.Label{Key: "kernel", Value: "Predictive-RP"}
-	if o.Reg.Counter("predictor_steps_total", kl).Value() != 2 {
-		t.Fatal("predictor_steps_total not recorded")
+	if r1.FallbackEntries < 0 || r1.FallbackEntries > len(r1.Points)*p.NumSub() {
+		t.Fatalf("fallback entries %d out of range", r1.FallbackEntries)
 	}
-	if o.Reg.Histogram("predictor_forecast_error", obs.DefaultErrBounds, kl).Count() != 2*24*24 {
-		t.Fatal("forecast error histogram incomplete")
+
+	// Without an observer the errors are not computed at all.
+	bare := NewPredictive(gpusim.New(gpusim.KeplerK40()))
+	bare.Step(p, target.Clone(), 0)
+	if r := bare.Step(p, target.Clone(), 0); !r.Forecast || r.ForecastErr != nil {
+		t.Fatalf("unobserved trained step: forecast %v with %d errors, want forecast and none",
+			r.Forecast, len(r.ForecastErr))
 	}
 }
 
-// TestHeuristicAndTwoPhaseRecordSamples: Heuristic-RP records a sample
-// per step, trained once it reuses patterns of the step's length, and its
-// step result says the same; Two-Phase-RP, which has no forecast, records
-// no sample and registers no predictor series.
+// TestHeuristicAndTwoPhaseRecordSamples: Heuristic-RP's step result is a
+// forecast step's once it reuses patterns of the step's length, with one
+// forecast error per point; Two-Phase-RP, which has no forecast, never
+// is. Neither kernel registers a predictor series itself.
 func TestHeuristicAndTwoPhaseRecordSamples(t *testing.T) {
 	p, target := fixture(8, 24)
 	o := obs.New()
@@ -88,44 +108,20 @@ func TestHeuristicAndTwoPhaseRecordSamples(t *testing.T) {
 	h.SetObserver(o)
 	r0 := h.Step(p, target.Clone(), 0)
 	r1 := h.Step(p, target.Clone(), 0)
-	hs := o.Pred.Samples()
-	if len(hs) != 2 || hs[0].Trained || !hs[1].Trained {
-		t.Fatalf("heuristic samples wrong: %+v", hs)
-	}
 	if r0.Forecast || r0.ForecastErr != nil || !r1.Forecast || len(r1.ForecastErr) != 24*24 {
 		t.Fatalf("heuristic step results: forecast %v/%v with %d/%d errors",
 			r0.Forecast, r1.Forecast, len(r0.ForecastErr), len(r1.ForecastErr))
 	}
-	if hs[1].ErrMean <= 0 && hs[1].ErrMax <= 0 {
-		t.Log("persistence forecast exact on static problem (acceptable)")
-	}
 
-	o = obs.New()
 	tp := NewTwoPhase(gpusim.New(gpusim.KeplerK40()))
 	tp.SetObserver(o)
 	res := tp.Step(p, target.Clone(), 0)
-	if res.FallbackEntries == 0 || res.Forecast {
-		t.Fatalf("twophase step: %d fallback entries, forecast %v; want refinement and no forecast",
-			res.FallbackEntries, res.Forecast)
+	if res.FallbackEntries == 0 || res.Forecast || res.ForecastErr != nil {
+		t.Fatalf("twophase step: %d fallback entries, forecast %v with %d errors; want refinement and no forecast",
+			res.FallbackEntries, res.Forecast, len(res.ForecastErr))
 	}
-	if s, ok := o.Pred.Last(); ok {
-		t.Fatalf("twophase recorded a predictor sample: %+v", s)
-	}
-	snap := o.Reg.Snapshot()
-	var names []string
-	for _, c := range snap.Counters {
-		names = append(names, c.Name)
-	}
-	for _, g := range snap.Gauges {
-		names = append(names, g.Name)
-	}
-	for _, hs := range snap.Histograms {
-		names = append(names, hs.Name)
-	}
-	for _, n := range names {
-		if strings.HasPrefix(n, "predictor_") {
-			t.Fatalf("twophase registered the %s series", n)
-		}
+	if series := predictorSeries(o); len(series) != 0 {
+		t.Fatalf("kernels registered predictor series %v", series)
 	}
 }
 

@@ -328,23 +328,10 @@ func (pr *Predictive) Step(p *retard.Problem, target *grid.Grid, comp int) *Step
 	res.Host.Train = time.Since(t0).Seconds()
 	sp.End(obs.HostWorkers(workers))
 
-	// Predictor-quality sample: how far the forecast was from the patterns
-	// actually observed, and how much work leaked to the safety net.
-	if pr.obs.PredictorEnabled() {
-		errs := forecastErrors(patterns, points)
-		if trained {
-			res.ForecastErr = errs
-		}
-		pr.obs.RecordPredictor(obs.StepSample{
-			Step:            target.Step,
-			Kernel:          pr.Name(),
-			Trained:         trained,
-			Points:          len(points),
-			FallbackEntries: res.FallbackEntries,
-			PredictSec:      res.Host.Predict,
-			ClusterSec:      res.Host.Clustering,
-			TrainSec:        res.Host.Train,
-		}, errs)
+	// How far the forecast was from the patterns actually observed: the
+	// caller's predictor-quality sample reads it.
+	if trained && pr.obs.Enabled() {
+		res.ForecastErr = forecastErrors(patterns, points)
 	}
 
 	pr.prevParts = hostpar.Resize(pr.prevParts, len(points))

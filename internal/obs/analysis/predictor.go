@@ -77,7 +77,8 @@ func FallbackSpikes(points []PredictorPoint, factor, minRate float64) []Spike {
 }
 
 // PredictorTable renders the series plus detected spikes for the obstool
-// predictor subcommand.
+// predictor subcommand. The kernel column fits a fleet's label
+// ("Fleet[Predictive-RP x2]").
 func PredictorTable(points []PredictorPoint, spikes []Spike) string {
 	var b strings.Builder
 	if len(points) == 0 {
@@ -87,14 +88,14 @@ func PredictorTable(points []PredictorPoint, spikes []Spike) string {
 	for _, s := range spikes {
 		spiked[s.Step] = true
 	}
-	fmt.Fprintf(&b, "%5s %-14s %13s %10s %10s %10s\n",
+	fmt.Fprintf(&b, "%5s %-23s %13s %10s %10s %10s\n",
 		"step", "kernel", "fallback_rate", "err_mean", "err_p90", "train_ms")
 	for _, p := range points {
 		mark := ""
 		if spiked[p.Step] {
 			mark = "  <-- fallback spike"
 		}
-		fmt.Fprintf(&b, "%5d %-14s %13.5f %10.4g %10.4g %10.3f%s\n",
+		fmt.Fprintf(&b, "%5d %-23s %13.5f %10.4g %10.4g %10.3f%s\n",
 			p.Step, p.Kernel, p.FallbackRate, p.ErrMean, p.ErrP90, p.TrainSec*1e3, mark)
 	}
 	fmt.Fprintf(&b, "\n%d spike(s) detected\n", len(spikes))

@@ -4,9 +4,10 @@ import "testing"
 
 // The disabled path must stay at a few nanoseconds per call site: a
 // simulation step makes ~15 telemetry calls, so even a microsecond-scale
-// step pays well under 0.1% when observability is off. The full-kernel
-// overhead benchmark (BenchmarkObsDisabled vs BenchmarkObsEnabled) lives in
-// internal/kernels.
+// step pays well under 0.1% when observability is off. The step-level
+// overhead check (BenchmarkObsOverhead, make bench-obs) lives in
+// internal/core, the kernel step with the observer off and on
+// (BenchmarkObsDisabled vs BenchmarkObsEnabled) in internal/kernels.
 
 func BenchmarkSpanDisabled(b *testing.B) {
 	var o *Observer

@@ -4,8 +4,9 @@
 // session needs without -trace having been on:
 //
 //	manifest.json    what happened (reason, step, trigger alert, inventory)
-//	flight.jsonl     the flight recorder's retained span/event trace
-//	snapshot.json    the full obs.RunSnapshot (metrics + predictor series)
+//	flight.jsonl     the flight recorder's retained span/event trace,
+//	                 including the per-step "predictor" events
+//	snapshot.json    the obs.RunSnapshot, {"metrics": registry snapshot}
 //	alerts.json      the alert engine's rule set, log and active alerts
 //	checkpoint.gob   the latest simulation checkpoint (when a saver is wired)
 //	goroutines.txt   goroutine dump (debug=1 text form)

@@ -1,6 +1,7 @@
 // Package export is the serving half of the telemetry layer: it turns an
 // obs.Registry snapshot into the Prometheus text exposition format and
-// serves it — together with the full JSON run snapshot, a step-liveness
+// serves it — together with the same snapshot as a JSON {"metrics": …}
+// document (the per-step predictor series lives in the trace), a step-liveness
 // health probe that active alerts degrade, the alert engine's state when
 // one is attached, and the Go pprof handlers — from an embedded HTTP server
 // that beamsim starts with -http. Everything here reads point-in-time

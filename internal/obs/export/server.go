@@ -33,7 +33,7 @@ type HealthReport struct {
 // Server serves one observer's telemetry over HTTP:
 //
 //	/metrics        Prometheus text exposition of the registry
-//	/snapshot.json  the full run snapshot (metrics + predictor series)
+//	/snapshot.json  the registry snapshot as a {"metrics": ...} document
 //	/healthz        step liveness and active alerts (503 when stalled)
 //	/alerts         the alert engine's rules, active alerts and firing log,
 //	                only when the server has an engine

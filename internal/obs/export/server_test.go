@@ -94,7 +94,7 @@ func TestMetricsScrapeMidStepIsSafe(t *testing.T) {
 func TestSnapshotEndpoint(t *testing.T) {
 	o := obs.New()
 	o.Reg.Counter("sim_steps_total").Add(5)
-	o.RecordPredictor(obs.StepSample{Step: 4, Kernel: "Predictive-RP", Points: 16, FallbackEntries: 2}, []float64{0.1, 0.4})
+	o.RecordPredictor(obs.StepSample{Step: 4, Kernel: "Predictive-RP", FallbackEntries: 2, FallbackRate: 0.125}, []float64{0.1, 0.4})
 	ts := testServer(t, &Server{Obs: o})
 
 	code, body, hdr := get(t, ts.URL+"/snapshot.json")
@@ -108,11 +108,20 @@ func TestSnapshotEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &rs); err != nil {
 		t.Fatalf("snapshot not valid JSON: %v", err)
 	}
-	if len(rs.Metrics.Counters) == 0 || len(rs.Predictor) != 1 {
+	if len(rs.Metrics.Counters) == 0 || len(rs.Metrics.Histograms) != 1 {
 		t.Fatalf("snapshot content wrong: %+v", rs)
 	}
-	if rs.Predictor[0].FallbackRate != 0.125 {
-		t.Errorf("fallback rate = %g, want 0.125", rs.Predictor[0].FallbackRate)
+	var rate float64
+	for _, g := range rs.Metrics.Gauges {
+		if g.Name == "predictor_fallback_rate" {
+			rate = g.Value
+		}
+	}
+	if rate != 0.125 {
+		t.Errorf("predictor_fallback_rate = %g, want 0.125", rate)
+	}
+	if h := rs.Metrics.Histograms[0]; h.Name != "predictor_forecast_error" || h.Count != 2 {
+		t.Errorf("forecast error series: %+v", h)
 	}
 }
 
@@ -179,7 +188,7 @@ func TestSnapshotEndpointNilObserver(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &rs); err != nil {
 		t.Fatalf("empty snapshot not valid JSON: %v\n%s", err, body)
 	}
-	if len(rs.Metrics.Counters) != 0 || len(rs.Predictor) != 0 {
+	if len(rs.Metrics.Counters) != 0 || len(rs.Metrics.Histograms) != 0 {
 		t.Fatalf("empty snapshot carries data: %+v", rs)
 	}
 }

@@ -1,9 +1,10 @@
 // Package obs is the unified telemetry layer of the simulation: a
 // lightweight, allocation-conscious metrics registry (counters, gauges,
-// fixed-bucket histograms with labeled series), a span tracer emitting
-// JSONL events to a pluggable sink, and a predictor-quality monitor that
-// turns the Predictive-RP kernel's forecast accuracy, fallback rate and
-// re-train cost into per-step time series.
+// fixed-bucket histograms with labeled series) and a span tracer emitting
+// JSONL events to a pluggable sink. RecordPredictor turns a forecast
+// step's accuracy, fallback rate and re-train cost into the predictor_*
+// series and one "predictor" trace event; core.Advance calls it once per
+// forecast step, so the per-step series lives in the trace.
 //
 // The paper diagnoses its contribution entirely through profiler counters
 // (Tables I-II) and through the quality of the one-step-ahead access
@@ -12,9 +13,9 @@
 // precondition for trusting a surrogate-assisted simulation at scale.
 //
 // Everything is nil-safe: a nil *Observer (and nil *Registry, *Tracer,
-// *PredictorMonitor, and every metric handle they return) turns all
-// recording calls into cheap no-ops, so instrumented hot paths cost a
-// pointer test when observability is disabled.
+// and every metric handle they return) turns all recording calls into
+// cheap no-ops, so instrumented hot paths cost a pointer test when
+// observability is disabled.
 package obs
 
 import (
@@ -23,12 +24,12 @@ import (
 	"time"
 )
 
-// Observer bundles the three telemetry components. Any field may be nil to
-// disable that component; a nil *Observer disables everything.
+// Observer bundles the two telemetry components. Either field may be nil
+// to disable that component; a nil *Observer disables everything.
 //
 // An observer optionally carries a span context (see ScopedTracer): derived
 // observers returned by StartTrace, WithBaggage and Span.Scope share the
-// same Trace/Reg/Pred components but stamp every span and event they emit
+// same Trace/Reg components but stamp every span and event they emit
 // with trace/parent IDs and baggage attrs, so a job's whole causal tree is
 // reconstructable from the JSONL stream. When tracing is disabled the
 // derivation methods return the receiver unchanged — scoping costs nothing
@@ -38,8 +39,6 @@ type Observer struct {
 	Trace *Tracer
 	// Reg accumulates metric series.
 	Reg *Registry
-	// Pred collects per-step predictor-quality samples.
-	Pred *PredictorMonitor
 
 	scope *ScopedTracer
 }
@@ -101,24 +100,17 @@ func (o *Observer) WithBaggage(attrs ...Attr) *Observer {
 	return o.with(sc)
 }
 
-// New returns an observer with a live registry and predictor monitor and
-// no trace sink (attach one via Trace = NewTracer(sink)).
-func New() *Observer {
-	return &Observer{Reg: NewRegistry(), Pred: NewPredictorMonitor(0)}
-}
+// New returns an observer with a live registry and no trace sink (attach
+// one via Trace = NewTracer(sink)).
+func New() *Observer { return &Observer{Reg: NewRegistry()} }
 
 // Enabled reports whether any component is live.
 func (o *Observer) Enabled() bool {
-	return o != nil && (o.Trace.Enabled() || o.Reg != nil || o.Pred != nil)
+	return o != nil && (o.Trace.Enabled() || o.Reg != nil)
 }
 
 // TraceEnabled reports whether span events reach a sink.
 func (o *Observer) TraceEnabled() bool { return o != nil && o.Trace.Enabled() }
-
-// PredictorEnabled reports whether predictor-quality samples are collected.
-func (o *Observer) PredictorEnabled() bool {
-	return o != nil && (o.Pred != nil || o.Reg != nil || o.Trace.Enabled())
-}
 
 // Span starts a span named name for simulation step. The returned Span
 // must be Ended; on End the duration is emitted as a trace event and
@@ -232,22 +224,16 @@ func (o *Observer) GPURecorder() GPUBridge {
 }
 
 // RunSnapshot is the end-of-run document written by WriteSnapshot: the
-// registry snapshot plus the full predictor-quality series.
+// registry snapshot. The per-step predictor series is in the trace.
 type RunSnapshot struct {
-	Metrics   Snapshot     `json:"metrics"`
-	Predictor []StepSample `json:"predictor,omitempty"`
+	Metrics Snapshot `json:"metrics"`
 }
 
-// WriteSnapshot writes the observer's state as indented JSON.
+// WriteSnapshot writes the observer's registry snapshot as indented JSON.
 func (o *Observer) WriteSnapshot(w io.Writer) error {
 	var rs RunSnapshot
-	if o != nil {
-		if o.Reg != nil {
-			rs.Metrics = o.Reg.Snapshot()
-		}
-		if o.Pred != nil {
-			rs.Predictor = o.Pred.Samples()
-		}
+	if o != nil && o.Reg != nil {
+		rs.Metrics = o.Reg.Snapshot()
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -68,7 +68,7 @@ func TestNilTracerAndObserverAreInert(t *testing.T) {
 	sp.End()
 	o.Event("y", 0)
 	o.RecordPredictor(StepSample{}, nil)
-	if o.Enabled() || o.TraceEnabled() || o.PredictorEnabled() {
+	if o.Enabled() || o.TraceEnabled() {
 		t.Fatal("nil observer claims to be enabled")
 	}
 	var tr *Tracer

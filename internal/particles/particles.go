@@ -144,13 +144,3 @@ func (e *Ensemble) Drift(dt float64) {
 		e.P[i].Y += e.P[i].VY * dt
 	}
 }
-
-// LorentzAcceleration converts an electromagnetic force (E-field in V/m
-// seen by charge q) on a particle of relativistic mass gamma*m into an
-// acceleration. The transverse magnetic contribution is folded into the
-// effective field by the retarded-potential solver, so only the electric
-// part appears here, matching the treatment in [9].
-func LorentzAcceleration(ex, ey, q, gamma float64) Force {
-	m := gamma * phys.ElectronMass
-	return Force{AX: q * ex / m, AY: q * ey / m}
-}

@@ -116,17 +116,6 @@ func TestPushPanicsOnMismatch(t *testing.T) {
 	e.Push(make([]Force, 2), 0.1)
 }
 
-func TestLorentzAcceleration(t *testing.T) {
-	f := LorentzAcceleration(1, 2, phys.ElementaryCharge, 2)
-	m := 2 * phys.ElectronMass
-	if math.Abs(f.AX-phys.ElementaryCharge/m) > 1e-6*f.AX {
-		t.Fatalf("AX = %g", f.AX)
-	}
-	if math.Abs(f.AY-2*phys.ElementaryCharge/m) > 1e-6*f.AY {
-		t.Fatalf("AY = %g", f.AY)
-	}
-}
-
 func TestMacroChargeAndGamma(t *testing.T) {
 	b := beam(1000)
 	if mc := b.MacroCharge(); math.Abs(mc-2e-12) > 1e-24 {

@@ -26,15 +26,6 @@ func BenchmarkAdaptiveSimpsonPeaked(b *testing.B) {
 	}
 }
 
-func BenchmarkFixedPartition(b *testing.B) {
-	f := func(x float64) float64 { return math.Cos(3 * x) }
-	part := UniformPartition(0, 2, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FixedPartition(f, part, 1e-8)
-	}
-}
-
 func BenchmarkMergeLists(b *testing.B) {
 	p := UniformPartition(0, 1, 200)
 	q := UniformPartition(0, 1, 133)

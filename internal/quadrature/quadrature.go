@@ -81,20 +81,6 @@ func NewtonCotes(f Func, a, b float64, o NewtonCotesOrder) float64 {
 	return (b - a) * s
 }
 
-// CompositeNewtonCotes integrates f over [a, b] by applying the rule on
-// panels equal subintervals.
-func CompositeNewtonCotes(f Func, a, b float64, o NewtonCotesOrder, panels int) float64 {
-	if panels < 1 {
-		panic("quadrature: panels must be positive")
-	}
-	h := (b - a) / float64(panels)
-	var s float64
-	for i := 0; i < panels; i++ {
-		s += NewtonCotes(f, a+float64(i)*h, a+float64(i+1)*h, o)
-	}
-	return s
-}
-
 // Estimate is a quadrature-rule result: the integral estimate, its error
 // estimate, and the number of integrand evaluations spent, which the
 // access-pattern model converts into memory-reference counts.
@@ -171,26 +157,6 @@ func AdaptiveSimpson(f Func, a, b, tol float64, maxDepth int) Result {
 	return res
 }
 
-// FixedPartition integrates f using Simpson's rule on each panel of an
-// explicit partition, accumulating estimates, and reports the panels whose
-// individual error estimate exceeds tol. It is the COMPUTE-RP-INTEGRAL
-// inner loop from Listing 1 of the paper: predicted partitions are used
-// directly, and failing panels are pushed to the adaptive safety net.
-func FixedPartition(f Func, partition []float64, tol float64) (ok Estimate, failed [][2]float64) {
-	for i := 0; i+1 < len(partition); i++ {
-		a, b := partition[i], partition[i+1]
-		est := SimpsonRule(f, a, b)
-		ok.Evals += est.Evals
-		if est.Err <= tol {
-			ok.I += est.I
-			ok.Err += est.Err
-		} else {
-			failed = append(failed, [2]float64{a, b})
-		}
-	}
-	return ok, failed
-}
-
 // AppendMergeLists appends the sorted union of two sorted partitions, with
 // duplicates removed, to dst and returns the extended slice — the
 // MERGE-LISTS auxiliary procedure of Algorithm 1. Values closer than eps
@@ -232,26 +198,6 @@ func UniformPartition(a, b float64, n int) []float64 {
 	}
 	p[n] = b
 	return p
-}
-
-// RefinePartition subdivides each panel of partition into k equal panels,
-// implementing the adaptive-partitioning forecast of Section III.C.2 where
-// an earlier step's partition is refined by the predicted count ratio.
-func RefinePartition(partition []float64, k int) []float64 {
-	if k <= 1 || len(partition) < 2 {
-		out := make([]float64, len(partition))
-		copy(out, partition)
-		return out
-	}
-	out := make([]float64, 0, (len(partition)-1)*k+1)
-	for i := 0; i+1 < len(partition); i++ {
-		a, b := partition[i], partition[i+1]
-		h := (b - a) / float64(k)
-		for j := 0; j < k; j++ {
-			out = append(out, a+float64(j)*h)
-		}
-	}
-	return append(out, partition[len(partition)-1])
 }
 
 // IsSortedPartition reports whether p is strictly increasing, the invariant

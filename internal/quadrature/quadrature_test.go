@@ -40,23 +40,6 @@ func TestNewtonCotesPoints(t *testing.T) {
 	}
 }
 
-func TestCompositeNewtonCotesConverges(t *testing.T) {
-	f := math.Sin
-	want := 1 - math.Cos(2.0)
-	coarse := math.Abs(CompositeNewtonCotes(f, 0, 2, Simpson, 2) - want)
-	fine := math.Abs(CompositeNewtonCotes(f, 0, 2, Simpson, 8) - want)
-	if fine >= coarse {
-		t.Fatalf("refinement did not reduce error: %g -> %g", coarse, fine)
-	}
-	if fine > 1e-5 {
-		t.Fatalf("composite Simpson error %g too large", fine)
-	}
-	finest := math.Abs(CompositeNewtonCotes(f, 0, 2, Simpson, 32) - want)
-	if finest > 1e-8 {
-		t.Fatalf("composite Simpson with 32 panels error %g too large", finest)
-	}
-}
-
 func TestSimpsonRuleErrorEstimateBounds(t *testing.T) {
 	// For smooth integrands the Richardson estimate bounds the true error
 	// of the extrapolated value to within a small factor.
@@ -131,33 +114,6 @@ func TestAdaptiveSimpsonZeroWidth(t *testing.T) {
 	res := AdaptiveSimpson(math.Exp, 2, 2, 1e-9, 10)
 	if res.I != 0 || res.Err != 0 {
 		t.Fatalf("zero-width integral: got I=%g err=%g", res.I, res.Err)
-	}
-}
-
-func TestFixedPartitionMatchesAdaptive(t *testing.T) {
-	f := func(x float64) float64 { return math.Cos(3 * x) }
-	part := UniformPartition(0, 2, 64)
-	ok, failed := FixedPartition(f, part, 1e-8)
-	if len(failed) != 0 {
-		t.Fatalf("%d panels failed on a smooth integrand with fine partition", len(failed))
-	}
-	want := math.Sin(6.0) / 3
-	if err := math.Abs(ok.I - want); err > 1e-8 {
-		t.Fatalf("fixed-partition integral error %g", err)
-	}
-}
-
-func TestFixedPartitionReportsFailures(t *testing.T) {
-	f := func(x float64) float64 { return 1 / (1e-4 + x*x) }
-	part := UniformPartition(0, 1, 2) // far too coarse near the peak
-	_, failed := FixedPartition(f, part, 1e-10)
-	if len(failed) == 0 {
-		t.Fatal("coarse partition on a peaked integrand reported no failures")
-	}
-	for _, iv := range failed {
-		if iv[1] <= iv[0] {
-			t.Fatalf("failed interval inverted: %v", iv)
-		}
 	}
 }
 
@@ -239,26 +195,6 @@ func TestUniformPartition(t *testing.T) {
 		if math.Abs((p[i+1]-p[i])-0.5) > 1e-12 {
 			t.Fatalf("uneven spacing in %v", p)
 		}
-	}
-}
-
-func TestRefinePartition(t *testing.T) {
-	p := []float64{0, 1, 3}
-	r := RefinePartition(p, 2)
-	want := []float64{0, 0.5, 1, 2, 3}
-	if len(r) != len(want) {
-		t.Fatalf("got %v want %v", r, want)
-	}
-	for i := range want {
-		if math.Abs(r[i]-want[i]) > 1e-12 {
-			t.Fatalf("got %v want %v", r, want)
-		}
-	}
-	// k <= 1 must copy, not alias.
-	c := RefinePartition(p, 1)
-	c[0] = 99
-	if p[0] == 99 {
-		t.Fatal("RefinePartition aliased its input")
 	}
 }
 

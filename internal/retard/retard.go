@@ -259,13 +259,6 @@ func (p *Problem) subregionOf(r float64) int {
 	return j
 }
 
-// Alpha returns the number of stencil memory references per radial panel
-// evaluation: Simpson's 5 outer abscissae times the inner rule's points
-// times the 27-point stencil. It is the constant alpha of Section III.A.
-func (p *Problem) Alpha() int {
-	return 5 * p.Inner.Points() * StencilLoads
-}
-
 // AppendObservedPattern appends to dst the access pattern a partition
 // implies for the point (x, y) — NumSub panel counts — and returns the
 // extended slice. Panels are attributed to the subregion containing their

@@ -303,16 +303,6 @@ func TestWeightSingularityRegularised(t *testing.T) {
 	}
 }
 
-func TestAlphaCountsInnerReferences(t *testing.T) {
-	params := testParams()
-	params.Inner = quadrature.Simpson
-	h, _ := buildHistory(8, 32, params)
-	p := NewProblem(h, params)
-	if got := p.Alpha(); got != 5*3*27 {
-		t.Fatalf("Alpha = %d, want %d", got, 5*3*27)
-	}
-}
-
 // cloneGeometry builds a zeroed grid matching src's physical extent at a
 // different resolution.
 func cloneGeometry(src *grid.Grid, nx, ny int) *grid.Grid {

@@ -3,7 +3,6 @@ package retard
 import (
 	"beamdyn/internal/grid"
 	"beamdyn/internal/hostpar"
-	"beamdyn/internal/obs"
 )
 
 // planeRef records one distinct history plane already gathered into a
@@ -162,12 +161,6 @@ type GridSolver struct {
 	// Workers bounds the worker count; values <= 0 mean GOMAXPROCS.
 	Workers int
 
-	// Obs, when non-nil, receives the solver's counters after every
-	// Solve: rp_tile_hits_total / rp_tile_solves_total (scratch reuse),
-	// rp_memo_reuse_total / rp_memo_probe_total (radial memo), the
-	// rp_tile_w / rp_tile_h shape gauges and rp_tile_fallback_total.
-	Obs *obs.Registry
-
 	// tileW, tileH override the cache-block tile shape when > 0; only
 	// this package's tests set them.
 	tileW, tileH int
@@ -252,14 +245,14 @@ func (s *GridSolver) Solve(p *Problem, target *grid.Grid, comp int) []PointResul
 			}
 		})
 	}
-	s.publish(w, tg, tiled)
+	s.collect(w, tg, tiled)
 	return results
 }
 
-// publish drains the per-worker memo/tile counters into the solver's obs
-// registry. Counters are cleared either way so one Solve's statistics are
-// never double-counted into the next.
-func (s *GridSolver) publish(w int, tg grid.TileGrid, tiled bool) {
+// collect drains the per-worker memo/tile counters into the statistics
+// LastStats returns, clearing them so one Solve's statistics are never
+// double-counted into the next.
+func (s *GridSolver) collect(w int, tg grid.TileGrid, tiled bool) {
 	st := SolveStats{TileW: tg.TW, TileH: tg.TH, Tiled: tiled}
 	for i := 0; i < w && i < len(s.evals); i++ {
 		t := s.evals[i]
@@ -274,16 +267,4 @@ func (s *GridSolver) publish(w int, tg grid.TileGrid, tiled bool) {
 		st.MemoProbes += mh + mm
 	}
 	s.last = st
-	if s.Obs == nil {
-		return
-	}
-	s.Obs.Counter("rp_tile_hits_total").Add(st.TileHits)
-	s.Obs.Counter("rp_tile_solves_total").Add(st.TileSolves)
-	s.Obs.Counter("rp_memo_reuse_total").Add(st.MemoHits)
-	s.Obs.Counter("rp_memo_probe_total").Add(st.MemoProbes)
-	s.Obs.Gauge("rp_tile_w").Set(float64(tg.TW))
-	s.Obs.Gauge("rp_tile_h").Set(float64(tg.TH))
-	if !tiled {
-		s.Obs.Counter("rp_tile_fallback_total").Inc()
-	}
 }
